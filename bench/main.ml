@@ -77,34 +77,27 @@ let compile_pipeline_benchmarks () =
 
 let () =
   let skip_perf = Array.exists (fun a -> a = "--skip-perf") Sys.argv in
-  (* CI entry: just the compiled-simulation bench on one kernel, so the
-     BENCH_simcomp.json artifact (with its built-in equivalence check)
-     regenerates quickly on every push *)
-  if Array.exists (fun a -> a = "--simcomp-smoke") Sys.argv then begin
-    Simcomp_bench.run_smoke ();
-    exit 0
-  end;
-  (* CI entry: the serve bench alone, so BENCH_serve.json (two-process
+  (* CI entries: one bench alone, so its JSON artifact regenerates
+     quickly on every push.  simcomp: the compiled-simulation bench on
+     one kernel, with its built-in equivalence check.  serve: two-process
      store persistence + Domain-pool throughput, every response
-     oracle-checked) regenerates on every push *)
-  if Array.exists (fun a -> a = "--serve-smoke") Sys.argv then begin
-    Serve_bench.run_smoke ();
-    exit 0
-  end;
-  (* CI entry: the fuzz bench alone, so BENCH_fuzz.json (dialect-matrix
-     fuzz throughput + the workload oracle-agreement matrix, failing hard
-     on any divergence) regenerates on every push *)
-  if Array.exists (fun a -> a = "--fuzz-smoke") Sys.argv then begin
-    Fuzz_bench.run_smoke ();
-    exit 0
-  end;
-  (* CI entry: the explore bench alone, so BENCH_explore.json (per-kernel
-     design-space sweeps, every point oracle-verified, warm re-sweeps all
-     cache hits) regenerates on every push *)
-  if Array.exists (fun a -> a = "--explore-smoke") Sys.argv then begin
-    Explore_bench.run_smoke ();
-    exit 0
-  end;
+     oracle-checked.  fuzz: dialect-matrix fuzz throughput + the workload
+     oracle-agreement matrix, failing hard on any divergence.  explore:
+     per-kernel design-space sweeps, every point oracle-verified, warm
+     re-sweeps all cache hits. *)
+  let smokes =
+    [ ("--simcomp-smoke", Simcomp_bench.run_smoke);
+      ("--serve-smoke", Serve_bench.run_smoke);
+      ("--fuzz-smoke", Fuzz_bench.run_smoke);
+      ("--explore-smoke", Explore_bench.run_smoke) ]
+  in
+  List.iter
+    (fun (flag, run) ->
+      if Array.mem flag Sys.argv then begin
+        run ();
+        exit 0
+      end)
+    smokes;
   print_endline
     "CHLS experiment harness — reproducing Edwards, \"The Challenges of \
      Hardware\nSynthesis from C-like Languages\" (DATE 2005).";

@@ -284,18 +284,16 @@ let sim_arg =
   let engine =
     Arg.enum
       [ ("compiled", Design.Compiled);
-        ("event", Design.Event_driven);
-        ("sweep", Design.Full_sweep) ]
+        ("event", Design.Event_driven) ]
   in
   Arg.(value & opt engine Design.Compiled
        & info [ "sim" ] ~docv:"ENGINE"
            ~doc:
              "Simulation engine for the behavioural run: $(b,compiled) \
-              (levelized closure evaluator, the default), $(b,event) \
-              (event-driven interpreter) or $(b,sweep) (full-sweep \
-              oracle).  Backends with a single simulator ignore the \
-              selection; designs wider than 62 bits fall back to the \
-              interpreter.")
+              (levelized closure evaluator, the default) or $(b,event) \
+              (event-driven interpreter).  Backends with a single \
+              simulator ignore the selection; designs wider than 62 bits \
+              fall back to the interpreter.")
 
 let verify_sim_flag =
   Arg.(value & flag

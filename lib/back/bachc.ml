@@ -30,8 +30,8 @@ let compile ?(knobs = Backend.default_knobs) ?resources
     match resources with Some r -> r | None -> knobs.Backend.resources
   in
   if Handelc.uses_concurrency program then
-    (* The concurrent subset runs on the statement machine with scheduled
-       block timing; Handel_sim provides it. *)
+    (* The concurrent subset runs on the statement machine
+       (Handel_machine) with compiler-packed cycles. *)
     Handelc.compile_with_policy ~backend_name:"bachc" ~dialect
       ~policy:`Scheduled ~knobs program ~entry
   else
@@ -39,10 +39,6 @@ let compile ?(knobs = Backend.default_knobs) ?resources
       ~schedule_block:(fun func blk ->
         Schedule.list_schedule func resources blk.Cir.instrs)
       program ~entry
-
-(** Cyber/BDL rides the same scheduler (restricted C with extensions; no
-    pointers or recursion), per its Table 1 row. *)
-let compile_cyber ?knobs program ~entry = compile ?knobs program ~entry
 
 let descriptor =
   Backend.make ~name:"bachc" ~aliases:[ "bach" ] ~pipeline:(Some pipeline)
@@ -57,4 +53,4 @@ let cyber_descriptor =
   Backend.make ~name:"cyber" ~aliases:[ "bdl" ] ~pipeline:(Some pipeline)
     ~description:"restricted C (BDL) on the Bach C scheduler"
     ~dialect:Dialect.cyber
-    (fun ~knobs program ~entry -> compile_cyber ~knobs program ~entry)
+    (fun ~knobs program ~entry -> compile ~knobs program ~entry)

@@ -18,12 +18,8 @@ val compile :
 (** [resources] (when given) overrides [knobs.resources]; [knobs]
     otherwise carries the allocation plus pass options and unroll. *)
 
-val compile_cyber :
-  ?knobs:Backend.knobs -> Ast.program -> entry:string -> Design.t
-(** Cyber/BDL rides the same scheduler (restricted C, no pointers or
-    recursion), per its Table 1 row. *)
-
 val descriptor : Backend.descriptor
 
 val cyber_descriptor : Backend.descriptor
-(** Cyber/BDL: same scheduler, distinct dialect and registration. *)
+(** Cyber/BDL rides the same scheduler (restricted C, no pointers or
+    recursion): its own Table 1 row, dialect and registration. *)

@@ -1,0 +1,11 @@
+(** The C2Verilog backend: compile to stack code ({!C2verilog}) and
+    return a {!Design.Stack_machine} design, run by {!C2v_machine}; its
+    Verilog view is the generated processor ({!C2v_verilog}). *)
+
+val pipeline : Passes.pipeline
+(** Source-only and empty: the stack-machine compiler consumes the AST
+    (pointers and recursion need the unified memory, not CIR). *)
+
+val compile : ?knobs:Backend.knobs -> Ast.program -> entry:string -> Design.t
+
+val descriptor : Backend.descriptor

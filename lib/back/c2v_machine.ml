@@ -1,6 +1,6 @@
 (* The C2Verilog execution engine: a word stack machine with a code ROM
    and one unified RAM, simulated cycle-by-cycle under the backend's rule
-   set — and its Design.t wrapper.
+   set.  The backend wrapper lives in C2v_backend.
 
    Memory map (word addresses):
      [0, stack_base)         scalar and array globals
@@ -188,75 +188,3 @@ let run ?(max_cycles = 50_000_000) (compiled : C2verilog.compiled)
     instructions_executed = st.executed;
     globals;
     memories }
-
-(* --- Design wrapper --- *)
-
-(* C2Verilog compiles the AST straight to stack code (pointers and
-   recursion need the unified memory, not CIR's partitioned model), so
-   its declared pipeline is source-only and empty. *)
-let pipeline = Passes.pipeline "c2verilog" ~lowers:false
-
-let compile ?(knobs = Backend.default_knobs) (program : Ast.program) ~entry :
-    Design.t =
-  Backend.reject_if_illegal ~backend:"c2verilog" Dialect.c2verilog program;
-  let program, pass_trace =
-    Passes.run_program_passes ~options:knobs.Backend.pass_options pipeline
-      program ~entry
-  in
-  let compiled = C2verilog.compile_program program ~entry in
-  let verilog = lazy (C2v_verilog.to_string compiled ~name:entry) in
-  let ret_width =
-    match Ast.find_func program entry with
-    | Some f -> max 0 (Ctypes.width f.Ast.f_ret)
-    | None -> 0
-  in
-  let pointer_info = Pointer.analyze program in
-  let run ?vcd:_ ?sim:_ args =
-    let outcome = run compiled ~ret_width ~args in
-    let metrics = Metrics.create () in
-    Metrics.set_int metrics "sim.cycles" outcome.cycles;
-    { Design.result = outcome.return_value;
-      globals = outcome.globals;
-      memories = outcome.memories;
-      cycles = Some outcome.cycles;
-      time_units = None;
-      metrics }
-  in
-  let code_words = Array.length compiled.C2verilog.code in
-  { Design.design_name = entry;
-    backend = "c2verilog";
-    run;
-    area =
-      (fun () ->
-        (* fixed CPU datapath + code ROM + unified RAM *)
-        let cpu = 9_000. in
-        let rom = float_of_int (code_words * 40) in
-        let ram_bits = compiled.C2verilog.memory_words * 64 in
-        Some
-          { Area.combinational_area = cpu;
-            register_area = 600.;
-            memory_bits = ram_bits + (code_words * 40);
-            memory_area = rom +. float_of_int ram_bits;
-            total_area = cpu +. 600. +. rom +. float_of_int ram_bits;
-            critical_path = 30.;
-            num_nodes = code_words;
-            num_registers = 4 })
-    ;
-    verilog = (fun () -> Some (Lazy.force verilog));
-    netlist = (fun () -> None);
-    clock_period = Some 30.;
-    stats =
-      [ ("code words", string_of_int code_words);
-        ("unified memory words",
-         string_of_int compiled.C2verilog.memory_words);
-        ("pointers fully partitionable",
-         string_of_bool (Pointer.fully_partitionable pointer_info)) ];
-    pass_trace }
-
-let descriptor =
-  Backend.make ~name:"c2verilog" ~aliases:[ "c2v" ]
-    ~pipeline:(Some pipeline)
-    ~description:"full ANSI C on a synthesized stack machine with one \
-                  unified memory"
-    ~dialect:Dialect.c2verilog
-    (fun ~knobs program ~entry -> compile ~knobs program ~entry)

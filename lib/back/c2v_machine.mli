@@ -1,6 +1,6 @@
 (** The C2Verilog execution engine: a word stack machine (code ROM + one
     unified RAM + small datapath) simulated cycle-by-cycle under the
-    backend's rule set, plus its Design wrapper.
+    backend's rule set.  The backend wrapper is {!C2v_backend}.
 
     Memory map: globals in [0, stack_base), the combined evaluation/call
     stack in [stack_base, heap_base) growing up, the malloc heap above.
@@ -24,13 +24,3 @@ val run :
     ends when the entry function returns there.
     @raise Runtime_error on stack overflow / wild access,
     @raise Timeout past [max_cycles]. *)
-
-val pipeline : Passes.pipeline
-(** Source-only and empty: the stack-machine compiler consumes the AST
-    (pointers and recursion need the unified memory, not CIR). *)
-
-val compile : ?knobs:Backend.knobs -> Ast.program -> entry:string -> Design.t
-(** The full backend: compile to stack code, wrap the machine; the
-    Verilog view is the generated processor (see {!C2v_verilog}). *)
-
-val descriptor : Backend.descriptor

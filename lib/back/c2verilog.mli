@@ -3,8 +3,8 @@
     "Truly broad support for ANSI C" — pointers into one address space,
     recursion, malloc — pushes the hardware toward a processor shape:
     this module compiles the whole program to a word stack machine (the
-    simulator and Design wrapper live in {!C2v_machine}, the processor's
-    Verilog in {!C2v_verilog}). *)
+    simulator lives in {!C2v_machine}, the backend wrapper in
+    {!C2v_backend}, the processor's Verilog in {!C2v_verilog}). *)
 
 exception Compile_error of string
 

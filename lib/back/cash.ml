@@ -14,64 +14,23 @@ let dialect = Dialect.cash
    of the raw lowering, where every tiny block is just a cheap merge. *)
 let pipeline = Passes.pipeline "cash"
 
-let compile ?(knobs = Backend.default_knobs) ?timing ?handshake
+let compile ?(knobs = Backend.default_knobs) ?handshake
     (program : Ast.program) ~entry : Design.t =
   Backend.reject_if_illegal ~backend:"cash" dialect program;
   let lowered, pass_trace =
     Passes.run ~options:knobs.Backend.pass_options pipeline program ~entry
   in
-  let ssa = Ssa.of_func lowered.Lower.func in
-  (* SSA renaming grows the register file, and the token simulator
-     executes the SSA: the timing model and the tracer must both see the
-     SSA function's registers and widths *)
-  let func = ssa.Ssa.func in
-  let timing =
-    match timing with
-    | Some t -> t
-    | None -> Asim.default_timing_for ?handshake func
-  in
-  let circuit = Dfg.of_ssa ssa in
+  let circuit = Dfg.of_ssa (Ssa.of_func lowered.Lower.func) in
   let stats = Dfg.stats circuit in
-  let run ?vcd ?sim:_ args =
-    let tracer = Option.map (fun v -> Trace.asim_tracer v func) vcd in
-    let on_fire = Option.map fst tracer in
-    let outcome = Asim.run ~timing ?on_fire ssa ~args in
-    Option.iter (fun (_, finalize) -> finalize ()) tracer;
-    let metrics = Metrics.create () in
-    Metrics.set_int metrics "sim.tokens_fired" outcome.Asim.tokens_fired;
-    Metrics.set_fixed metrics "sim.completion_time" ~decimals:1
-      outcome.Asim.completion_time;
-    { Design.result = outcome.Asim.return_value;
-      globals = outcome.Asim.globals;
-      memories = outcome.Asim.memories;
-      cycles = None;
-      time_units = Some outcome.Asim.completion_time;
-      metrics }
-  in
-  { Design.design_name = entry;
-    backend = "cash";
-    run;
-    area =
-      (fun () ->
-        Some
-          { Area.combinational_area = Dfg.area circuit;
-            register_area = 0.;
-            memory_bits = 0;
-            memory_area = 0.;
-            total_area = Dfg.area circuit;
-            critical_path = 0.;
-            num_nodes = stats.Dfg.total;
-            num_registers = 0 });
-    verilog = (fun () -> None);
-    netlist = (fun () -> None);
-    clock_period = None;
-    stats =
+  Design.make ~name:entry ~backend:"cash"
+    ~stats:
       [ ("dataflow nodes", string_of_int stats.Dfg.total);
         ("operators", string_of_int stats.Dfg.operators);
         ("merges (mu)", string_of_int stats.Dfg.merges);
         ("steers (eta)", string_of_int stats.Dfg.steers);
-        ("memory ops", string_of_int stats.Dfg.memory_ops) ];
-    pass_trace }
+        ("memory ops", string_of_int stats.Dfg.memory_ops) ]
+    ~pass_trace
+    (Design.Dataflow { circuit; handshake })
 
 let descriptor =
   Backend.make ~name:"cash" ~pipeline:(Some pipeline)

@@ -9,10 +9,9 @@ val pipeline : Passes.pipeline
     lowering. *)
 
 val compile :
-  ?knobs:Backend.knobs -> ?timing:Asim.timing -> ?handshake:float ->
-  Ast.program -> entry:string -> Design.t
-(** [timing] overrides the operator latency model wholesale; [handshake]
-    (used only when [timing] is absent) adjusts the per-token overhead of
-    the default width-aware model — the knob ablations sweep. *)
+  ?knobs:Backend.knobs -> ?handshake:float -> Ast.program -> entry:string ->
+  Design.t
+(** [handshake] adjusts the per-token overhead of the default width-aware
+    latency model — the knob ablations sweep. *)
 
 val descriptor : Backend.descriptor

@@ -421,54 +421,13 @@ let compile ?(knobs = Backend.default_knobs) (program : Ast.program) ~entry :
   in
   let nl = synthesize program ~entry in
   let report = Area.analyze nl in
-  let run ?vcd ?(sim = Design.Compiled) args =
-    let inputs =
-      List.map2
-        (fun (name, _) v -> (name, v))
-        (Netlist.inputs nl) args
-    in
-    let probe = Option.map (fun v -> Trace.neteval_probe v nl) vcd in
-    let outputs, st =
-      match sim with
-      | Design.Compiled -> Netcomp.eval_combinational_stats ?probe nl ~inputs
-      | Design.Event_driven ->
-        Neteval.eval_combinational_stats ?probe nl ~inputs
-      | Design.Full_sweep ->
-        Neteval.eval_combinational_stats ~strategy:Neteval.Full_sweep ?probe
-          nl ~inputs
-    in
-    let metrics = Metrics.create () in
-    Metrics.set_string metrics "sim.engine"
-      (match sim with
-      | Design.Compiled when Netcomp.compilable nl -> "compiled"
-      | Design.Compiled | Design.Event_driven -> "event"
-      | Design.Full_sweep -> "sweep");
-    Metrics.set_int metrics "sim.nodes_evaluated" st.Neteval.nodes_evaluated;
-    Metrics.set_int metrics "sim.events" st.Neteval.events;
-    { Design.result = List.assoc_opt "result" outputs;
-      globals =
-        List.filter_map
-          (fun (name, v) ->
-            if String.length name > 2 && String.sub name 0 2 = "g_" then
-              Some (String.sub name 2 (String.length name - 2), v)
-            else None)
-          outputs;
-      memories = [];
-      cycles = None;
-      time_units = Some report.Area.critical_path;
-      metrics }
-  in
-  { Design.design_name = entry;
-    backend = "cones";
-    run;
-    area = (fun () -> Some report);
-    verilog = (fun () -> Some (Verilog.to_string nl));
-    netlist = (fun () -> Some nl);
-    clock_period = None;
-    stats =
+  Design.make ~name:entry ~backend:"cones"
+    ~stats:
       [ ("nodes", string_of_int report.Area.num_nodes);
-        ("critical path", Printf.sprintf "%.1f" report.Area.critical_path) ];
-    pass_trace }
+        ("critical path", Printf.sprintf "%.1f" report.Area.critical_path) ]
+    ~pass_trace
+    (Design.Combinational
+       { netlist = nl; critical_path = report.Area.critical_path })
 
 let descriptor =
   Backend.make ~name:"cones" ~pipeline:(Some pipeline)

@@ -3,28 +3,38 @@
    Backends produce wildly different artifacts — a pure combinational
    netlist (Cones), a scheduled FSMD (Transmogrifier/Bach C/HardwareC), a
    statement-clocked machine (Handel-C), an asynchronous dataflow circuit
-   (CASH), a stack-machine processor (C2Verilog) — so a design exposes a
-   uniform behavioural interface (run on inputs, observe outputs and
-   timing) plus optional structural views (area report, Verilog). *)
+   (CASH), a stack-machine processor (C2Verilog).  A design carries that
+   artifact as plain data; [make] derives the uniform behavioural
+   interface (run on inputs, observe outputs and timing) and the optional
+   structural views (area report, Verilog, netlist) from it, in one
+   place.  Simulation and HDL are views of the data, never the data. *)
 
 (* Which simulation engine executes the behavioural run.  Compiled is
-   the levelized-closure fast path (Netcomp / Fsmdcomp); the two
-   interpreters survive as differential oracles — Event_driven is the
-   change-propagating Neteval / instruction-walking Rtlsim, Full_sweep
-   re-evaluates every node each settle.  Backends without a compiled
-   engine (or without multiple engines at all) ignore the selection. *)
-type engine = Compiled | Event_driven | Full_sweep
+   the levelized-closure fast path (Netcomp / Fsmdcomp); Event_driven,
+   the change-propagating Neteval / instruction-walking Rtlsim, survives
+   as the differential oracle.  Artifacts with a single simulator ignore
+   the selection. *)
+type engine = Compiled | Event_driven
 
-let engine_name = function
-  | Compiled -> "compiled"
-  | Event_driven -> "event"
-  | Full_sweep -> "sweep"
+let engine_name = function Compiled -> "compiled" | Event_driven -> "event"
 
 let engine_of_name = function
   | "compiled" -> Some Compiled
   | "event" -> Some Event_driven
-  | "sweep" -> Some Full_sweep
   | _ -> None
+
+type artifact =
+  | Fsmd of Fsmd.t
+  | Process_network of Fsmd.t
+  | Combinational of { netlist : Netlist.t; critical_path : float }
+  | Dataflow of { circuit : Dfg.t; handshake : float option }
+  | Stack_machine of { compiled : C2verilog.compiled; ret_width : int }
+  | Statement_machine of {
+      program : Ast.program;
+      entry : string;
+      policy : Handel_machine.policy;
+      structural : Cir.func option;
+    }
 
 type run_result = {
   result : Bitvec.t option;
@@ -38,25 +48,223 @@ type run_result = {
          registry; --metrics-json merges it into the run report *)
 }
 
+type data = {
+  design_name : string;
+  backend : string;
+  artifact : artifact;
+  clock_period : float option;
+  stats : (string * string) list;
+  pass_trace : Passes.trace;
+}
+
 type t = {
   design_name : string;
   backend : string;
-  run : ?vcd:Vcd.t -> ?sim:engine -> Bitvec.t list -> run_result;
-      (* [vcd]: trace the behavioural simulation as a waveform; backends
-         whose simulator has no trace hook ignore it.
-         [sim]: engine selection (default Compiled); backends with a
-         single simulator ignore it *)
-  area : unit -> Area.report option;
-  verilog : unit -> string option;
-  netlist : unit -> Netlist.t option;
-      (* the word-level structural view, when the backend elaborates to one
-         (area and Verilog derive from it; the CLI uses it for --stats) *)
+  artifact : artifact;
   clock_period : float option; (* estimated; None for unclocked designs *)
   stats : (string * string) list; (* backend-specific key/value facts *)
   pass_trace : Passes.trace;
       (* per-pass compile record from the backend's declared pipeline;
          [] for structural backends that run no passes *)
+  run : ?vcd:Vcd.t -> ?sim:engine -> Bitvec.t list -> run_result;
+  area : unit -> Area.report option;
+  verilog : unit -> string option;
+  netlist : unit -> Netlist.t option;
 }
+
+(* --- behavioural views ---------------------------------------------- *)
+
+let outcome ?(globals = []) ?(memories = []) ?cycles ?time_units ~metrics
+    result =
+  { result; globals; memories; cycles; time_units; metrics }
+
+let cycles_metrics cycles =
+  let metrics = Metrics.create () in
+  Metrics.set_int metrics "sim.cycles" cycles;
+  metrics
+
+(* The compiled FSMD engine is built on the first compiled run and reused
+   by every later one.  It is mutable (register files) and a live design
+   may be run from several worker domains, so runs on it serialize on the
+   design's lock. *)
+let fsmd_run ~lock fsmd =
+  let engine = lazy (Fsmdcomp.create fsmd) in
+  fun ?vcd ?(sim = Compiled) args ->
+    let trace = Option.map (fun v -> Trace.rtlsim_trace v fsmd) vcd in
+    let o, ran =
+      match sim with
+      | Compiled ->
+        Mutex.protect lock (fun () ->
+            let e = Lazy.force engine in
+            ( Fsmdcomp.execute ?trace e ~args,
+              if Fsmdcomp.compiled e then "compiled" else "event" ))
+      | Event_driven -> (Rtlsim.run ?trace fsmd ~args, "event")
+    in
+    let metrics = Metrics.create () in
+    Metrics.set_string metrics "sim.engine" ran;
+    Metrics.set_int metrics "sim.cycles" o.Rtlsim.cycles;
+    Metrics.set metrics "sim.states_visited"
+      (Metrics.List
+         (Array.to_list
+            (Array.map (fun n -> Metrics.Int n) o.Rtlsim.states_visited)));
+    outcome o.Rtlsim.return_value ~globals:o.Rtlsim.globals
+      ~memories:o.Rtlsim.memories ~cycles:o.Rtlsim.cycles ~metrics
+
+(* One settle per run, so a combinational design keeps no engine alive
+   between runs.  Scalar globals leave the block as outputs [g_<name>];
+   the settle time is the netlist's critical path. *)
+let netlist_run nl ~critical_path ?vcd ?(sim = Compiled) args =
+  let inputs =
+    List.map2 (fun (name, _) v -> (name, v)) (Netlist.inputs nl) args
+  in
+  let probe = Option.map (fun v -> Trace.neteval_probe v nl) vcd in
+  let outputs, st =
+    match sim with
+    | Compiled -> Netcomp.eval_combinational_stats ?probe nl ~inputs
+    | Event_driven -> Neteval.eval_combinational_stats ?probe nl ~inputs
+  in
+  let metrics = Metrics.create () in
+  Metrics.set_string metrics "sim.engine"
+    (match sim with
+    | Compiled when Netcomp.compilable nl -> "compiled"
+    | Compiled | Event_driven -> "event");
+  Metrics.set_int metrics "sim.nodes_evaluated" st.Neteval.nodes_evaluated;
+  Metrics.set_int metrics "sim.events" st.Neteval.events;
+  outcome
+    (List.assoc_opt "result" outputs)
+    ~globals:
+      (List.filter_map
+         (fun (name, v) ->
+           if String.length name > 2 && String.sub name 0 2 = "g_" then
+             Some (String.sub name 2 (String.length name - 2), v)
+           else None)
+         outputs)
+    ~time_units:critical_path ~metrics
+
+(* SSA renaming grows the register file, and the token simulator executes
+   the SSA: the timing model and the tracer both see the SSA function. *)
+let dataflow_run ssa ~handshake =
+  let func = ssa.Ssa.func in
+  let timing = Asim.default_timing_for ?handshake func in
+  fun ?vcd ?sim:_ args ->
+    let tracer = Option.map (fun v -> Trace.asim_tracer v func) vcd in
+    let o = Asim.run ~timing ?on_fire:(Option.map fst tracer) ssa ~args in
+    Option.iter (fun (_, finalize) -> finalize ()) tracer;
+    let metrics = Metrics.create () in
+    Metrics.set_int metrics "sim.tokens_fired" o.Asim.tokens_fired;
+    Metrics.set_fixed metrics "sim.completion_time" ~decimals:1
+      o.Asim.completion_time;
+    outcome o.Asim.return_value ~globals:o.Asim.globals
+      ~memories:o.Asim.memories ~time_units:o.Asim.completion_time ~metrics
+
+let run_of_artifact ~lock = function
+  | Fsmd fsmd -> fsmd_run ~lock fsmd
+  | Combinational { netlist; critical_path } ->
+    netlist_run netlist ~critical_path
+  | Dataflow { circuit; handshake } -> dataflow_run circuit.Dfg.ssa ~handshake
+  | Process_network fsmd ->
+    fun ?vcd:_ ?sim:_ args ->
+      let result, cycles = Sc_kernel.run_fsmd fsmd ~args in
+      outcome (Some result) ~cycles ~metrics:(cycles_metrics cycles)
+  | Stack_machine { compiled; ret_width } ->
+    fun ?vcd:_ ?sim:_ args ->
+      let o = C2v_machine.run compiled ~ret_width ~args in
+      outcome o.C2v_machine.return_value ~globals:o.C2v_machine.globals
+        ~memories:o.C2v_machine.memories ~cycles:o.C2v_machine.cycles
+        ~metrics:(cycles_metrics o.C2v_machine.cycles)
+  | Statement_machine { program; entry; policy; _ } ->
+    fun ?vcd:_ ?sim:_ args ->
+      let o = Handel_machine.run ~policy program ~entry ~args in
+      let globals, memories = Handel_machine.observe program o in
+      outcome o.Handel_machine.return_value ~globals ~memories
+        ~cycles:o.Handel_machine.cycles
+        ~metrics:(cycles_metrics o.Handel_machine.cycles)
+
+(* --- structural views ----------------------------------------------- *)
+
+let elaborate fsmd =
+  match Rtlgen.elaborate fsmd with
+  | e -> Some e.Rtlgen.netlist
+  | exception Rtlgen.Elaboration_error _ -> None
+
+(* The word-level netlist, when the artifact elaborates to one: an FSMD
+   directly, a sequential statement machine through an FSMD cut at
+   assignment boundaries. *)
+let netlist_of_artifact = function
+  | Fsmd fsmd -> lazy (elaborate fsmd)
+  | Statement_machine { structural = Some func; _ } ->
+    lazy
+      (elaborate (Fsmd.of_func func ~schedule_block:(Fsmd.handelc_schedule func)))
+  | Combinational { netlist; _ } -> Lazy.from_val (Some netlist)
+  | Process_network _ | Dataflow _ | Stack_machine _
+  | Statement_machine { structural = None; _ } -> Lazy.from_val None
+
+let area_of_artifact ~netlist = function
+  | Dataflow { circuit; _ } ->
+    Some
+      { Area.combinational_area = Dfg.area circuit;
+        register_area = 0.;
+        memory_bits = 0;
+        memory_area = 0.;
+        total_area = Dfg.area circuit;
+        critical_path = 0.;
+        num_nodes = (Dfg.stats circuit).Dfg.total;
+        num_registers = 0 }
+  | Stack_machine { compiled; _ } ->
+    (* fixed CPU datapath + code ROM + unified RAM *)
+    let code_words = Array.length compiled.C2verilog.code in
+    let cpu = 9_000. and rom = float_of_int (code_words * 40) in
+    let ram_bits = compiled.C2verilog.memory_words * 64 in
+    Some
+      { Area.combinational_area = cpu;
+        register_area = 600.;
+        memory_bits = ram_bits + (code_words * 40);
+        memory_area = rom +. float_of_int ram_bits;
+        total_area = cpu +. 600. +. rom +. float_of_int ram_bits;
+        critical_path = 30.;
+        num_nodes = code_words;
+        num_registers = 4 }
+  | Fsmd _ | Process_network _ | Combinational _ | Statement_machine _ ->
+    Option.map Area.analyze (Lazy.force netlist)
+
+(* One lock per live value guards its lazies and its engine: a cached
+   design is shared by every worker domain. *)
+let make ~name ~backend ?clock_period ?(stats = []) ?(pass_trace = [])
+    artifact : t =
+  let lock = Mutex.create () in
+  let force l = Mutex.protect lock (fun () -> Lazy.force l) in
+  let netlist = netlist_of_artifact artifact in
+  let area = lazy (area_of_artifact ~netlist artifact) in
+  let verilog =
+    lazy
+      (match artifact with
+      | Stack_machine { compiled; _ } ->
+        Some (C2v_verilog.to_string compiled ~name)
+      | Fsmd _ | Process_network _ | Combinational _ | Dataflow _
+      | Statement_machine _ -> Option.map Verilog.to_string (Lazy.force netlist))
+  in
+  { design_name = name;
+    backend;
+    artifact;
+    clock_period;
+    stats;
+    pass_trace;
+    run = run_of_artifact ~lock artifact;
+    area = (fun () -> force area);
+    verilog = (fun () -> force verilog);
+    netlist = (fun () -> force netlist) }
+
+let data (d : t) : data =
+  { design_name = d.design_name;
+    backend = d.backend;
+    artifact = d.artifact;
+    clock_period = d.clock_period;
+    stats = d.stats;
+    pass_trace = d.pass_trace }
+
+let of_data (d : data) =
+  make ~name:d.design_name ~backend:d.backend ?clock_period:d.clock_period
+    ~stats:d.stats ~pass_trace:d.pass_trace d.artifact
 
 let int_args args = List.map (Bitvec.of_int ~width:64) args
 

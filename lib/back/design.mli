@@ -2,22 +2,51 @@
 
     Backends produce different artifacts (combinational netlists,
     scheduled FSMDs, statement machines, asynchronous circuits, a stack
-    machine), so a design exposes a uniform behavioural interface — run on
-    inputs, observe outputs and timing — plus optional structural views. *)
+    machine).  A design carries its artifact as plain data; {!make}
+    derives the uniform behavioural interface — run on inputs, observe
+    outputs and timing — and the optional structural views from it. *)
 
 type engine =
   | Compiled  (** levelized-closure fast path ({!Netcomp}/{!Fsmdcomp}) *)
   | Event_driven  (** interpreting oracle ({!Neteval}/{!Rtlsim}) *)
-  | Full_sweep  (** every-node re-evaluation oracle *)
-      (** Which simulation engine executes the behavioural run.  The two
-          interpreters survive as differential oracles for the compiled
-          engine ([chlsc compile --verify-sim]); backends with a single
-          simulator ignore the selection. *)
+      (** Which simulation engine executes the behavioural run.  The
+          interpreter survives as the differential oracle for the
+          compiled engine ([chlsc compile --verify-sim]); artifacts with a
+          single simulator ignore the selection. *)
 
 val engine_name : engine -> string
-(** ["compiled"], ["event"], ["sweep"] — the [--sim] flag values. *)
+(** ["compiled"], ["event"] — the [--sim] flag values. *)
 
 val engine_of_name : string -> engine option
+
+(** What a backend built, as data: nothing here is a closure, so a
+    design's data part marshals without the closures flag. *)
+type artifact =
+  | Fsmd of Fsmd.t
+      (** scheduled FSMD: Transmogrifier C, Bach C/Cyber, HardwareC,
+          sequential SpecC, Ocapi *)
+  | Process_network of Fsmd.t
+      (** an FSMD run as a clocked SystemC process network
+          ({!Sc_kernel}) *)
+  | Combinational of { netlist : Netlist.t; critical_path : float }
+      (** Cones' two-level network; its critical path is the settle time
+          every run reports *)
+  | Dataflow of { circuit : Dfg.t; handshake : float option }
+      (** CASH's asynchronous circuit over the SSA function
+          [circuit.ssa]; [handshake] overrides the default per-token
+          overhead of {!Asim} *)
+  | Stack_machine of { compiled : C2verilog.compiled; ret_width : int }
+      (** C2Verilog's processor ({!C2v_machine}) *)
+  | Statement_machine of {
+      program : Ast.program;
+      entry : string;
+      policy : Handel_machine.policy;
+      structural : Cir.func option;
+          (** the lowered function behind the sequential subset's netlist
+              view; [None] for concurrent programs *)
+    }
+      (** Handel-C, and the concurrent paths of Bach C, SystemC, SpecC
+          and HardwareC ({!Handel_machine}) *)
 
 type run_result = {
   result : Bitvec.t option;
@@ -32,21 +61,20 @@ type run_result = {
           report *)
 }
 
-type t = {
+(** The data part of a design: everything {!make} needs to rebuild it. *)
+type data = {
   design_name : string;
   backend : string;
-  run : ?vcd:Vcd.t -> ?sim:engine -> Bitvec.t list -> run_result;
-      (** [vcd]: trace the behavioural simulation as a waveform (the FSMD
-          backends trace per-cycle register state, CASH traces token
-          firings); backends whose simulator has no trace hook ignore
-          it.  [sim]: engine selection, default {!Compiled}; backends
-          with a single simulator ignore it *)
-  area : unit -> Area.report option;
-  verilog : unit -> string option;
-  netlist : unit -> Netlist.t option;
-      (** the word-level structural view, when the backend elaborates to
-          one (area and Verilog derive from it; [chlsc --stats] drives it
-          through the netlist evaluator) *)
+  artifact : artifact;
+  clock_period : float option;
+  stats : (string * string) list;
+  pass_trace : Passes.trace;
+}
+
+type t = private {
+  design_name : string;
+  backend : string;
+  artifact : artifact;
   clock_period : float option;  (** estimated; [None] when unclocked *)
   stats : (string * string) list;  (** backend-specific facts *)
   pass_trace : Passes.trace;
@@ -54,7 +82,32 @@ type t = {
           from the backend's declared pipeline; [[]] for structural
           backends that run no passes.  [chlsc compile --trace-passes]
           renders it. *)
+  run : ?vcd:Vcd.t -> ?sim:engine -> Bitvec.t list -> run_result;
+      (** [vcd]: trace the behavioural simulation as a waveform (FSMDs
+          trace per-cycle register state, netlists their value changes,
+          CASH its token firings); other artifacts ignore it.  [sim]:
+          engine selection, default {!Compiled} *)
+  area : unit -> Area.report option;
+  verilog : unit -> string option;
+  netlist : unit -> Netlist.t option;
+      (** the word-level structural view, when the artifact elaborates to
+          one (area and Verilog derive from it; [chlsc --stats] drives it
+          through the netlist evaluator) *)
 }
+(** Private: only {!make} builds the views, so none can go stale against
+    the artifact. *)
+
+val make :
+  name:string -> backend:string -> ?clock_period:float ->
+  ?stats:(string * string) list -> ?pass_trace:Passes.trace -> artifact -> t
+(** Derive [run], [area], [verilog] and [netlist] from the artifact.  The
+    compiled FSMD engine and the elaborated netlist are built lazily, at
+    most once per value; runs on one value's engine serialize. *)
+
+val data : t -> data
+val of_data : data -> t
+(** [of_data (data d)] rebuilds [d] with fresh views — the design
+    cache's codec, and how a backend relabels a design. *)
 
 val int_args : int list -> Bitvec.t list
 (** 64-bit argument vectors from plain integers. *)

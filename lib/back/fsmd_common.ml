@@ -1,47 +1,13 @@
 (* Shared plumbing for the FSMD-producing backends (Transmogrifier C,
-   Bach C/Cyber, HardwareC): run the backend's declared pipeline through
-   the pass manager, build an FSMD under the backend's scheduling policy,
-   and wrap simulator + elaboration into a Design.t. *)
+   Bach C/Cyber, HardwareC, sequential SpecC): run the backend's declared
+   pipeline through the pass manager, build an FSMD under the backend's
+   scheduling policy, and return it as a design. *)
 
-(* Engine-dispatched FSMD simulation wrapped into a Design.run_result.
-   Compiled runs Fsmdcomp's closure engine (which itself falls back to
-   Rtlsim on >62-bit designs); Event_driven and Full_sweep both run the
-   Rtlsim interpreter — an FSMD walk has no sweep/event distinction, the
-   interpreter IS the oracle. *)
-let simulate ?engine ?vcd ?(sim = Design.Compiled) fsmd ~args :
-    Design.run_result =
-  (* a Design.t's run closure passes a shared lazy engine so the closure
-     compilation happens once per design, not once per run *)
-  let engine =
-    match engine with Some e -> e | None -> lazy (Fsmdcomp.create fsmd)
-  in
-  let trace = Option.map (fun v -> Trace.rtlsim_trace v fsmd) vcd in
-  let outcome =
-    match sim with
-    | Design.Compiled -> Fsmdcomp.execute ?trace (Lazy.force engine) ~args
-    | Design.Event_driven | Design.Full_sweep -> Rtlsim.run ?trace fsmd ~args
-  in
-  let metrics = Metrics.create () in
-  Metrics.set_string metrics "sim.engine"
-    (match sim with
-    | Design.Compiled when Fsmdcomp.compiled (Lazy.force engine) -> "compiled"
-    | _ -> "event");
-  Metrics.set_int metrics "sim.cycles" outcome.Rtlsim.cycles;
-  Metrics.set metrics "sim.states_visited"
-    (Metrics.List
-       (Array.to_list
-          (Array.map (fun n -> Metrics.Int n) outcome.Rtlsim.states_visited)));
-  { Design.result = outcome.Rtlsim.return_value;
-    globals = outcome.Rtlsim.globals;
-    memories = outcome.Rtlsim.memories;
-    cycles = Some outcome.Rtlsim.cycles;
-    time_units = None;
-    metrics }
+let clock_period fsmd = Float.max 1. (Fsmd.critical_state_delay fsmd)
 
 let build ~backend_name ~dialect ?(mem_forwarding = false) ?pipeline
     ?(knobs = Backend.default_knobs)
     ~(schedule_block : Cir.func -> Cir.block -> Schedule.schedule)
-    ?(extra_stats = fun (_ : Lower.result) (_ : Fsmd.t) -> [])
     (program : Ast.program) ~entry : Design.t =
   Backend.reject_if_illegal ~backend:backend_name dialect program;
   let pipeline =
@@ -58,34 +24,10 @@ let build ~backend_name ~dialect ?(mem_forwarding = false) ?pipeline
   let fsmd =
     Fsmd.of_func ~mem_forwarding func ~schedule_block:(schedule_block func)
   in
-  let engine = lazy (Fsmdcomp.create fsmd) in
-  let run ?vcd ?sim args = simulate ~engine ?vcd ?sim fsmd ~args in
-  let elaborated = lazy (Rtlgen.elaborate fsmd) in
-  let area () =
-    match Lazy.force elaborated with
-    | e -> Some (Area.analyze e.Rtlgen.netlist)
-    | exception Rtlgen.Elaboration_error _ -> None
-  in
-  let verilog () =
-    match Lazy.force elaborated with
-    | e -> Some (Verilog.to_string e.Rtlgen.netlist)
-    | exception Rtlgen.Elaboration_error _ -> None
-  in
-  let netlist () =
-    match Lazy.force elaborated with
-    | e -> Some e.Rtlgen.netlist
-    | exception Rtlgen.Elaboration_error _ -> None
-  in
-  { Design.design_name = entry;
-    backend = backend_name;
-    run;
-    area;
-    verilog;
-    netlist;
-    clock_period = Some (Float.max 1. (Fsmd.critical_state_delay fsmd));
-    stats =
+  Design.make ~name:entry ~backend:backend_name
+    ~clock_period:(clock_period fsmd)
+    ~stats:
       [ ("states", string_of_int (Fsmd.num_states fsmd));
         ("instructions", string_of_int (Cir.num_instrs func));
         ("regions", string_of_int (Array.length func.Cir.fn_regions)) ]
-      @ extra_stats lowered fsmd;
-    pass_trace }
+    ~pass_trace (Design.Fsmd fsmd)

@@ -1,26 +1,16 @@
 (** Shared plumbing for the FSMD-producing backends: dialect check, run
     the declared pipeline through the pass manager, build the FSMD under
-    the backend's scheduling policy, and wrap simulator + elaboration
-    into a Design. *)
+    the backend's scheduling policy, and return it as a {!Design.Fsmd}
+    design. *)
 
-val simulate :
-  ?engine:Fsmdcomp.t Lazy.t -> ?vcd:Vcd.t -> ?sim:Design.engine -> Fsmd.t ->
-  args:Bitvec.t list -> Design.run_result
-(** Run an FSMD on the selected engine (default {!Design.Compiled}, via
-    {!Fsmdcomp}; the oracle engines run the {!Rtlsim} interpreter) and
-    package the outcome with [sim.engine] / [sim.cycles] /
-    [sim.states_visited] metrics.  Pass [engine] (a shared
-    [lazy (Fsmdcomp.create fsmd)]) from a [Design.run] closure so the
-    closure compilation is paid once per design rather than per run.
-    The [sim.engine] metric reports the engine that actually ran —
-    ["event"] when a >62-bit design made the compiled engine fall
-    back. *)
+val clock_period : Fsmd.t -> float
+(** The FSMD's critical state delay, at least one time unit: the clock
+    period every FSMD-family design reports. *)
 
 val build :
   backend_name:string -> dialect:Dialect.t -> ?mem_forwarding:bool ->
   ?pipeline:Passes.pipeline -> ?knobs:Backend.knobs ->
   schedule_block:(Cir.func -> Cir.block -> Schedule.schedule) ->
-  ?extra_stats:(Lower.result -> Fsmd.t -> (string * string) list) ->
   Ast.program -> entry:string -> Design.t
 (** [pipeline] defaults to [backend_name: lower; simplify].  [knobs]
     (default {!Backend.default_knobs}) supplies the per-compile pass

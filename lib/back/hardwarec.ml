@@ -111,36 +111,13 @@ let compile ?(knobs = Backend.default_knobs) ?resources
       blocks_with_constraints
   in
   let fsmd = Fsmd.of_func func ~schedule_block in
-  let engine = lazy (Fsmdcomp.create fsmd) in
-  let run ?vcd ?sim args = Fsmd_common.simulate ~engine ?vcd ?sim fsmd ~args in
-  let elaborated = lazy (Rtlgen.elaborate fsmd) in
-  let design =
-    { Design.design_name = entry;
-      backend = "hardwarec";
-      run;
-      area =
-        (fun () ->
-          match Lazy.force elaborated with
-          | e -> Some (Area.analyze e.Rtlgen.netlist)
-          | exception Rtlgen.Elaboration_error _ -> None);
-      verilog =
-        (fun () ->
-          match Lazy.force elaborated with
-          | e -> Some (Verilog.to_string e.Rtlgen.netlist)
-          | exception Rtlgen.Elaboration_error _ -> None);
-      netlist =
-        (fun () ->
-          match Lazy.force elaborated with
-          | e -> Some e.Rtlgen.netlist
-          | exception Rtlgen.Elaboration_error _ -> None);
-      clock_period = Some (Float.max 1. (Fsmd.critical_state_delay fsmd));
-      stats =
+  ( Design.make ~name:entry ~backend:"hardwarec"
+      ~clock_period:(Fsmd_common.clock_period fsmd)
+      ~stats:
         [ ("states", string_of_int (Fsmd.num_states fsmd));
           ("constraints", string_of_int (List.length constraints));
-          ("allocation", fst !chosen) ];
-      pass_trace }
-  in
-  ( design,
+          ("allocation", fst !chosen) ]
+      ~pass_trace (Design.Fsmd fsmd),
     { statuses; exploration = !exploration; chosen_allocation = fst !chosen } )
 
 (* The exploration report used to be discarded (the facade kept only the
@@ -168,7 +145,8 @@ let stats_of_report (r : report) =
 
 let compile_reporting ?knobs program ~entry =
   let design, report = compile ?knobs program ~entry in
-  { design with Design.stats = design.Design.stats @ stats_of_report report }
+  let data = Design.data design in
+  Design.of_data { data with stats = data.stats @ stats_of_report report }
 
 let descriptor =
   Backend.make ~name:"hardwarec"

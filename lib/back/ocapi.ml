@@ -215,33 +215,14 @@ let build (b : builder) : Fsmd.t =
   in
   Fsmd.of_func func ~schedule_block:(Fsmd.transmogrifier_schedule func)
 
-(** Wrap the generated structure as a Design. *)
+(** Wrap the generated structure as a Design.  The pass trace stays
+    empty: a structural EDSL runs no compilation pipeline. *)
 let to_design (b : builder) : Design.t =
   let fsmd = build b in
-  let engine = lazy (Fsmdcomp.create fsmd) in
-  let run ?vcd ?sim args = Fsmd_common.simulate ~engine ?vcd ?sim fsmd ~args in
-  let elaborated = lazy (Rtlgen.elaborate fsmd) in
-  { Design.design_name = b.name;
-    backend = "ocapi";
-    pass_trace = [];  (* structural EDSL: no compilation pipeline runs *)
-    run;
-    area =
-      (fun () ->
-        match Lazy.force elaborated with
-        | e -> Some (Area.analyze e.Rtlgen.netlist)
-        | exception Rtlgen.Elaboration_error _ -> None);
-    verilog =
-      (fun () ->
-        match Lazy.force elaborated with
-        | e -> Some (Verilog.to_string e.Rtlgen.netlist)
-        | exception Rtlgen.Elaboration_error _ -> None);
-    netlist =
-      (fun () ->
-        match Lazy.force elaborated with
-        | e -> Some e.Rtlgen.netlist
-        | exception Rtlgen.Elaboration_error _ -> None);
-    clock_period = Some (Float.max 1. (Fsmd.critical_state_delay fsmd));
-    stats = [ ("states", string_of_int (Fsmd.num_states fsmd)) ] }
+  Design.make ~name:b.name ~backend:"ocapi"
+    ~clock_period:(Fsmd_common.clock_period fsmd)
+    ~stats:[ ("states", string_of_int (Fsmd.num_states fsmd)) ]
+    (Design.Fsmd fsmd)
 
 let descriptor =
   Backend.make ~name:"ocapi"

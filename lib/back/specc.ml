@@ -99,7 +99,7 @@ let refine ?(knobs = Backend.default_knobs) (program : Ast.program) ~entry
   let comm_design =
     if concurrent then
       Handelc.compile_with_policy ~backend_name:"specc-comm" ~dialect
-        ~policy:`One_per_assignment ~knobs program ~entry
+        ~policy:`One_cycle_per_assignment ~knobs program ~entry
     else arch_design
   in
   List.iter
@@ -129,7 +129,7 @@ let refine ?(knobs = Backend.default_knobs) (program : Ast.program) ~entry
           r.Design.cycles)
     test_vectors;
   let checks = List.rev !checks in
-  ( { impl_design with Design.backend = "specc" },
+  ( Design.of_data { (Design.data impl_design) with backend = "specc" },
     { checks; all_equivalent = List.for_all (fun c -> c.equivalent) checks } )
 
 let compile ?knobs (program : Ast.program) ~entry : Design.t =

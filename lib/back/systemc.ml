@@ -1,213 +1,6 @@
-(* SystemC-style modeling kernel [Grötker et al., 2002].
-
-   The paper: "The SystemC C++ library supports hardware and system
-   modeling.  While most popular for modeling (it provides concurrency
-   with lightweight threads), a subset of the language can be synthesized.
-   Classes model hierarchical structures containing combinational and
-   sequential processes" — "a system is a collection of clock-edge-
-   triggered processes", with cycle boundaries denoted by wait() calls.
-
-   This is that library with OCaml closures standing in for C++ methods: a
-   discrete-event kernel with signals (current/next values with delta-
-   cycle update), combinational processes (re-run until signals settle)
-   and clocked processes (run once per rising edge).  The Verilog-like
-   evaluation model — including the classic delta-cycle convergence — is
-   the point: "Verilog in C++".
-
-   [of_fsmd] models a scheduled FSMD as a two-process network (next-state
-   logic + clocked state), demonstrating the synthesizable subset. *)
-
-exception Unstable of string
-
-type signal = {
-  sig_name : string;
-  width : int;
-  mutable current : Bitvec.t;
-  mutable next : Bitvec.t;
-  mutable written : bool;
-}
-
-type process =
-  | Combinational of { name : string; body : unit -> unit }
-  | Clocked of { name : string; body : unit -> unit }
-
-type kernel = {
-  mutable signals : signal list;
-  mutable processes : process list;
-  mutable cycle : int;
-  max_deltas : int;
-}
-
-let create ?(max_deltas = 64) () =
-  { signals = []; processes = []; cycle = 0; max_deltas }
-
-let signal kernel ~name ~width ?(init = 0) () =
-  let s =
-    { sig_name = name; width;
-      current = Bitvec.of_int ~width init;
-      next = Bitvec.of_int ~width init;
-      written = false }
-  in
-  kernel.signals <- s :: kernel.signals;
-  s
-
-(** Read the settled value (SystemC's [sig.read()]). *)
-let read s = s.current
-
-let read_int s = Bitvec.to_int (read s)
-
-(** Schedule a value for the next delta/clock update ([sig.write(v)]). *)
-let write s v =
-  s.next <- Bitvec.resize ~signed:false ~width:s.width v;
-  s.written <- true
-
-let write_int s v = write s (Bitvec.of_int ~width:s.width v)
-
-let sc_method kernel ~name body =
-  kernel.processes <- Combinational { name; body } :: kernel.processes
-
-let sc_clocked kernel ~name body =
-  kernel.processes <- Clocked { name; body } :: kernel.processes
-
-(* Propagate written next-values into current; true if anything changed. *)
-let delta_update kernel =
-  List.fold_left
-    (fun changed s ->
-      if s.written && not (Bitvec.equal s.next s.current) then begin
-        s.current <- s.next;
-        s.written <- false;
-        true
-      end
-      else begin
-        s.written <- false;
-        changed
-      end)
-    false kernel.signals
-
-let settle kernel =
-  let rec go deltas =
-    if deltas > kernel.max_deltas then
-      raise (Unstable "combinational processes did not converge");
-    List.iter
-      (fun p ->
-        match p with
-        | Combinational { body; _ } -> body ()
-        | Clocked _ -> ())
-      kernel.processes;
-    if delta_update kernel then go (deltas + 1)
-  in
-  go 0
-
-(** One rising clock edge: clocked processes fire on the settled values,
-    then their writes commit, then combinational logic settles again. *)
-let clock_tick kernel =
-  settle kernel;
-  List.iter
-    (fun p ->
-      match p with
-      | Clocked { body; _ } -> body ()
-      | Combinational _ -> ())
-    kernel.processes;
-  ignore (delta_update kernel);
-  settle kernel;
-  kernel.cycle <- kernel.cycle + 1
-
-(** Run clock cycles until [stop] reads true; returns the cycle count. *)
-let run_until kernel ~stop ~max_cycles =
-  settle kernel;
-  let rec go () =
-    if Bitvec.to_bool (read stop) then Ok kernel.cycle
-    else if kernel.cycle >= max_cycles then Error `Timeout
-    else begin
-      clock_tick kernel;
-      go ()
-    end
-  in
-  go ()
-
-(* --- modeling a scheduled FSMD as a SystemC process network --- *)
-
-let of_fsmd (fsmd : Fsmd.t) ~args : kernel * signal * signal =
-  let func = fsmd.Fsmd.func in
-  let kernel = create () in
-  let state =
-    signal kernel ~name:"state"
-      ~width:(max 1 (Area.log2_ceil (Fsmd.num_states fsmd + 1)))
-      ~init:fsmd.Fsmd.entry ()
-  in
-  let done_sig = signal kernel ~name:"done" ~width:1 () in
-  let result =
-    signal kernel ~name:"result" ~width:(max 1 func.Cir.fn_ret_width) ()
-  in
-  (* datapath state lives in plain arrays, as an RTL model would keep regs *)
-  let regs =
-    Array.init func.Cir.fn_reg_count (fun r ->
-        Bitvec.zero (max 1 func.Cir.fn_reg_widths.(r)))
-  in
-  List.iter (fun (_, r, init) -> regs.(r) <- init) func.Cir.fn_globals;
-  List.iter2
-    (fun (_, r) v ->
-      regs.(r) <- Bitvec.resize ~signed:true ~width:(Cir.reg_width func r) v)
-    func.Cir.fn_params args;
-  let memories =
-    Array.map
-      (fun (rg : Cir.region) ->
-        match rg.Cir.rg_init with
-        | Some init -> Array.copy init
-        | None -> Array.make rg.Cir.rg_words (Bitvec.zero rg.Cir.rg_width))
-      func.Cir.fn_regions
-  in
-  let value = function
-    | Cir.O_imm bv -> bv
-    | Cir.O_reg r -> regs.(r)
-  in
-  (* the single clocked process: execute the current state's actions and
-     write the next state — one cycle per state, SystemC-style *)
-  sc_clocked kernel ~name:"fsmd" (fun () ->
-      if not (Bitvec.to_bool (read done_sig)) then begin
-        let st = fsmd.Fsmd.states.(Bitvec.to_int_unsigned (read state)) in
-        let stores = ref [] in
-        List.iter
-          (fun instr ->
-            match instr with
-            | Cir.I_bin { op; dst; a; b } ->
-              regs.(dst) <- Neteval.apply_binop op (value a) (value b)
-            | Cir.I_un { op; dst; a } ->
-              regs.(dst) <- Neteval.apply_unop op (value a)
-            | Cir.I_mov { dst; src } -> regs.(dst) <- value src
-            | Cir.I_cast { dst; signed; src } ->
-              regs.(dst) <-
-                Bitvec.resize ~signed ~width:(Cir.reg_width func dst)
-                  (value src)
-            | Cir.I_mux { dst; sel; if_true; if_false } ->
-              regs.(dst) <-
-                (if Bitvec.to_bool (value sel) then value if_true
-                 else value if_false)
-            | Cir.I_load { dst; region; addr } ->
-              let mem = memories.(region) in
-              let a = Bitvec.to_int_unsigned (value addr) in
-              regs.(dst) <-
-                (if a < Array.length mem then mem.(a)
-                 else Bitvec.zero (Cir.reg_width func dst))
-            | Cir.I_store { region; addr; value = v } ->
-              stores := (region, Bitvec.to_int_unsigned (value addr), value v)
-                        :: !stores)
-          st.Fsmd.actions;
-        List.iter
-          (fun (region, a, v) ->
-            let mem = memories.(region) in
-            if a < Array.length mem then mem.(a) <- v)
-          (List.rev !stores);
-        match st.Fsmd.next with
-        | Fsmd.N_goto target -> write_int state target
-        | Fsmd.N_branch { cond; if_true; if_false } ->
-          write_int state
-            (if Bitvec.to_bool (value cond) then if_true else if_false)
-        | Fsmd.N_halt v ->
-          (match v with Some op -> write result (value op) | None -> ());
-          write_int done_sig 1
-      end);
-  (kernel, done_sig, result)
+(* SystemC backend [Grötker et al., 2002].  The modeling kernel lives in
+   Sc_kernel; this module schedules the program like Bach C and returns
+   the FSMD as a process-network design. *)
 
 let pipeline = Passes.pipeline "systemc" ~func_passes:[ Passes.simplify_pass ]
 
@@ -237,39 +30,10 @@ let compile ?(knobs = Backend.default_knobs) ?resources
     Fsmd.of_func func ~schedule_block:(fun blk ->
         Schedule.list_schedule func resources blk.Cir.instrs)
   in
-  let run ?vcd:_ ?sim:_ args =
-    let kernel, done_sig, result = of_fsmd fsmd ~args in
-    match run_until kernel ~stop:done_sig ~max_cycles:2_000_000 with
-    | Error `Timeout ->
-      (* carry cycles + current FSM state like the other simulators, so
-         chlsc can exit 3 with a partial outcome instead of crashing *)
-      let state =
-        match
-          List.find_opt (fun s -> s.sig_name = "state") kernel.signals
-        with
-        | Some s -> read_int s
-        | None -> -1
-      in
-      raise (Rtlsim.Timeout { cycles = kernel.cycle; state })
-    | Ok cycles ->
-      let metrics = Metrics.create () in
-      Metrics.set_int metrics "sim.cycles" cycles;
-      { Design.result = Some (read result);
-        globals = [];
-        memories = [];
-        cycles = Some cycles;
-        time_units = None;
-        metrics }
-  in
-  { Design.design_name = entry;
-    backend = "systemc";
-    run;
-    area = (fun () -> None);
-    verilog = (fun () -> None);
-    netlist = (fun () -> None);
-    clock_period = Some (Float.max 1. (Fsmd.critical_state_delay fsmd));
-    stats = [ ("states", string_of_int (Fsmd.num_states fsmd)) ];
-    pass_trace }
+  Design.make ~name:entry ~backend:"systemc"
+    ~clock_period:(Fsmd_common.clock_period fsmd)
+    ~stats:[ ("states", string_of_int (Fsmd.num_states fsmd)) ]
+    ~pass_trace (Design.Process_network fsmd)
 
 let descriptor =
   Backend.make ~name:"systemc" ~pipeline:(Some pipeline)

@@ -1,49 +1,6 @@
-(** SystemC-style modeling kernel ("Verilog in C++", here in OCaml): a
-    discrete-event kernel with signals (current/next with delta-cycle
-    update), combinational processes re-run to convergence, and clocked
-    processes fired per rising edge.  [of_fsmd] models a scheduled FSMD
-    as a process network; [compile] is the backend entry point. *)
-
-exception Unstable of string
-(** Combinational processes failed to converge within the delta bound. *)
-
-type signal
-type kernel
-
-val create : ?max_deltas:int -> unit -> kernel
-
-val signal : kernel -> name:string -> width:int -> ?init:int -> unit -> signal
-
-val read : signal -> Bitvec.t
-(** The settled value (SystemC's [sig.read()]). *)
-
-val read_int : signal -> int
-
-val write : signal -> Bitvec.t -> unit
-(** Schedule a value for the next delta/clock update. *)
-
-val write_int : signal -> int -> unit
-
-val sc_method : kernel -> name:string -> (unit -> unit) -> unit
-(** Register a combinational process. *)
-
-val sc_clocked : kernel -> name:string -> (unit -> unit) -> unit
-(** Register a clock-edge-triggered process. *)
-
-val settle : kernel -> unit
-(** Run combinational processes to convergence (delta cycles).
-    @raise Unstable beyond [max_deltas]. *)
-
-val clock_tick : kernel -> unit
-(** One rising edge: clocked processes on settled values, commit, settle. *)
-
-val run_until :
-  kernel -> stop:signal -> max_cycles:int -> (int, [ `Timeout ]) result
-(** Clock until [stop] reads true; returns the cycle count. *)
-
-val of_fsmd : Fsmd.t -> args:Bitvec.t list -> kernel * signal * signal
-(** Model an FSMD as a clocked process network; returns
-    (kernel, done, result). *)
+(** SystemC backend: schedule like Bach C, then simulate the FSMD as a
+    clock-edge-triggered process network ({!Sc_kernel}).  Concurrent
+    programs run on the statement machine. *)
 
 val pipeline : Passes.pipeline
 (** [lower; simplify]. *)

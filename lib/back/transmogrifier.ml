@@ -19,24 +19,9 @@ let dialect = Dialect.transmogrifier
 let pipeline =
   Passes.pipeline "transmogrifier" ~func_passes:[ Passes.simplify_pass ]
 
-(** E4's recoding variant declares the unrolling as a source-level pass,
-    so it is timed and differentially checked like any other. *)
-let unrolled_pipeline =
-  Passes.pipeline "transmogrifier-unrolled"
-    ~program_passes:[ Passes.unroll_loops_pass ]
-    ~func_passes:[ Passes.simplify_pass ]
-
 let compile ?knobs (program : Ast.program) ~entry : Design.t =
   Fsmd_common.build ~backend_name:"transmogrifier" ~dialect
     ~mem_forwarding:true ~pipeline ?knobs
-    ~schedule_block:Fsmd.transmogrifier_schedule program ~entry
-
-(** Variant used by experiment E4: unroll every bounded loop first, which
-    trades one state's combinational depth for fewer cycles — the recoding
-    the paper describes. *)
-let compile_unrolled (program : Ast.program) ~entry : Design.t =
-  Fsmd_common.build ~backend_name:"transmogrifier" ~dialect
-    ~mem_forwarding:true ~pipeline:unrolled_pipeline
     ~schedule_block:Fsmd.transmogrifier_schedule program ~entry
 
 let descriptor =

@@ -9,13 +9,6 @@ val dialect : Dialect.t
 val pipeline : Passes.pipeline
 (** [lower; simplify]. *)
 
-val unrolled_pipeline : Passes.pipeline
-(** [unroll-loops; lower; simplify] (E4's recoding, as a declared pass). *)
-
 val compile : ?knobs:Backend.knobs -> Ast.program -> entry:string -> Design.t
-
-val compile_unrolled : Ast.program -> entry:string -> Design.t
-(** E4's recoding: unroll every bounded loop first, trading cycles for
-    combinational depth. *)
 
 val descriptor : Backend.descriptor

@@ -64,17 +64,20 @@ let render_error ?file = function
 (* content hash -> design; process-wide so sessions over the same source
    (and repeated sessions in one run) share artifacts.  The decoded
    front tier is always on; attaching a byte store (usually Cache.Disk)
-   makes warm-cache state survive restarts and lets workers share.  A
-   design is a bundle of closures, so the codec is Marshal with the
-   Closures flag — only readable by the binary that wrote it, which is
-   why the disk store versions entries by executable digest. *)
+   makes warm-cache state survive restarts and lets workers share.  The
+   codec marshals only the design's data part (no closures) and revives
+   it through Design.of_data, which rebuilds the simulation engine and
+   structural views.  Marshal is still untyped — bytes written by a
+   build whose artifact types differ would decode to garbage — so the
+   disk store keeps versioning entries by executable digest. *)
 let design_cache : Design.t Cache.t =
   Cache.create ~name:"designs"
     ~encode:(fun d ->
-      try Some (Marshal.to_string (d : Design.t) [ Marshal.Closures ])
+      try Some (Marshal.to_string (Design.data d : Design.data) [])
       with _ -> None)
     ~decode:(fun s ->
-      try Some (Marshal.from_string s 0 : Design.t) with _ -> None)
+      try Some (Design.of_data (Marshal.from_string s 0 : Design.data))
+      with _ -> None)
     ()
 
 let cache_size () = Cache.size design_cache

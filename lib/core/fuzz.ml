@@ -171,9 +171,8 @@ let run_dialect ?(arg_sets = default_arg_sets) ?backends
   let backends =
     match backends with Some bs -> bs | None -> Registry.compiling ()
   in
-  (* the config carries per-compile pass verification — no global
-     Passes.set_options, so a concurrent sweep on another domain keeps
-     its own options *)
+  (* the config carries per-compile pass verification, so a concurrent
+     sweep on another domain keeps its own options *)
   let config =
     if verify_passes then { Config.default with Config.verify = arg_sets }
     else Config.default

@@ -86,7 +86,7 @@ let () =
       Transmogrifier.descriptor;
       Systemc.descriptor;
       Ocapi.descriptor;
-      C2v_machine.descriptor;
+      C2v_backend.descriptor;
       Bachc.cyber_descriptor;
       Handelc.descriptor;
       Specc.descriptor;

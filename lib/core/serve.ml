@@ -426,7 +426,7 @@ let run_design ?ctx ?sim (design : Design.t) args =
   | r -> `Ok r
   | exception Rtlsim.Timeout { cycles; state = _ } -> `Timeout (Some cycles)
   | exception Asim.Timeout _ -> `Timeout None
-  | exception Handelc.Timeout -> `Timeout None
+  | exception Handel_machine.Timeout -> `Timeout None
   | exception C2v_machine.Timeout -> `Timeout None
   | exception Cir_interp.Timeout -> `Timeout None
 

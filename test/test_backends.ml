@@ -236,36 +236,36 @@ let test_ocapi_edsl () =
 
 let test_systemc_kernel () =
   (* a two-process network: a counter and a comparator *)
-  let k = Systemc.create () in
-  let count = Systemc.signal k ~name:"count" ~width:8 () in
-  let done_sig = Systemc.signal k ~name:"done" ~width:1 () in
-  Systemc.sc_clocked k ~name:"counter" (fun () ->
-      Systemc.write_int count (Systemc.read_int count + 1));
-  Systemc.sc_method k ~name:"compare" (fun () ->
-      Systemc.write_int done_sig
-        (if Systemc.read_int count >= 10 then 1 else 0));
-  (match Systemc.run_until k ~stop:done_sig ~max_cycles:100 with
+  let k = Sc_kernel.create () in
+  let count = Sc_kernel.signal k ~name:"count" ~width:8 () in
+  let done_sig = Sc_kernel.signal k ~name:"done" ~width:1 () in
+  Sc_kernel.sc_clocked k ~name:"counter" (fun () ->
+      Sc_kernel.write_int count (Sc_kernel.read_int count + 1));
+  Sc_kernel.sc_method k ~name:"compare" (fun () ->
+      Sc_kernel.write_int done_sig
+        (if Sc_kernel.read_int count >= 10 then 1 else 0));
+  (match Sc_kernel.run_until k ~stop:done_sig ~max_cycles:100 with
   | Ok cycles -> Alcotest.(check int) "10 cycles to reach 10" 10 cycles
   | Error `Timeout -> Alcotest.fail "counter never finished");
-  Alcotest.(check int) "count is 10" 10 (Systemc.read_int count)
+  Alcotest.(check int) "count is 10" 10 (Sc_kernel.read_int count)
 
 let test_systemc_delta_convergence () =
   (* a chain of combinational processes must settle via delta cycles *)
-  let k = Systemc.create () in
-  let a = Systemc.signal k ~name:"a" ~width:8 () in
-  let b = Systemc.signal k ~name:"b" ~width:8 () in
-  let c = Systemc.signal k ~name:"c" ~width:8 () in
-  let stop = Systemc.signal k ~name:"stop" ~width:1 ~init:1 () in
-  Systemc.sc_method k ~name:"b=a+1" (fun () ->
-      Systemc.write_int b (Systemc.read_int a + 1));
-  Systemc.sc_method k ~name:"c=b*2" (fun () ->
-      Systemc.write_int c (Systemc.read_int b * 2));
-  Systemc.sc_clocked k ~name:"drive" (fun () -> Systemc.write_int a 5);
-  (match Systemc.run_until k ~stop ~max_cycles:4 with
+  let k = Sc_kernel.create () in
+  let a = Sc_kernel.signal k ~name:"a" ~width:8 () in
+  let b = Sc_kernel.signal k ~name:"b" ~width:8 () in
+  let c = Sc_kernel.signal k ~name:"c" ~width:8 () in
+  let stop = Sc_kernel.signal k ~name:"stop" ~width:1 ~init:1 () in
+  Sc_kernel.sc_method k ~name:"b=a+1" (fun () ->
+      Sc_kernel.write_int b (Sc_kernel.read_int a + 1));
+  Sc_kernel.sc_method k ~name:"c=b*2" (fun () ->
+      Sc_kernel.write_int c (Sc_kernel.read_int b * 2));
+  Sc_kernel.sc_clocked k ~name:"drive" (fun () -> Sc_kernel.write_int a 5);
+  (match Sc_kernel.run_until k ~stop ~max_cycles:4 with
   | Ok _ -> ()
   | Error `Timeout -> Alcotest.fail "no convergence");
   Alcotest.(check int) "c settled to (0+1)*2 before any clock" 2
-    (Systemc.read_int c)
+    (Sc_kernel.read_int c)
 
 let test_c2verilog_machine_details () =
   let program = Workloads.parse Workloads.recursion in

@@ -5,7 +5,7 @@
 let compile src = C2verilog.compile_program (Typecheck.parse_and_check src)
 
 let design src ~entry =
-  C2v_machine.compile (Typecheck.parse_and_check src) ~entry
+  C2v_backend.compile (Typecheck.parse_and_check src) ~entry
 
 let test_codegen_shape () =
   let compiled = compile "int f(int a) { return a + 1; }" ~entry:"f" in

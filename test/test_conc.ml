@@ -318,7 +318,7 @@ let test_logical_ops_on_guarded_backends () =
       let expected = Interp.run_int src ~entry:"f" ~args:[ a; b ] in
       let cones = Design.run_int (Cones.compile program ~entry:"f") [ a; b ] in
       let c2v =
-        Design.run_int (C2v_machine.compile program ~entry:"f") [ a; b ]
+        Design.run_int (C2v_backend.compile program ~entry:"f") [ a; b ]
       in
       Alcotest.(check (option int)) "cones" (Some expected) cones;
       Alcotest.(check (option int)) "c2verilog" (Some expected) c2v)

@@ -3,7 +3,7 @@
    exactly when it should change), distinct knob points get distinct
    digests, the digest keys the design cache front-to-disk, and two
    domains compiling under different options concurrently never bleed
-   into each other (the satellite for the old Passes.set_options race). *)
+   into each other (the old process-wide pass-options race). *)
 
 let gcd_w = Workloads.gcd
 
@@ -102,7 +102,7 @@ let test_json_round_trip () =
       unroll_factor = 4;
       ii_limit = 16;
       verify = [ [ 1; 2 ]; [ -3 ] ];
-      sim = Design.Full_sweep }
+      sim = Design.Event_driven }
   in
   match Config.of_json (Config.to_json c) with
   | Error msg -> Alcotest.fail msg
@@ -136,6 +136,7 @@ let test_of_json_errors () =
       ("zero bound", "{\"adders\": 0}");
       ("bad unroll", "{\"unroll\": \"two\"}");
       ("bad sim", "{\"sim\": \"quantum\"}");
+      ("retired sweep engine", "{\"sim\": \"sweep\"}");
       ("non-object", "[1,2]") ]
 
 (* --- the digest keys the design cache ---------------------------------- *)
@@ -246,8 +247,8 @@ let test_two_configs_two_disk_entries () =
 (* --- no options bleed across domains ----------------------------------- *)
 
 (* Two domains compile the same source concurrently, one with dumps and
-   verification on, one with everything off.  Under the old global
-   Passes.set_options this raced; with per-compile configs the quiet
+   verification on, one with everything off.  Under a process-wide
+   options setting this raced; with per-compile configs the quiet
    domain's sink must never fire. *)
 let test_no_options_bleed_across_domains () =
   Driver.clear_cache ();

@@ -65,14 +65,19 @@ let dump_hook () =
       Passes.dump_after = [ "simplify" ];
       dump_sink = Buffer.add_string buf }
   in
-  Passes.with_options opts (fun () ->
-      ignore (Passes.lower_simplify (Workloads.parse Workloads.gcd) ~entry:"gcd"));
+  let compile ?options () =
+    ignore
+      (Passes.lower_simplify ?options (Workloads.parse Workloads.gcd)
+         ~entry:"gcd")
+  in
+  compile ~options:opts ();
   let dumped = Buffer.contents buf in
   Alcotest.(check bool) "dump emitted" true (String.length dumped > 0);
   Alcotest.(check bool) "dump labelled with the pass" true
     (contains dumped "after simplify");
-  Alcotest.(check bool) "options restored" true
-    ((Passes.current_options ()).Passes.dump_after = [])
+  compile ();
+  Alcotest.(check int) "a compile without options dumps nothing"
+    (String.length dumped) (Buffer.length buf)
 
 (* A pass that rewrites every return to a wrong constant, but still claims
    to preserve semantics.  Blocks are copied, not mutated: the verifier
@@ -103,8 +108,7 @@ let broken_pass_caught () =
   in
   let opts = { Passes.default_options with Passes.verify = [ [ 54; 24 ] ] } in
   match
-    Passes.with_options opts (fun () ->
-        Passes.run pl (Workloads.parse Workloads.gcd) ~entry:"gcd")
+    Passes.run ~options:opts pl (Workloads.parse Workloads.gcd) ~entry:"gcd"
   with
   | _ -> Alcotest.fail "broken pass slipped through verification"
   | exception Passes.Verification_failed msg ->
@@ -123,8 +127,7 @@ let non_preserving_pass_not_checked () =
   let pl = Passes.pipeline "lossy-test" ~func_passes:[ declared_lossy ] in
   let opts = { Passes.default_options with Passes.verify = [ [ 54; 24 ] ] } in
   let _, trace =
-    Passes.with_options opts (fun () ->
-        Passes.run pl (Workloads.parse Workloads.gcd) ~entry:"gcd")
+    Passes.run ~options:opts pl (Workloads.parse Workloads.gcd) ~entry:"gcd"
   in
   let record =
     List.find (fun r -> r.Passes.pass_name = "break-returns-declared") trace
@@ -139,8 +142,7 @@ let workload_verified (w : Workloads.t) () =
   let program = Workloads.parse w in
   let opts = { Passes.default_options with Passes.verify = w.Workloads.arg_sets } in
   let _, trace =
-    Passes.with_options opts (fun () ->
-        Passes.lower_simplify program ~entry:w.Workloads.entry)
+    Passes.lower_simplify ~options:opts program ~entry:w.Workloads.entry
   in
   let simplify = List.find (fun r -> r.Passes.pass_name = "simplify") trace in
   Alcotest.(check int)
@@ -161,8 +163,7 @@ let program_pass_verified () =
   in
   let opts = { Passes.default_options with Passes.verify = w.Workloads.arg_sets } in
   let _, trace =
-    Passes.with_options opts (fun () ->
-        Passes.run pl program ~entry:w.Workloads.entry)
+    Passes.run ~options:opts pl program ~entry:w.Workloads.entry
   in
   let unroll = List.find (fun r -> r.Passes.pass_name = "unroll-loops") trace in
   Alcotest.(check Alcotest.bool)

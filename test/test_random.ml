@@ -236,7 +236,7 @@ let layers (src : string) (a, b) : (string * int option) list =
     ("handelc", Design.run_int d [ a; b ])
   in
   let c2v =
-    let d = C2v_machine.compile program ~entry:"f" in
+    let d = C2v_backend.compile program ~entry:"f" in
     ("c2verilog", Design.run_int d [ a; b ])
   in
   [ ("interp", reference); ("cir", cir); ("cir-simplified", cir_simplified);

@@ -326,7 +326,7 @@ let tracing_never_perturbs =
             in
             Span.finish tr;
             plain = traced)
-          [ Design.Compiled; Design.Event_driven; Design.Full_sweep ])
+          [ Design.Compiled; Design.Event_driven ])
 
 let suite =
   ( "span",
