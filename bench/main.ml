@@ -112,13 +112,14 @@ let () =
   (* fuzz corpus + oracle-agreement matrix: deterministic generation, so
      the agreement counts are stable (only wall time varies) *)
   Fuzz_bench.run_all ();
-  (* design-space sweeps: deterministic points and fronts; the warm
-     re-sweep doubles as the config-keyed cache regression check *)
-  Explore_bench.run_all ();
   (* the serve bench's cache-provenance counts and oracle checks are
      deterministic too; it must precede anything that might spawn a
      domain, because its persistence phase forks *)
   Serve_bench.run_all ();
+  (* design-space sweeps: deterministic points and fronts; the warm
+     re-sweep doubles as the config-keyed cache regression check.  Its
+     worker domains are why it runs after the serve bench's fork *)
+  Explore_bench.run_all ();
   if not skip_perf then begin
     (* compiled vs interpreting engines: wall-clock cycles/sec, so it sits
        with the perf benchmarks (the equivalence check inside always runs

@@ -34,6 +34,13 @@ let parse_args_list s =
   if String.trim s = "" then []
   else List.map int_of_string (String.split_on_char ',' (String.trim s))
 
+(* A name-resolution failure is a usage error: message, exit 1. *)
+let or_exit = function
+  | Ok v -> v
+  | Error msg ->
+    prerr_endline msg;
+    exit 1
+
 (* --- common arguments --- *)
 
 let file_arg =
@@ -105,19 +112,7 @@ let attach_cache cache_dir cache_max_bytes =
    status is 0 when the program is race-free under the chosen dialect and
    1 when any hard error is reported. *)
 let run_races file dialect_name metrics_json =
-  let dialect =
-    (* accept both backend spellings (handelc, bachc) and Table 1 names
-       ("Handel-C", "Bach C") *)
-    match Chls.backend_of_name dialect_name with
-    | Some b -> Chls.dialect_of b
-    | None -> (
-      match Dialect.find dialect_name with
-      | Some d -> d
-      | None ->
-        Printf.eprintf "unknown dialect %S (try handelc, specc, bachc)\n"
-          dialect_name;
-        exit 1)
-  in
+  let dialect = or_exit (Registry.resolve_dialect dialect_name) in
   let program = or_located_error file (fun () -> Chls.parse (read_file file)) in
   let diags = Conc_check.check_program ~dialect program in
   List.iter (fun d -> print_endline (Conc_check.render ~file d)) diags;
@@ -189,27 +184,21 @@ let check_cmd =
 let run_cmd =
   let doc = "Execute with the software semantics (reference interpreter)" in
   let run file entry args =
-    let source = read_file file in
+    let session = Driver.create ~entry (read_file file) in
     let args = parse_args_list (Option.value args ~default:"") in
-    let result =
-      or_located_error file (fun () -> Chls.reference source ~entry ~args)
-    in
-    Printf.printf "%s(%s) = %d\n" entry
-      (String.concat "," (List.map string_of_int args))
-      result
+    match Driver.reference session ~args with
+    | Ok result ->
+      Printf.printf "%s(%s) = %d\n" entry
+        (String.concat "," (List.map string_of_int args))
+        result
+    | Error e ->
+      prerr_endline (Driver.render_error ~file e);
+      exit 1
   in
   Cmd.v (Cmd.info "run" ~doc) Term.(const run $ file_arg $ entry_arg $ args_arg)
 
 let backend_arg =
-  let parse s =
-    match Chls.backend_of_name s with
-    | Some b -> Ok b
-    | None ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown backend %S; registered: %s" s
-             (Registry.catalog ())))
-  in
+  let parse s = Result.map_error (fun msg -> `Msg msg) (Registry.resolve s) in
   let print fmt b = Format.pp_print_string fmt (Chls.backend_name b) in
   Arg.(value
        & opt (conv (parse, print)) (Registry.get "bachc")
@@ -252,8 +241,9 @@ let verify_passes_flag =
        & info [ "verify-passes" ]
            ~doc:
              "Differentially verify every semantics-preserving pass against \
-              the CIR interpreter on the --args vector, failing loudly on \
-              divergence (requires --args)")
+              the CIR interpreter on the run's argument vectors (compile: \
+              the --args vector, required; fuzz: the fuzz vectors); a pass \
+              that changes observable behaviour fails the run (exit 2)")
 
 let vcd_arg =
   Arg.(value & opt (some string) None
@@ -299,10 +289,11 @@ let verify_sim_flag =
   Arg.(value & flag
        & info [ "verify-sim" ]
            ~doc:
-             "With --args: run the compiled engine and the event-driven \
-              oracle on the same vectors and fail (exit 2) unless result, \
-              globals, memories, cycle count and VCD change stream are \
-              bit-identical")
+             "Run the compiled engine and the event-driven oracle on the \
+              same vector (compile: the --args vector; fuzz: every design \
+              that agrees with the reference) and fail (exit 2) unless \
+              result, globals, memories, cycle count and VCD change stream \
+              are bit-identical")
 
 (* Drive the design's netlist view through the evaluator under both settling
    strategies and print the activity counters side by side. *)
@@ -588,32 +579,27 @@ let compile_cmd =
         | _ -> ()
       in
       Metrics.set_string m "run.sim" (Design.engine_name sim);
-      (match
-         Design.run_traced ~ctx:tctx ?vcd:writer ~sim design
-           (Design.int_args args)
-       with
-      | exception Rtlsim.Timeout { cycles; state } ->
+      let v = Driver.check ~ctx:tctx ?vcd:writer ~sim session design ~args in
+      (match v.Driver.run with
+      | Error stop ->
         (* a partial outcome, not a bare failure: report how far the run
            got through the same channels a finished run uses *)
-        Metrics.set_string m "run.outcome" "timeout";
-        Metrics.set_int m "run.cycles" cycles;
-        Metrics.set_int m "run.state" state;
+        Metrics.set_string m "run.outcome"
+          (Design.stop_reason_name stop.Design.reason);
+        (match stop.Design.progress with
+        | Design.Cycles { cycles; state } ->
+          Metrics.set_int m "run.cycles" cycles;
+          Metrics.set_int m "run.state" state
+        | Design.Tokens { fired; time } ->
+          Metrics.set_int m "run.tokens_fired" fired;
+          Metrics.set_fixed m "run.time_units" ~decimals:1 time
+        | Design.Unreported -> ());
         finish_vcd ();
         write_metrics ();
         write_trace ~failed:true ();
-        Printf.eprintf "timeout after %d cycles (in state %d)\n" cycles state;
+        prerr_endline (Design.render_stop stop);
         exit 3
-      | exception Asim.Timeout { tokens_fired; time } ->
-        Metrics.set_string m "run.outcome" "timeout";
-        Metrics.set_int m "run.tokens_fired" tokens_fired;
-        Metrics.set_fixed m "run.time_units" ~decimals:1 time;
-        finish_vcd ();
-        write_metrics ();
-        write_trace ~failed:true ();
-        Printf.eprintf "timeout after %d tokens (at time %.1f)\n" tokens_fired
-          time;
-        exit 3
-      | r ->
+      | Ok r ->
         Metrics.set_string m "run.outcome" "ok";
         (match r.Design.result with
         | Some v -> Metrics.set_int m "run.result" (Bitvec.to_int v)
@@ -628,72 +614,29 @@ let compile_cmd =
         finish_vcd ();
         Printf.printf "%s(%s) = %s%s\n" entry
           (String.concat "," (List.map string_of_int args))
-          (match r.Design.result with
-          | Some v -> string_of_int (Bitvec.to_int v)
+          (match Driver.observed v with
+          | Some n -> string_of_int n
           | None -> "void")
           (match (r.Design.cycles, r.Design.time_units) with
           | Some c, _ -> Printf.sprintf " in %d cycles" c
           | None, Some t -> Printf.sprintf " in %.0f time units" t
           | None, None -> "");
-        (* always cross-check the oracle (on the session's parsed program) *)
-        let expected =
-          match Driver.reference ~ctx:tctx session ~args with
-          | Ok v -> v
-          | Error e ->
-            write_trace ~failed:true ();
-            Printf.eprintf "%s\n" (Driver.render_error ~file e);
-            exit 1
-        in
-        let agrees =
-          Option.map Bitvec.to_int r.Design.result = Some expected
-        in
-        Metrics.set_bool m "run.matches_reference" agrees;
-        if not agrees then begin
+        (* the verdict always consults the oracle on a completed run *)
+        Metrics.set_bool m "run.matches_reference" v.Driver.agrees;
+        (match v.Driver.oracle with
+        | Some (Error e) ->
+          write_trace ~failed:true ();
+          prerr_endline (Driver.render_error ~file e);
+          exit 1
+        | Some (Ok expected) when not v.Driver.agrees ->
           write_metrics ();
           write_trace ~failed:true ();
           Printf.eprintf "MISMATCH vs software semantics (expected %d)\n"
             expected;
           exit 2
-        end;
+        | Some (Ok _) | None -> ());
         if verify_sim then begin
-          (* differential check: compiled engine vs the event-driven
-             oracle on the same vectors, comparing the full observable
-             surface — result, globals, memories, cycle count and the
-             VCD change stream *)
-          let run_engine sim =
-            let w = Vcd.create () in
-            let r = design.Design.run ~vcd:w ~sim (Design.int_args args) in
-            (r, Vcd.contents w)
-          in
-          let rc, vcd_c = run_engine Design.Compiled in
-          let re, vcd_e = run_engine Design.Event_driven in
-          let bv_opt_eq a b =
-            match (a, b) with
-            | Some x, Some y -> Bitvec.equal x y
-            | None, None -> true
-            | _ -> false
-          in
-          let named_eq eq a b =
-            List.length a = List.length b
-            && List.for_all2
-                 (fun (n1, v1) (n2, v2) -> n1 = n2 && eq v1 v2)
-                 a b
-          in
-          let arr_eq a b =
-            Array.length a = Array.length b
-            && Array.for_all2 Bitvec.equal a b
-          in
-          let mismatches =
-            List.filter_map
-              (fun (what, ok) -> if ok then None else Some what)
-              [ ("result", bv_opt_eq rc.Design.result re.Design.result);
-                ("globals",
-                 named_eq Bitvec.equal rc.Design.globals re.Design.globals);
-                ("memories",
-                 named_eq arr_eq rc.Design.memories re.Design.memories);
-                ("cycles", rc.Design.cycles = re.Design.cycles);
-                ("vcd", vcd_c = vcd_e) ]
-          in
+          let mismatches = Driver.engine_mismatches design ~args in
           Metrics.set_bool m "run.sim_verified" (mismatches = []);
           if mismatches = [] then
             print_endline
@@ -799,29 +742,15 @@ let compare_cmd =
       match backends_filter with
       | None -> Registry.all ()
       | Some s ->
-        List.map
-          (fun n ->
-            match Registry.find (String.trim n) with
-            | Some b -> b
-            | None ->
-              Printf.eprintf "unknown backend %S; registered: %s\n" n
-                (Registry.catalog ());
-              exit 1)
-          (String.split_on_char ',' s)
+        or_exit (Registry.resolve_backends (String.split_on_char ',' s))
     in
     let vectors = List.map parse_args_list vec_strings in
-    (match Driver.program session with
-    | Ok _ -> ()
-    | Error e ->
-      Printf.eprintf "%s\n" (Driver.render_error ~file e);
-      exit 1);
-    let expected =
-      List.map
-        (fun args ->
-          match Driver.reference session ~args with
-          | Ok v -> Some v
-          | Error _ -> None)
-        vectors
+    let table =
+      match Driver.compare ~backends session ~vectors with
+      | Ok table -> table
+      | Error e ->
+        prerr_endline (Driver.render_error ~file e);
+        exit 1
     in
     let m = Metrics.create () in
     Metrics.set_string m "schema" "chls.metrics/3";
@@ -832,10 +761,10 @@ let compare_cmd =
     let join cells = if cells = [] then "-" else String.concat "," cells in
     let rows =
       List.map
-        (fun (b, result) ->
+        (fun (b, compared) ->
           let name = Registry.name b in
           let key k = Printf.sprintf "compare.backends.%s.%s" name k in
-          match result with
+          match compared with
           | Error e ->
             let status, short =
               match e with
@@ -849,65 +778,40 @@ let compare_cmd =
             Metrics.set_string m (key "status") status;
             Metrics.set_string m (key "detail") (Driver.render_error e);
             [ name; short; "-"; "-"; "-"; "-"; "-" ]
-          | Ok design ->
+          | Ok (design, verdicts) ->
             incr compiled;
             Metrics.set_string m (key "status") "ok";
-            let outcomes =
-              List.map
-                (fun args ->
-                  match design.Design.run (Design.int_args args) with
-                  | r -> `Ok r
-                  | exception Rtlsim.Timeout _ -> `Timeout
-                  | exception Asim.Timeout _ -> `Timeout)
-                vectors
-            in
-            let results =
-              List.map
-                (function
-                  | `Ok r ->
-                    Option.map Bitvec.to_int r.Design.result
-                  | `Timeout -> None)
-                outcomes
-            in
-            let agrees =
-              vectors <> []
-              && List.for_all2
-                   (fun observed exp ->
-                     exp <> None && observed = exp)
-                   results expected
-            in
+            let agrees = Driver.agree verdicts in
             if vectors <> [] && not agrees then mismatch := true;
             Metrics.set m (key "results")
               (Metrics.List
                  (List.map
-                    (function
-                      | Some v -> Metrics.Int v
+                    (fun v ->
+                      match Driver.observed v with
+                      | Some n -> Metrics.Int n
                       | None -> Metrics.Null)
-                    results));
+                    verdicts));
             if vectors <> [] then
               Metrics.set_bool m (key "agrees") agrees;
-            let cycles_cell =
-              join
-                (List.filter_map
-                   (function
-                     | `Ok r ->
-                       Option.map string_of_int r.Design.cycles
-                     | `Timeout -> Some "t/o")
-                   outcomes)
+            (* one vector's result, cycles and wall cells: a stopped run
+               names its reason in the first two, "t/o" for a timeout *)
+            let cells v =
+              match v.Driver.run with
+              | Error { Design.reason = Design.Timeout; _ } ->
+                ("t/o", Some "t/o", None)
+              | Error { Design.reason; _ } ->
+                let r = Design.stop_reason_name reason in
+                (r, Some r, None)
+              | Ok r ->
+                ( Option.fold ~none:"void" ~some:string_of_int
+                    (Driver.observed v),
+                  Option.map string_of_int r.Design.cycles,
+                  Option.map (Printf.sprintf "%.0f")
+                    (Design.latency_estimate design r) )
             in
-            let wall_cell =
-              join
-                (List.filter_map
-                   (function
-                     | `Ok r ->
-                       Option.map
-                         (fun t -> Printf.sprintf "%.0f" t)
-                         (Design.latency_estimate design r)
-                     | `Timeout -> None)
-                   outcomes)
-            in
-            (match outcomes with
-            | `Ok r :: _ ->
+            let cells = List.map cells verdicts in
+            (match verdicts with
+            | { Driver.run = Ok r; _ } :: _ ->
               (match r.Design.cycles with
               | Some c -> Metrics.set_int m (key "cycles") c
               | None -> ());
@@ -929,19 +833,14 @@ let compare_cmd =
             | None -> ());
             [ name;
               "ok";
-              join
-                (List.map
-                   (function
-                     | Some v -> string_of_int v
-                     | None -> "t/o")
-                   results);
-              cycles_cell;
-              wall_cell;
+              join (List.map (fun (r, _, _) -> r) cells);
+              join (List.filter_map (fun (_, c, _) -> c) cells);
+              join (List.filter_map (fun (_, _, w) -> w) cells);
               area_cell;
               (if vectors = [] then "-"
                else if agrees then "agree"
                else "MISMATCH") ])
-        (Driver.compile_all ~backends session)
+        table
     in
     Printf.printf "%s -e %s%s\n\n" file entry
       (match vectors with
@@ -1291,32 +1190,6 @@ let fuzz_cmd =
                "Write each divergence as $(docv)/<dialect>-<index>-\
                 <backend>.c (shrunk reproducer) and .orig.c (as generated)")
   in
-  let verify_passes_flag =
-    Arg.(value & flag
-         & info [ "verify-passes" ]
-             ~doc:
-               "Also interpret the IR after every lowering pass on the \
-                fuzz vectors; a pass that changes observable behaviour \
-                becomes a divergence")
-  in
-  let verify_sim_flag =
-    Arg.(value & flag
-         & info [ "verify-sim" ]
-             ~doc:
-               "Also cross-check the compiled simulation engine against \
-                the event-driven oracle on every agreeing design")
-  in
-  let resolve_dialect name =
-    match Chls.backend_of_name name with
-    | Some b -> Chls.dialect_of b
-    | None -> (
-      match Dialect.find name with
-      | Some d -> d
-      | None ->
-        Printf.eprintf "unknown dialect %S (try handelc, specc, bachc)\n"
-          name;
-        exit 1)
-  in
   let slug name =
     String.lowercase_ascii
       (String.map (function ' ' | '(' | ')' | '/' -> '_' | c -> c) name)
@@ -1326,7 +1199,8 @@ let fuzz_cmd =
       match dialects with
       | None -> Fuzz.default_dialects ()
       | Some s ->
-        List.map resolve_dialect
+        List.map
+          (fun name -> or_exit (Registry.resolve_dialect name))
           (List.filter
              (fun s -> String.trim s <> "")
              (String.split_on_char ',' s))
@@ -1448,17 +1322,8 @@ let explore_cmd =
           exit 1)
     in
     let backends =
-      List.map
-        (fun n ->
-          match Registry.find (String.trim n) with
-          | Some b -> b
-          | None ->
-            Printf.eprintf "unknown backend %S; registered: %s\n" n
-              (Registry.catalog ());
-            exit 1)
-        (List.filter
-           (fun s -> String.trim s <> "")
-           (String.split_on_char ',' backends_spec))
+      or_exit
+        (Registry.resolve_backends (String.split_on_char ',' backends_spec))
     in
     let source = read_file file in
     let base = { Config.default with Config.sim } in
@@ -1470,13 +1335,7 @@ let explore_cmd =
       (List.length sweep.Explore.sw_cells);
     let header, rows = Explore.table sweep in
     print_table header rows;
-    let count name =
-      List.length
-        (List.filter
-           (fun (c : Explore.cell) ->
-             Explore.status_name c.Explore.cell_status = name)
-           sweep.Explore.sw_cells)
-    in
+    let count = Explore.count_status sweep in
     let failed = count "failed" and unverified = count "unverified" in
     Printf.printf
       "\n%d point(s): %d verified, %d infeasible, %d rejected, %d failed \

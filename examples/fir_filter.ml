@@ -11,6 +11,7 @@ let () =
   Printf.printf "FIR filter across the surveyed synthesis schemes\n\n%s\n"
     w.Workloads.source;
   let program = Workloads.parse w in
+  let session = Driver.create ~entry:w.Workloads.entry w.Workloads.source in
   Printf.printf "%-16s %8s %8s %11s %12s %8s\n" "backend" "cycles" "clock"
     "wall time" "area (GE)" "correct";
   print_endline (String.make 70 '-');
@@ -21,10 +22,10 @@ let () =
           Chls.compile_program backend program ~entry:w.Workloads.entry
         in
         let ok =
-          List.for_all
-            (fun c -> c.Chls.agrees)
-            (Chls.verify_against_reference design w.Workloads.source
-               ~entry:w.Workloads.entry ~arg_sets:w.Workloads.arg_sets)
+          Driver.agree
+            (List.map
+               (fun args -> Driver.check session design ~args)
+               w.Workloads.arg_sets)
         in
         let r = design.Design.run (Design.int_args [ 1; 2 ]) in
         Printf.printf "%-16s %8s %8s %11s %12s %8b\n"

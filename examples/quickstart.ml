@@ -48,12 +48,12 @@ let () =
               | None -> "")))
         inputs;
       (* every backend must agree with the oracle *)
-      let checks =
-        Chls.verify_against_reference design source ~entry:"isqrt"
-          ~arg_sets:(List.map (fun x -> [ x ]) inputs)
-      in
+      let session = Driver.create ~entry:"isqrt" source in
       Printf.printf "  matches software semantics: %b\n\n"
-        (List.for_all (fun c -> c.Chls.agrees) checks))
+        (Driver.agree
+           (List.map
+              (fun x -> Driver.check session design ~args:[ x ])
+              inputs)))
     [ (Registry.get "transmogrifier"); (Registry.get "handelc"); (Registry.get "cash") ];
   (* 3. look at generated RTL *)
   let design = Chls.compile (Registry.get "bachc") source ~entry:"isqrt" in

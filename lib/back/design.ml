@@ -48,6 +48,39 @@ type run_result = {
          registry; --metrics-json merges it into the run report *)
 }
 
+(* Every way a simulator ends a run without a result.  The simulators
+   keep their own exceptions and budgets (their tests pin them); the
+   dispatch in [run_of_artifact] alone knows which one each raises. *)
+type stop_reason = Timeout | Deadlock | Combinational_loop
+
+type progress =
+  | Cycles of { cycles : int; state : int }
+  | Tokens of { fired : int; time : float }
+  | Unreported
+
+type stop = { reason : stop_reason; progress : progress }
+
+exception Stopped of stop
+
+let stop_reason_name = function
+  | Timeout -> "timeout"
+  | Deadlock -> "deadlock"
+  | Combinational_loop -> "combinational-loop"
+
+let render_stop { reason; progress } =
+  let reason = stop_reason_name reason in
+  match progress with
+  | Cycles { cycles; state } ->
+    Printf.sprintf "%s after %d cycles (in state %d)" reason cycles state
+  | Tokens { fired; time } ->
+    Printf.sprintf "%s after %d tokens (at time %.1f)" reason fired time
+  | Unreported -> reason
+
+let () =
+  Printexc.register_printer (function
+    | Stopped s -> Some ("Design.Stopped: " ^ render_stop s)
+    | _ -> None)
+
 type data = {
   design_name : string;
   backend : string;
@@ -157,7 +190,7 @@ let dataflow_run ssa ~handshake =
     outcome o.Asim.return_value ~globals:o.Asim.globals
       ~memories:o.Asim.memories ~time_units:o.Asim.completion_time ~metrics
 
-let run_of_artifact ~lock = function
+let simulator_of_artifact ~lock = function
   | Fsmd fsmd -> fsmd_run ~lock fsmd
   | Combinational { netlist; critical_path } ->
     netlist_run netlist ~critical_path
@@ -179,6 +212,23 @@ let run_of_artifact ~lock = function
       outcome o.Handel_machine.return_value ~globals ~memories
         ~cycles:o.Handel_machine.cycles
         ~metrics:(cycles_metrics o.Handel_machine.cycles)
+
+let run_of_artifact ~lock artifact =
+  let run = simulator_of_artifact ~lock artifact in
+  let stop reason progress = raise (Stopped { reason; progress }) in
+  fun ?vcd ?sim args ->
+    match run ?vcd ?sim args with
+    | r -> r
+    | exception Rtlsim.Timeout { cycles; state } ->
+      (* FSMD runs and SystemC's kernel *)
+      stop Timeout (Cycles { cycles; state })
+    | exception Asim.Timeout { tokens_fired; time } ->
+      stop Timeout (Tokens { fired = tokens_fired; time })
+    | exception (Handel_machine.Timeout | C2v_machine.Timeout) ->
+      stop Timeout Unreported
+    | exception Handel_machine.Deadlock -> stop Deadlock Unreported
+    | exception Handel_machine.Combinational_loop ->
+      stop Combinational_loop Unreported
 
 (* --- structural views ----------------------------------------------- *)
 
@@ -269,11 +319,10 @@ let of_data (d : data) =
 let int_args args = List.map (Bitvec.of_int ~width:64) args
 
 (* [run] behind a "simulate" span: engine kind and backend as attributes
-   up front (so a crashed/timed-out run still identifies itself in the
+   up front (so a crashed/stopped run still identifies itself in the
    flight recorder), cycles and settle time attached after.  The span
-   machinery adds an "error" attribute and re-raises on simulator
-   exceptions (Rtlsim.Timeout and friends), so failure context survives
-   into the ring buffer. *)
+   machinery adds an "error" attribute and re-raises on [Stopped] and
+   runtime errors, so failure context survives into the ring buffer. *)
 let run_traced ?(ctx = Span.null) ?vcd ?sim design args =
   Span.span ctx "simulate"
     ~attrs:

@@ -61,6 +61,29 @@ type run_result = {
           report *)
 }
 
+(** {1 Stopped runs} *)
+
+type stop_reason = Timeout | Deadlock | Combinational_loop
+
+(** How far a stopped run got, as far as its simulator reports it. *)
+type progress =
+  | Cycles of { cycles : int; state : int }  (** FSMDs, SystemC's kernel *)
+  | Tokens of { fired : int; time : float }  (** CASH *)
+  | Unreported  (** the Handel-C and C2Verilog machines *)
+
+type stop = { reason : stop_reason; progress : progress }
+
+exception Stopped of stop
+(** What [run] raises when a simulator ends the run without a result.
+    The simulators keep their own exceptions and budgets; the dispatch
+    inside {!make} is the only code that catches them. *)
+
+val stop_reason_name : stop_reason -> string
+(** ["timeout"], ["deadlock"], ["combinational-loop"]. *)
+
+val render_stop : stop -> string
+(** ["timeout after 2000000 cycles (in state 2)"], ["deadlock"]. *)
+
 (** The data part of a design: everything {!make} needs to rebuild it. *)
 type data = {
   design_name : string;
@@ -86,7 +109,9 @@ type t = private {
       (** [vcd]: trace the behavioural simulation as a waveform (FSMDs
           trace per-cycle register state, netlists their value changes,
           CASH its token firings); other artifacts ignore it.  [sim]:
-          engine selection, default {!Compiled} *)
+          engine selection, default {!Compiled}.
+          @raise Stopped when the simulator ends the run without a
+          result *)
   area : unit -> Area.report option;
   verilog : unit -> string option;
   netlist : unit -> Netlist.t option;
@@ -116,8 +141,9 @@ val run_traced :
   ?ctx:Span.ctx -> ?vcd:Vcd.t -> ?sim:engine -> t -> Bitvec.t list -> run_result
 (** [run] inside a ["simulate"] span: backend and engine kind as
     attributes up front, cycles / settle time attached on completion, an
-    ["error"] attribute (and a re-raise) on simulator exceptions.  With
-    the default null context this is exactly [design.run]. *)
+    ["error"] attribute (and a re-raise) on {!Stopped} and runtime
+    errors.  With the default null context this is exactly
+    [design.run]. *)
 
 val run_int : t -> int list -> int option
 (** Run with integer arguments; the result as an int. *)

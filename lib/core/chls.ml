@@ -2,7 +2,8 @@
 
    One entry point for everything the library does: parse and check a
    C-like source, pick a surveyed language (a backend), synthesize a
-   design, simulate it, and compare against the software oracle.
+   design and simulate it.  Judging a run against the software oracle
+   is {!Driver.check}'s job, the one place verdicts are made.
 
    Backends are no longer a closed variant: {!Registry} holds the
    descriptors and [backend] is a thin registry handle.  The function
@@ -37,22 +38,6 @@ let compile backend source ~entry =
 
 (** Run the software oracle on a source. *)
 let reference source ~entry ~args = Interp.run_int source ~entry ~args
-
-type verification = {
-  vector : int list;
-  expected : int;
-  observed : int option;
-  agrees : bool;
-}
-
-(** Check a design against the software semantics on argument vectors. *)
-let verify_against_reference design source ~entry ~arg_sets =
-  List.map
-    (fun args ->
-      let expected = reference source ~entry ~args in
-      let observed = Design.run_int design args in
-      { vector = args; expected; observed; agrees = observed = Some expected })
-    arg_sets
 
 (* --- the paper's Table 1, regenerated --- *)
 

@@ -1,6 +1,6 @@
 (** CHLS public facade: parse and check a C-like source, pick a surveyed
-    language (a backend), synthesize a design, simulate it, and compare
-    against the software oracle.
+    language (a backend), synthesize a design and simulate it.  Verdicts
+    against the software oracle come from {!Driver.check}.
 
     A [backend] is a thin {!Registry} handle (structural equality by
     name) — the old closed variant is gone; every function here is a
@@ -43,18 +43,6 @@ val compile : backend -> string -> entry:string -> Design.t
 
 val reference : string -> entry:string -> args:int list -> int
 (** The software oracle (reference interpreter) on a source string. *)
-
-type verification = {
-  vector : int list;
-  expected : int;
-  observed : int option;
-  agrees : bool;
-}
-
-val verify_against_reference :
-  Design.t -> string -> entry:string -> arg_sets:int list list ->
-  verification list
-(** Check a design against the software semantics on argument vectors. *)
 
 val render_table1 : unit -> string
 (** The paper's Table 1, regenerated from the dialect registry; column

@@ -259,6 +259,9 @@ let compile ?(ctx = Span.null) ?(config = Config.default) t backend =
           Span.add_attr sctx "cache" (Metrics.String "miss");
           let t0 = Sys.time () in
           let at = Span.elapsed_ms sctx in
+          let fail ?(loc = Ast.no_loc) message =
+            Error (Backend_error { backend = name; message; loc })
+          in
           let r =
             match
               Registry.compile backend ~knobs:(Config.knobs config) prog
@@ -278,24 +281,14 @@ let compile ?(ctx = Span.null) ?(config = Config.default) t backend =
                  dialect property, not an internal failure *)
               Error (Dialect_reject { backend; violations })
             | exception Ssa.Timeout { func_name; max_steps } ->
-              Error
-                (Backend_error
-                   { backend = name;
-                     message =
-                       Printf.sprintf
-                         "ssa evaluation timed out in %s after %d steps"
-                         func_name max_steps;
-                     loc = Ast.no_loc })
-            | exception Lower.Error (message, loc) ->
-              Error (Backend_error { backend = name; message; loc })
+              fail
+                (Printf.sprintf "ssa evaluation timed out in %s after %d steps"
+                   func_name max_steps)
+            | exception Lower.Error (message, loc) -> fail ~loc message
             | exception Conc_check.Check_failed ds ->
-              Error
-                (Backend_error
-                   { backend = name;
-                     message =
-                       String.concat "; "
-                         (List.map (Conc_check.render ?file:None) ds);
-                     loc = Ast.no_loc })
+              fail
+                (String.concat "; "
+                   (List.map (Conc_check.render ?file:None) ds))
             | exception Passes.Verification_failed message ->
               Error (Verification_error { backend = name; message })
             | exception Hardwarec.Unsatisfiable message ->
@@ -303,14 +296,8 @@ let compile ?(ctx = Span.null) ?(config = Config.default) t backend =
                  for timing no allocation can meet — explore sweeps
                  report these as infeasible cells *)
               Error (Constraint_infeasible { backend = name; message })
-            | exception Cones.Unsupported message ->
-              Error
-                (Backend_error
-                   { backend = name; message; loc = Ast.no_loc })
-            | exception Failure message ->
-              Error
-                (Backend_error
-                   { backend = name; message; loc = Ast.no_loc })
+            | exception (Cones.Unsupported message | Failure message) ->
+              fail message
           in
           Metrics.add_ms t.metrics
             (Printf.sprintf "driver.compile.%s_ms" name)
@@ -331,24 +318,100 @@ let reference ?(ctx = Span.null) t ~args =
       match program ~ctx:sctx t with
       | Error e -> Error e
       | Ok prog -> (
-        let width = 64 in
+        let fail ?(loc = Ast.no_loc) message =
+          Error (Backend_error { backend = "reference"; message; loc })
+        in
         match
           Interp.run prog ~entry:t.entry
-            ~args:(List.map (Bitvec.of_int ~width) args)
+            ~args:(List.map (Bitvec.of_int ~width:64) args)
         with
         | { Interp.return_value = Some v; _ } -> Ok (Bitvec.to_int v)
-        | { Interp.return_value = None; _ } ->
-          Error
-            (Backend_error
-               { backend = "reference"; message = "entry returned void";
-                 loc = Ast.no_loc })
-        | exception Interp.Runtime_error message ->
-          Error
-            (Backend_error
-               { backend = "reference"; message; loc = Ast.no_loc })
+        | { Interp.return_value = None; _ } -> fail "entry returned void"
+        | exception Interp.Runtime_error message -> fail message
+        | exception Interp.Timeout -> fail "timeout (step budget exhausted)"
+        | exception Interp.Deadlock ->
+          fail "deadlock (no thread can make progress)"
         | exception Interp.Internal_error (message, loc) ->
-          Error
-            (Backend_error
-               { backend = "reference";
-                 message = "internal error: " ^ message;
-                 loc })))
+          fail ~loc ("internal error: " ^ message)))
+
+(* --- one verdict: the only place a run is judged against the oracle --- *)
+
+type verdict = {
+  vector : int list;
+  run : (Design.run_result, Design.stop) result;
+  oracle : (int, error) result option;
+  agrees : bool;
+}
+
+let observed v =
+  match v.run with
+  | Ok r -> Option.map Bitvec.to_int r.Design.result
+  | Error _ -> None
+
+let agree verdicts =
+  verdicts <> [] && List.for_all (fun v -> v.agrees) verdicts
+
+let verdict vector run oracle =
+  let v = { vector; run; oracle; agrees = false } in
+  match oracle with
+  | Some (Ok expected) -> { v with agrees = (observed v = Some expected) }
+  | Some (Error _) | None -> v
+
+let simulate ?ctx ?vcd ?sim design args =
+  match Design.run_traced ?ctx ?vcd ?sim design (Design.int_args args) with
+  | r -> Ok r
+  | exception Design.Stopped stop -> Error stop
+
+let judge ?ctx ?vcd ?sim design ~args ~oracle =
+  verdict args (simulate ?ctx ?vcd ?sim design args) (Some oracle)
+
+let check ?ctx ?vcd ?sim t design ~args =
+  match simulate ?ctx ?vcd ?sim design args with
+  | Ok _ as run -> verdict args run (Some (reference ?ctx t ~args))
+  | Error _ as run -> verdict args run None
+
+(* The oracle runs once per vector, not once per backend x vector: on
+   warm designs it is the costlier half of a verify batch. *)
+let compare ?ctx ?config ?backends t ~vectors =
+  match program ?ctx t with
+  | Error e -> Error e
+  | Ok _ ->
+    let oracles =
+      List.map (fun args -> (args, reference ?ctx t ~args)) vectors
+    in
+    let sim = Option.map (fun c -> c.Config.sim) config in
+    let judge_all design =
+      ( design,
+        List.map (fun (args, oracle) -> judge ?ctx ?sim design ~args ~oracle)
+          oracles )
+    in
+    Ok
+      (List.map
+         (fun (b, compiled) -> (b, Result.map judge_all compiled))
+         (compile_all ?ctx ?config ?backends t))
+
+let engine_mismatches design ~args =
+  let run sim =
+    let w = Vcd.create () in
+    let r = simulate ~vcd:w ~sim design args in
+    (r, Vcd.contents w)
+  in
+  let rc, vcd_c = run Design.Compiled in
+  let re, vcd_e = run Design.Event_driven in
+  let named eq = List.equal (fun (n, a) (m, b) -> n = m && eq a b) in
+  let memory a b =
+    List.equal Bitvec.equal (Array.to_list a) (Array.to_list b)
+  in
+  let surfaces =
+    match (rc, re) with
+    | Ok c, Ok e ->
+      [ ("result", Option.equal Bitvec.equal c.Design.result e.Design.result);
+        ("globals", named Bitvec.equal c.Design.globals e.Design.globals);
+        ("memories", named memory c.Design.memories e.Design.memories);
+        ("cycles", c.Design.cycles = e.Design.cycles) ]
+    | Error c, Error e -> [ ("stop", c = e) ]
+    | Ok _, Error _ | Error _, Ok _ -> [ ("stop", false) ]
+  in
+  List.filter_map
+    (fun (what, same) -> if same then None else Some what)
+    (surfaces @ [ ("vcd", vcd_c = vcd_e) ])

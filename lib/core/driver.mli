@@ -95,16 +95,64 @@ val compile_all :
 val reference : ?ctx:Span.ctx -> session -> args:int list -> (int, error) result
 (** The software oracle on the session's (already parsed) program — the
     frontend is amortized here too.  Under a span context the run is an
-    ["oracle"] span. *)
+    ["oracle"] span.  Runtime errors, timeouts, deadlocks and void
+    entries are [Backend_error]s of backend ["reference"]. *)
+
+(** {1 One verdict}
+
+    Whether a run computed what the interpreter computes is judged here
+    only; chlsc, the serve handlers, explore, fuzz and the examples
+    render verdicts.  A {!Design.Stopped} run is the verdict's [Error]
+    run, never an exception. *)
+
+type verdict = {
+  vector : int list;
+  run : (Design.run_result, Design.stop) result;
+  oracle : (int, error) result option;
+      (** [None] when the run stopped before {!check} asked the oracle *)
+  agrees : bool;  (** the run completed with the oracle's answer *)
+}
+
+val observed : verdict -> int option
+(** The run's result; [None] for a stop or a void result. *)
+
+val agree : verdict list -> bool
+(** At least one verdict, and every one agrees. *)
+
+val judge :
+  ?ctx:Span.ctx -> ?vcd:Vcd.t -> ?sim:Design.engine -> Design.t ->
+  args:int list -> oracle:(int, error) result -> verdict
+(** Run one design on one vector (in {!Design.run_traced}'s
+    ["simulate"] span) against an oracle answer the caller holds. *)
+
+val check :
+  ?ctx:Span.ctx -> ?vcd:Vcd.t -> ?sim:Design.engine -> session ->
+  Design.t -> args:int list -> verdict
+(** {!judge} against {!reference}, asked only once the run completed. *)
+
+val compare :
+  ?ctx:Span.ctx -> ?config:Config.t -> ?backends:Registry.t list ->
+  session -> vectors:int list list ->
+  ((Registry.t * (Design.t * verdict list, error) result) list, error) result
+(** {!program} (an [Error] poisons the table), {!reference} once per
+    vector, {!compile_all}, then every accepted design judged on every
+    vector under [config]'s engine. *)
+
+val engine_mismatches : Design.t -> args:int list -> string list
+(** The surfaces — ["result"], ["globals"], ["memories"], ["cycles"] (or
+    ["stop"]) and the ["vcd"] change stream — on which the compiled
+    engine and the event-driven one differ for one vector; [[]] when
+    they are bit-identical. *)
 
 (** {1 The process-wide artifact cache}
 
     The driver's memo is a {!Cache.t}: a decoded in-process front tier
     (always on) over an optional pluggable byte store.  Attaching a
     {!Cache.Disk} store makes warm-cache state survive restarts —
-    designs are encoded with [Marshal] (closures included), entries are
-    versioned by executable digest and checksummed, and every failure
-    mode degrades to a miss plus a recompile. *)
+    designs are encoded with [Marshal] (their data part only, no
+    closures), entries are versioned by executable digest and
+    checksummed, and every failure mode degrades to a miss plus a
+    recompile. *)
 
 val cache_size : unit -> int
 (** Designs currently memoized in the decoded front tier. *)

@@ -146,7 +146,7 @@ type status =
   | Measured of measurement
   | Infeasible of string  (* typed: no allocation meets the constraints *)
   | Rejected of string  (* dialect restriction / no C frontend *)
-  | Failed of string  (* a real error: compile, run or verify crashed *)
+  | Failed of string  (* a real error: compile failed, run stopped/crashed *)
 
 type cell = {
   cell_backend : string;
@@ -156,22 +156,19 @@ type cell = {
   cell_wall_ms : float;
 }
 
-let evaluate session backend config ~args ~(expected : (int, string) result)
-    : status =
+let evaluate session backend config ~args ~expected : status =
   match Driver.compile ~config session backend with
   | Error (Driver.Constraint_infeasible { message; _ }) -> Infeasible message
   | Error ((Driver.Dialect_reject _ | Driver.No_c_frontend _) as e) ->
     Rejected (Driver.render_error e)
   | Error e -> Failed (Driver.render_error e)
   | Ok design -> (
-    match design.Design.run ~sim:config.Config.sim (Design.int_args args) with
-    | exception exn ->
-      Failed (Printf.sprintf "simulation raised %s" (Printexc.to_string exn))
-    | r ->
-      let observed = Option.map Bitvec.to_int r.Design.result in
-      let verified =
-        match expected with Ok e -> observed = Some e | Error _ -> false
-      in
+    let v =
+      Driver.judge ~sim:config.Config.sim design ~args ~oracle:expected
+    in
+    match v.Driver.run with
+    | Error stop -> Failed ("simulation stopped: " ^ Design.render_stop stop)
+    | Ok r ->
       let report = design.Design.area () in
       Measured
         { m_area = Option.map (fun a -> a.Area.total_area) report;
@@ -179,7 +176,7 @@ let evaluate session backend config ~args ~(expected : (int, string) result)
           m_cycles = r.Design.cycles;
           m_period = design.Design.clock_period;
           m_latency = Design.latency_estimate design r;
-          m_verified = verified })
+          m_verified = v.Driver.agrees })
 
 (* --- the sweep --------------------------------------------------------- *)
 
@@ -236,12 +233,7 @@ let run ?domains ?(base = Config.default) ~source ~entry ~args grid backends
   let t0 = Unix.gettimeofday () in
   let pts = Array.of_list (List.map (rebase base) (points grid backends)) in
   let n = Array.length pts in
-  let expected =
-    let session = Driver.create ~entry source in
-    match Driver.reference session ~args with
-    | Ok v -> Ok v
-    | Error e -> Error (Driver.render_error e)
-  in
+  let expected = Driver.reference (Driver.create ~entry source) ~args in
   let cells = Array.make n None in
   let next = Atomic.make 0 in
   let worker () =

@@ -58,7 +58,8 @@ type status =
       (** no allocation meets the program's timing constraints — a
           property of the design point, not an error *)
   | Rejected of string  (** dialect restriction / no C frontend *)
-  | Failed of string  (** compile, simulation or oracle crash *)
+  | Failed of string
+      (** a compile error, or a simulation that stopped or crashed *)
 
 type cell = {
   cell_backend : string;
@@ -108,6 +109,9 @@ val pareto_front : cell list -> int list
 
 val status_name : status -> string
 (** [ok], [unverified], [infeasible], [rejected] or [failed]. *)
+
+val count_status : sweep -> string -> int
+(** Cells whose {!status_name} is the given one. *)
 
 val verified_count : sweep -> int
 

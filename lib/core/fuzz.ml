@@ -62,38 +62,6 @@ let reference source args : (int, string * string) result =
   | v -> Ok v
   | exception exn -> Error (exn_class exn, Printexc.to_string exn)
 
-let run_design design args ~expected : outcome =
-  match Design.run_int design args with
-  | Some v when v = expected -> Agree
-  | Some v ->
-    Fail
-      { cls = "mismatch";
-        detail = Printf.sprintf "returned %d, reference says %d" v expected }
-  | None ->
-    Fail
-      { cls = "mismatch";
-        detail = Printf.sprintf "returned void, reference says %d" expected }
-  | exception exn ->
-    Fail { cls = "run-error:" ^ exn_class exn;
-           detail = Printexc.to_string exn }
-
-let verify_engines design args : outcome =
-  let run sim =
-    match design.Design.run ~sim (Design.int_args args) with
-    | r -> Ok (Option.map Bitvec.to_int r.Design.result)
-    | exception exn -> Error (exn_class exn)
-  in
-  match (run Design.Compiled, run Design.Event_driven) with
-  | Ok a, Ok b when a = b -> Agree
-  | Ok a, Ok b ->
-    let s = function Some v -> string_of_int v | None -> "void" in
-    Fail
-      { cls = "sim-divergence";
-        detail =
-          Printf.sprintf "compiled engine %s, event-driven %s" (s a) (s b) }
-  | Error e, _ | _, Error e ->
-    Fail { cls = "sim-error:" ^ e; detail = e }
-
 (* One backend on one argument vector.  [expected] is the reference
    interpreter's value on the same vector.  [config] carries the
    per-compile pass options (verify vectors when --verify-passes) — no
@@ -112,9 +80,35 @@ let classify_backend ?(config = Config.default) session backend ~args
   | Error (Driver.Constraint_infeasible { message; _ }) ->
     Fail { cls = "constraint-infeasible"; detail = message }
   | Ok design -> (
-    match run_design design args ~expected with
-    | Agree when verify_sim -> verify_engines design args
-    | o -> o)
+    match Driver.judge design ~args ~oracle:(Ok expected) with
+    | exception exn ->
+      Fail { cls = "run-error:" ^ exn_class exn;
+             detail = Printexc.to_string exn }
+    | { Driver.run = Error stop; _ } ->
+      Fail { cls = "stopped:" ^ Design.stop_reason_name stop.Design.reason;
+             detail = Design.render_stop stop }
+    | { Driver.agrees = false; _ } as v ->
+      Fail
+        { cls = "mismatch";
+          detail =
+            Printf.sprintf "returned %s, reference says %d"
+              (match Driver.observed v with
+              | Some n -> string_of_int n
+              | None -> "void")
+              expected }
+    | { Driver.agrees = true; _ } when verify_sim -> (
+      match Driver.engine_mismatches design ~args with
+      | [] -> Agree
+      | surfaces ->
+        Fail
+          { cls = "sim-divergence";
+            detail =
+              "compiled and event-driven engines differ in "
+              ^ String.concat ", " surfaces }
+      | exception exn ->
+        Fail { cls = "sim-error:" ^ exn_class exn;
+               detail = Printexc.to_string exn })
+    | { Driver.agrees = true; _ } -> Agree)
 
 (* --- shrinking --------------------------------------------------------- *)
 

@@ -45,9 +45,11 @@ val run_dialect :
   Dialect.t -> seed:int -> n:int -> report
 (** Fuzz [n] programs for one dialect.  [verify_passes] additionally
     interprets the IR after every pass on the same vectors
-    ({!Passes.options.verify}); [verify_sim] compares the compiled and
-    event-driven simulation engines on agreeing designs.  Deterministic
-    for a fixed [(dialect, seed, n)]. *)
+    ({!Passes.options.verify}); [verify_sim] runs
+    {!Driver.engine_mismatches} (compiled vs event-driven engine, full
+    observable surface) on agreeing designs.  A run that stops is a
+    [stopped:<reason>] divergence.  Deterministic for a fixed
+    [(dialect, seed, n)]. *)
 
 val default_dialects : unit -> Dialect.t list
 (** Every Table-1 dialect whose backend compiles from C. *)

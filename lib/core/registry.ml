@@ -41,13 +41,14 @@ let find s =
     (fun id -> { id })
     (Hashtbl.find_opt by_name (String.lowercase_ascii s))
 
-let get s =
+let resolve s =
   match find s with
-  | Some h -> h
+  | Some h -> Ok h
   | None ->
-    raise
-      (Unknown_backend
-         (Printf.sprintf "unknown backend %S; registered: %s" s (catalog ())))
+    Error (Printf.sprintf "unknown backend %S; registered: %s" s (catalog ()))
+
+let get s =
+  match resolve s with Ok h -> h | Error msg -> raise (Unknown_backend msg)
 
 (* A handle can only be forged by constructing the abstract type through
    a stale marshalled value or similar; answer with the catalog instead
@@ -76,6 +77,25 @@ let compiling () =
   List.filter (fun h -> (capabilities h).Backend.c_frontend) (all ())
 
 let names () = List.map name (all ())
+
+let resolve_backends names =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | n :: rest when String.trim n = "" -> go acc rest
+    | n :: rest ->
+      Result.bind (resolve (String.trim n)) (fun b -> go (b :: acc) rest)
+  in
+  go [] names
+
+let resolve_dialect name =
+  match find name with
+  | Some h -> Ok (dialect h)
+  | None -> (
+    match Dialect.find name with
+    | Some d -> Ok d
+    | None ->
+      Error
+        (Printf.sprintf "unknown dialect %S (try handelc, specc, bachc)" name))
 
 (* --- registrations: the paper's Table 1, one line per backend --- *)
 

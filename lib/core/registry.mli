@@ -41,6 +41,15 @@ val compiling : unit -> t list
 val names : unit -> string list
 (** Canonical names in registration order. *)
 
+val resolve : string -> (t, string) result
+(** Like {!find}; the [Error] names the miss and lists the {!catalog}. *)
+
+val resolve_backends : string list -> (t list, string) result
+(** {!resolve} over a user's list (blank names skipped), in order. *)
+
+val resolve_dialect : string -> (Dialect.t, string) result
+(** A dialect by backend name or alias, or by its Table-1 spelling. *)
+
 val catalog : unit -> string
 (** Human-readable one-line listing — ["cones, hardwarec, transmogrifier
     (alias tmcc), ..."] — for unknown-backend error messages. *)

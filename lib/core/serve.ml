@@ -421,22 +421,10 @@ let session_for sessions source entry =
     Hashtbl.add sessions key s;
     s
 
-let run_design ?ctx ?sim (design : Design.t) args =
-  match Design.run_traced ?ctx ?sim design (Design.int_args args) with
-  | r -> `Ok r
-  | exception Rtlsim.Timeout { cycles; state = _ } -> `Timeout (Some cycles)
-  | exception Asim.Timeout _ -> `Timeout None
-  | exception Handel_machine.Timeout -> `Timeout None
-  | exception C2v_machine.Timeout -> `Timeout None
-  | exception Cir_interp.Timeout -> `Timeout None
-
 let handle_compile sessions ~ctx ~id ~source ~entry ~backend ~args ~config =
-  match Registry.find backend with
-  | None ->
-    error_response ~id ~kind:"protocol"
-      (Printf.sprintf "unknown backend %S; registered: %s" backend
-         (Registry.catalog ()))
-  | Some b -> (
+  match Registry.resolve backend with
+  | Error msg -> error_response ~id ~kind:"protocol" msg
+  | Ok b -> (
     let s = session_for sessions source entry in
     let front0 = session_counter s "driver.cache.design_hits"
     and store0 = session_counter s "driver.cache.design_store_hits" in
@@ -464,34 +452,31 @@ let handle_compile sessions ~ctx ~id ~source ~entry ~backend ~args ~config =
       match args with
       | None -> Metrics.Obj (base @ [ ("status", Metrics.String "compiled") ])
       | Some args -> (
-        match
-          run_design ~ctx
+        let v =
+          Driver.check ~ctx
             ?sim:(Option.map (fun c -> c.Config.sim) config)
-            design args
-        with
-        | `Timeout cycles ->
+            s design ~args
+        in
+        match v.Driver.run with
+        | Error stop ->
           Metrics.Obj
             (base
-            @ [ ("status", Metrics.String "timeout") ]
+            @ [ ( "status",
+                  Metrics.String (Design.stop_reason_name stop.Design.reason) )
+              ]
             @
-            match cycles with
-            | Some c -> [ ("cycles", Metrics.Int c) ]
-            | None -> [])
-        | `Ok r ->
+            match stop.Design.progress with
+            | Design.Cycles { cycles; _ } -> [ ("cycles", Metrics.Int cycles) ]
+            | Design.Tokens _ | Design.Unreported -> [])
+        | Ok r ->
           (* every served design is checked against the interpreter
              oracle on the request's vector *)
-          let observed = Option.map Bitvec.to_int r.Design.result in
-          let oracle =
-            match Driver.reference ~ctx s ~args with
-            | Ok v -> `Expected v
-            | Error e -> `Failed (Driver.render_error e)
-          in
           Metrics.Obj
             (base
             @ [ ("status", Metrics.String "ok");
                 ( "result",
-                  match observed with
-                  | Some v -> Metrics.Int v
+                  match Driver.observed v with
+                  | Some n -> Metrics.Int n
                   | None -> Metrics.Null ) ]
             @ (match r.Design.cycles with
               | Some c -> [ ("cycles", Metrics.Int c) ]
@@ -500,89 +485,60 @@ let handle_compile sessions ~ctx ~id ~source ~entry ~backend ~args ~config =
               | Some t -> [ ("time_units", Metrics.Fixed (1, t)) ]
               | None -> [])
             @
-            match oracle with
-            | `Expected v ->
-              [ ("matches_reference", Metrics.Bool (observed = Some v)) ]
-            | `Failed msg -> [ ("reference_error", Metrics.String msg) ]))))
+            match v.Driver.oracle with
+            | Some (Error e) ->
+              [ ("reference_error", Metrics.String (Driver.render_error e)) ]
+            | Some (Ok _) | None ->
+              [ ("matches_reference", Metrics.Bool v.Driver.agrees) ]))))
 
 let handle_compare sessions ~ctx ~id ~source ~entry ~backends ~vectors
     ~config =
-  let resolve names =
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | n :: rest -> (
-        match Registry.find (String.trim n) with
-        | Some b -> go (b :: acc) rest
-        | None ->
-          Error
-            (Printf.sprintf "unknown backend %S; registered: %s" n
-               (Registry.catalog ())))
-    in
-    go [] names
-  in
   let backends =
     match backends with
     | None -> Ok (Registry.all ())
-    | Some names -> resolve names
+    | Some names -> Registry.resolve_backends names
   in
   match backends with
   | Error msg -> error_response ~id ~kind:"protocol" msg
   | Ok backends -> (
     let s = session_for sessions source entry in
-    match Driver.program ~ctx s with
+    match Driver.compare ~ctx ?config ~backends s ~vectors with
     | Error e -> driver_error ~id e
-    | Ok _ ->
-      let expected =
-        List.map
-          (fun args ->
-            match Driver.reference ~ctx s ~args with
-            | Ok v -> Some v
-            | Error _ -> None)
-          vectors
-      in
-      let mismatch = ref false in
+    | Ok table ->
       let rows =
         List.map
-          (fun (b, verdict) ->
+          (fun (b, compared) ->
             let name = Registry.name b in
-            match verdict with
+            match compared with
             | Error e ->
               Metrics.Obj
                 [ ("backend", Metrics.String name);
                   ("status", Metrics.String (kind_of_error e));
                   ("detail", Metrics.String (Driver.render_error e)) ]
-            | Ok design ->
-              let outcomes =
-                List.map (fun args -> run_design ~ctx design args) vectors
-              in
-              let results =
-                List.map
-                  (function
-                    | `Ok r -> Option.map Bitvec.to_int r.Design.result
-                    | `Timeout _ -> None)
-                  outcomes
-              in
-              let agrees =
-                vectors <> []
-                && List.for_all2
-                     (fun observed exp -> exp <> None && observed = exp)
-                     results expected
-              in
-              if vectors <> [] && not agrees then mismatch := true;
+            | Ok (_, verdicts) ->
               Metrics.Obj
                 ([ ("backend", Metrics.String name);
                    ("status", Metrics.String "ok");
                    ( "results",
                      Metrics.List
                        (List.map
-                          (function
-                            | Some v -> Metrics.Int v
+                          (fun v ->
+                            match Driver.observed v with
+                            | Some n -> Metrics.Int n
                             | None -> Metrics.Null)
-                          results) ) ]
+                          verdicts) ) ]
                 @
                 if vectors = [] then []
-                else [ ("agrees", Metrics.Bool agrees) ]))
-          (Driver.compile_all ~ctx ?config ~backends s)
+                else [ ("agrees", Metrics.Bool (Driver.agree verdicts)) ]))
+          table
+      in
+      let mismatch =
+        vectors <> []
+        && List.exists
+             (function
+               | _, Ok (_, vs) -> not (Driver.agree vs)
+               | _, Error _ -> false)
+             table
       in
       Metrics.Obj
         [ ("id", id);
@@ -590,20 +546,12 @@ let handle_compare sessions ~ctx ~id ~source ~entry ~backends ~vectors
           ("entry", Metrics.String entry);
           ("vectors", Metrics.Int (List.length vectors));
           ("backends", Metrics.List rows);
-          ("mismatch", Metrics.Bool !mismatch) ])
+          ("mismatch", Metrics.Bool mismatch) ])
 
 let handle_check sessions ~ctx ~id ~source ~dialect =
-  let resolved =
-    match Registry.find dialect with
-    | Some b -> Some (Registry.dialect b)
-    | None -> Dialect.find dialect
-  in
-  match resolved with
-  | None ->
-    error_response ~id ~kind:"protocol"
-      (Printf.sprintf "unknown dialect %S (try handelc, specc, bachc)"
-         dialect)
-  | Some d -> (
+  match Registry.resolve_dialect dialect with
+  | Error msg -> error_response ~id ~kind:"protocol" msg
+  | Ok d -> (
     let s = session_for sessions source "main" in
     match Driver.program ~ctx s with
     | Error e -> driver_error ~id e

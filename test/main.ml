@@ -6,4 +6,5 @@ let () =
       Test_passes.suite; Test_random.suite; Test_simcomp.suite; Test_obs.suite;
       Test_conc.suite; Test_registry.suite; Test_driver.suite; Test_cache.suite;
       Test_serve.suite; Test_span.suite; Test_fuzz.suite;
-      Test_config.suite; Test_explore.suite; Test_design.suite ]
+      Test_config.suite; Test_explore.suite; Test_design.suite;
+      Test_verdict.suite ]

@@ -61,18 +61,21 @@ let test_verify_against_reference () =
   let design =
     Chls.compile (Registry.get "bachc") w.Workloads.source ~entry:"gcd"
   in
-  let checks =
-    Chls.verify_against_reference design w.Workloads.source ~entry:"gcd"
-      ~arg_sets:w.Workloads.arg_sets
+  let session = Driver.create ~entry:"gcd" w.Workloads.source in
+  let verdicts =
+    List.map
+      (fun args -> Driver.check session design ~args)
+      w.Workloads.arg_sets
   in
-  Alcotest.(check int) "one check per vector"
+  Alcotest.(check int) "one verdict per vector"
     (List.length w.Workloads.arg_sets)
-    (List.length checks);
+    (List.length verdicts);
   List.iter
-    (fun c ->
-      Alcotest.(check bool) "agrees" true c.Chls.agrees;
-      Alcotest.(check bool) "observed present" true (c.Chls.observed <> None))
-    checks
+    (fun v ->
+      Alcotest.(check bool) "agrees" true v.Driver.agrees;
+      Alcotest.(check bool) "observed present" true
+        (Driver.observed v <> None))
+    verdicts
 
 let test_table1_rendering () =
   let t = Chls.render_table1 () in

@@ -302,8 +302,7 @@ let outcome run =
         r.Design.cycles,
         r.Design.globals,
         r.Design.memories )
-  | exception Rtlsim.Timeout { cycles; _ } -> Error (`Rtl_timeout cycles)
-  | exception Asim.Timeout { tokens_fired; _ } -> Error (`Asim_timeout tokens_fired)
+  | exception Design.Stopped stop -> Error stop
 
 let tracing_never_perturbs =
   QCheck.Test.make ~count:25 ~name:"span-traced run = plain run (3 engines)"

@@ -1,0 +1,203 @@
+(* One verdict: runs are judged against the oracle in Driver only, and
+   every way a simulator or the interpreter stops is a typed outcome —
+   never an uncaught exception, never a serve [internal] error.
+
+   Both programs below burn their full budgets on purpose: the timeout
+   rows cost a few seconds each (the interpreter's 10M steps, the
+   Handel-C and C2Verilog machines' cycle bounds). *)
+
+(* [n] never changes, so the loop spins for any positive argument *)
+let spin_source =
+  "int spin(int n) { int x = 0; while (n > 0) { x = x + 1; } return x; }"
+
+(* the send arm is skipped for n <= 5, so recv never pairs *)
+let dead_source =
+  "chan int c;\n\
+   int run(int n) { int a = 0; par { { if (n > 5) { send(c, 1); } } \
+   { a = recv(c); } } return a; }"
+
+let compile session backend =
+  match Driver.compile session (Registry.get backend) with
+  | Ok d -> d
+  | Error e -> Alcotest.fail (Driver.render_error e)
+
+let test_reference_types_interpreter_stops () =
+  let typed what source entry =
+    match Driver.reference (Driver.create ~entry source) ~args:[ 1 ] with
+    | Error (Driver.Backend_error { backend = "reference"; message; _ }) ->
+      Alcotest.(check bool) (what ^ " named") true
+        (String.length message >= String.length what
+        && String.sub message 0 (String.length what) = what)
+    | Error e -> Alcotest.fail ("wrong error: " ^ Driver.render_error e)
+    | Ok v -> Alcotest.failf "%s: oracle returned %d" what v
+  in
+  typed "timeout" spin_source "spin";
+  typed "deadlock" dead_source "run";
+  (* the same program with a paired rendezvous still answers *)
+  match Driver.reference (Driver.create ~entry:"run" dead_source) ~args:[ 9 ]
+  with
+  | Ok v -> Alcotest.(check int) "paired rendezvous" 1 v
+  | Error e -> Alcotest.fail (Driver.render_error e)
+
+let test_check_types_every_simulator_stop () =
+  let stops source entry reason backends =
+    let session = Driver.create ~entry source in
+    List.iter
+      (fun backend ->
+        let v = Driver.check session (compile session backend) ~args:[ 1 ] in
+        (match v.Driver.run with
+        | Error stop ->
+          Alcotest.(check string)
+            (backend ^ " stop reason")
+            (Design.stop_reason_name reason)
+            (Design.stop_reason_name stop.Design.reason)
+        | Ok _ -> Alcotest.failf "%s: run completed" backend);
+        Alcotest.(check bool) (backend ^ " disagrees") false v.Driver.agrees;
+        (* a stopped run never pays for the oracle *)
+        Alcotest.(check bool) (backend ^ " oracle skipped") true
+          (v.Driver.oracle = None))
+      backends
+  in
+  stops spin_source "spin" Design.Timeout
+    [ "bachc"; "systemc"; "cash"; "c2verilog"; "handelc" ];
+  stops dead_source "run" Design.Deadlock [ "handelc" ]
+
+(* The detail chlsc prints survives the one exception: FSMD state and
+   CASH token counts ride along with the reason. *)
+let test_stop_keeps_progress () =
+  let session = Driver.create ~entry:"spin" spin_source in
+  let stop backend =
+    let v = Driver.check session (compile session backend) ~args:[ 1 ] in
+    match v.Driver.run with
+    | Error s -> s
+    | Ok _ -> Alcotest.failf "%s: run completed" backend
+  in
+  let fsmd = stop "bachc" in
+  (match fsmd.Design.progress with
+  | Design.Cycles { cycles; _ } ->
+    Alcotest.(check int) "cycles reached" 2_000_000 cycles
+  | Design.Tokens _ | Design.Unreported ->
+    Alcotest.fail "an FSMD reports its cycles");
+  Alcotest.(check string) "rendered as chlsc prints it"
+    "timeout after 2000000 cycles (in state 2)" (Design.render_stop fsmd);
+  match (stop "cash").Design.progress with
+  | Design.Tokens { fired; _ } ->
+    Alcotest.(check bool) "tokens fired" true (fired > 0)
+  | Design.Cycles _ | Design.Unreported ->
+    Alcotest.fail "cash reports its token count"
+
+let json = Alcotest.testable (Fmt.of_to_string Metrics.render_compact) ( = )
+
+let member name j =
+  match Serve.Json.member name j with
+  | Some v -> v
+  | None ->
+    Alcotest.fail
+      (Printf.sprintf "missing %S in %s" name (Metrics.render_compact j))
+
+let rec mentions_internal = function
+  | Metrics.String "internal" -> true
+  | Metrics.Obj fields ->
+    List.exists (fun (_, v) -> mentions_internal v) fields
+  | Metrics.List items -> List.exists mentions_internal items
+  | _ -> false
+
+let test_serve_stops_are_typed () =
+  let pool = Serve.Pool.create ~domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> Serve.Pool.shutdown pool)
+    (fun () ->
+      let handle req = Serve.Pool.handle pool None req in
+      let compile source entry =
+        handle
+          (Serve.Compile
+             { id = Metrics.Null; source; entry; backend = "handelc";
+               args = Some [ 1 ]; config = None })
+      in
+      let compare ?backends source entry =
+        handle
+          (Serve.Compare
+             { id = Metrics.Null; source; entry; backends;
+               vectors = [ [ 1 ] ]; config = None })
+      in
+      let no_internal what resp =
+        Alcotest.(check bool) (what ^ ": no internal error") false
+          (mentions_internal resp)
+      in
+      let dead = compile dead_source "run" in
+      no_internal "compile dead.c" dead;
+      Alcotest.check json "deadlock status"
+        (Metrics.String "deadlock") (member "status" dead);
+      let spin = compile spin_source "spin" in
+      no_internal "compile spin.c" spin;
+      Alcotest.check json "timeout status"
+        (Metrics.String "timeout") (member "status" spin);
+      List.iter
+        (fun (what, resp) ->
+          no_internal what resp;
+          Alcotest.check json (what ^ " answered") (Metrics.Bool true)
+            (member "ok" resp);
+          Alcotest.check json (what ^ " mismatch")
+            (Metrics.Bool true) (member "mismatch" resp))
+        [ ("compare dead.c", compare dead_source "run");
+          ( "compare spin.c",
+            compare ~backends:[ "bachc" ] spin_source "spin" ) ])
+
+(* The oracle is the costlier half of a warm verify batch: a compare
+   consults it once per vector, never once per backend x vector. *)
+let test_compare_one_oracle_per_vector () =
+  let traces = ref [] in
+  let pool =
+    Serve.Pool.create ~domains:1
+      ~on_trace:(fun ~pid:_ ~tid:_ tr -> traces := tr :: !traces)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Serve.Pool.shutdown pool)
+    (fun () ->
+      let w = Workloads.gcd in
+      let resp =
+        Serve.Pool.handle pool None
+          (Serve.Compare
+             { id = Metrics.Null; source = w.Workloads.source;
+               entry = w.Workloads.entry; backends = None;
+               vectors = [ [ 12; 18 ]; [ 54; 24 ]; [ 1071; 462 ] ];
+               config = None })
+      in
+      Alcotest.check json "no mismatch" (Metrics.Bool false)
+        (member "mismatch" resp);
+      match !traces with
+      | [ tr ] ->
+        let kinds = List.map (fun r -> r.Span.kind) (Span.records tr) in
+        let count k = List.length (List.filter (( = ) k) kinds) in
+        Alcotest.(check int) "one oracle span per vector" 3 (count "oracle");
+        Alcotest.(check bool) "every accepted backend simulated" true
+          (count "simulate" > 3)
+      | l -> Alcotest.failf "expected one trace, got %d" (List.length l))
+
+let test_engine_cross_check () =
+  let w = Workloads.gcd in
+  let session = Driver.create ~entry:w.Workloads.entry w.Workloads.source in
+  List.iter
+    (fun backend ->
+      Alcotest.(check (list string))
+        (backend ^ ": compiled == event-driven")
+        []
+        (Driver.engine_mismatches (compile session backend)
+           ~args:[ 1071; 462 ]))
+    [ "bachc"; "transmogrifier"; "hardwarec"; "cash" ]
+
+let suite =
+  ( "verdict",
+    [ Alcotest.test_case "reference types interpreter stops" `Quick
+        test_reference_types_interpreter_stops;
+      Alcotest.test_case "check types every simulator stop" `Quick
+        test_check_types_every_simulator_stop;
+      Alcotest.test_case "stop keeps simulator progress" `Quick
+        test_stop_keeps_progress;
+      Alcotest.test_case "serve answers stops with a status" `Quick
+        test_serve_stops_are_typed;
+      Alcotest.test_case "compare runs one oracle per vector" `Quick
+        test_compare_one_oracle_per_vector;
+      Alcotest.test_case "engine cross-check, full surface" `Quick
+        test_engine_cross_check ] )
