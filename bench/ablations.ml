@@ -109,7 +109,7 @@ let handshake_sweep () =
       let program = Workloads.parse w in
       let sync_time =
         let d =
-          Chls.compile_program (Registry.get "transmogrifier") program
+          Registry.compile (Registry.get "transmogrifier") program
             ~entry:w.Workloads.entry
         in
         let r = d.Design.run (Design.int_args (List.hd w.Workloads.arg_sets)) in

@@ -5,8 +5,8 @@
    experiment sweeps the sequential workload suite across every
    registered C-compiling backend three ways:
 
-     baseline    a fresh session per (workload, backend) pair — the old
-                 facade behaviour: the frontend runs W*B times
+     baseline    a fresh session per (workload, backend) pair — the
+                 frontend runs W*B times
      parse-once  one session per workload, [Driver.compile_all] — the
                  frontend runs W times, B-1 frontend cache hits each
      warm-cache  the same sessions again — every design is a content-hash

@@ -27,7 +27,7 @@ let table1 () =
   Tables.section "T1" "Table 1: C-like languages/compilers (chronological)"
     "the paper's Table 1 catalogs eleven languages with one-line \
      characterisations";
-  print_string (Chls.render_table1 ());
+  print_string (Dialect.render_table1 ());
   Printf.printf
     "\nEvery row is implemented as a CHLS dialect + backend (see DESIGN.md).\n"
 
@@ -288,7 +288,7 @@ let recoding () =
         let args = List.hd w.Workloads.arg_sets in
         let measure p =
           let design =
-            Chls.compile_program (Registry.get "transmogrifier") p
+            Registry.compile (Registry.get "transmogrifier") p
               ~entry:w.Workloads.entry
           in
           let r = design.Design.run (Design.int_args args) in
@@ -313,7 +313,7 @@ let recoding () =
         let args = List.hd w.Workloads.arg_sets in
         let measure p =
           let design =
-            Chls.compile_program (Registry.get "handelc") p ~entry:w.Workloads.entry
+            Registry.compile (Registry.get "handelc") p ~entry:w.Workloads.entry
           in
           let r = design.Design.run (Design.int_args args) in
           (Option.get r.Design.cycles, Option.get design.Design.clock_period)
@@ -689,14 +689,14 @@ let memory_model () =
   let widths = [ 26; 10; 9; 12; 12 ] in
   let measure label backend src =
     let program = Typecheck.parse_and_check src in
-    let design = Chls.compile_program backend program ~entry:"run" in
+    let design = Registry.compile backend program ~entry:"run" in
     let r = design.Design.run (Design.int_args [ 5 ]) in
     let wall =
       match Design.latency_estimate design r with
       | Some t -> Tables.f0 t
       | None -> "-"
     in
-    [ label; Chls.backend_name backend;
+    [ label; Registry.name backend;
       Tables.i (Option.get r.Design.cycles);
       (match design.Design.clock_period with
       | Some p -> Tables.f1 p

@@ -54,10 +54,6 @@ let requests () =
         (backends ()))
     workloads
 
-let json_field name = function
-  | Metrics.Obj members -> List.assoc_opt name members
-  | _ -> None
-
 (* --- phase 1: restart survival, two real processes over one store --- *)
 
 type persistence = {
@@ -195,24 +191,24 @@ let pool_sweep ~label ~domains () =
   let responses = !acc in
   let count f = List.length (List.filter f responses) in
   let cached kind r =
-    json_field "cached" r = Some (Metrics.String kind)
+    Metrics.member "cached" r = Some (Metrics.String kind)
   in
   let verified =
     count (fun r ->
-        json_field "ok" r = Some (Metrics.Bool true)
-        && json_field "status" r = Some (Metrics.String "ok")
-        && json_field "matches_reference" r = Some (Metrics.Bool true))
+        Metrics.member "ok" r = Some (Metrics.Bool true)
+        && Metrics.member "status" r = Some (Metrics.String "ok")
+        && Metrics.member "matches_reference" r = Some (Metrics.Bool true))
   in
   (* some pairs are meant to bounce: cones dialect-rejects unbounded
      loops.  Those must come back as typed errors, nothing else. *)
   let rejected =
     count (fun r ->
-        json_field "ok" r = Some (Metrics.Bool false)
+        Metrics.member "ok" r = Some (Metrics.Bool false)
         &&
-        match json_field "error" r with
-        | Some (Metrics.Obj e) ->
-          List.assoc_opt "kind" e = Some (Metrics.String "dialect-reject")
-        | _ -> false)
+        match Metrics.member "error" r with
+        | Some e ->
+          Metrics.member "kind" e = Some (Metrics.String "dialect-reject")
+        | None -> false)
   in
   let s =
     { label; domains; wall_ms;

@@ -30,6 +30,9 @@ let or_located_error file f =
   | exception Interp.Internal_error (msg, loc) ->
     located loc ("internal error: " ^ msg)
 
+let parse_file file =
+  or_located_error file (fun () -> Typecheck.parse_and_check (read_file file))
+
 let parse_args_list s =
   if String.trim s = "" then []
   else List.map int_of_string (String.split_on_char ',' (String.trim s))
@@ -60,7 +63,7 @@ let args_arg =
 let table1_cmd =
   let doc = "Print the paper's Table 1 (the language catalog)" in
   Cmd.v (Cmd.info "table1" ~doc)
-    Term.(const (fun () -> print_string (Chls.render_table1 ())) $ const ())
+    Term.(const (fun () -> print_string (Dialect.render_table1 ())) $ const ())
 
 let metrics_json_arg =
   Arg.(value & opt (some string) None
@@ -75,20 +78,24 @@ let trace_json_arg =
   Arg.(value & opt (some string) None
        & info [ "trace-json" ] ~docv:"OUT.json"
            ~doc:
-             "Write the compile's span trace as Chrome trace_event JSON \
-              (complete X events) — load it in about://tracing or Perfetto. \
-              On failure the file also carries the flight-recorder dump")
+             "Write span traces as Chrome trace_event JSON (complete X \
+              events) — load it in about://tracing or Perfetto.  \
+              $(b,compile) writes its own trace, and on failure the file \
+              also carries the flight-recorder dump; $(b,serve) collects \
+              every request's span tree (pid = worker index, tid = domain \
+              id) and writes the file at shutdown")
 
 (* --- the persistent design cache (lib/core/cache.ml) --- *)
 
-let cache_dir_arg =
-  Arg.(value & opt (some string) None
-       & info [ "cache-dir" ] ~docv:"DIR"
-           ~doc:
-             "Attach a persistent on-disk design cache under $(docv) \
-              (created if missing).  Compiled designs survive process \
-              restarts and are shared with co-operating workers; corrupt \
-              or version-skewed entries silently degrade to a recompile")
+let cache_dir_info =
+  Arg.info [ "cache-dir" ] ~docv:"DIR"
+    ~doc:
+      "The persistent on-disk design cache under $(docv) (created if \
+       missing).  Compiled designs survive process restarts and are shared \
+       with co-operating workers; corrupt or version-skewed entries \
+       silently degrade to a recompile"
+
+let cache_dir_arg = Arg.(value & opt (some string) None & cache_dir_info)
 
 let cache_max_bytes_arg =
   Arg.(value & opt (some int) None
@@ -113,7 +120,7 @@ let attach_cache cache_dir cache_max_bytes =
    1 when any hard error is reported. *)
 let run_races file dialect_name metrics_json =
   let dialect = or_exit (Registry.resolve_dialect dialect_name) in
-  let program = or_located_error file (fun () -> Chls.parse (read_file file)) in
+  let program = parse_file file in
   let diags = Conc_check.check_program ~dialect program in
   List.iter (fun d -> print_endline (Conc_check.render ~file d)) diags;
   let errors = Conc_check.errors diags
@@ -161,9 +168,7 @@ let check_cmd =
   let run file races dialect metrics_json =
     if races then run_races file dialect metrics_json
     else begin
-      let program =
-        or_located_error file (fun () -> Chls.parse (read_file file))
-      in
+      let program = parse_file file in
       List.iter
         (fun (d : Dialect.t) ->
           match Dialect.check d program with
@@ -199,7 +204,7 @@ let run_cmd =
 
 let backend_arg =
   let parse s = Result.map_error (fun msg -> `Msg msg) (Registry.resolve s) in
-  let print fmt b = Format.pp_print_string fmt (Chls.backend_name b) in
+  let print fmt b = Format.pp_print_string fmt (Registry.name b) in
   Arg.(value
        & opt (conv (parse, print)) (Registry.get "bachc")
        & info [ "b"; "backend" ] ~docv:"BACKEND"
@@ -541,7 +546,7 @@ let compile_cmd =
     in
     Printf.printf "backend: %s\n" design.Design.backend;
     if trace_passes then begin
-      (match Chls.pipeline_of backend with
+      (match Registry.pipeline backend with
       | Some pl ->
         Printf.printf "pipeline %s: %s\n" pl.Passes.pl_name
           (Passes.describe pl)
@@ -909,26 +914,11 @@ let serve_cmd =
                "Job-queue capacity (default 4 x domains); submissions \
                 block past it, which is the daemon's backpressure")
   in
-  let batch_arg =
-    Arg.(value & opt (some int) None
-         & info [ "max-batch" ] ~docv:"N"
-             ~doc:
-               "How many queued jobs one worker drains at a time \
-                (default 16), grouped by source")
-  in
-  let serve_trace_arg =
-    Arg.(value & opt (some string) None
-         & info [ "trace-json" ] ~docv:"FILE"
-             ~doc:
-               "Collect every request's span tree into a Chrome \
-                trace_event file (pid = worker index, tid = domain id), \
-                written at shutdown — load it in Perfetto")
-  in
-  let run socket domains queue max_batch cache_dir cache_max_bytes trace_json
-      =
+  let run socket domains queue cache_dir cache_max_bytes trace_json =
+    attach_cache cache_dir cache_max_bytes;
     match
-      Serve.run ?domains ?queue_capacity:queue ?max_batch ?cache_dir
-        ?cache_max_bytes ?trace_json ~log:prerr_endline ~socket ()
+      Serve.run ?domains ?queue_capacity:queue ?trace_json
+        ~log:prerr_endline ~socket ()
     with
     | Ok () -> ()
     | Error msg ->
@@ -936,8 +926,8 @@ let serve_cmd =
       exit 1
   in
   Cmd.v (Cmd.info "serve" ~doc)
-    Term.(const run $ socket_arg $ domains_arg $ queue_arg $ batch_arg
-          $ cache_dir_arg $ cache_max_bytes_arg $ serve_trace_arg)
+    Term.(const run $ socket_arg $ domains_arg $ queue_arg $ cache_dir_arg
+          $ cache_max_bytes_arg $ trace_json_arg)
 
 let client_cmd =
   let doc =
@@ -963,18 +953,18 @@ let client_cmd =
      the daemon's flight recorder and --trace-json timeline — go to
      stderr where a human will see them. *)
   let report_server_error response =
-    match Serve.Json.parse response with
+    match Metrics.parse response with
     | Error _ -> ()
     | Ok json -> (
-      match Serve.Json.member "ok" json with
+      match Metrics.member "ok" json with
       | Some (Metrics.Bool false) ->
         let str m j =
-          match Serve.Json.member m j with
+          match Metrics.member m j with
           | Some (Metrics.String s) -> s
           | _ -> "?"
         in
         let kind, message =
-          match Serve.Json.member "error" json with
+          match Metrics.member "error" json with
           | Some err -> (str "kind" err, str "message" err)
           | None -> ("?", "?")
         in
@@ -1013,10 +1003,7 @@ let client_cmd =
 
 let cache_cmd =
   let doc = "Inspect or clear the persistent design cache" in
-  let dir_arg =
-    Arg.(required & opt (some string) None
-         & info [ "cache-dir" ] ~docv:"DIR" ~doc:"The cache directory")
-  in
+  let dir_arg = Arg.(required & opt (some string) None & cache_dir_info) in
   let open_store dir =
     match Cache.Disk.open_dir dir with
     | Ok d -> d
@@ -1081,8 +1068,7 @@ let analyze_cmd =
     "Show the compiler's view: CIR, schedule, pipelining, ILP, bitwidths"
   in
   let run file entry =
-    let source = read_file file in
-    let program = or_located_error file (fun () -> Chls.parse source) in
+    let program = parse_file file in
     let lowered, _ =
       or_located_error file (fun () -> Passes.lower_simplify program ~entry)
     in

@@ -44,7 +44,9 @@ let () =
       in
       let sw = software_ns outcome.Interp.steps in
       (* hardware estimate: scheduled FSMD *)
-      let design = Chls.compile_program (Registry.get "bachc") program ~entry:c.entry in
+      let design =
+        Registry.compile (Registry.get "bachc") program ~entry:c.entry
+      in
       let r = design.Design.run (Design.int_args c.args) in
       let hw =
         hardware_ns (Option.get r.Design.cycles)

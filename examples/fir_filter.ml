@@ -17,9 +17,9 @@ let () =
   print_endline (String.make 70 '-');
   List.iter
     (fun backend ->
-      if Chls.accepts backend program then begin
+      if Dialect.check (Registry.dialect backend) program = [] then begin
         let design =
-          Chls.compile_program backend program ~entry:w.Workloads.entry
+          Registry.compile backend program ~entry:w.Workloads.entry
         in
         let ok =
           Driver.agree
@@ -29,7 +29,7 @@ let () =
         in
         let r = design.Design.run (Design.int_args [ 1; 2 ]) in
         Printf.printf "%-16s %8s %8s %11s %12s %8b\n"
-          (Chls.backend_name backend)
+          (Registry.name backend)
           (match r.Design.cycles with
           | Some c -> string_of_int c
           | None -> "-")
@@ -44,7 +44,7 @@ let () =
           | None -> "-")
           ok
       end)
-    Chls.all_compiling_backends;
+    (Registry.compiling ());
   (* pipelining analysis of the accumulation loop *)
   print_newline ();
   let lowered, _ = Passes.lower_simplify program ~entry:w.Workloads.entry in
@@ -58,7 +58,7 @@ let () =
   | exception Pipeline.Irregular reason ->
     Printf.printf "Loop not pipelineable: %s\n" reason);
   (* dump RTL *)
-  let design = Chls.compile_program (Registry.get "bachc") program ~entry:"fir" in
+  let design = Registry.compile (Registry.get "bachc") program ~entry:"fir" in
   match design.Design.verilog () with
   | Some v ->
     Out_channel.with_open_text "fir.v" (fun oc -> output_string oc v);

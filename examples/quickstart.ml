@@ -26,13 +26,14 @@ let () =
        (List.map
           (fun x ->
             Printf.sprintf "isqrt(%d)=%d" x
-              (Chls.reference source ~entry:"isqrt" ~args:[ x ]))
+              (Interp.run_int source ~entry:"isqrt" ~args:[ x ]))
           inputs));
   (* 2. synthesize with three different timing disciplines *)
+  let program = Typecheck.parse_and_check source in
   List.iter
     (fun backend ->
-      let design = Chls.compile backend source ~entry:"isqrt" in
-      Printf.printf "--- %s ---\n" (Chls.backend_name backend);
+      let design = Registry.compile backend program ~entry:"isqrt" in
+      Printf.printf "--- %s ---\n" (Registry.name backend);
       List.iter
         (fun x ->
           let r = design.Design.run (Design.int_args [ x ]) in
@@ -56,7 +57,7 @@ let () =
               inputs)))
     [ (Registry.get "transmogrifier"); (Registry.get "handelc"); (Registry.get "cash") ];
   (* 3. look at generated RTL *)
-  let design = Chls.compile (Registry.get "bachc") source ~entry:"isqrt" in
+  let design = Registry.compile (Registry.get "bachc") program ~entry:"isqrt" in
   match design.Design.verilog () with
   | Some v ->
     let lines = String.split_on_char '\n' v in

@@ -77,7 +77,10 @@ let () =
   print_endline "A streaming pipeline over rendezvous channels (Handel-C)\n";
   let n = 32 in
   let src = source n in
-  let design = Chls.compile (Registry.get "handelc") src ~entry:"run" in
+  let design =
+    Registry.compile (Registry.get "handelc") (Typecheck.parse_and_check src)
+      ~entry:"run"
+  in
   List.iter
     (fun threshold ->
       let r = design.Design.run (Design.int_args [ threshold ]) in
@@ -92,7 +95,7 @@ let () =
         (float_of_int (Option.get r.Design.cycles) /. float_of_int n))
     [ 10; 25; 40 ];
   (* the software oracle agrees, through the thread-aware interpreter *)
-  let oracle = Chls.reference src ~entry:"run" ~args:[ 25 ] in
+  let oracle = Interp.run_int src ~entry:"run" ~args:[ 25 ] in
   Printf.printf "\nSoftware semantics (untimed interpreter): %d hits at \
                  threshold 25\n" oracle;
   print_endline
@@ -114,7 +117,7 @@ let () =
     }
     |}
   in
-  match Chls.reference broken ~entry:"run" ~args:[ 1 ] with
+  match Interp.run_int broken ~entry:"run" ~args:[ 1 ] with
   | exception Interp.Deadlock ->
     print_endline
       "\nAnd the classic CSP failure mode is caught: the broken protocol \

@@ -14,7 +14,7 @@ let () =
   let program = Workloads.parse w in
   let args = [ 3 ] in
   let measure name backend p =
-    let design = Chls.compile_program backend p ~entry:w.Workloads.entry in
+    let design = Registry.compile backend p ~entry:w.Workloads.entry in
     let r = design.Design.run (Design.int_args args) in
     Printf.printf "  %-34s %5d cycles @ period %.1f  => wall %.0f\n" name
       (Option.get r.Design.cycles)

@@ -1,6 +1,5 @@
-(* Backend self-description records.  See backend.mli for the story:
-   descriptors replace the closed variant the facade used to dispatch
-   on; lib/core/registry.ml collects them. *)
+(* Backend self-description records.  See backend.mli for the story;
+   lib/core/registry.ml collects them. *)
 
 type capabilities = {
   c_frontend : bool;

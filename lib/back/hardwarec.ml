@@ -120,9 +120,8 @@ let compile ?(knobs = Backend.default_knobs) ?resources
       ~pass_trace (Design.Fsmd fsmd),
     { statuses; exploration = !exploration; chosen_allocation = fst !chosen } )
 
-(* The exploration report used to be discarded (the facade kept only the
-   design); surface it through the design stats so the registry path,
-   [chlsc compile --trace-passes] and [chlsc compare] can show the
+(* The exploration report rides in the design stats so the registry
+   path, [chlsc compile --trace-passes] and [chlsc compare] can show the
    constraint-exploration trail. *)
 let stats_of_report (r : report) =
   let met =

@@ -206,9 +206,10 @@ module Disk = struct
   let magic = "chlsc-cache/1"
   let default_max_bytes = 256 * 1024 * 1024
 
-  (* Closures marshalled by one binary only resolve in that binary, so
-     the executable digest is the store version: any rebuild invalidates
-     (degrades to a miss), never crashes. *)
+  (* Marshal is untyped: bytes written by a build whose types differ
+     would decode to garbage, so the executable digest is the store
+     version: any rebuild invalidates (degrades to a miss), never
+     crashes. *)
   let default_version =
     let v = lazy (
       match Digest.to_hex (Digest.file Sys.executable_name) with

@@ -15,8 +15,9 @@
       workers can share one directory;
     - {!t}: the decoded front cache the driver actually talks to — a
       table of live values backed by an optional byte store through an
-      [encode]/[decode] codec (for designs: [Marshal] with closures,
-      which is exactly why the entry version pins the binary identity).
+      [encode]/[decode] codec (for designs: [Marshal] of plain data;
+      [Marshal] is untyped, which is why the entry version pins the
+      binary identity).
 
     Every operation is mutex-guarded, so one cache can back a whole
     Domain pool ([chlsc serve]). *)
@@ -79,9 +80,10 @@ module Disk : sig
   type t
 
   val default_version : unit -> string
-  (** Digest of the running executable — [Marshal]led closures only
-      resolve inside the binary that wrote them, so binary identity is
-      the correct compatibility fingerprint.  Computed once. *)
+  (** Digest of the running executable.  [Marshal] is untyped: bytes
+      written by a build whose types differ would decode to garbage, so
+      binary identity is the compatibility fingerprint.  Computed
+      once. *)
 
   val open_dir :
     ?max_bytes:int -> ?version:string -> string -> (t, string) result

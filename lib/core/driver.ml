@@ -280,10 +280,6 @@ let compile ?(ctx = Span.null) ?(config = Config.default) t backend =
                  fallback, a stricter embedded check) still reports a
                  dialect property, not an internal failure *)
               Error (Dialect_reject { backend; violations })
-            | exception Ssa.Timeout { func_name; max_steps } ->
-              fail
-                (Printf.sprintf "ssa evaluation timed out in %s after %d steps"
-                   func_name max_steps)
             | exception Lower.Error (message, loc) -> fail ~loc message
             | exception Conc_check.Check_failed ds ->
               fail

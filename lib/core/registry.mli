@@ -5,8 +5,7 @@
     modules; this registry collects them at module initialisation (one
     registration line per backend) and hands out thin {!t} handles.  A
     handle is just the canonical name, so handles compare structurally
-    and survive in data (the old [Chls.backend] constructors compared
-    with [=]; handles still do).
+    (with [=]) and survive in data.
 
     The paper's comparative tables ([chlsc compare], experiment E3) walk
     {!all}/{!compiling} instead of hand-maintained lists, so adding a

@@ -1,205 +1,20 @@
 (* chlsc serve: length-prefixed JSON protocol + Domain pool.  See
    serve.mli for the wire-protocol reference.
 
-   Layering: Json/Frame are the pure codec (unit-testable without a
-   socket), [parse_request] is the typed decode, [Pool] owns the worker
+   Layering: Frame is the pure codec (unit-testable without a socket;
+   the JSON inside a frame is Metrics.parse/render_compact),
+   [parse_request] is the typed decode, [Pool] owns the worker
    domains and the bounded job queue, and [run] is the accept loop that
    glues a Unix-domain socket to the pool.  Every failure mode a peer
    can trigger — malformed JSON, unknown ops, oversized frames, compile
    errors, even handler bugs — comes back as a typed error response;
    nothing a client sends can kill the daemon. *)
 
-(* --- JSON parsing (rendering lives in Metrics) --- *)
+(* --- JSON: parsing and rendering live in Metrics; this alias keeps
+   [Serve.Json.parse] working for code outside the library --- *)
 
 module Json = struct
-  exception Fail of string * int
-
-  let fail pos msg = raise (Fail (msg, pos))
-
-  let parse (s : string) : (Metrics.json, string) result =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail !pos (Printf.sprintf "expected %C" c)
-    in
-    let literal word value =
-      if !pos + String.length word <= n
-         && String.sub s !pos (String.length word) = word
-      then begin
-        pos := !pos + String.length word;
-        value
-      end
-      else fail !pos (Printf.sprintf "expected %s" word)
-    in
-    let utf8_of_code buf u =
-      (* \uXXXX escapes decode to UTF-8 bytes *)
-      if u < 0x80 then Buffer.add_char buf (Char.chr u)
-      else if u < 0x800 then begin
-        Buffer.add_char buf (Char.chr (0xC0 lor (u lsr 6)));
-        Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3F)))
-      end
-      else begin
-        Buffer.add_char buf (Char.chr (0xE0 lor (u lsr 12)));
-        Buffer.add_char buf (Char.chr (0x80 lor ((u lsr 6) land 0x3F)));
-        Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3F)))
-      end
-    in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let escape () =
-        match peek () with
-        | None -> fail !pos "unterminated escape"
-        | Some c -> (
-          advance ();
-          match c with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'u' -> (
-            if !pos + 4 > n then fail !pos "truncated \\u escape";
-            let hex = String.sub s !pos 4 in
-            match int_of_string_opt ("0x" ^ hex) with
-            | Some u ->
-              pos := !pos + 4;
-              utf8_of_code buf u
-            | None -> fail !pos "bad \\u escape")
-          | c -> fail !pos (Printf.sprintf "bad escape \\%c" c))
-      in
-      let rec go () =
-        match peek () with
-        | None -> fail !pos "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' ->
-          advance ();
-          escape ();
-          go ()
-        | Some c when Char.code c < 0x20 -> fail !pos "raw control character"
-        | Some c ->
-          advance ();
-          Buffer.add_char buf c;
-          go ()
-      in
-      go ();
-      Buffer.contents buf
-    in
-    let parse_number () =
-      let start = !pos in
-      let is_num_char c =
-        match c with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while match peek () with Some c when is_num_char c -> true | _ -> false
-      do
-        advance ()
-      done;
-      let lit = String.sub s start (!pos - start) in
-      let integral =
-        not (String.exists (fun c -> c = '.' || c = 'e' || c = 'E') lit)
-      in
-      if integral then
-        match int_of_string_opt lit with
-        | Some i -> Metrics.Int i
-        | None -> (
-          match float_of_string_opt lit with
-          | Some f -> Metrics.Float f
-          | None -> fail start (Printf.sprintf "bad number %S" lit))
-      else
-        match float_of_string_opt lit with
-        | Some f -> Metrics.Float f
-        | None -> fail start (Printf.sprintf "bad number %S" lit)
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail !pos "unexpected end of input"
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Metrics.Obj []
-        end
-        else begin
-          let members = ref [] in
-          let rec members_loop () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            members := (k, v) :: !members;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              members_loop ()
-            | Some '}' -> advance ()
-            | _ -> fail !pos "expected ',' or '}'"
-          in
-          members_loop ();
-          Metrics.Obj (List.rev !members)
-        end
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Metrics.List []
-        end
-        else begin
-          let items = ref [] in
-          let rec items_loop () =
-            let v = parse_value () in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              items_loop ()
-            | Some ']' -> advance ()
-            | _ -> fail !pos "expected ',' or ']'"
-          in
-          items_loop ();
-          Metrics.List (List.rev !items)
-        end
-      | Some '"' -> Metrics.String (parse_string ())
-      | Some 't' -> literal "true" (Metrics.Bool true)
-      | Some 'f' -> literal "false" (Metrics.Bool false)
-      | Some 'n' -> literal "null" Metrics.Null
-      | Some ('0' .. '9' | '-') -> parse_number ()
-      | Some c -> fail !pos (Printf.sprintf "unexpected %C" c)
-    in
-    match
-      let v = parse_value () in
-      skip_ws ();
-      if !pos <> n then fail !pos "trailing bytes after JSON value";
-      v
-    with
-    | v -> Ok v
-    | exception Fail (msg, p) ->
-      Error (Printf.sprintf "JSON parse error at offset %d: %s" p msg)
-
-  let member name = function
-    | Metrics.Obj members -> List.assoc_opt name members
-    | _ -> None
+  let parse = Metrics.parse
 end
 
 (* --- framing --- *)
@@ -298,12 +113,18 @@ let error_response ?(id = Metrics.Null) ~kind message =
           [ ("kind", Metrics.String kind);
             ("message", Metrics.String message) ] ) ]
 
+let shutdown_response id =
+  Metrics.Obj
+    [ ("id", id);
+      ("ok", Metrics.Bool true);
+      ("shutting_down", Metrics.Bool true) ]
+
 let parse_request (j : Metrics.json) : (request, string * Metrics.json) result
     =
-  let id = Option.value (Json.member "id" j) ~default:Metrics.Null in
+  let id = Option.value (Metrics.member "id" j) ~default:Metrics.Null in
   let err msg = Error (msg, id) in
   let str_field ?default name =
-    match Json.member name j with
+    match Metrics.member name j with
     | Some (Metrics.String s) -> Ok s
     | Some _ -> err (Printf.sprintf "%S must be a string" name)
     | None -> (
@@ -326,14 +147,14 @@ let parse_request (j : Metrics.json) : (request, string * Metrics.json) result
      parsed by Config.of_json, so sweeps can ride the Domain pool with a
      distinct design point per request *)
   let config () =
-    match Json.member "config" j with
+    match Metrics.member "config" j with
     | None | Some Metrics.Null -> Ok None
     | Some v -> (
       match Config.of_json v with
       | Ok c -> Ok (Some c)
       | Error msg -> err msg)
   in
-  match Json.member "op" j with
+  match Metrics.member "op" j with
   | None -> err "missing \"op\""
   | Some (Metrics.String op) -> (
     match op with
@@ -342,7 +163,7 @@ let parse_request (j : Metrics.json) : (request, string * Metrics.json) result
       let* entry = str_field ~default:"main" "entry" in
       let* backend = str_field ~default:"bachc" "backend" in
       let* args =
-        match Json.member "args" j with
+        match Metrics.member "args" j with
         | None | Some Metrics.Null -> Ok None
         | Some v -> Result.map Option.some (int_list "args" v)
       in
@@ -352,7 +173,7 @@ let parse_request (j : Metrics.json) : (request, string * Metrics.json) result
       let* source = str_field "source" in
       let* entry = str_field ~default:"main" "entry" in
       let* backends =
-        match Json.member "backends" j with
+        match Metrics.member "backends" j with
         | None | Some Metrics.Null -> Ok None
         | Some (Metrics.List items) ->
           let rec go acc = function
@@ -364,7 +185,7 @@ let parse_request (j : Metrics.json) : (request, string * Metrics.json) result
         | Some _ -> err "\"backends\" must be a list"
       in
       let* vectors =
-        match Json.member "args" j with
+        match Metrics.member "args" j with
         | None | Some Metrics.Null | Some (Metrics.List []) -> Ok []
         | Some (Metrics.List (Metrics.List _ :: _ as vecs)) ->
           let rec go acc = function
@@ -596,9 +417,7 @@ module Pool = struct
     idle : Condition.t;
     queue : job Queue.t;
     capacity : int;
-    max_batch : int;
     n_domains : int;
-    tracing : bool;
     on_trace : (pid:int -> tid:int -> Span.trace -> unit) option;
     mutable active : int;
     mutable total_jobs : int;
@@ -643,12 +462,7 @@ module Pool = struct
       ("active", active);
       ("total_jobs", total) ]
 
-  let response_ok = function
-    | Metrics.Obj members -> (
-      match List.assoc_opt "ok" members with
-      | Some (Metrics.Bool b) -> b
-      | _ -> false)
-    | _ -> false
+  let response_ok resp = Metrics.member "ok" resp = Some (Metrics.Bool true)
 
   let dispatch t sessions ~ctx req =
     match req with
@@ -687,11 +501,7 @@ module Pool = struct
         Metrics.Obj
           (("id", id) :: ("ok", Metrics.Bool true) :: members)
       | other -> other)
-    | Shutdown { id } ->
-      Metrics.Obj
-        [ ("id", id);
-          ("ok", Metrics.Bool true);
-          ("shutting_down", Metrics.Bool true) ]
+    | Shutdown { id } -> shutdown_response id
 
   (* The trace id rides next to the caller's own id; a failing answer
      additionally carries the flight recorder's last-N finished spans,
@@ -722,7 +532,7 @@ module Pool = struct
       match jtrace with
       | Some _ as tr -> tr
       | None ->
-        if t.tracing && Span.enabled () then begin
+        if Span.enabled () then begin
           let tr, ctx = Span.start ~kind:"request" () in
           Span.add_attr ctx "op" (Metrics.String (op_name req));
           Some (tr, ctx)
@@ -749,74 +559,47 @@ module Pool = struct
 
   let handle t sessions req = handle_traced t sessions req
 
-  (* Drain up to max_batch queued jobs in one lock acquisition, grouped
-     by source so a batch over one program walks its session once; the
-     per-domain session table then memoizes across batches too. *)
-  let take_batch t =
-    let rec drain acc k =
-      if k = 0 || Queue.is_empty t.queue then List.rev acc
-      else drain (Queue.pop t.queue :: acc) (k - 1)
-    in
-    let batch = drain [] t.max_batch in
-    let source_key job =
-      match job.req with
-      | Compile { source; entry; _ } | Compare { source; entry; _ } ->
-        source ^ "|" ^ entry
-      | Check { source; _ } -> source
-      | Stats _ | Shutdown _ -> ""
-    in
-    List.stable_sort
-      (fun a b -> compare (source_key a) (source_key b))
-      batch
-
   let rec worker_loop t ~widx sessions =
     Mutex.lock t.lock;
     while Queue.is_empty t.queue && not t.stopping do
       Condition.wait t.not_empty t.lock
     done;
-    if Queue.is_empty t.queue then begin
+    match Queue.take_opt t.queue with
+    | None ->
       (* stopping and nothing left *)
       Mutex.unlock t.lock
-    end
-    else begin
-      let batch = take_batch t in
-      t.active <- t.active + List.length batch;
+    | Some job ->
+      t.active <- t.active + 1;
       Condition.broadcast t.not_full;
       Mutex.unlock t.lock;
-      List.iter
-        (fun job ->
-          (* the queue-wait span ends the instant a worker owns the job *)
-          let jtrace =
-            match job.jtrace with
-            | None -> None
-            | Some (tr, ctx, q) ->
-              Span.exit q;
-              Some (tr, ctx)
-          in
-          let resp =
-            handle_traced t (Some sessions) ?jtrace ~pid:widx
-              ~tid:(Domain.self () :> int)
-              job.req
-          in
-          (try job.respond resp with _ -> ());
-          Mutex.lock t.lock;
-          t.active <- t.active - 1;
-          if t.active = 0 && Queue.is_empty t.queue then
-            Condition.broadcast t.idle;
-          Mutex.unlock t.lock)
-        batch;
+      (* the queue-wait span ends the instant a worker owns the job *)
+      let jtrace =
+        Option.map
+          (fun (tr, ctx, q) ->
+            Span.exit q;
+            (tr, ctx))
+          job.jtrace
+      in
+      let resp =
+        handle_traced t (Some sessions) ?jtrace ~pid:widx
+          ~tid:(Domain.self () :> int)
+          job.req
+      in
+      (try job.respond resp with _ -> ());
+      Mutex.lock t.lock;
+      t.active <- t.active - 1;
+      if t.active = 0 && Queue.is_empty t.queue then
+        Condition.broadcast t.idle;
+      Mutex.unlock t.lock;
       worker_loop t ~widx sessions
-    end
 
-  let create ?domains:n ?queue_capacity ?max_batch ?(tracing = true)
-      ?on_trace () =
+  let create ?domains:n ?queue_capacity ?on_trace () =
     let n_domains =
       max 1 (Option.value n ~default:(Domain.recommended_domain_count ()))
     in
     let capacity =
       max 1 (Option.value queue_capacity ~default:(4 * n_domains))
     in
-    let max_batch = max 1 (Option.value max_batch ~default:16) in
     let t =
       { lock = Mutex.create ();
         not_empty = Condition.create ();
@@ -824,9 +607,7 @@ module Pool = struct
         idle = Condition.create ();
         queue = Queue.create ();
         capacity;
-        max_batch;
         n_domains;
-        tracing;
         on_trace;
         active = 0;
         total_jobs = 0;
@@ -856,7 +637,7 @@ module Pool = struct
     end
     else begin
       let jtrace =
-        if t.tracing && Span.enabled () then begin
+        if Span.enabled () then begin
           let tr, ctx = Span.start ~kind:"request" () in
           Span.add_attr ctx "op" (Metrics.String (op_name req));
           Some (tr, ctx, Span.enter ctx "queue-wait")
@@ -893,136 +674,117 @@ end
 
 (* --- the daemon --- *)
 
-let run ?domains ?queue_capacity ?max_batch ?cache_dir ?cache_max_bytes
-    ?trace_json ?(log = fun _ -> ()) ~socket () =
+let run ?domains ?queue_capacity ?trace_json ?(log = fun _ -> ()) ~socket ()
+    =
   (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
   | _ -> ()
   | exception _ -> ());
-  let cache_attached =
-    match cache_dir with
-    | None -> Ok ()
-    | Some dir ->
-      Result.map ignore
-        (Driver.attach_disk_cache ?max_bytes:cache_max_bytes ~dir ())
-  in
-  match cache_attached with
-  | Error msg -> Error msg
-  | Ok () -> (
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try Unix.unlink socket with _ -> ());
-    match
-      Unix.bind fd (Unix.ADDR_UNIX socket);
-      Unix.listen fd 16
-    with
-    | exception e ->
-      (try Unix.close fd with _ -> ());
-      Error
-        (Printf.sprintf "cannot bind %s: %s" socket (Printexc.to_string e))
-    | () ->
-      let sink = Option.map (fun _ -> Span.Chrome.create ()) trace_json in
-      let on_trace =
-        Option.map
-          (fun sink ~pid ~tid tr -> Span.Chrome.add sink ~pid ~tid tr)
-          sink
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (try Unix.unlink socket with _ -> ());
+  match
+    Unix.bind fd (Unix.ADDR_UNIX socket);
+    Unix.listen fd 16
+  with
+  | exception e ->
+    (try Unix.close fd with _ -> ());
+    Error
+      (Printf.sprintf "cannot bind %s: %s" socket (Printexc.to_string e))
+  | () ->
+    let sink = Option.map (fun _ -> Span.Chrome.create ()) trace_json in
+    let on_trace =
+      Option.map
+        (fun sink ~pid ~tid tr -> Span.Chrome.add sink ~pid ~tid tr)
+        sink
+    in
+    let pool = Pool.create ?domains ?queue_capacity ?on_trace () in
+    let stop = ref false in
+    let on_signal _ = stop := true in
+    let prev_int = Sys.signal Sys.sigint (Sys.Signal_handle on_signal) in
+    let prev_term = Sys.signal Sys.sigterm (Sys.Signal_handle on_signal) in
+    log
+      (Printf.sprintf
+         "chlsc serve: listening on %s (%d domain(s), queue %s)" socket
+         (Pool.domains pool)
+         (match queue_capacity with
+         | Some c -> string_of_int c
+         | None -> string_of_int (4 * Pool.domains pool)));
+    let handle_connection cfd =
+      let ic = Unix.in_channel_of_descr cfd in
+      let oc = Unix.out_channel_of_descr cfd in
+      let wlock = Mutex.create () in
+      let send json =
+        Mutex.lock wlock;
+        (try Frame.write oc (Metrics.render_compact json) with _ -> ());
+        Mutex.unlock wlock
       in
-      let pool =
-        Pool.create ?domains ?queue_capacity ?max_batch ?on_trace ()
-      in
-      let stop = ref false in
-      let on_signal _ = stop := true in
-      let prev_int = Sys.signal Sys.sigint (Sys.Signal_handle on_signal) in
-      let prev_term = Sys.signal Sys.sigterm (Sys.Signal_handle on_signal) in
-      log
-        (Printf.sprintf
-           "chlsc serve: listening on %s (%d domain(s), queue %s%s)" socket
-           (Pool.domains pool)
-           (match queue_capacity with
-           | Some c -> string_of_int c
-           | None -> string_of_int (4 * Pool.domains pool))
-           (match cache_dir with
-           | Some d -> Printf.sprintf ", cache %s" d
-           | None -> ""));
-      let handle_connection cfd =
-        let ic = Unix.in_channel_of_descr cfd in
-        let oc = Unix.out_channel_of_descr cfd in
-        let wlock = Mutex.create () in
-        let send json =
-          Mutex.lock wlock;
-          (try Frame.write oc (Metrics.render_compact json) with _ -> ());
-          Mutex.unlock wlock
-        in
-        let rec loop () =
-          if !stop then ()
-          else
-            match Frame.read ic with
-            | None -> ()
-            | exception Frame.Protocol_error msg ->
-              send (error_response ~kind:"protocol" msg)
-            | exception _ -> ()
-            | Some payload -> (
-              match Json.parse payload with
-              | Error msg ->
-                send (error_response ~kind:"protocol" msg);
-                loop ()
-              | Ok j -> (
-                match parse_request j with
-                | Error (msg, id) ->
-                  send (error_response ~id ~kind:"protocol" msg);
-                  loop ()
-                | Ok (Shutdown { id }) ->
-                  (* answer only after in-flight work has responded, so
-                     a pipelined client sees every reply before the
-                     goodbye *)
-                  Pool.drain pool;
-                  send
-                    (Metrics.Obj
-                       [ ("id", id);
-                         ("ok", Metrics.Bool true);
-                         ("shutting_down", Metrics.Bool true) ]);
-                  stop := true
-                | Ok req ->
-                  Pool.submit pool req ~respond:send;
-                  loop ()))
-        in
-        loop ();
-        (* pending responses still target this socket *)
-        Pool.drain pool;
-        (try flush oc with _ -> ());
-        try Unix.close cfd with _ -> ()
-      in
-      let rec accept_loop () =
+      let rec loop () =
         if !stop then ()
-        else begin
-          (match Unix.select [ fd ] [] [] 0.25 with
-          | [], _, _ -> ()
-          | _ -> (
-            match Unix.accept fd with
-            | cfd, _ -> handle_connection cfd
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-          accept_loop ()
-        end
+        else
+          match Frame.read ic with
+          | None -> ()
+          | exception Frame.Protocol_error msg ->
+            send (error_response ~kind:"protocol" msg)
+          | exception _ -> ()
+          | Some payload -> (
+            match Metrics.parse payload with
+            | Error msg ->
+              send (error_response ~kind:"protocol" msg);
+              loop ()
+            | Ok j -> (
+              match parse_request j with
+              | Error (msg, id) ->
+                send (error_response ~id ~kind:"protocol" msg);
+                loop ()
+              | Ok (Shutdown { id }) ->
+                (* answer only after in-flight work has responded, so
+                   a pipelined client sees every reply before the
+                   goodbye *)
+                Pool.drain pool;
+                send (shutdown_response id);
+                stop := true
+              | Ok req ->
+                Pool.submit pool req ~respond:send;
+                loop ()))
       in
-      accept_loop ();
-      Pool.shutdown pool;
-      (try Unix.close fd with _ -> ());
-      (try Unix.unlink socket with _ -> ());
-      Sys.set_signal Sys.sigint prev_int;
-      Sys.set_signal Sys.sigterm prev_term;
-      (match (trace_json, sink) with
-      | Some path, Some sink ->
-        (try
-           Span.Chrome.write_file sink path;
-           log
-             (Printf.sprintf "chlsc serve: wrote %d trace event(s) to %s"
-                (Span.Chrome.events sink) path)
-         with e ->
-           log
-             (Printf.sprintf "chlsc serve: cannot write trace %s: %s" path
-                (Printexc.to_string e)))
-      | _ -> ());
-      log "chlsc serve: shut down cleanly";
-      Ok ())
+      loop ();
+      (* pending responses still target this socket *)
+      Pool.drain pool;
+      (try flush oc with _ -> ());
+      try Unix.close cfd with _ -> ()
+    in
+    let rec accept_loop () =
+      if !stop then ()
+      else begin
+        (match Unix.select [ fd ] [] [] 0.25 with
+        | [], _, _ -> ()
+        | _ -> (
+          match Unix.accept fd with
+          | cfd, _ -> handle_connection cfd
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+        accept_loop ()
+      end
+    in
+    accept_loop ();
+    Pool.shutdown pool;
+    (try Unix.close fd with _ -> ());
+    (try Unix.unlink socket with _ -> ());
+    Sys.set_signal Sys.sigint prev_int;
+    Sys.set_signal Sys.sigterm prev_term;
+    (match (trace_json, sink) with
+    | Some path, Some sink ->
+      (try
+         Span.Chrome.write_file sink path;
+         log
+           (Printf.sprintf "chlsc serve: wrote %d trace event(s) to %s"
+              (Span.Chrome.events sink) path)
+       with e ->
+         log
+           (Printf.sprintf "chlsc serve: cannot write trace %s: %s" path
+              (Printexc.to_string e)))
+    | _ -> ());
+    log "chlsc serve: shut down cleanly";
+    Ok ()
 
 (* --- client --- *)
 

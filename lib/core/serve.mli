@@ -45,15 +45,14 @@
     the {!Span.Flight} dump of the last finished spans before the
     failure. *)
 
-(** {1 JSON (parsing side; rendering lives in {!Metrics})} *)
+(** {1 JSON}
+
+    The wire JSON is parsed by {!Metrics.parse} and rendered by
+    {!Metrics.render_compact}. *)
 
 module Json : sig
   val parse : string -> (Metrics.json, string) result
-  (** Strict JSON to the {!Metrics.json} shape ([Int] for integral
-      literals, [Float] otherwise).  [Error message] carries an offset. *)
-
-  val member : string -> Metrics.json -> Metrics.json option
-  (** Object member lookup; [None] on non-objects too. *)
+  (** {!Metrics.parse}, re-exported for callers of the old name. *)
 end
 
 (** {1 Framing} *)
@@ -117,23 +116,21 @@ val error_response :
 module Pool : sig
   type t
 
-  val create : ?domains:int -> ?queue_capacity:int -> ?max_batch:int ->
-    ?tracing:bool ->
+  val create : ?domains:int -> ?queue_capacity:int ->
     ?on_trace:(pid:int -> tid:int -> Span.trace -> unit) ->
     unit -> t
   (** [domains] defaults to [Domain.recommended_domain_count ()].
       [queue_capacity] (default [4 * domains]) bounds the job queue —
       {!submit} blocks when it is full, which is the backpressure that
-      stops a fast client from ballooning the daemon.  [max_batch]
-      (default 16) is how many queued jobs one worker drains at a time;
-      a batch is grouped by source so each distinct program parses once
-      per batch.
+      stops a fast client from ballooning the daemon.  A worker takes
+      one job at a time, in submission order; its own session table
+      runs each distinct (source, entry) through the frontend once.
 
-      [tracing] (default on, also gated by {!Span.set_enabled}) mints a
-      span trace per request; [on_trace] receives each finished trace
-      from the worker that handled it — [pid] is the worker index, [tid]
-      the runtime domain id — which is how the daemon's Chrome sink and
-      the tests' in-memory sink attach. *)
+      While {!Span.enabled}, every request gets a span trace; [on_trace]
+      receives each finished trace from the worker that handled it —
+      [pid] is the worker index, [tid] the runtime domain id — which is
+      how the daemon's Chrome sink and the tests' in-memory sink
+      attach. *)
 
   val domains : t -> int
 
@@ -178,9 +175,6 @@ end
 val run :
   ?domains:int ->
   ?queue_capacity:int ->
-  ?max_batch:int ->
-  ?cache_dir:string ->
-  ?cache_max_bytes:int ->
   ?trace_json:string ->
   ?log:(string -> unit) ->
   socket:string ->
@@ -188,8 +182,9 @@ val run :
   (unit, string) result
 (** Bind [socket] (unlinking any stale one), serve connections until a
     [shutdown] request (or SIGINT/SIGTERM), drain the pool and clean up.
-    With [cache_dir], attaches the persistent design store first so
-    every worker — and the next daemon — shares compiled artifacts.
+    Workers compile through {!Driver}, so a persistent design store
+    attached beforehand ({!Driver.attach_disk_cache}) is shared by every
+    worker — and by the next daemon.
     With [trace_json], every request's span tree is collected into a
     Chrome [trace_event] sink (pid = worker index, tid = domain id) and
     written to that file at shutdown — load it in [about://tracing] or

@@ -157,6 +157,50 @@ let string_of_timing = function
   | Constraint_based -> "scheduled under timing constraints"
   | Explicit_cycles r -> "explicit cycles: " ^ r
 
+let render_table1 () =
+  let header =
+    [ "Language"; "Year"; "Concurrency"; "Timing"; "Characterisation (Table 1)" ]
+  in
+  let rows =
+    List.map
+      (fun d ->
+        [ d.name;
+          string_of_int d.year;
+          string_of_concurrency d.concurrency;
+          string_of_timing d.timing;
+          d.characterisation ])
+      table1
+  in
+  (* column widths come from the data so no cell is ever truncated; the
+     last column is left unpadded *)
+  let widths =
+    List.fold_left
+      (fun ws row -> List.map2 (fun w c -> max w (String.length c)) ws row)
+      (List.map String.length header)
+      rows
+  in
+  let buf = Buffer.create 1024 in
+  let emit row =
+    let n = List.length row in
+    List.iteri
+      (fun i (w, c) ->
+        if i = n - 1 then Buffer.add_string buf c
+        else begin
+          Buffer.add_string buf c;
+          Buffer.add_string buf (String.make (w - String.length c + 1) ' ')
+        end)
+      (List.combine widths row);
+    Buffer.add_char buf '\n'
+  in
+  emit header;
+  Buffer.add_string buf
+    (String.make
+       (List.fold_left ( + ) 0 widths + List.length widths - 1)
+       '-');
+  Buffer.add_char buf '\n';
+  List.iter emit rows;
+  Buffer.contents buf
+
 (* --- legality checking --- *)
 
 type violation = { rule : string; where : string; vloc : Ast.loc }

@@ -56,6 +56,10 @@ val find : string -> t option
 val string_of_concurrency : concurrency -> string
 val string_of_timing : timing -> string
 
+val render_table1 : unit -> string
+(** The paper's Table 1, regenerated from {!table1}; column widths are
+    computed from the data, so no cell is truncated. *)
+
 type violation = { rule : string; where : string; vloc : Ast.loc }
 (** A broken dialect rule: [rule] names the restriction, [where] the
     enclosing function (or global), and [vloc] the first offending

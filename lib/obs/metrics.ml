@@ -123,6 +123,198 @@ let render_compact j =
   go j;
   Buffer.contents buf
 
+(* --- parsing: the inverse of render_compact, decoding the serve wire
+   protocol --- *)
+
+exception Fail of string * int
+
+let fail pos msg = raise (Fail (msg, pos))
+
+let parse (s : string) : (json, string) result =
+  let n = String.length s in
+  let pos = ref 0 in
+  let peek () = if !pos < n then Some s.[!pos] else None in
+  let advance () = incr pos in
+  let rec skip_ws () =
+    match peek () with
+    | Some (' ' | '\t' | '\n' | '\r') ->
+      advance ();
+      skip_ws ()
+    | _ -> ()
+  in
+  let expect c =
+    match peek () with
+    | Some c' when c' = c -> advance ()
+    | _ -> fail !pos (Printf.sprintf "expected %C" c)
+  in
+  let literal word value =
+    if !pos + String.length word <= n
+       && String.sub s !pos (String.length word) = word
+    then begin
+      pos := !pos + String.length word;
+      value
+    end
+    else fail !pos (Printf.sprintf "expected %s" word)
+  in
+  let utf8_of_code buf u =
+    (* \uXXXX escapes decode to UTF-8 bytes *)
+    if u < 0x80 then Buffer.add_char buf (Char.chr u)
+    else if u < 0x800 then begin
+      Buffer.add_char buf (Char.chr (0xC0 lor (u lsr 6)));
+      Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3F)))
+    end
+    else begin
+      Buffer.add_char buf (Char.chr (0xE0 lor (u lsr 12)));
+      Buffer.add_char buf (Char.chr (0x80 lor ((u lsr 6) land 0x3F)));
+      Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3F)))
+    end
+  in
+  let parse_string () =
+    expect '"';
+    let buf = Buffer.create 16 in
+    let escape () =
+      match peek () with
+      | None -> fail !pos "unterminated escape"
+      | Some c -> (
+        advance ();
+        match c with
+        | '"' -> Buffer.add_char buf '"'
+        | '\\' -> Buffer.add_char buf '\\'
+        | '/' -> Buffer.add_char buf '/'
+        | 'b' -> Buffer.add_char buf '\b'
+        | 'f' -> Buffer.add_char buf '\012'
+        | 'n' -> Buffer.add_char buf '\n'
+        | 'r' -> Buffer.add_char buf '\r'
+        | 't' -> Buffer.add_char buf '\t'
+        | 'u' -> (
+          if !pos + 4 > n then fail !pos "truncated \\u escape";
+          let hex = String.sub s !pos 4 in
+          match int_of_string_opt ("0x" ^ hex) with
+          | Some u ->
+            pos := !pos + 4;
+            utf8_of_code buf u
+          | None -> fail !pos "bad \\u escape")
+        | c -> fail !pos (Printf.sprintf "bad escape \\%c" c))
+    in
+    let rec go () =
+      match peek () with
+      | None -> fail !pos "unterminated string"
+      | Some '"' -> advance ()
+      | Some '\\' ->
+        advance ();
+        escape ();
+        go ()
+      | Some c when Char.code c < 0x20 -> fail !pos "raw control character"
+      | Some c ->
+        advance ();
+        Buffer.add_char buf c;
+        go ()
+    in
+    go ();
+    Buffer.contents buf
+  in
+  let parse_number () =
+    let start = !pos in
+    let is_num_char c =
+      match c with
+      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+      | _ -> false
+    in
+    while match peek () with Some c when is_num_char c -> true | _ -> false
+    do
+      advance ()
+    done;
+    let lit = String.sub s start (!pos - start) in
+    let integral =
+      not (String.exists (fun c -> c = '.' || c = 'e' || c = 'E') lit)
+    in
+    if integral then
+      match int_of_string_opt lit with
+      | Some i -> Int i
+      | None -> (
+        match float_of_string_opt lit with
+        | Some f -> Float f
+        | None -> fail start (Printf.sprintf "bad number %S" lit))
+    else
+      match float_of_string_opt lit with
+      | Some f -> Float f
+      | None -> fail start (Printf.sprintf "bad number %S" lit)
+  in
+  let rec parse_value () =
+    skip_ws ();
+    match peek () with
+    | None -> fail !pos "unexpected end of input"
+    | Some '{' ->
+      advance ();
+      skip_ws ();
+      if peek () = Some '}' then begin
+        advance ();
+        Obj []
+      end
+      else begin
+        let members = ref [] in
+        let rec members_loop () =
+          skip_ws ();
+          let k = parse_string () in
+          skip_ws ();
+          expect ':';
+          let v = parse_value () in
+          members := (k, v) :: !members;
+          skip_ws ();
+          match peek () with
+          | Some ',' ->
+            advance ();
+            members_loop ()
+          | Some '}' -> advance ()
+          | _ -> fail !pos "expected ',' or '}'"
+        in
+        members_loop ();
+        Obj (List.rev !members)
+      end
+    | Some '[' ->
+      advance ();
+      skip_ws ();
+      if peek () = Some ']' then begin
+        advance ();
+        List []
+      end
+      else begin
+        let items = ref [] in
+        let rec items_loop () =
+          let v = parse_value () in
+          items := v :: !items;
+          skip_ws ();
+          match peek () with
+          | Some ',' ->
+            advance ();
+            items_loop ()
+          | Some ']' -> advance ()
+          | _ -> fail !pos "expected ',' or ']'"
+        in
+        items_loop ();
+        List (List.rev !items)
+      end
+    | Some '"' -> String (parse_string ())
+    | Some 't' -> literal "true" (Bool true)
+    | Some 'f' -> literal "false" (Bool false)
+    | Some 'n' -> literal "null" Null
+    | Some ('0' .. '9' | '-') -> parse_number ()
+    | Some c -> fail !pos (Printf.sprintf "unexpected %C" c)
+  in
+  match
+    let v = parse_value () in
+    skip_ws ();
+    if !pos <> n then fail !pos "trailing bytes after JSON value";
+    v
+  with
+  | v -> Ok v
+  | exception Fail (msg, p) ->
+    Error (Printf.sprintf "JSON parse error at offset %d: %s" p msg)
+
+let member name = function
+  | Obj members -> List.assoc_opt name members
+  | _ -> None
+
 (* --- histograms --- *)
 
 module Histogram = struct

@@ -33,6 +33,15 @@ val render_compact : json -> string
 (** One-line rendering (the wire format [chlsc serve] frames use); same
     determinism guarantees as {!render}. *)
 
+val parse : string -> (json, string) result
+(** Strict JSON to the {!json} shape ([Int] for integral literals,
+    [Float] otherwise, never [Fixed]).  It inverts {!render_compact} on
+    every value without [Float] or [Fixed].  [Error message] carries the
+    byte offset of the fault. *)
+
+val member : string -> json -> json option
+(** Object member lookup; [None] on non-objects too. *)
+
 (** {1 Latency histograms}
 
     Fixed geometric buckets (0.001 ms doubling to ~537 s, plus overflow),

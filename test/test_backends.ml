@@ -4,13 +4,16 @@
    property of the whole system.  Also sanity-checks each backend's
    timing/area characteristics and the netlist elaboration path. *)
 
+let accepts backend program =
+  Dialect.check (Registry.dialect backend) program = []
+
 let check_design backend (w : Workloads.t) design =
   List.iter
     (fun args ->
       let expected = Workloads.reference w args in
       let observed = Design.run_int design args in
       Alcotest.(check (option int))
-        (Printf.sprintf "%s/%s(%s)" (Chls.backend_name backend)
+        (Printf.sprintf "%s/%s(%s)" (Registry.name backend)
            w.Workloads.name
            (String.concat "," (List.map string_of_int args)))
         (Some expected) observed)
@@ -21,7 +24,7 @@ let check_result backend (w : Workloads.t) = function
   | Error (Driver.Dialect_reject _) | Error (Driver.No_c_frontend _) -> ()
   | Error e ->
     Alcotest.fail
-      (Printf.sprintf "%s/%s: %s" (Chls.backend_name backend) w.Workloads.name
+      (Printf.sprintf "%s/%s: %s" (Registry.name backend) w.Workloads.name
          (Driver.render_error e))
 
 let check_backend_on backend (w : Workloads.t) =
@@ -60,23 +63,23 @@ let test_dialect_rejections () =
   List.iter
     (fun backend ->
       Alcotest.(check bool)
-        (Chls.backend_name backend ^ " rejects pointers")
-        false (Chls.accepts backend ptr))
+        (Registry.name backend ^ " rejects pointers")
+        false (accepts backend ptr))
     [ (Registry.get "cones"); (Registry.get "handelc"); (Registry.get "bachc");
       (Registry.get "cash") ];
   Alcotest.(check bool) "c2verilog accepts pointers" true
-    (Chls.accepts (Registry.get "c2verilog") ptr);
+    (accepts (Registry.get "c2verilog") ptr);
   let conc = Workloads.parse Workloads.producer_consumer in
   Alcotest.(check bool) "cash rejects channels" false
-    (Chls.accepts (Registry.get "cash") conc);
+    (accepts (Registry.get "cash") conc);
   Alcotest.(check bool) "handelc accepts channels" true
-    (Chls.accepts (Registry.get "handelc") conc)
+    (accepts (Registry.get "handelc") conc)
 
 (* --- timing semantics of the clock-insertion rules --- *)
 
 let cycles_of backend w args =
   let program = Workloads.parse w in
-  let design = Chls.compile_program backend program ~entry:w.Workloads.entry in
+  let design = Registry.compile backend program ~entry:w.Workloads.entry in
   let r = design.Design.run (Design.int_args args) in
   Option.get r.Design.cycles
 
@@ -107,7 +110,7 @@ let test_timing_scheme_tradeoffs () =
     (fun (w : Workloads.t) ->
       let args = List.hd w.Workloads.arg_sets in
       let program = Workloads.parse w in
-      let design b = Chls.compile_program b program ~entry:w.Workloads.entry in
+      let design b = Registry.compile b program ~entry:w.Workloads.entry in
       let tm = design (Registry.get "transmogrifier") in
       let bach = design (Registry.get "bachc") in
       let tm_cycles = cycles_of (Registry.get "transmogrifier") w args in
@@ -125,7 +128,7 @@ let test_timing_scheme_tradeoffs () =
 
 let test_cones_is_combinational () =
   let program = Workloads.parse Workloads.fir in
-  let design = Chls.compile_program (Registry.get "cones") program ~entry:"fir" in
+  let design = Registry.compile (Registry.get "cones") program ~entry:"fir" in
   let r = design.Design.run (Design.int_args [ 1; 2 ]) in
   Alcotest.(check bool) "no cycles" true (r.Design.cycles = None);
   Alcotest.(check bool) "has settle time" true (r.Design.time_units <> None);
@@ -137,7 +140,7 @@ let test_cones_is_combinational () =
 
 let test_cash_is_asynchronous () =
   let program = Workloads.parse Workloads.fir in
-  let design = Chls.compile_program (Registry.get "cash") program ~entry:"fir" in
+  let design = Registry.compile (Registry.get "cash") program ~entry:"fir" in
   let r = design.Design.run (Design.int_args [ 1; 2 ]) in
   Alcotest.(check bool) "no clock" true (r.Design.cycles = None);
   Alcotest.(check bool) "completion time positive" true
@@ -175,7 +178,7 @@ let test_elaboration_equivalence () =
 
 let test_elaborated_verilog_emits () =
   let program = Workloads.parse Workloads.gcd in
-  let design = Chls.compile_program (Registry.get "bachc") program ~entry:"gcd" in
+  let design = Registry.compile (Registry.get "bachc") program ~entry:"gcd" in
   match design.Design.verilog () with
   | Some src ->
     Alcotest.(check bool) "has module header" true
@@ -270,7 +273,7 @@ let test_systemc_delta_convergence () =
 let test_c2verilog_machine_details () =
   let program = Workloads.parse Workloads.recursion in
   let design =
-    Chls.compile_program (Registry.get "c2verilog") program ~entry:"run"
+    Registry.compile (Registry.get "c2verilog") program ~entry:"run"
   in
   (* recursion depth costs cycles: deeper recursion, more cycles *)
   let cycles n =
@@ -296,7 +299,10 @@ let test_handelc_channel_cycle_semantics () =
     }
     |}
   in
-  let design = Chls.compile (Registry.get "handelc") src ~entry:"run" in
+  let design =
+    Registry.compile (Registry.get "handelc") (Typecheck.parse_and_check src)
+      ~entry:"run"
+  in
   let r = design.Design.run (Design.int_args [ 21 ]) in
   Alcotest.(check (option int)) "value transferred" (Some 42)
     (Option.map Bitvec.to_int r.Design.result);
@@ -311,8 +317,9 @@ let test_handelc_structural_views () =
   (* sequential Handel-C programs get a netlist view cut at assignment
      boundaries; concurrent ones do not (the statement machine is the
      only executable model for par/channels) *)
-  let seq = Chls.compile (Registry.get "handelc")
-      (Workloads.gcd).Workloads.source ~entry:"gcd"
+  let seq =
+    Registry.compile (Registry.get "handelc") (Workloads.parse Workloads.gcd)
+      ~entry:"gcd"
   in
   (match seq.Design.verilog () with
   | Some v -> Alcotest.(check bool) "module emitted" true (String.length v > 0)
@@ -322,8 +329,9 @@ let test_handelc_structural_views () =
     Alcotest.(check bool) "has registers" true (a.Area.num_registers > 0)
   | None -> Alcotest.fail "sequential handelc should report area");
   let conc =
-    Chls.compile (Registry.get "handelc")
-      (Workloads.producer_consumer).Workloads.source ~entry:"run"
+    Registry.compile (Registry.get "handelc")
+      (Workloads.parse Workloads.producer_consumer)
+      ~entry:"run"
   in
   Alcotest.(check bool) "concurrent: no netlist view" true
     (conc.Design.verilog () = None)
@@ -339,17 +347,18 @@ let test_global_state_observable () =
     }
     |}
   in
+  let program = Typecheck.parse_and_check src in
   List.iter
     (fun backend ->
-      let design = Chls.compile backend src ~entry:"run" in
+      let design = Registry.compile backend program ~entry:"run" in
       let r = design.Design.run (Design.int_args [ 7 ]) in
       match List.assoc_opt "last" r.Design.globals with
       | Some v ->
         Alcotest.(check int)
-          (Chls.backend_name backend ^ " global readback")
+          (Registry.name backend ^ " global readback")
           21 (Bitvec.to_int v)
       | None ->
-        Alcotest.fail (Chls.backend_name backend ^ " lost global 'last'"))
+        Alcotest.fail (Registry.name backend ^ " lost global 'last'"))
     [ (Registry.get "transmogrifier"); (Registry.get "bachc"); (Registry.get "handelc");
       (Registry.get "c2verilog") ]
 

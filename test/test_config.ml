@@ -112,7 +112,7 @@ let test_json_round_trip () =
 
 let test_of_json_errors () =
   let parse s =
-    match Serve.Json.parse s with
+    match Metrics.parse s with
     | Ok j -> Config.of_json j
     | Error msg -> Alcotest.fail ("probe JSON does not parse: " ^ msg)
   in

@@ -1,21 +1,7 @@
-(* Chls facade tests: name round-trips, the full acceptance matrix
-   (every workload x every backend), verification plumbing, and Table 1
-   rendering. *)
-
-let test_backend_name_roundtrip () =
-  List.iter
-    (fun backend ->
-      Alcotest.(check bool)
-        (Chls.backend_name backend ^ " round-trips")
-        true
-        (Chls.backend_of_name (Chls.backend_name backend) = Some backend))
-    Chls.all_compiling_backends;
-  Alcotest.(check bool) "aliases work" true
-    (Chls.backend_of_name "tmcc" = Some (Registry.get "transmogrifier")
-    && Chls.backend_of_name "BDL" = Some (Registry.get "cyber")
-    && Chls.backend_of_name "c2v" = Some (Registry.get "c2verilog"));
-  Alcotest.(check bool) "unknown rejected" true
-    (Chls.backend_of_name "vhdl" = None)
+(* The public entry points end to end: the full acceptance matrix
+   (every workload x every backend's dialect), compile-and-verify
+   through Registry and Driver, Table 1 rendering, and dialect
+   rejection at compile time. *)
 
 (* The acceptance matrix, written out so a dialect-rule regression is
    immediately visible.  true = the backend's dialect accepts it. *)
@@ -45,9 +31,9 @@ let test_acceptance_matrix () =
       let program = Workloads.parse w in
       let check backend expected =
         Alcotest.(check bool)
-          (Printf.sprintf "%s/%s" (Chls.backend_name backend) name)
+          (Printf.sprintf "%s/%s" (Registry.name backend) name)
           expected
-          (Chls.accepts backend program)
+          (Dialect.check (Registry.dialect backend) program = [])
       in
       check (Registry.get "cones") cones;
       check (Registry.get "handelc") handelc;
@@ -58,10 +44,12 @@ let test_acceptance_matrix () =
 
 let test_verify_against_reference () =
   let w = Workloads.gcd in
-  let design =
-    Chls.compile (Registry.get "bachc") w.Workloads.source ~entry:"gcd"
-  in
   let session = Driver.create ~entry:"gcd" w.Workloads.source in
+  let design =
+    match Driver.compile session (Registry.get "bachc") with
+    | Ok d -> d
+    | Error e -> Alcotest.fail (Driver.render_error e)
+  in
   let verdicts =
     List.map
       (fun args -> Driver.check session design ~args)
@@ -78,7 +66,7 @@ let test_verify_against_reference () =
     verdicts
 
 let test_table1_rendering () =
-  let t = Chls.render_table1 () in
+  let t = Dialect.render_table1 () in
   List.iter
     (fun needle ->
       let n = String.length needle in
@@ -91,8 +79,8 @@ let test_table1_rendering () =
       "Comprehensive; company defunct"; "Untimed semantics (Sharp)" ]
 
 let test_compile_rejects_wrong_dialect () =
-  let ptr = (Workloads.pointer_sum).Workloads.source in
-  match Chls.compile (Registry.get "bachc") ptr ~entry:"run" with
+  let ptr = Workloads.parse Workloads.pointer_sum in
+  match Registry.compile (Registry.get "bachc") ptr ~entry:"run" with
   | exception Backend.Dialect_rejected { backend = "bachc"; violations } ->
     Alcotest.(check bool) "violation names the rule" true (violations <> [])
   | exception Backend.Dialect_rejected { backend; _ } ->
@@ -101,9 +89,7 @@ let test_compile_rejects_wrong_dialect () =
 
 let suite =
   ( "facade",
-    [ Alcotest.test_case "backend name round-trip" `Quick
-        test_backend_name_roundtrip;
-      Alcotest.test_case "acceptance matrix" `Quick test_acceptance_matrix;
+    [ Alcotest.test_case "acceptance matrix" `Quick test_acceptance_matrix;
       Alcotest.test_case "verify against reference" `Quick
         test_verify_against_reference;
       Alcotest.test_case "table1 rendering" `Quick test_table1_rendering;

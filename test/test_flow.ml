@@ -100,9 +100,9 @@ let test_async_beats_worstcase_clock () =
      mixes cheap moves with an expensive remainder. *)
   let w = Workloads.gcd in
   let program = Workloads.parse w in
-  let async = Chls.compile_program (Registry.get "cash") program ~entry:"gcd" in
+  let async = Registry.compile (Registry.get "cash") program ~entry:"gcd" in
   let sync =
-    Chls.compile_program (Registry.get "transmogrifier") program ~entry:"gcd"
+    Registry.compile (Registry.get "transmogrifier") program ~entry:"gcd"
   in
   List.iter
     (fun args ->

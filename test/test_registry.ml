@@ -43,7 +43,7 @@ let test_aliases_resolve () =
     (fun (alias, name) ->
       Alcotest.(check string) alias name (Registry.name (Registry.get alias)))
     [ ("tmcc", "transmogrifier"); ("c2v", "c2verilog"); ("bdl", "cyber");
-      ("bach", "bachc"); ("handel-c", "handelc") ]
+      ("BDL", "cyber"); ("bach", "bachc"); ("handel-c", "handelc") ]
 
 let test_name_round_trip () =
   List.iter
@@ -53,7 +53,12 @@ let test_name_round_trip () =
       (* lookups are case-insensitive *)
       Alcotest.(check string) ("case-insensitive " ^ name) name
         (Registry.name (Registry.get (String.uppercase_ascii name))))
-    (Registry.names ())
+    (Registry.names ());
+  List.iter
+    (fun h ->
+      Alcotest.(check bool) ("find (name h) = h for " ^ Registry.name h) true
+        (Registry.find (Registry.name h) = Some h))
+    (Registry.all ())
 
 let test_cyber_distinct_from_bachc () =
   let cyber = Registry.get "cyber" and bachc = Registry.get "bachc" in
@@ -102,16 +107,6 @@ let test_capabilities () =
     (Registry.capabilities (Registry.get "hardwarec"))
       .Backend.constraint_reports
 
-let test_facade_wrappers_agree () =
-  (* the old Chls entry points survive as wrappers over the registry *)
-  List.iter
-    (fun h ->
-      Alcotest.(check bool) ("Chls.backend_of_name " ^ Registry.name h) true
-        (Chls.backend_of_name (Registry.name h) = Some h))
-    (Registry.all ());
-  Alcotest.(check bool) "Chls.all_compiling_backends = Registry.compiling" true
-    (Chls.all_compiling_backends = Registry.compiling ())
-
 let suite =
   ( "registry",
     [ Alcotest.test_case "table1 completeness" `Quick test_table1_completeness;
@@ -121,6 +116,4 @@ let suite =
         test_cyber_distinct_from_bachc;
       Alcotest.test_case "unknown backend lists catalog" `Quick
         test_unknown_backend_lists_catalog;
-      Alcotest.test_case "capabilities" `Quick test_capabilities;
-      Alcotest.test_case "facade wrappers agree" `Quick
-        test_facade_wrappers_agree ] )
+      Alcotest.test_case "capabilities" `Quick test_capabilities ] )

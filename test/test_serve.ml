@@ -6,12 +6,12 @@
 let json = Alcotest.testable (Fmt.of_to_string Metrics.render_compact) ( = )
 
 let parse_ok s =
-  match Serve.Json.parse s with
+  match Metrics.parse s with
   | Ok v -> v
   | Error msg -> Alcotest.fail msg
 
 let member name j =
-  match Serve.Json.member name j with
+  match Metrics.member name j with
   | Some v -> v
   | None ->
     Alcotest.fail
@@ -54,9 +54,49 @@ let test_json_render_round_trip () =
   Alcotest.check json "parse (render v) = v" v
     (parse_ok (Metrics.render_compact v))
 
+(* Strings mix the bytes the renderer must escape (quotes, backslashes,
+   every control byte below 0x20) with those it passes through raw (DEL,
+   non-ASCII bytes, printable ASCII). *)
+let gen_json_string =
+  QCheck.Gen.(
+    string_size (int_bound 12)
+      ~gen:
+        (frequency
+           [ (2, oneofl [ '"'; '\\'; '\127' ]);
+             (3, map Char.chr (int_range 0 0x1f));
+             (2, map Char.chr (int_range 0x80 0xff));
+             (3, printable) ]))
+
+let gen_json =
+  QCheck.Gen.(
+    sized_size (int_bound 4)
+    @@ fix (fun self n ->
+           let scalar =
+             oneof
+               [ return Metrics.Null;
+                 map (fun b -> Metrics.Bool b) bool;
+                 map (fun i -> Metrics.Int i) int;
+                 map (fun s -> Metrics.String s) gen_json_string ]
+           in
+           if n = 0 then scalar
+           else
+             let items = list_size (int_bound 4) (self (n - 1)) in
+             let members =
+               list_size (int_bound 4) (pair gen_json_string (self (n - 1)))
+             in
+             frequency
+               [ (2, scalar);
+                 (1, map (fun l -> Metrics.List l) items);
+                 (1, map (fun m -> Metrics.Obj m) members) ]))
+
+let prop_json_round_trip =
+  QCheck.Test.make ~name:"json parse inverts render_compact" ~count:500
+    (QCheck.make ~print:Metrics.render_compact gen_json)
+    (fun j -> Metrics.parse (Metrics.render_compact j) = Ok j)
+
 let test_json_errors () =
   let rejects s =
-    match Serve.Json.parse s with
+    match Metrics.parse s with
     | Error _ -> ()
     | Ok _ -> Alcotest.fail (Printf.sprintf "%S should not parse" s)
   in
@@ -179,7 +219,7 @@ let with_pool ?domains ?queue_capacity f =
 let handle pool req = Serve.Pool.handle pool None req
 
 let bool_member name j =
-  match Serve.Json.member name j with
+  match Metrics.member name j with
   | Some (Metrics.Bool b) -> b
   | _ -> Alcotest.fail (Printf.sprintf "missing bool %S" name)
 
@@ -205,9 +245,9 @@ let test_handle_compile_verifies_against_oracle () =
 let test_handle_typed_errors () =
   with_pool ~domains:1 (fun pool ->
       let kind resp =
-        match Serve.Json.member "error" resp with
+        match Metrics.member "error" resp with
         | Some e -> (
-          match Serve.Json.member "kind" e with
+          match Metrics.member "kind" e with
           | Some (Metrics.String k) -> k
           | _ -> Alcotest.fail "error without kind")
         | None -> Alcotest.fail "expected an error response"
@@ -245,7 +285,7 @@ let test_handle_compare_rows_in_registry_order () =
         | Metrics.List rows ->
           List.map
             (fun row ->
-              match Serve.Json.member "backend" row with
+              match Metrics.member "backend" row with
               | Some (Metrics.String n) -> n
               | _ -> Alcotest.fail "row without backend name")
             rows
@@ -324,6 +364,7 @@ let suite =
     [ Alcotest.test_case "json values" `Quick test_json_values;
       Alcotest.test_case "json render round trip" `Quick
         test_json_render_round_trip;
+      QCheck_alcotest.to_alcotest prop_json_round_trip;
       Alcotest.test_case "json errors" `Quick test_json_errors;
       Alcotest.test_case "frame round trip" `Quick test_frame_round_trip;
       Alcotest.test_case "frame header is big-endian" `Quick

@@ -180,7 +180,7 @@ let test_chrome_export_structure () =
 (* --- the serve acceptance shape --- *)
 
 let member name j =
-  match Serve.Json.member name j with
+  match Metrics.member name j with
   | Some v -> v
   | None ->
     Alcotest.fail

@@ -89,7 +89,7 @@ let test_stop_keeps_progress () =
 let json = Alcotest.testable (Fmt.of_to_string Metrics.render_compact) ( = )
 
 let member name j =
-  match Serve.Json.member name j with
+  match Metrics.member name j with
   | Some v -> v
   | None ->
     Alcotest.fail
