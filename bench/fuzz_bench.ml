@@ -67,34 +67,35 @@ let cell_string = function
   | Skip -> "skip"
   | Diverge d -> "DIVERGE: " ^ d
 
-let workload_cell (w : Workloads.t) backend =
-  let session = Driver.create ~entry:w.Workloads.entry w.Workloads.source in
-  match Driver.compile session backend with
-  | Error (Driver.Dialect_reject _) -> Reject
-  | Error (Driver.No_c_frontend _) -> Skip
-  | Error e -> Diverge (Driver.render_error e)
-  | Ok design -> (
-    let check args =
-      let expected = Workloads.reference w args in
-      match Design.run_int design args with
-      | Some v when v = expected -> None
-      | Some v ->
-        Some (Printf.sprintf "args %s: got %d, reference %d"
-                (String.concat "," (List.map string_of_int args))
-                v expected)
-      | None -> Some "returned void"
-      | exception exn -> Some (Printexc.to_string exn)
-    in
-    match List.filter_map check w.Workloads.arg_sets with
-    | [] -> Agree
-    | d :: _ -> Diverge d)
-
 type matrix_row = { workload : string; cells : (string * cell) list }
 
+(* One Driver.compare per workload: the oracle runs once per vector and
+   every backend is judged against it. *)
 let matrix_row backends (w : Workloads.t) =
+  let session = Driver.create ~entry:w.Workloads.entry w.Workloads.source in
+  let cell = function
+    | Error (Driver.Dialect_reject _) -> Reject
+    | Error (Driver.No_c_frontend _) -> Skip
+    | Error e -> Diverge (Driver.render_error e)
+    | Ok (_, verdicts) -> (
+      match List.find_opt (fun v -> not v.Driver.agrees) verdicts with
+      | None -> Agree
+      | Some v ->
+        (* the first vector the backend got wrong, as the daemon would
+           answer it *)
+        Diverge
+          (Printf.sprintf "args %s: %s"
+             (String.concat "," (List.map string_of_int v.Driver.vector))
+             (Metrics.render_compact (Metrics.Obj (Driver.run_members v)))))
+  in
   { workload = w.Workloads.name;
     cells =
-      List.map (fun b -> (Registry.name b, workload_cell w b)) backends }
+      (match
+         Driver.compare ~backends session ~vectors:w.Workloads.arg_sets
+       with
+      | Ok table -> List.map (fun (b, r) -> (Registry.name b, cell r)) table
+      | Error e ->
+        List.map (fun b -> (Registry.name b, cell (Error e))) backends) }
 
 let json_of_matrix_row r =
   Metrics.Obj

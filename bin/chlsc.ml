@@ -583,38 +583,21 @@ let compile_cmd =
           Printf.printf "wrote %s (%d vars)\n" path (Vcd.num_vars w)
         | _ -> ()
       in
-      Metrics.set_string m "run.sim" (Design.engine_name sim);
+      Metrics.set_string m "run.engine" (Design.engine_name sim);
       let v = Driver.check ~ctx:tctx ?vcd:writer ~sim session design ~args in
+      (* the verdict as the daemon answers it; a stop is a partial
+         outcome that reports how far the run got *)
+      List.iter
+        (fun (k, j) -> Metrics.set m ("run." ^ k) j)
+        (Driver.run_members v);
       (match v.Driver.run with
       | Error stop ->
-        (* a partial outcome, not a bare failure: report how far the run
-           got through the same channels a finished run uses *)
-        Metrics.set_string m "run.outcome"
-          (Design.stop_reason_name stop.Design.reason);
-        (match stop.Design.progress with
-        | Design.Cycles { cycles; state } ->
-          Metrics.set_int m "run.cycles" cycles;
-          Metrics.set_int m "run.state" state
-        | Design.Tokens { fired; time } ->
-          Metrics.set_int m "run.tokens_fired" fired;
-          Metrics.set_fixed m "run.time_units" ~decimals:1 time
-        | Design.Unreported -> ());
         finish_vcd ();
         write_metrics ();
         write_trace ~failed:true ();
         prerr_endline (Design.render_stop stop);
         exit 3
       | Ok r ->
-        Metrics.set_string m "run.outcome" "ok";
-        (match r.Design.result with
-        | Some v -> Metrics.set_int m "run.result" (Bitvec.to_int v)
-        | None -> ());
-        (match r.Design.cycles with
-        | Some c -> Metrics.set_int m "run.cycles" c
-        | None -> ());
-        (match r.Design.time_units with
-        | Some t -> Metrics.set_fixed m "run.time_units" ~decimals:1 t
-        | None -> ());
         Metrics.merge ~into:m ~prefix:"run" r.Design.metrics;
         finish_vcd ();
         Printf.printf "%s(%s) = %s%s\n" entry
@@ -626,8 +609,6 @@ let compile_cmd =
           | Some c, _ -> Printf.sprintf " in %d cycles" c
           | None, Some t -> Printf.sprintf " in %.0f time units" t
           | None, None -> "");
-        (* the verdict always consults the oracle on a completed run *)
-        Metrics.set_bool m "run.matches_reference" v.Driver.agrees;
         (match v.Driver.oracle with
         | Some (Error e) ->
           write_trace ~failed:true ();
@@ -762,42 +743,29 @@ let compare_cmd =
     Metrics.set_string m "compare.file" file;
     Metrics.set_string m "compare.entry" entry;
     Metrics.set_int m "compare.vectors" (List.length vectors);
-    let mismatch = ref false and compiled = ref 0 in
+    let compiled = ref 0 in
     let join cells = if cells = [] then "-" else String.concat "," cells in
     let rows =
       List.map
         (fun (b, compared) ->
           let name = Registry.name b in
           let key k = Printf.sprintf "compare.backends.%s.%s" name k in
+          List.iter
+            (fun (k, j) -> Metrics.set m (key k) j)
+            (Driver.compare_row compared);
           match compared with
           | Error e ->
-            let status, short =
+            let short =
               match e with
-              | Driver.No_c_frontend _ -> ("no-c-frontend", "no C frontend")
+              | Driver.No_c_frontend _ -> "no C frontend"
               | Driver.Dialect_reject
                   { violations = { Dialect.rule; _ } :: _; _ } ->
-                ("dialect-reject", "rejects: " ^ rule)
-              | Driver.Dialect_reject _ -> ("dialect-reject", "rejects")
-              | _ -> ("error", "error")
+                "rejects: " ^ rule
+              | e -> Driver.error_kind e
             in
-            Metrics.set_string m (key "status") status;
-            Metrics.set_string m (key "detail") (Driver.render_error e);
             [ name; short; "-"; "-"; "-"; "-"; "-" ]
           | Ok (design, verdicts) ->
             incr compiled;
-            Metrics.set_string m (key "status") "ok";
-            let agrees = Driver.agree verdicts in
-            if vectors <> [] && not agrees then mismatch := true;
-            Metrics.set m (key "results")
-              (Metrics.List
-                 (List.map
-                    (fun v ->
-                      match Driver.observed v with
-                      | Some n -> Metrics.Int n
-                      | None -> Metrics.Null)
-                    verdicts));
-            if vectors <> [] then
-              Metrics.set_bool m (key "agrees") agrees;
             (* one vector's result, cycles and wall cells: a stopped run
                names its reason in the first two, "t/o" for a timeout *)
             let cells v =
@@ -843,7 +811,7 @@ let compare_cmd =
               join (List.filter_map (fun (_, _, w) -> w) cells);
               area_cell;
               (if vectors = [] then "-"
-               else if agrees then "agree"
+               else if Driver.agree verdicts then "agree"
                else "MISMATCH") ])
         table
     in
@@ -878,7 +846,7 @@ let compare_cmd =
       Metrics.write_file m path;
       Printf.printf "wrote %s\n" path
     | None -> ());
-    if !mismatch then begin
+    if Driver.mismatch table then begin
       Printf.eprintf "MISMATCH vs software semantics (see table)\n";
       exit 2
     end
@@ -1019,32 +987,13 @@ let cache_cmd =
     let run dir =
       let d = open_store dir in
       let c = Cache.store_counters (Cache.Disk.store d) in
-      (* derived rates, not raw counters: hits / (hits + misses), with a
-         guard for the no-lookup case (a fresh open has no traffic yet) *)
-      let rate hits misses =
-        let total = hits + misses in
-        if total = 0 then "n/a (no lookups)"
-        else
-          Printf.sprintf "%.1f%% (%d/%d)"
-            (100. *. float_of_int hits /. float_of_int total)
-            hits total
-      in
-      let dm = Driver.cache_metrics () in
-      let counter k = Option.value (List.assoc_opt k dm) ~default:0 in
       Printf.printf "cache %s\n" (Cache.Disk.dir d);
       List.iter
         (fun (k, v) -> Printf.printf "  %-16s %d\n" k v)
         [ ("entries", c.Cache.entries);
           ("bytes", c.Cache.bytes);
           ("corrupt", c.Cache.corrupt);
-          ("version_skew", c.Cache.version_skew) ];
-      List.iter
-        (fun (k, v) -> Printf.printf "  %-16s %s\n" k v)
-        [ ("store_hit_rate", rate c.Cache.hits c.Cache.misses);
-          ( "front_hit_rate",
-            rate
-              (counter "driver.cache.front_hits")
-              (counter "driver.cache.front_misses") ) ]
+          ("version_skew", c.Cache.version_skew) ]
     in
     Cmd.v (Cmd.info "stats" ~doc) Term.(const run $ dir_arg)
   in

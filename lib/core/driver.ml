@@ -32,6 +32,16 @@ let render_loc ?file (loc : Ast.loc) =
       (match file with Some f -> f ^ ":" | None -> "")
       loc.Ast.line loc.Ast.col
 
+(* The one name of each error on every surface: serve's error kinds,
+   compare's row status, fuzz's compile-failure classes. *)
+let error_kind = function
+  | Frontend_error _ -> "frontend-error"
+  | No_c_frontend _ -> "no-c-frontend"
+  | Dialect_reject _ -> "dialect-reject"
+  | Backend_error _ -> "backend-error"
+  | Verification_error _ -> "verification-error"
+  | Constraint_infeasible _ -> "constraint-infeasible"
+
 let render_error ?file = function
   | Frontend_error { message; loc } ->
     let where = render_loc ?file loc in
@@ -352,6 +362,55 @@ let verdict vector run oracle =
   match oracle with
   | Some (Ok expected) -> { v with agrees = (observed v = Some expected) }
   | Some (Error _) | None -> v
+
+(* --- rendering verdicts: one vocabulary for chlsc and the daemon --- *)
+
+let int_or_null = function Some n -> Metrics.Int n | None -> Metrics.Null
+
+let run_members v =
+  let some key json = Option.fold ~none:[] ~some:(fun x -> [ (key, json x) ]) in
+  let units t = Metrics.Fixed (1, t) in
+  let run =
+    match v.run with
+    | Error { Design.reason; progress } -> (
+      ("status", Metrics.String (Design.stop_reason_name reason))
+      ::
+      (match progress with
+      | Design.Cycles { cycles; state } ->
+        [ ("cycles", Metrics.Int cycles); ("state", Metrics.Int state) ]
+      | Design.Tokens { fired; time } ->
+        [ ("tokens_fired", Metrics.Int fired); ("time_units", units time) ]
+      | Design.Unreported -> []))
+    | Ok r ->
+      [ ("status", Metrics.String "ok"); ("result", int_or_null (observed v)) ]
+      @ some "cycles" (fun c -> Metrics.Int c) r.Design.cycles
+      @ some "time_units" units r.Design.time_units
+  in
+  run
+  @
+  match v.oracle with
+  | None -> []
+  | Some (Error e) -> [ ("reference_error", Metrics.String (render_error e)) ]
+  | Some (Ok _) -> [ ("matches_reference", Metrics.Bool v.agrees) ]
+
+let compare_row = function
+  | Error e ->
+    [ ("status", Metrics.String (error_kind e));
+      ("detail", Metrics.String (render_error e)) ]
+  | Ok (_, verdicts) ->
+    ("status", Metrics.String "ok")
+    :: ( "results",
+         Metrics.List (List.map (fun v -> int_or_null (observed v)) verdicts) )
+    ::
+    if verdicts = [] then []
+    else [ ("agrees", Metrics.Bool (agree verdicts)) ]
+
+let mismatch table =
+  List.exists
+    (function
+      | _, Ok (_, (_ :: _ as verdicts)) -> not (agree verdicts)
+      | _, (Ok (_, []) | Error _) -> false)
+    table
 
 let simulate ?ctx ?vcd ?sim design args =
   match Design.run_traced ?ctx ?vcd ?sim design (Design.int_args args) with

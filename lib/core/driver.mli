@@ -52,6 +52,12 @@ type error =
           property of the design point, not a failure; explore sweeps
           render these as typed [infeasible] cells *)
 
+val error_kind : error -> string
+(** The error's one name on every surface — [frontend-error],
+    [no-c-frontend], [dialect-reject], [backend-error],
+    [verification-error], [constraint-infeasible]: serve's error
+    [kind], a compare row's [status], fuzz's compile-failure class. *)
+
 val render_error : ?file:string -> error -> string
 (** One-line diagnostic; locations render as [file:line:col] when a file
     name is given and the location is known. *)
@@ -143,6 +149,31 @@ val engine_mismatches : Design.t -> args:int list -> string list
     ["stop"]) and the ["vcd"] change stream — on which the compiled
     engine and the event-driven one differ for one vector; [[]] when
     they are bit-identical. *)
+
+(** {2 Rendering}
+
+    The one answer vocabulary: serve's [compile] and [compare] responses
+    and [chlsc compile]/[compare --metrics-json] render verdicts through
+    these, each adding only its own extras. *)
+
+val run_members : verdict -> (string * Metrics.json) list
+(** [status] ([ok], or the stop reason), then a stop's progress
+    ([cycles]/[state] or [tokens_fired]/[time_units]) or a completed
+    run's [result] ([null] when void), [cycles] and [time_units], then
+    [matches_reference] — or [reference_error] when the oracle itself
+    failed; neither when no oracle was asked. *)
+
+val compare_row :
+  (Design.t * verdict list, error) result -> (string * Metrics.json) list
+(** One backend's row of a {!compare} table: [status] ({!error_kind},
+    or [ok]), then the rendered error as [detail], or [results] (one
+    per vector, [null] for a stop or a void result) and, when there
+    were vectors, [agrees]. *)
+
+val mismatch :
+  (Registry.t * (Design.t * verdict list, error) result) list -> bool
+(** Some accepted backend ran vectors and did not {!agree} on all of
+    them; rejections never count. *)
 
 (** {1 The process-wide artifact cache}
 

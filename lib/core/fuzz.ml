@@ -71,14 +71,8 @@ let classify_backend ?(config = Config.default) session backend ~args
   match Driver.compile ~config session backend with
   | Error (Driver.Dialect_reject _) -> Rejected
   | Error (Driver.No_c_frontend _) -> Skipped
-  | Error (Driver.Frontend_error { message; _ }) ->
-    Fail { cls = "frontend-error"; detail = message }
-  | Error (Driver.Backend_error { message; _ }) ->
-    Fail { cls = "backend-error"; detail = message }
-  | Error (Driver.Verification_error { message; _ }) ->
-    Fail { cls = "pass-verification"; detail = message }
-  | Error (Driver.Constraint_infeasible { message; _ }) ->
-    Fail { cls = "constraint-infeasible"; detail = message }
+  | Error e ->
+    Fail { cls = Driver.error_kind e; detail = Driver.render_error e }
   | Ok design -> (
     match Driver.judge design ~args ~oracle:(Ok expected) with
     | exception exn ->

@@ -4,7 +4,8 @@
     C-compiling backend against the reference interpreter on fixed
     argument vectors, treats typed dialect rejections as expected matrix
     cells, and shrinks every disagreement (wrong result, crash, checker
-    noise, pass-verification or engine divergence, generator artifact)
+    noise, a compile error named by {!Driver.error_kind} such as
+    [verification-error], engine divergence, generator artifact)
     into a minimal [.c] reproducer. *)
 
 val entry : string

@@ -213,16 +213,8 @@ let parse_request (j : Metrics.json) : (request, string * Metrics.json) result
 
 (* --- handlers --- *)
 
-let kind_of_error = function
-  | Driver.Frontend_error _ -> "frontend-error"
-  | Driver.No_c_frontend _ -> "no-c-frontend"
-  | Driver.Dialect_reject _ -> "dialect-reject"
-  | Driver.Backend_error _ -> "backend-error"
-  | Driver.Verification_error _ -> "verification-error"
-  | Driver.Constraint_infeasible _ -> "constraint-infeasible"
-
 let driver_error ~id e =
-  error_response ~id ~kind:(kind_of_error e) (Driver.render_error e)
+  error_response ~id ~kind:(Driver.error_kind e) (Driver.render_error e)
 
 let session_counter s key =
   match Metrics.find (Driver.metrics s) key with
@@ -272,45 +264,15 @@ let handle_compile sessions ~ctx ~id ~source ~entry ~backend ~args ~config =
       in
       match args with
       | None -> Metrics.Obj (base @ [ ("status", Metrics.String "compiled") ])
-      | Some args -> (
+      | Some args ->
+        (* every served design is checked against the interpreter
+           oracle on the request's vector *)
         let v =
           Driver.check ~ctx
             ?sim:(Option.map (fun c -> c.Config.sim) config)
             s design ~args
         in
-        match v.Driver.run with
-        | Error stop ->
-          Metrics.Obj
-            (base
-            @ [ ( "status",
-                  Metrics.String (Design.stop_reason_name stop.Design.reason) )
-              ]
-            @
-            match stop.Design.progress with
-            | Design.Cycles { cycles; _ } -> [ ("cycles", Metrics.Int cycles) ]
-            | Design.Tokens _ | Design.Unreported -> [])
-        | Ok r ->
-          (* every served design is checked against the interpreter
-             oracle on the request's vector *)
-          Metrics.Obj
-            (base
-            @ [ ("status", Metrics.String "ok");
-                ( "result",
-                  match Driver.observed v with
-                  | Some n -> Metrics.Int n
-                  | None -> Metrics.Null ) ]
-            @ (match r.Design.cycles with
-              | Some c -> [ ("cycles", Metrics.Int c) ]
-              | None -> [])
-            @ (match r.Design.time_units with
-              | Some t -> [ ("time_units", Metrics.Fixed (1, t)) ]
-              | None -> [])
-            @
-            match v.Driver.oracle with
-            | Some (Error e) ->
-              [ ("reference_error", Metrics.String (Driver.render_error e)) ]
-            | Some (Ok _) | None ->
-              [ ("matches_reference", Metrics.Bool v.Driver.agrees) ]))))
+        Metrics.Obj (base @ Driver.run_members v)))
 
 let handle_compare sessions ~ctx ~id ~source ~entry ~backends ~vectors
     ~config =
@@ -329,37 +291,10 @@ let handle_compare sessions ~ctx ~id ~source ~entry ~backends ~vectors
       let rows =
         List.map
           (fun (b, compared) ->
-            let name = Registry.name b in
-            match compared with
-            | Error e ->
-              Metrics.Obj
-                [ ("backend", Metrics.String name);
-                  ("status", Metrics.String (kind_of_error e));
-                  ("detail", Metrics.String (Driver.render_error e)) ]
-            | Ok (_, verdicts) ->
-              Metrics.Obj
-                ([ ("backend", Metrics.String name);
-                   ("status", Metrics.String "ok");
-                   ( "results",
-                     Metrics.List
-                       (List.map
-                          (fun v ->
-                            match Driver.observed v with
-                            | Some n -> Metrics.Int n
-                            | None -> Metrics.Null)
-                          verdicts) ) ]
-                @
-                if vectors = [] then []
-                else [ ("agrees", Metrics.Bool (Driver.agree verdicts)) ]))
+            Metrics.Obj
+              (("backend", Metrics.String (Registry.name b))
+              :: Driver.compare_row compared))
           table
-      in
-      let mismatch =
-        vectors <> []
-        && List.exists
-             (function
-               | _, Ok (_, vs) -> not (Driver.agree vs)
-               | _, Error _ -> false)
-             table
       in
       Metrics.Obj
         [ ("id", id);
@@ -367,7 +302,7 @@ let handle_compare sessions ~ctx ~id ~source ~entry ~backends ~vectors
           ("entry", Metrics.String entry);
           ("vectors", Metrics.Int (List.length vectors));
           ("backends", Metrics.List rows);
-          ("mismatch", Metrics.Bool mismatch) ])
+          ("mismatch", Metrics.Bool (Driver.mismatch table)) ])
 
 let handle_check sessions ~ctx ~id ~source ~dialect =
   match Registry.resolve_dialect dialect with

@@ -19,12 +19,13 @@
 
     - [compile]: [{"op":"compile","source":C,"backend":B,"entry":E,
       "args":[..]}] — compile through one backend; with ["args"], run
-      the design and verify the result against the interpreter oracle
-      ([matches_reference]).
+      the design and verify the result against the interpreter oracle,
+      answered as {!Driver.run_members} renders the verdict ([status],
+      a stop's progress or the run's [result], [matches_reference]).
     - [compare]: [{"op":"compare","source":C,"backends":[..],
       "args":[[..],..]}] — per-backend verdicts in registry order, each
       accepted backend run on every vector and checked against the
-      oracle.
+      oracle; rows render through {!Driver.compare_row}.
     - [check]: [{"op":"check","source":C,"dialect":D}] — the static
       concurrency checker under the dialect's severity rules.
     - [stats]: server counters, per-op latency histograms, queue depth,
@@ -39,9 +40,10 @@
 
     Error responses are typed, never a dropped connection:
     [{"id":..,"ok":false,"error":{"kind":K,"message":M}}] with [kind]
-    one of [protocol], [frontend-error], [no-c-frontend],
-    [dialect-reject], [backend-error], [verification-error],
-    [internal] — and every one carries a ["flight_recorder"] member,
+    [protocol], [internal], or a {!Driver.error_kind}
+    ([frontend-error], [no-c-frontend], [dialect-reject],
+    [backend-error], [verification-error], [constraint-infeasible]) —
+    and every one carries a ["flight_recorder"] member,
     the {!Span.Flight} dump of the last finished spans before the
     failure. *)
 

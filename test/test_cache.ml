@@ -212,42 +212,90 @@ let test_front_undecodable_store_entry_is_a_miss () =
 
 (* --- the driver over a persistent store --- *)
 
+(* The whole suite as a restart sees it: every sequential kernel on
+   every compiling backend compiles into a fresh store, the front tier
+   dies, a new Cache.Disk handle reattaches the directory, and every
+   accepted design must come back from the store, run identically and
+   agree with the oracle. *)
 let test_driver_designs_survive_restart () =
   let dir = fresh_dir "driver" in
   let previous = Driver.cache_store () in
+  let attach () =
+    match Driver.attach_disk_cache ~dir () with
+    | Ok _ -> ()
+    | Error msg -> Alcotest.fail msg
+  in
   Fun.protect
     ~finally:(fun () ->
       Driver.set_cache_store previous;
-      Driver.clear_cache ())
+      Driver.clear_cache ();
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Unix.rmdir dir)
     (fun () ->
-      (match Driver.attach_disk_cache ~dir () with
-      | Ok _ -> ()
-      | Error msg -> Alcotest.fail msg);
+      attach ();
       Driver.clear_cache ();
-      let w = Workloads.gcd in
-      let bachc = Registry.get "bachc" in
-      let compile () =
-        let s = Driver.create ~entry:w.Workloads.entry w.Workloads.source in
-        match Driver.compile s bachc with
-        | Ok d -> (s, d)
-        | Error e -> Alcotest.fail (Driver.render_error e)
+      let sweep () =
+        List.map
+          (fun (w : Workloads.t) ->
+            let s =
+              Driver.create ~entry:w.Workloads.entry w.Workloads.source
+            in
+            match
+              Driver.compare ~backends:(Registry.compiling ()) s
+                ~vectors:w.Workloads.arg_sets
+            with
+            | Ok table -> (w.Workloads.name, s, table)
+            | Error e -> Alcotest.fail (Driver.render_error e))
+          Workloads.sequential
       in
-      let s1, d1 = compile () in
-      Alcotest.(check bool) "first compile is a miss" true
-        (Metrics.find (Driver.metrics s1) "driver.cache.design_misses"
-        = Some (Metrics.Int 1));
-      (* restart: drop the decoded front tier, keep the disk store *)
-      Driver.clear_cache ();
-      let s2, d2 = compile () in
-      Alcotest.(check bool) "second process hits the disk store" true
-        (Metrics.find (Driver.metrics s2) "driver.cache.design_store_hits"
-        = Some (Metrics.Int 1));
+      let counter s key =
+        match Metrics.find (Driver.metrics s) key with
+        | Some (Metrics.Int n) -> n
+        | _ -> 0
+      in
+      let accepted table =
+        List.length (List.filter (fun (_, r) -> Result.is_ok r) table)
+      in
+      let cold = sweep () in
       List.iter
-        (fun args ->
-          Alcotest.(check (option int))
-            "revived design runs identically"
-            (Design.run_int d1 args) (Design.run_int d2 args))
-        w.Workloads.arg_sets)
+        (fun (name, s, table) ->
+          Alcotest.(check int) (name ^ ": cold compiles miss")
+            (accepted table)
+            (counter s "driver.cache.design_misses"))
+        cold;
+      Alcotest.(check bool) "the suite compiles" true
+        (List.exists (fun (_, _, table) -> accepted table > 0) cold);
+      (* restart: drop the decoded front tier, reopen the disk store *)
+      Driver.clear_cache ();
+      attach ();
+      let runs verdicts =
+        List.map
+          (fun v ->
+            Metrics.render_compact (Metrics.Obj (Driver.run_members v)))
+          verdicts
+      in
+      List.iter2
+        (fun (name, _, before) (_, s, after) ->
+          Alcotest.(check int) (name ^ ": every design revives")
+            (accepted before)
+            (counter s "driver.cache.design_store_hits");
+          Alcotest.(check int) (name ^ ": nothing recompiles") 0
+            (counter s "driver.cache.design_misses");
+          List.iter2
+            (fun (b, r1) (_, r2) ->
+              let what = name ^ "/" ^ Registry.name b in
+              match (r1, r2) with
+              | Ok (_, v1), Ok (_, v2) ->
+                Alcotest.(check (list string))
+                  (what ^ " runs identically") (runs v1) (runs v2);
+                Alcotest.(check bool) (what ^ " agrees with the oracle") true
+                  (Driver.agree v2)
+              | Error _, Error _ -> ()
+              | _ -> Alcotest.failf "%s: accepted on one side only" what)
+            before after)
+        cold (sweep ()))
 
 let suite =
   ( "cache",

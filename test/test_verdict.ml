@@ -108,10 +108,10 @@ let test_serve_stops_are_typed () =
     ~finally:(fun () -> Serve.Pool.shutdown pool)
     (fun () ->
       let handle req = Serve.Pool.handle pool None req in
-      let compile source entry =
+      let compile ?(backend = "handelc") source entry =
         handle
           (Serve.Compile
-             { id = Metrics.Null; source; entry; backend = "handelc";
+             { id = Metrics.Null; source; entry; backend;
                args = Some [ 1 ]; config = None })
       in
       let compare ?backends source entry =
@@ -132,6 +132,24 @@ let test_serve_stops_are_typed () =
       no_internal "compile spin.c" spin;
       Alcotest.check json "timeout status"
         (Metrics.String "timeout") (member "status" spin);
+      (* a stop answers with the progress chlsc compile reports *)
+      let fsmd = compile ~backend:"bachc" spin_source "spin" in
+      Alcotest.check json "bachc timeout status"
+        (Metrics.String "timeout") (member "status" fsmd);
+      Alcotest.check json "bachc cycles reached" (Metrics.Int 2_000_000)
+        (member "cycles" fsmd);
+      Alcotest.check json "bachc FSM state" (Metrics.Int 2)
+        (member "state" fsmd);
+      let cash = compile ~backend:"cash" spin_source "spin" in
+      Alcotest.check json "cash timeout status"
+        (Metrics.String "timeout") (member "status" cash);
+      (match (member "tokens_fired" cash, member "time_units" cash) with
+      | Metrics.Int n, Metrics.Fixed (_, t) ->
+        Alcotest.(check bool) "cash tokens fired, time advanced" true
+          (n > 0 && t > 0.)
+      | n, t ->
+        Alcotest.failf "cash progress: %s, %s" (Metrics.render_compact n)
+          (Metrics.render_compact t));
       List.iter
         (fun (what, resp) ->
           no_internal what resp;
