@@ -1,5 +1,5 @@
-(* BENCH_simcomp: compiled (levelized closure) engines vs the
-   interpreters, in cycles per second.
+(* BENCH_simcomp: compiled engines vs the interpreters, in cycles per
+   second.
 
    The tentpole claim of the compiled-simulation work is 10-100x
    cycles/sec from letting the design build its own evaluator instead of
@@ -11,10 +11,15 @@
      Design.run dispatches to by default;
    - interpreting FSMD (Rtlsim): re-walks each state's instruction list
      every cycle;
-   - compiled netlist (Netcomp): levelized closure arrays over the
+   - compiled netlist (Netcomp): a packed code array over the
      elaborated netlist, compiled once and reset between runs;
    - interpreting netlist (Neteval event-driven and full-sweep): the
-     graph-walking engines the ROADMAP item is aimed at.
+     graph-walking engines the ROADMAP item is aimed at;
+   - compiled C2Verilog stack machine (C2vcomp): the kernel compiled by
+     the C2Verilog backend, decoded once into int arrays, its memory
+     kept and restored between runs — against the Bitvec-word
+     C2v_machine it is checked against.  A different design of the same
+     kernel, so its cycle counts are its own.
 
    The headline speedup column is the default compiled engine against
    the event-driven netlist interpreter — the same design simulated
@@ -27,7 +32,8 @@
    Every benchmarked run is first verified against its interpreting
    oracle (full outcome equality at the FSMD level: result, cycles,
    globals, memories, state visits; outputs and cycles at the netlist
-   level) — speed without the cross-check is how semantics drift in.
+   level; result, cycles, instructions, globals and memories on the
+   stack machine) — speed without the cross-check is how semantics drift in.
    Results go to BENCH_simcomp.json through the unified metrics
    registry. *)
 
@@ -38,12 +44,15 @@ type row = {
   args : int list;
   fsmd_cycles : int;
   net_cycles : int;
-  compiled : bool; (* both closure engines, not the width fallbacks *)
+  c2v_cycles : int;
+  compiled : bool; (* every compiled engine, not the width fallbacks *)
   fsmd_comp_cps : float; (* Fsmdcomp, precompiled *)
   fsmd_interp_cps : float; (* Rtlsim *)
   net_comp_cps : float; (* Netcomp, precompiled *)
   net_event_cps : float; (* Neteval event-driven *)
   net_sweep_cps : float; (* Neteval full-sweep *)
+  c2v_comp_cps : float; (* C2vcomp, one engine reused *)
+  c2v_interp_cps : float; (* C2v_machine *)
   verified : bool;
 }
 
@@ -81,6 +90,39 @@ let bv_opt_eq a b =
 let named_eq eq a b =
   List.length a = List.length b
   && List.for_all2 (fun (n1, v1) (n2, v2) -> n1 = n2 && eq v1 v2) a b
+
+let same_c2v (a : C2v_machine.outcome) (b : C2v_machine.outcome) =
+  bv_opt_eq a.C2v_machine.return_value b.C2v_machine.return_value
+  && a.C2v_machine.cycles = b.C2v_machine.cycles
+  && a.C2v_machine.instructions_executed = b.C2v_machine.instructions_executed
+  && named_eq Bitvec.equal a.C2v_machine.globals b.C2v_machine.globals
+  && named_eq
+       (fun x y ->
+         Array.length x = Array.length y && Array.for_all2 Bitvec.equal x y)
+       a.C2v_machine.memories b.C2v_machine.memories
+
+(* The kernel's C2Verilog design: the compiled engine (built once, its
+   memory restored between runs) and the oracle, with two runs of the
+   compiled engine checked against the oracle before any timing. *)
+let c2v_columns (w : Workloads.t) args =
+  let design =
+    C2v_backend.compile (Workloads.parse w) ~entry:w.Workloads.entry
+  in
+  match design.Design.artifact with
+  | Design.Stack_machine { compiled; ret_width } ->
+    let engine = C2vcomp.create compiled ~ret_width in
+    let run_c () = C2vcomp.execute engine ~args in
+    let run_i () = C2v_machine.run compiled ~ret_width ~args in
+    let oi = run_i () in
+    let oc = run_c () in
+    let verified = same_c2v oc oi && same_c2v (run_c ()) oi in
+    let cycles = oi.C2v_machine.cycles in
+    ( cycles,
+      C2vcomp.compiled engine ~args,
+      float_of_int cycles /. Float.max 1e-9 (time_runs run_c),
+      float_of_int cycles /. Float.max 1e-9 (time_runs run_i),
+      verified )
+  | _ -> failwith "simcomp bench: c2verilog built no stack machine"
 
 let run_kernel (w : Workloads.t) =
   let func = lowered w in
@@ -125,6 +167,9 @@ let run_kernel (w : Workloads.t) =
   in
   match (run_nc (), run_ne (), run_ns ()) with
   | Ok (nc_out, nc_cycles), Ok (ne_out, ne_cycles), Ok (ns_out, ns_cycles) ->
+    let c2v_cycles, c2v_compiled, c2v_comp_cps, c2v_interp_cps, c2v_ok =
+      c2v_columns w args
+    in
     let net_ok =
       nc_cycles = ne_cycles
       && ne_cycles = ns_cycles
@@ -136,13 +181,17 @@ let run_kernel (w : Workloads.t) =
       args = int_args;
       fsmd_cycles = oc.Rtlsim.cycles;
       net_cycles = nc_cycles;
-      compiled = Fsmdcomp.compiled feng && Netcomp.compiled neng;
+      c2v_cycles;
+      compiled =
+        Fsmdcomp.compiled feng && Netcomp.compiled neng && c2v_compiled;
       fsmd_comp_cps = cps oc.Rtlsim.cycles (time_runs run_fc);
       fsmd_interp_cps = cps oc.Rtlsim.cycles (time_runs run_fi);
       net_comp_cps = cps nc_cycles (time_runs run_nc);
       net_event_cps = cps nc_cycles (time_runs run_ne);
       net_sweep_cps = cps nc_cycles (time_runs run_ns);
-      verified = fsmd_ok && net_ok }
+      c2v_comp_cps;
+      c2v_interp_cps;
+      verified = fsmd_ok && net_ok && c2v_ok }
   | _ -> failwith ("simcomp bench: " ^ w.Workloads.name ^ " timed out")
 
 (* headline: the default compiled engine vs the event-driven netlist
@@ -155,12 +204,15 @@ let json_of_row r =
       ("args", Metrics.List (List.map (fun a -> Metrics.Int a) r.args));
       ("fsmd_cycles", Metrics.Int r.fsmd_cycles);
       ("netlist_cycles", Metrics.Int r.net_cycles);
+      ("c2verilog_cycles", Metrics.Int r.c2v_cycles);
       ("compiled_engines", Metrics.Bool r.compiled);
       ("fsmd_compiled_cycles_per_sec", Metrics.Fixed (0, r.fsmd_comp_cps));
       ("fsmd_interp_cycles_per_sec", Metrics.Fixed (0, r.fsmd_interp_cps));
       ("netlist_compiled_cycles_per_sec", Metrics.Fixed (0, r.net_comp_cps));
       ("netlist_event_cycles_per_sec", Metrics.Fixed (0, r.net_event_cps));
       ("netlist_sweep_cycles_per_sec", Metrics.Fixed (0, r.net_sweep_cps));
+      ("c2verilog_compiled_cycles_per_sec", Metrics.Fixed (0, r.c2v_comp_cps));
+      ("c2verilog_interp_cycles_per_sec", Metrics.Fixed (0, r.c2v_interp_cps));
       ("speedup_vs_event_interp", Metrics.Fixed (1, speedup r));
       ( "speedup_vs_sweep_interp",
         Metrics.Fixed (1, r.fsmd_comp_cps /. Float.max 1e-9 r.net_sweep_cps) );
@@ -169,21 +221,26 @@ let json_of_row r =
       );
       ( "netlist_compiled_vs_event",
         Metrics.Fixed (2, r.net_comp_cps /. Float.max 1e-9 r.net_event_cps) );
+      ( "c2verilog_compiled_vs_interp",
+        Metrics.Fixed (2, r.c2v_comp_cps /. Float.max 1e-9 r.c2v_interp_cps)
+      );
       ("verified_vs_interpreters", Metrics.Bool r.verified) ]
 
 let emit_json path rows =
   let m = Metrics.create () in
   Metrics.set_string m "experiment"
-    "compiled simulation: closure engines vs interpreters (cycles/sec)";
+    "compiled simulation: compiled engines vs interpreters (cycles/sec)";
+  Metrics.set_string m "ocaml" Sys.ocaml_version;
+  Metrics.set_int m "cores" (Domain.recommended_domain_count ());
   Metrics.set m "kernels" (Metrics.List (List.map json_of_row rows));
   Metrics.write_file m path
 
 let print_rows rows =
   Printf.printf "\ncycles/sec by engine (compiled engines precompiled):\n";
-  let widths = [ 14; 7; 10; 10; 10; 9; 9; 8; 9 ] in
+  let widths = [ 14; 7; 10; 10; 10; 9; 9; 8; 10; 10; 9 ] in
   Tables.table widths
     [ "kernel"; "cycles"; "fsmd-comp"; "rtlsim"; "net-comp"; "event";
-      "sweep"; "speedup"; "verified" ]
+      "sweep"; "speedup"; "c2v-comp"; "c2v-mach"; "verified" ]
     (List.map
        (fun r ->
          let m f = Printf.sprintf "%.2fM" (f /. 1e6) in
@@ -191,16 +248,17 @@ let print_rows rows =
            m r.fsmd_comp_cps; m r.fsmd_interp_cps; m r.net_comp_cps;
            m r.net_event_cps; m r.net_sweep_cps;
            Printf.sprintf "%.0fx" (speedup r);
+           m r.c2v_comp_cps; m r.c2v_interp_cps;
            (if r.verified then "yes" else "NO") ])
        rows)
 
 let run_kernels ~out kernels =
-  Tables.section "BENCH" "Compiled simulation: closure engines vs interpreters"
+  Tables.section "BENCH" "Compiled simulation: compiled engines vs interpreters"
     "the design builds its own simulator — per-state closures at the FSMD \
-     level, levelized closures at the netlist level — with the \
-     interpreters kept as bit-exact differential oracles; speedup column \
-     is the default compiled engine vs the event-driven netlist \
-     interpreter";
+     level, packed code at the netlist level, decoded int code for the \
+     C2Verilog stack machine — with the interpreters kept as bit-exact \
+     differential oracles; speedup column is the default compiled engine \
+     vs the event-driven netlist interpreter";
   let rows = List.map run_kernel kernels in
   print_rows rows;
   List.iter

@@ -31,6 +31,7 @@ let word_width = 64
 
 let push st v =
   if st.sp >= st.compiled.C2verilog.heap_base then error "stack overflow";
+  if st.sp < 0 then error "stack underflow";
   st.mem.(st.sp) <- Bitvec.zero_extend ~width:word_width v;
   st.sp <- st.sp + 1
 
@@ -60,13 +61,15 @@ let step st =
     st.pc <- next
   | C2verilog.Load ->
     let addr = Bitvec.to_int_unsigned (pop st) in
-    if addr >= Array.length st.mem then error "load out of memory (%d)" addr;
+    if addr < 0 || addr >= Array.length st.mem then
+      error "load out of memory (%d)" addr;
     push st st.mem.(addr);
     st.pc <- next
   | C2verilog.Store ->
     let v = pop st in
     let addr = Bitvec.to_int_unsigned (pop st) in
-    if addr >= Array.length st.mem then error "store out of memory (%d)" addr;
+    if addr < 0 || addr >= Array.length st.mem then
+      error "store out of memory (%d)" addr;
     st.mem.(addr) <- v;
     st.pc <- next
   | C2verilog.Bin (op, w) ->
@@ -110,6 +113,9 @@ let step st =
     st.pc <- next
   | C2verilog.Ret { args; has_value } ->
     let value = if has_value then Some (pop st) else None in
+    (* a frame the program overwrote can name any frame pointer *)
+    if st.fp < 2 || st.fp > Array.length st.mem then
+      error "frame pointer out of memory (%d)" st.fp;
     st.sp <- st.fp;
     let saved_fp = Bitvec.to_int_unsigned st.mem.(st.sp - 1) in
     let ret_pc = Bitvec.to_int_unsigned st.mem.(st.sp - 2) in
@@ -133,7 +139,24 @@ type outcome = {
   memories : (string * Bitvec.t array) list;
 }
 
-let run ?(max_cycles = 50_000_000) (compiled : C2verilog.compiled)
+let observe (compiled : C2verilog.compiled) ~word =
+  Hashtbl.fold
+    (fun name (b : C2verilog.var_binding) (scalars, arrays) ->
+      match b.C2verilog.ty with
+      | Ctypes.Array (elt, n) ->
+        let w = max 1 (Ctypes.width elt) in
+        ( scalars,
+          (name, Array.init n (fun i -> word (b.C2verilog.offset + i) w))
+          :: arrays )
+      | Ctypes.Void | Ctypes.Integer _ | Ctypes.Pointer _ | Ctypes.Function _
+        ->
+        let w = max 1 (Ctypes.width b.C2verilog.ty) in
+        ((name, word b.C2verilog.offset w) :: scalars, arrays))
+    compiled.C2verilog.globals_layout ([], [])
+
+let max_cycles = 50_000_000
+
+let run ?(max_cycles = max_cycles) (compiled : C2verilog.compiled)
     ~(ret_width : int) ~args : outcome =
   let st =
     { compiled;
@@ -161,28 +184,10 @@ let run ?(max_cycles = 50_000_000) (compiled : C2verilog.compiled)
       Some (Bitvec.resize ~signed:false ~width:ret_width (pop st))
     else None
   in
-  let read_layout () =
-    Hashtbl.fold
-      (fun name (b : C2verilog.var_binding) (scalars, arrays) ->
-        match b.C2verilog.ty with
-        | Ctypes.Array (elt, n) ->
-          let w = max 1 (Ctypes.width elt) in
-          ( scalars,
-            ( name,
-              Array.init n (fun i ->
-                  Bitvec.resize ~signed:false ~width:w
-                    st.mem.(b.C2verilog.offset + i)) )
-            :: arrays )
-        | Ctypes.Void | Ctypes.Integer _ | Ctypes.Pointer _
-        | Ctypes.Function _ ->
-          let w = max 1 (Ctypes.width b.C2verilog.ty) in
-          ( ( name,
-              Bitvec.resize ~signed:false ~width:w st.mem.(b.C2verilog.offset) )
-            :: scalars,
-            arrays ))
-      compiled.C2verilog.globals_layout ([], [])
+  let globals, memories =
+    observe compiled ~word:(fun addr w ->
+        Bitvec.resize ~signed:false ~width:w st.mem.(addr))
   in
-  let globals, memories = read_layout () in
   { return_value;
     cycles = st.cycles;
     instructions_executed = st.executed;

@@ -30,14 +30,6 @@ let opcode = function
   | C2verilog.Alloc -> 0x10
   | C2verilog.Halt _ -> 0x11
 
-(* a compact sub-opcode for ALU operations *)
-let alu_code (op : Netlist.binop) =
-  match op with
-  | Netlist.B_add -> 0 | B_sub -> 1 | B_mul -> 2 | B_udiv -> 3 | B_urem -> 4
-  | B_sdiv -> 5 | B_srem -> 6 | B_and -> 7 | B_or -> 8 | B_xor -> 9
-  | B_shl -> 10 | B_lshr -> 11 | B_ashr -> 12 | B_eq -> 13 | B_ne -> 14
-  | B_ult -> 15 | B_ule -> 16 | B_slt -> 17 | B_sle -> 18
-
 let immediate_of (instr : C2verilog.instr) : int64 =
   match instr with
   | C2verilog.Push v -> v
@@ -48,7 +40,9 @@ let immediate_of (instr : C2verilog.instr) : int64 =
   | C2verilog.Enter locals -> Int64.of_int locals
   | C2verilog.Ret { args; has_value } ->
     Int64.of_int ((args lsl 1) lor if has_value then 1 else 0)
-  | C2verilog.Bin (op, w) -> Int64.of_int ((alu_code op lsl 8) lor w)
+  | C2verilog.Bin (op, w) ->
+    (* [to_string]'s alu function numbers its cases by this index *)
+    Int64.of_int ((Intalu.binop_index op lsl 8) lor w)
   | C2verilog.Un (Netlist.U_not, w) -> Int64.of_int w
   | C2verilog.Un (Netlist.U_neg, w) -> Int64.of_int (0x100 lor w)
   | C2verilog.Un (Netlist.U_reduce_or, w) -> Int64.of_int (0x200 lor w)

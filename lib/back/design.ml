@@ -10,9 +10,11 @@
    place.  Simulation and HDL are views of the data, never the data. *)
 
 (* Which simulation engine executes the behavioural run.  Compiled is
-   the levelized-closure fast path (Netcomp / Fsmdcomp); Event_driven,
-   the change-propagating Neteval / instruction-walking Rtlsim, survives
-   as the differential oracle.  Artifacts with a single simulator ignore
+   the fast path over unboxed ints (Netcomp's packed code, Fsmdcomp's
+   per-state closures, C2vcomp's decoded stack code); Event_driven — the
+   change-propagating Neteval, the instruction-walking Rtlsim, the
+   Bitvec-word C2v_machine — survives as the differential oracle.  The
+   CASH, SystemC and Handel-C simulators have one engine each and ignore
    the selection. *)
 type engine = Compiled | Event_driven
 
@@ -50,8 +52,10 @@ type run_result = {
 
 (* Every way a simulator ends a run without a result.  The simulators
    keep their own exceptions and budgets (their tests pin them); the
-   dispatch in [run_of_artifact] alone knows which one each raises. *)
-type stop_reason = Timeout | Deadlock | Combinational_loop
+   dispatch in [run_of_artifact] alone knows which one each raises.  A
+   fault is the machine's own runtime error (stack overflow, a wild
+   address, an exhausted heap), with its message. *)
+type stop_reason = Timeout | Deadlock | Combinational_loop | Fault of string
 
 type progress =
   | Cycles of { cycles : int; state : int }
@@ -66,9 +70,14 @@ let stop_reason_name = function
   | Timeout -> "timeout"
   | Deadlock -> "deadlock"
   | Combinational_loop -> "combinational-loop"
+  | Fault _ -> "fault"
 
 let render_stop { reason; progress } =
-  let reason = stop_reason_name reason in
+  let reason =
+    match reason with
+    | Fault message -> "fault: " ^ message
+    | Timeout | Deadlock | Combinational_loop -> stop_reason_name reason
+  in
   match progress with
   | Cycles { cycles; state } ->
     Printf.sprintf "%s after %d cycles (in state %d)" reason cycles state
@@ -116,25 +125,48 @@ let cycles_metrics cycles =
   Metrics.set_int metrics "sim.cycles" cycles;
   metrics
 
-(* The compiled FSMD engine is built on the first compiled run and reused
-   by every later one.  It is mutable (register files) and a live design
-   may be run from several worker domains, so runs on it serialize on the
-   design's lock. *)
-let fsmd_run ~lock fsmd =
-  let engine = lazy (Fsmdcomp.create fsmd) in
+(* One small pool of simulation engines per design.  A run pops a free
+   engine or builds one, runs, and pushes it back, so worker domains
+   running one design each hold an engine of their own and never wait on
+   each other; the pool grows to the most runs ever in flight at once.
+   Engines reset themselves at the start of every run.  A run that raises
+   drops its engine rather than return it. *)
+let pool create =
+  let lock = Mutex.create () and free = ref [] in
+  fun run ->
+    let engine =
+      match
+        Mutex.protect lock (fun () ->
+            match !free with
+            | e :: rest ->
+              free := rest;
+              Some e
+            | [] -> None)
+      with
+      | Some e -> e
+      | None -> create ()
+    in
+    let r = run engine in
+    Mutex.protect lock (fun () -> free := engine :: !free);
+    r
+
+let engine_metric metrics ran_compiled =
+  Metrics.set_string metrics "sim.engine"
+    (if ran_compiled then "compiled" else "event")
+
+let fsmd_run fsmd =
+  let with_engine = pool (fun () -> Fsmdcomp.create fsmd) in
   fun ?vcd ?(sim = Compiled) args ->
     let trace = Option.map (fun v -> Trace.rtlsim_trace v fsmd) vcd in
-    let o, ran =
+    let o, ran_compiled =
       match sim with
       | Compiled ->
-        Mutex.protect lock (fun () ->
-            let e = Lazy.force engine in
-            ( Fsmdcomp.execute ?trace e ~args,
-              if Fsmdcomp.compiled e then "compiled" else "event" ))
-      | Event_driven -> (Rtlsim.run ?trace fsmd ~args, "event")
+        with_engine (fun e ->
+            (Fsmdcomp.execute ?trace e ~args, Fsmdcomp.compiled e))
+      | Event_driven -> (Rtlsim.run ?trace fsmd ~args, false)
     in
     let metrics = Metrics.create () in
-    Metrics.set_string metrics "sim.engine" ran;
+    engine_metric metrics ran_compiled;
     Metrics.set_int metrics "sim.cycles" o.Rtlsim.cycles;
     Metrics.set metrics "sim.states_visited"
       (Metrics.List
@@ -143,36 +175,77 @@ let fsmd_run ~lock fsmd =
     outcome o.Rtlsim.return_value ~globals:o.Rtlsim.globals
       ~memories:o.Rtlsim.memories ~cycles:o.Rtlsim.cycles ~metrics
 
-(* One settle per run, so a combinational design keeps no engine alive
-   between runs.  Scalar globals leave the block as outputs [g_<name>];
-   the settle time is the netlist's critical path. *)
-let netlist_run nl ~critical_path ?vcd ?(sim = Compiled) args =
-  let inputs =
-    List.map2 (fun (name, _) v -> (name, v)) (Netlist.inputs nl) args
+(* One settle per run: a pooled engine, reset first, for untraced runs;
+   a fresh one for a traced run, so no pooled engine keeps a probe.  A
+   reset engine keeps counting, so the run's counters are deltas.
+   Scalar globals leave the block as outputs [g_<name>]; the settle time
+   is the netlist's critical path. *)
+let netlist_run nl ~critical_path =
+  let with_engine = pool (fun () -> Netcomp.create nl) in
+  let settle e ~inputs =
+    let before = Netcomp.stats e in
+    let nodes = before.Neteval.nodes_evaluated
+    and events = before.Neteval.events in
+    Netcomp.settle e ~inputs;
+    let after = Netcomp.stats e in
+    ( List.map
+        (fun (name, s) -> (name, Netcomp.value e s))
+        (Netlist.outputs nl),
+      after.Neteval.nodes_evaluated - nodes,
+      after.Neteval.events - events,
+      Netcomp.compiled e )
   in
-  let probe = Option.map (fun v -> Trace.neteval_probe v nl) vcd in
-  let outputs, st =
-    match sim with
-    | Compiled -> Netcomp.eval_combinational_stats ?probe nl ~inputs
-    | Event_driven -> Neteval.eval_combinational_stats ?probe nl ~inputs
-  in
-  let metrics = Metrics.create () in
-  Metrics.set_string metrics "sim.engine"
-    (match sim with
-    | Compiled when Netcomp.compilable nl -> "compiled"
-    | Compiled | Event_driven -> "event");
-  Metrics.set_int metrics "sim.nodes_evaluated" st.Neteval.nodes_evaluated;
-  Metrics.set_int metrics "sim.events" st.Neteval.events;
-  outcome
-    (List.assoc_opt "result" outputs)
-    ~globals:
-      (List.filter_map
-         (fun (name, v) ->
-           if String.length name > 2 && String.sub name 0 2 = "g_" then
-             Some (String.sub name 2 (String.length name - 2), v)
-           else None)
-         outputs)
-    ~time_units:critical_path ~metrics
+  fun ?vcd ?(sim = Compiled) args ->
+    let inputs =
+      List.map2 (fun (name, _) v -> (name, v)) (Netlist.inputs nl) args
+    in
+    let probe = Option.map (fun v -> Trace.neteval_probe v nl) vcd in
+    let outputs, nodes, events, ran_compiled =
+      match (sim, probe) with
+      | Compiled, None ->
+        with_engine (fun e ->
+            Netcomp.reset e;
+            settle e ~inputs)
+      | Compiled, Some p ->
+        let e = Netcomp.create nl in
+        Netcomp.set_probe e p;
+        settle e ~inputs
+      | Event_driven, _ ->
+        let outputs, st =
+          Neteval.eval_combinational_stats ?probe nl ~inputs
+        in
+        (outputs, st.Neteval.nodes_evaluated, st.Neteval.events, false)
+    in
+    let metrics = Metrics.create () in
+    engine_metric metrics ran_compiled;
+    Metrics.set_int metrics "sim.nodes_evaluated" nodes;
+    Metrics.set_int metrics "sim.events" events;
+    outcome
+      (List.assoc_opt "result" outputs)
+      ~globals:
+        (List.filter_map
+           (fun (name, v) ->
+             if String.length name > 2 && String.sub name 0 2 = "g_" then
+               Some (String.sub name 2 (String.length name - 2), v)
+             else None)
+           outputs)
+      ~time_units:critical_path ~metrics
+
+let stack_run compiled ~ret_width =
+  let with_engine = pool (fun () -> C2vcomp.create compiled ~ret_width) in
+  fun ?vcd:_ ?(sim = Compiled) args ->
+    let o, ran_compiled =
+      match sim with
+      | Compiled ->
+        with_engine (fun e ->
+            (C2vcomp.execute e ~args, C2vcomp.compiled e ~args))
+      | Event_driven -> (C2v_machine.run compiled ~ret_width ~args, false)
+    in
+    let metrics = Metrics.create () in
+    engine_metric metrics ran_compiled;
+    Metrics.set_int metrics "sim.cycles" o.C2v_machine.cycles;
+    outcome o.C2v_machine.return_value ~globals:o.C2v_machine.globals
+      ~memories:o.C2v_machine.memories ~cycles:o.C2v_machine.cycles ~metrics
 
 (* SSA renaming grows the register file, and the token simulator executes
    the SSA: the timing model and the tracer both see the SSA function. *)
@@ -190,8 +263,8 @@ let dataflow_run ssa ~handshake =
     outcome o.Asim.return_value ~globals:o.Asim.globals
       ~memories:o.Asim.memories ~time_units:o.Asim.completion_time ~metrics
 
-let simulator_of_artifact ~lock = function
-  | Fsmd fsmd -> fsmd_run ~lock fsmd
+let simulator_of_artifact = function
+  | Fsmd fsmd -> fsmd_run fsmd
   | Combinational { netlist; critical_path } ->
     netlist_run netlist ~critical_path
   | Dataflow { circuit; handshake } -> dataflow_run circuit.Dfg.ssa ~handshake
@@ -199,12 +272,7 @@ let simulator_of_artifact ~lock = function
     fun ?vcd:_ ?sim:_ args ->
       let result, cycles = Sc_kernel.run_fsmd fsmd ~args in
       outcome (Some result) ~cycles ~metrics:(cycles_metrics cycles)
-  | Stack_machine { compiled; ret_width } ->
-    fun ?vcd:_ ?sim:_ args ->
-      let o = C2v_machine.run compiled ~ret_width ~args in
-      outcome o.C2v_machine.return_value ~globals:o.C2v_machine.globals
-        ~memories:o.C2v_machine.memories ~cycles:o.C2v_machine.cycles
-        ~metrics:(cycles_metrics o.C2v_machine.cycles)
+  | Stack_machine { compiled; ret_width } -> stack_run compiled ~ret_width
   | Statement_machine { program; entry; policy; _ } ->
     fun ?vcd:_ ?sim:_ args ->
       let o = Handel_machine.run ~policy program ~entry ~args in
@@ -213,8 +281,8 @@ let simulator_of_artifact ~lock = function
         ~cycles:o.Handel_machine.cycles
         ~metrics:(cycles_metrics o.Handel_machine.cycles)
 
-let run_of_artifact ~lock artifact =
-  let run = simulator_of_artifact ~lock artifact in
+let run_of_artifact artifact =
+  let run = simulator_of_artifact artifact in
   let stop reason progress = raise (Stopped { reason; progress }) in
   fun ?vcd ?sim args ->
     match run ?vcd ?sim args with
@@ -229,6 +297,10 @@ let run_of_artifact ~lock artifact =
     | exception Handel_machine.Deadlock -> stop Deadlock Unreported
     | exception Handel_machine.Combinational_loop ->
       stop Combinational_loop Unreported
+    | exception
+        (C2v_machine.Runtime_error message | Interp.Runtime_error message) ->
+      (* the C2Verilog machines, and the Handel-C machine's store *)
+      stop (Fault message) Unreported
 
 (* --- structural views ----------------------------------------------- *)
 
@@ -277,8 +349,8 @@ let area_of_artifact ~netlist = function
   | Fsmd _ | Process_network _ | Combinational _ | Statement_machine _ ->
     Option.map Area.analyze (Lazy.force netlist)
 
-(* One lock per live value guards its lazies and its engine: a cached
-   design is shared by every worker domain. *)
+(* One lock per live value guards its lazies: a cached design is shared
+   by every worker domain.  Runs take engines from their own pool. *)
 let make ~name ~backend ?clock_period ?(stats = []) ?(pass_trace = [])
     artifact : t =
   let lock = Mutex.create () in
@@ -299,7 +371,7 @@ let make ~name ~backend ?clock_period ?(stats = []) ?(pass_trace = [])
     clock_period;
     stats;
     pass_trace;
-    run = run_of_artifact ~lock artifact;
+    run = run_of_artifact artifact;
     area = (fun () -> force area);
     verilog = (fun () -> force verilog);
     netlist = (fun () -> force netlist) }

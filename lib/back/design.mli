@@ -7,12 +7,15 @@
     outputs and timing — and the optional structural views from it. *)
 
 type engine =
-  | Compiled  (** levelized-closure fast path ({!Netcomp}/{!Fsmdcomp}) *)
-  | Event_driven  (** interpreting oracle ({!Neteval}/{!Rtlsim}) *)
+  | Compiled
+      (** fast path over unboxed ints ({!Netcomp}/{!Fsmdcomp}/{!C2vcomp}) *)
+  | Event_driven
+      (** interpreting oracle ({!Neteval}/{!Rtlsim}/{!C2v_machine}) *)
       (** Which simulation engine executes the behavioural run.  The
           interpreter survives as the differential oracle for the
-          compiled engine ([chlsc compile --verify-sim]); artifacts with a
-          single simulator ignore the selection. *)
+          compiled engine ([chlsc compile --verify-sim]); the CASH,
+          SystemC and Handel-C simulators have one engine each and ignore
+          the selection. *)
 
 val engine_name : engine -> string
 (** ["compiled"], ["event"] — the [--sim] flag values. *)
@@ -36,7 +39,7 @@ type artifact =
           [circuit.ssa]; [handshake] overrides the default per-token
           overhead of {!Asim} *)
   | Stack_machine of { compiled : C2verilog.compiled; ret_width : int }
-      (** C2Verilog's processor ({!C2v_machine}) *)
+      (** C2Verilog's processor ({!C2vcomp}, {!C2v_machine}) *)
   | Statement_machine of {
       program : Ast.program;
       entry : string;
@@ -63,7 +66,13 @@ type run_result = {
 
 (** {1 Stopped runs} *)
 
-type stop_reason = Timeout | Deadlock | Combinational_loop
+type stop_reason =
+  | Timeout
+  | Deadlock
+  | Combinational_loop
+  | Fault of string
+      (** the machine's own runtime error, with its message: stack
+          overflow, a load or store outside memory, an exhausted heap *)
 
 (** How far a stopped run got, as far as its simulator reports it. *)
 type progress =
@@ -79,10 +88,11 @@ exception Stopped of stop
     inside {!make} is the only code that catches them. *)
 
 val stop_reason_name : stop_reason -> string
-(** ["timeout"], ["deadlock"], ["combinational-loop"]. *)
+(** ["timeout"], ["deadlock"], ["combinational-loop"], ["fault"]. *)
 
 val render_stop : stop -> string
-(** ["timeout after 2000000 cycles (in state 2)"], ["deadlock"]. *)
+(** ["timeout after 2000000 cycles (in state 2)"], ["deadlock"],
+    ["fault: stack overflow"]. *)
 
 (** The data part of a design: everything {!make} needs to rebuild it. *)
 type data = {
@@ -126,8 +136,10 @@ val make :
   name:string -> backend:string -> ?clock_period:float ->
   ?stats:(string * string) list -> ?pass_trace:Passes.trace -> artifact -> t
 (** Derive [run], [area], [verilog] and [netlist] from the artifact.  The
-    compiled FSMD engine and the elaborated netlist are built lazily, at
-    most once per value; runs on one value's engine serialize. *)
+    structural views are built lazily, at most once per value.  Runs take
+    a simulation engine from the value's own pool (built on demand,
+    reused after), so runs from several domains never share an engine
+    and never wait for each other's simulation. *)
 
 val data : t -> data
 val of_data : data -> t

@@ -374,7 +374,10 @@ let run_members v =
     match v.run with
     | Error { Design.reason; progress } -> (
       ("status", Metrics.String (Design.stop_reason_name reason))
-      ::
+      :: (match reason with
+         | Design.Fault message -> [ ("detail", Metrics.String message) ]
+         | Design.Timeout | Design.Deadlock | Design.Combinational_loop -> [])
+      @
       (match progress with
       | Design.Cycles { cycles; state } ->
         [ ("cycles", Metrics.Int cycles); ("state", Metrics.Int state) ]

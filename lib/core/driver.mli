@@ -157,8 +157,9 @@ val engine_mismatches : Design.t -> args:int list -> string list
     these, each adding only its own extras. *)
 
 val run_members : verdict -> (string * Metrics.json) list
-(** [status] ([ok], or the stop reason), then a stop's progress
-    ([cycles]/[state] or [tokens_fired]/[time_units]) or a completed
+(** [status] ([ok], or the stop reason), then a fault's message as
+    [detail] and a stop's progress ([cycles]/[state] or
+    [tokens_fired]/[time_units]), or a completed
     run's [result] ([null] when void), [cycles] and [time_units], then
     [matches_reference] — or [reference_error] when the oracle itself
     failed; neither when no oracle was asked. *)

@@ -3,54 +3,66 @@
    Neteval walks the node graph on every settle (and on every tick),
    re-dispatching on constructors and boxing every intermediate value.
    Here the netlist builds its own simulator instead: one compile pass
-   levelizes the combinational nodes into topological strata and emits a
-   specialized [unit -> unit] closure per operator, all reading and
-   writing a single unboxed [int] value array (values are stored masked,
-   as unsigned bit patterns).  A settle is then a straight-line run over
-   the closure arrays; a tick latches register next-values into a double
-   buffer, commits memory write ports and swaps — no graph traversal
-   anywhere on the cycle path.
+   packs every combinational node into two ints of a flat code array
+   (opcode, widths, operand ids; the node id is the destination), in id
+   order, which is topological for combinational deps.  A settle is then
+   one straight pass over that array, reading and writing a single
+   unboxed [int] value array (values are stored masked, as unsigned bit
+   patterns); a tick latches register next-values into a double buffer,
+   commits memory write ports and swaps — no graph traversal anywhere on
+   the cycle path.  The engine stays small (about three words per node)
+   because a design keeps its engines for as long as it lives.
 
-   Fidelity: arithmetic is bit-identical to Bitvec at widths <= 62
-   (masking by [(1 lsl w) - 1]; signed views via shift-extend; division
-   by zero follows the hardware-divider convention; shifts at or beyond
-   the width produce zero, sign bits for arithmetic right shifts).
-   Designs with wider signals fall back to the event-driven interpreter
-   transparently, so callers never see a capability error.
+   Fidelity: arithmetic is Intalu's, bit-identical to Bitvec at widths
+   <= 62.  Designs with wider signals fall back to the event-driven
+   interpreter transparently, so callers never see a capability error.
 
    Observation: probes reproduce Neteval's committed-change stream — an
    id-order walk comparing each signal against a shadow array (seeded
    with 1-bit zeros, exactly like Neteval's value array) fires the probe
-   for every value that changed during the settle.  The walk only runs
-   when a probe is attached, so unobserved cycles pay nothing. *)
+   for every value that changed during the settle.  The walk, and the
+   shadow array itself, exist only once a probe is attached, so
+   unobserved cycles pay nothing. *)
 
-let int_width_limit = 62
-
-(* (1 lsl w) - 1 for w in 0..62, precomputed once *)
-let masks =
-  Array.init (int_width_limit + 1) (fun w -> (1 lsl w) - 1)
-
-(* signed view of a masked [w]-bit pattern *)
-let[@inline] sx v w = (v lsl (Sys.int_size - w)) asr (Sys.int_size - w)
+(* operand field of the packed encoding (see [compile] below) *)
+let operand_bits = 21
+let operand_mask = (1 lsl operand_bits) - 1
 
 let[@inline] to_bits bv = Int64.to_int (Bitvec.to_int64_unsigned bv)
 
 let compilable nl =
   let ok = ref true in
-  let check_w w = if w < 1 || w > int_width_limit then ok := false in
+  let check_w w = if w < 1 || w > Intalu.width_limit then ok := false in
   let n = Netlist.length nl in
+  (* node ids must fit a packed operand field *)
+  if n > operand_mask + 1 then ok := false;
   for s = 0 to n - 1 do
     check_w (Netlist.width nl s);
+    (* one id-order pass settles only if every dep comes first; the
+       settle loop reads deps unchecked *)
+    let before d = if d < 0 || d >= s then ok := false in
     match Netlist.node nl s with
     | Netlist.Binop (op, a, b) ->
+      before a;
+      before b;
       (* Bitvec raises Width_mismatch on width-mixed operands (and eq/ne
          silently compare unequal); shifts accept any amount width. *)
       (match op with
       | Netlist.B_shl | Netlist.B_lshr | Netlist.B_ashr -> ()
       | _ -> if Netlist.width nl a <> Netlist.width nl b then ok := false)
-    | Netlist.Const _ | Netlist.Input _ | Netlist.Unop _ | Netlist.Mux _
-    | Netlist.Concat _ | Netlist.Extract _ | Netlist.Zext _ | Netlist.Sext _
-    | Netlist.Reg _ | Netlist.Mem_read _ -> ()
+    | Netlist.Unop (_, a)
+    | Netlist.Extract { arg = a; _ }
+    | Netlist.Zext { arg = a; _ }
+    | Netlist.Sext { arg = a; _ }
+    | Netlist.Mem_read { addr = a; _ } -> before a
+    | Netlist.Concat { hi; lo } ->
+      before hi;
+      before lo
+    | Netlist.Mux { sel; if_true; if_false } ->
+      before sel;
+      before if_true;
+      before if_false
+    | Netlist.Const _ | Netlist.Input _ | Netlist.Reg _ -> ()
   done;
   Array.iter
     (fun (m : Netlist.mem) ->
@@ -74,10 +86,9 @@ type wport = { wmem : int; we : int; waddr : int; wdata : int; wdepth : int }
 
 type comp = {
   netlist : Netlist.t;
-  widths : int array;
   values : int array; (* masked unsigned bit patterns, one per signal *)
-  levels : (unit -> unit) array array; (* strata of specialized closures *)
-  closure_count : int;
+  code : int array; (* two packed ints per evaluated node, in id order *)
+  evaluated : int; (* nodes a settle evaluates *)
   input_nodes : (int * string) array;
   regs : reg array;
   reg_buf : int array; (* double buffer: next values latched here *)
@@ -88,7 +99,9 @@ type comp = {
   mutable ccycle : int;
   cstats : Neteval.stats;
   mutable probe : Neteval.probe option;
-  prev : Bitvec.t array; (* shadow values for the observed-change walk *)
+  mutable prev : Bitvec.t array;
+      (* shadow values for the observed-change walk; empty until a probe
+         is attached *)
 }
 
 (* the fallback interpreter sits behind a ref so [reset] can rebuild it
@@ -98,11 +111,31 @@ type interp = { inl : Netlist.t; mutable ie : Neteval.t }
 
 type t = Compiled of comp | Interp of interp
 
+(* The packed encoding.  Each evaluated node [s] is two ints, in id
+   order:
+     word 0: opcode (5 bits) | width A (7) | width D (7) | s (the destination)
+     word 1: operand a (21 bits) | operand b (21) | operand c (21)
+   Width D is the node's own width; width A is the one other width the
+   operator needs (the operand width of a binop, the low half of a concat,
+   the argument of a sign extension).  Operands are signal ids, except
+   that an extract's b is its low bit and a memory read's a is the memory
+   index.  Id order is topological for combinational deps ([compilable]
+   checks it), so a settle is one pass over the array.  A binop's opcode
+   is its [Intalu.binop_index]; the other opcodes follow. *)
+let op_not = 19
+let op_neg = 20
+let op_reduce_or = 21
+let op_mux = 22
+let op_concat = 23
+let op_extract = 24
+let op_zext = 25
+let op_sext = 26
+let op_mem_read = 27
+
 let compile nl =
   let n = Netlist.length nl in
-  let widths = Array.init n (Netlist.width nl) in
+  let width = Netlist.width nl in
   let values = Array.make (max n 1) 0 in
-  let v = values in
   let mems = Netlist.mems nl in
   let mem_init =
     Array.map
@@ -116,140 +149,54 @@ let compile nl =
   let input_nodes = ref [] in
   let regs = ref [] in
   let reg_init = ref [] in
-  (* levelize: id order is topological for combinational deps, so one
-     in-order pass computes level(s) = 1 + max(level(comb deps)) *)
-  let lev = Array.make (max n 1) 0 in
-  let closures = Array.make (max n 1) None in
+  let evaluated = ref 0 in
   for s = 0 to n - 1 do
-    let node = Netlist.node nl s in
-    let deps = Netlist.comb_deps node in
-    lev.(s) <-
-      (match deps with
-      | [] -> 0
-      | _ -> 1 + List.fold_left (fun acc d -> max acc lev.(d)) 0 deps);
-    let w = widths.(s) in
-    let m = masks.(w) in
-    let cl =
-      match node with
-      | Netlist.Const bv ->
-        v.(s) <- to_bits bv;
-        None
-      | Netlist.Input name ->
-        input_nodes := (s, name) :: !input_nodes;
-        None
-      | Netlist.Reg { init; next; enable } ->
-        v.(s) <- to_bits init;
-        reg_init := (s, v.(s)) :: !reg_init;
-        if next >= 0 then begin
-          let enable = match enable with Some e -> e | None -> -1 in
-          regs := { rs = s; next; enable } :: !regs
-        end;
-        None
-      | Netlist.Unop (op, a) ->
-        Some
-          (match op with
-          | Netlist.U_not -> fun () -> v.(s) <- v.(a) lxor m
-          | Netlist.U_neg -> fun () -> v.(s) <- -v.(a) land m
-          | Netlist.U_reduce_or ->
-            fun () -> v.(s) <- (if v.(a) = 0 then 0 else 1))
-      | Netlist.Binop (op, a, b) ->
-        let ow = widths.(a) in
-        (* operand width: arithmetic results carry it, comparisons are
-           1-bit; [compilable] guarantees widths.(b) = ow except for
-           shifts, whose amount may have any width *)
-        let om = masks.(ow) in
-        Some
-          (match op with
-          | Netlist.B_add -> fun () -> v.(s) <- (v.(a) + v.(b)) land om
-          | Netlist.B_sub -> fun () -> v.(s) <- (v.(a) - v.(b)) land om
-          | Netlist.B_mul -> fun () -> v.(s) <- v.(a) * v.(b) land om
-          | Netlist.B_udiv ->
-            fun () ->
-              let d = v.(b) in
-              v.(s) <- (if d = 0 then om else v.(a) / d)
-          | Netlist.B_urem ->
-            fun () ->
-              let d = v.(b) in
-              v.(s) <- (if d = 0 then v.(a) else v.(a) mod d)
-          | Netlist.B_sdiv ->
-            fun () ->
-              let d = v.(b) in
-              v.(s) <-
-                (if d = 0 then om else sx v.(a) ow / sx d ow land om)
-          | Netlist.B_srem ->
-            fun () ->
-              let d = v.(b) in
-              v.(s) <-
-                (if d = 0 then v.(a) else sx v.(a) ow mod sx d ow land om)
-          | Netlist.B_and -> fun () -> v.(s) <- v.(a) land v.(b)
-          | Netlist.B_or -> fun () -> v.(s) <- v.(a) lor v.(b)
-          | Netlist.B_xor -> fun () -> v.(s) <- v.(a) lxor v.(b)
-          | Netlist.B_shl ->
-            fun () ->
-              let amt = v.(b) in
-              v.(s) <- (if amt >= ow then 0 else v.(a) lsl amt land om)
-          | Netlist.B_lshr ->
-            fun () ->
-              let amt = v.(b) in
-              v.(s) <- (if amt >= ow then 0 else v.(a) lsr amt)
-          | Netlist.B_ashr ->
-            fun () ->
-              let amt = v.(b) in
-              let amt = if amt > ow - 1 then ow - 1 else amt in
-              v.(s) <- sx v.(a) ow asr amt land om
-          | Netlist.B_eq ->
-            fun () -> v.(s) <- (if v.(a) = v.(b) then 1 else 0)
-          | Netlist.B_ne ->
-            fun () -> v.(s) <- (if v.(a) <> v.(b) then 1 else 0)
-          | Netlist.B_ult ->
-            fun () -> v.(s) <- (if v.(a) < v.(b) then 1 else 0)
-          | Netlist.B_ule ->
-            fun () -> v.(s) <- (if v.(a) <= v.(b) then 1 else 0)
-          | Netlist.B_slt ->
-            fun () -> v.(s) <- (if sx v.(a) ow < sx v.(b) ow then 1 else 0)
-          | Netlist.B_sle ->
-            fun () ->
-              v.(s) <- (if sx v.(a) ow <= sx v.(b) ow then 1 else 0))
-      | Netlist.Mux { sel; if_true; if_false } ->
-        Some
-          (fun () -> v.(s) <- (if v.(sel) <> 0 then v.(if_true) else v.(if_false)))
-      | Netlist.Concat { hi; lo } ->
-        let lw = widths.(lo) in
-        Some (fun () -> v.(s) <- (v.(hi) lsl lw) lor v.(lo))
-      | Netlist.Extract { hi; lo; arg } ->
-        let em = masks.(hi - lo + 1) in
-        Some (fun () -> v.(s) <- (v.(arg) lsr lo) land em)
-      | Netlist.Zext { arg; _ } -> Some (fun () -> v.(s) <- v.(arg))
-      | Netlist.Sext { arg; _ } ->
-        let aw = widths.(arg) in
-        Some (fun () -> v.(s) <- sx v.(arg) aw land m)
-      | Netlist.Mem_read { mem; addr } ->
-        let contents = mem_state.(mem) in
-        let depth = Array.length contents in
-        Some
-          (fun () ->
-            let a = v.(addr) in
-            v.(s) <- (if a < depth then contents.(a) else 0))
+    match Netlist.node nl s with
+    | Netlist.Const _ | Netlist.Input _ | Netlist.Reg _ -> ()
+    | _ -> incr evaluated
+  done;
+  let code = Array.make (2 * !evaluated) 0 in
+  let evaluated = ref 0 in
+  for s = 0 to n - 1 do
+    let wd = width s in
+    let emit op ~wa a b c =
+      let k = 2 * !evaluated in
+      code.(k) <- op lor (wa lsl 5) lor (wd lsl 12) lor (s lsl 19);
+      code.(k + 1) <-
+        a lor (b lsl operand_bits) lor (c lsl (2 * operand_bits));
+      incr evaluated
     in
-    closures.(s) <- cl
+    match Netlist.node nl s with
+    | Netlist.Const bv -> values.(s) <- to_bits bv
+    | Netlist.Input name -> input_nodes := (s, name) :: !input_nodes
+    | Netlist.Reg { init; next; enable } ->
+      values.(s) <- to_bits init;
+      reg_init := (s, values.(s)) :: !reg_init;
+      if next >= 0 then begin
+        let enable = match enable with Some e -> e | None -> -1 in
+        regs := { rs = s; next; enable } :: !regs
+      end
+    | Netlist.Unop (op, a) ->
+      let op =
+        match op with
+        | Netlist.U_not -> op_not
+        | Netlist.U_neg -> op_neg
+        | Netlist.U_reduce_or -> op_reduce_or
+      in
+      emit op ~wa:0 a 0 0
+    | Netlist.Binop (op, a, b) ->
+      (* arithmetic results carry the operand width, comparisons are
+         1-bit; [compilable] guarantees width b = width a except for
+         shifts, whose amount may have any width *)
+      emit (Intalu.binop_index op) ~wa:(width a) a b 0
+    | Netlist.Mux { sel; if_true; if_false } ->
+      emit op_mux ~wa:0 sel if_true if_false
+    | Netlist.Concat { hi; lo } -> emit op_concat ~wa:(width lo) hi lo 0
+    | Netlist.Extract { lo; arg; _ } -> emit op_extract ~wa:0 arg lo 0
+    | Netlist.Zext { arg; _ } -> emit op_zext ~wa:0 arg 0 0
+    | Netlist.Sext { arg; _ } -> emit op_sext ~wa:(width arg) arg 0 0
+    | Netlist.Mem_read { mem; addr } -> emit op_mem_read ~wa:0 mem addr 0
   done;
-  (* bucket closures into strata, keeping id order within each level *)
-  let max_lev = Array.fold_left max 0 lev in
-  let buckets = Array.make (max_lev + 1) [] in
-  let count = ref 0 in
-  for s = n - 1 downto 0 do
-    match closures.(s) with
-    | Some f ->
-      buckets.(lev.(s)) <- f :: buckets.(lev.(s));
-      incr count
-    | None -> ()
-  done;
-  let levels =
-    Array.of_list
-      (List.filter_map
-         (fun b -> match b with [] -> None | _ -> Some (Array.of_list b))
-         (Array.to_list buckets))
-  in
   let wports =
     let acc = ref [] in
     Array.iteri
@@ -264,10 +211,9 @@ let compile nl =
   in
   let regs = Array.of_list (List.rev !regs) in
   { netlist = nl;
-    widths;
     values;
-    levels;
-    closure_count = !count;
+    code;
+    evaluated = !evaluated;
     input_nodes = Array.of_list (List.rev !input_nodes);
     regs;
     reg_buf = Array.make (max (Array.length regs) 1) 0;
@@ -280,16 +226,15 @@ let compile nl =
       { Neteval.cycles = 0; settles = 0; nodes_evaluated = 0; events = 0;
         wall_time = 0. };
     probe = None;
-    prev = Array.make (max n 1) (Bitvec.zero 1) }
+    prev = [||] }
 
 let create nl =
   if compilable nl then Compiled (compile nl)
   else Interp { inl = nl; ie = Neteval.create nl }
 
 let compiled = function Compiled _ -> true | Interp _ -> false
-let num_levels = function Compiled c -> Array.length c.levels | Interp _ -> 0
 
-(* Back to power-on state, keeping the compiled closures: registers and
+(* Back to power-on state, keeping the compiled code: registers and
    memories reload their initial images, the cycle counter and the
    probe's shadow array rewind.  This is what makes the engine reusable —
    compile once, run many.  (The interpreter fallback is rebuilt instead:
@@ -307,19 +252,21 @@ let reset = function
 
 let set_probe t p =
   match t with
-  | Compiled c -> c.probe <- Some p
+  | Compiled c ->
+    if Array.length c.prev = 0 then
+      c.prev <- Array.make (Netlist.length c.netlist) (Bitvec.zero 1);
+    c.probe <- Some p
   | Interp i -> Neteval.set_probe i.ie p
 
 let bv_of c s =
-  Bitvec.make ~width:c.widths.(s) (Int64.of_int c.values.(s))
+  Bitvec.make ~width:(Netlist.width c.netlist s) (Int64.of_int c.values.(s))
 
 (* The observed-change walk: id order over all signals, exactly the
    committed-change stream Neteval's settle produces (its value array is
    likewise seeded with 1-bit zeros, so the first settle reports every
    signal whose settled value differs from a 1-bit zero). *)
 let notify_changes c (p : Neteval.probe) =
-  let n = Array.length c.widths in
-  for s = 0 to n - 1 do
+  for s = 0 to Array.length c.prev - 1 do
     let v = bv_of c s in
     if not (Bitvec.equal v c.prev.(s)) then begin
       c.prev.(s) <- v;
@@ -331,7 +278,7 @@ let notify_changes c (p : Neteval.probe) =
 let set_inputs_c c inputs =
   Array.iter
     (fun (s, name) ->
-      let w = c.widths.(s) in
+      let w = Netlist.width c.netlist s in
       let bv =
         match List.assoc_opt name inputs with
         | Some bv -> Bitvec.resize ~signed:false ~width:w bv
@@ -340,17 +287,40 @@ let set_inputs_c c inputs =
       c.values.(s) <- to_bits bv)
     c.input_nodes
 
+(* One pass over the packed code.  [compilable] range-checked every
+   operand id (each dep is a node id below its user's), so the loop
+   reads values unchecked. *)
+let run_code v mem_state code evaluated =
+  let get i = Array.unsafe_get v i in
+  for k = 0 to evaluated - 1 do
+    let w0 = Array.unsafe_get code (2 * k)
+    and w1 = Array.unsafe_get code ((2 * k) + 1) in
+    let a = w1 land operand_mask in
+    let b = (w1 lsr operand_bits) land operand_mask in
+    let wa = (w0 lsr 5) land 127 and wd = (w0 lsr 12) land 127 in
+    Array.unsafe_set v (w0 lsr 19)
+      (match w0 land 31 with
+      | 19 (* not *) -> get a lxor Intalu.masks.(wd)
+      | 20 (* neg *) -> -get a land Intalu.masks.(wd)
+      | 21 (* reduce_or *) -> if get a = 0 then 0 else 1
+      | 22 (* mux *) ->
+        if get a <> 0 then get b
+        else get ((w1 lsr (2 * operand_bits)) land operand_mask)
+      | 23 (* concat *) -> (get a lsl wa) lor get b
+      | 24 (* extract *) -> (get a lsr b) land Intalu.masks.(wd)
+      | 25 (* zext *) -> get a
+      | 26 (* sext *) -> Intalu.sx (get a) wa land Intalu.masks.(wd)
+      | 27 (* mem_read *) ->
+        let contents = mem_state.(a) and addr = get b in
+        if addr < Array.length contents then contents.(addr) else 0
+      | op (* a binop *) -> Intalu.binop op wa (get a) (get b))
+  done
+
 let settle_resolved c =
   c.cstats.Neteval.settles <- c.cstats.Neteval.settles + 1;
   c.cstats.Neteval.nodes_evaluated <-
-    c.cstats.Neteval.nodes_evaluated + c.closure_count;
-  let levels = c.levels in
-  for l = 0 to Array.length levels - 1 do
-    let level = levels.(l) in
-    for i = 0 to Array.length level - 1 do
-      level.(i) ()
-    done
-  done;
+    c.cstats.Neteval.nodes_evaluated + c.evaluated;
+  run_code c.values c.mem_state c.code c.evaluated;
   match c.probe with None -> () | Some p -> notify_changes c p
 
 let settle t ~inputs =
@@ -436,24 +406,9 @@ let drive t ~inputs ~done_name ~max_cycles =
       c.cstats.Neteval.wall_time +. (Sys.time () -. t0);
     r
 
-let eval_combinational_stats ?probe nl ~inputs =
-  let t = create nl in
-  Option.iter (set_probe t) probe;
-  settle t ~inputs;
-  ( List.map (fun (name, s) -> (name, value t s)) (Netlist.outputs nl),
-    stats t )
-
-let eval_combinational nl ~inputs =
-  fst (eval_combinational_stats nl ~inputs)
-
 let run_until_done_stats ?probe nl ~inputs ~done_name ~max_cycles =
   let t = create nl in
   Option.iter (set_probe t) probe;
   match drive t ~inputs ~done_name ~max_cycles with
   | Ok (outputs, cycles) -> Ok (outputs, cycles, stats t)
-  | Error `Timeout -> Error `Timeout
-
-let run_until_done nl ~inputs ~done_name ~max_cycles =
-  match run_until_done_stats nl ~inputs ~done_name ~max_cycles with
-  | Ok (outputs, cycles, _) -> Ok (outputs, cycles)
   | Error `Timeout -> Error `Timeout

@@ -1,16 +1,18 @@
-(** Compiled netlist simulation: levelize once, then run closures.
+(** Compiled netlist simulation: pack once, then run a flat code array.
 
     [Neteval] interprets the netlist graph on every settle — each node
     evaluation re-dispatches on the node constructor and re-boxes its
-    result.  This module compiles the netlist once into straight-line
-    closure arrays: signals are levelized (topological strata over the
-    combinational dependence edges), each operator becomes one
-    specialized [unit -> unit] closure writing a preallocated slot in an
-    unboxed [int] value array, registers are double-buffered across
-    [tick], and cycles batch with no per-cycle graph walk.  Probe hooks
-    (VCD tracing) only pay when attached: an id-order change walk against
-    a shadow array reproduces [Neteval]'s committed-change stream
-    exactly.
+    result.  This module compiles the netlist once into a packed code
+    array: each combinational node becomes two ints (opcode, widths and
+    operand ids; the node id is the destination), in id order, which is
+    topological for combinational deps.  A settle runs that array over
+    an unboxed [int] value array, registers are double-buffered across
+    [tick], and cycles batch with no per-cycle graph walk.  An engine
+    costs about three words per node, so a design can keep one alive
+    for as long as it lives.  Probe hooks (VCD tracing) only pay when
+    attached: an id-order change walk against a shadow array, allocated
+    on the first {!set_probe}, reproduces [Neteval]'s committed-change
+    stream exactly.
 
     The compiled engine requires every signal and memory word to fit an
     unboxed OCaml int (width <= 62).  Wider designs transparently fall
@@ -21,26 +23,26 @@
 val compilable : Netlist.t -> bool
 (** Can this netlist run on the compiled int engine?  Requires all
     signal and memory-word widths in [1;62], width-matched binop
-    operands and write ports.  When [false], the functions below
+    operands and write ports, and every combinational dep to precede
+    its user in id order.  When [false], the functions below
     delegate to {!Neteval} (event-driven). *)
 
 type t
 
 val create : Netlist.t -> t
-(** Levelize and compile.  Falls back to an embedded {!Neteval} instance
-    when the netlist is not {!compilable}. *)
+(** Pack the netlist into its code array.  Falls back to an embedded
+    {!Neteval} instance when the netlist is not {!compilable}. *)
 
 val compiled : t -> bool
-(** [true] when running on closures, [false] on the interpreter
+(** [true] when running on the packed code, [false] on the interpreter
     fallback. *)
-
-val num_levels : t -> int
-(** Topological strata count (0 for the interpreter fallback). *)
 
 val reset : t -> unit
 (** Rewind to power-on state — registers and memories reload their
     initial images, the cycle counter restarts — while keeping the
-    compiled closures, so one [create] can serve many runs.  On the
+    compiled code, so one [create] can serve many runs.  The compiled
+    engine's statistics other than [cycles] keep counting across
+    resets.  On the
     interpreter fallback this rebuilds the {!Neteval} instance
     (dropping any attached probe; re-attach after reset if needed). *)
 
@@ -63,21 +65,9 @@ val drive :
 (** Clock until the 1-bit output [done_name] is set; mirrors
     {!Neteval.drive}. *)
 
-(** {1 One-shot wrappers (mirror the {!Neteval} API)} *)
-
-val eval_combinational_stats :
-  ?probe:Neteval.probe -> Netlist.t -> inputs:(string * Bitvec.t) list ->
-  (string * Bitvec.t) list * Neteval.stats
-
-val eval_combinational :
-  Netlist.t -> inputs:(string * Bitvec.t) list -> (string * Bitvec.t) list
+(** {1 One-shot wrapper (mirrors the {!Neteval} API)} *)
 
 val run_until_done_stats :
   ?probe:Neteval.probe -> Netlist.t -> inputs:(string * Bitvec.t) list ->
   done_name:string -> max_cycles:int ->
   ((string * Bitvec.t) list * int * Neteval.stats, [ `Timeout ]) result
-
-val run_until_done :
-  Netlist.t -> inputs:(string * Bitvec.t) list -> done_name:string ->
-  max_cycles:int ->
-  ((string * Bitvec.t) list * int, [ `Timeout ]) result

@@ -15,23 +15,15 @@
    parallel unboxed arrays — masked bit patterns and current widths —
    instead of one Bitvec array.  Memory cells get the same treatment
    (stores deposit the stored value's width).  All arithmetic is
-   bit-identical to Bitvec at widths <= 62: masking by [(1 lsl w) - 1],
-   signed views via shift-extend, division by zero following the
-   hardware-divider convention, and out-of-range shifts producing zero
-   (sign bits for arithmetic right shifts).  Operand-width mismatches
-   take a slow path through Neteval.apply_binop so they raise (or, for
-   eq/ne, compare unequal) exactly as the interpreter would.
+   Intalu's, bit-identical to Bitvec at widths <= 62.  Operand-width
+   mismatches take a slow path through Neteval.apply_binop so they
+   raise (or, for eq/ne, compare unequal) exactly as the interpreter
+   would.
 
    Designs with registers, immediates, memories or globals wider than 62
    bits fall back to Rtlsim.run transparently; the interpreter also
    remains the differential oracle for this engine (chlsc compile
    --verify-sim, test/test_simcomp.ml). *)
-
-let int_width_limit = 62
-
-let masks = Array.init (int_width_limit + 1) (fun w -> (1 lsl w) - 1)
-
-let[@inline] sx v w = (v lsl (Sys.int_size - w)) asr (Sys.int_size - w)
 
 let[@inline] to_bits bv = Int64.to_int (Bitvec.to_int64_unsigned bv)
 
@@ -41,7 +33,7 @@ type src = SImm of int * int (* bits, width *) | SReg of int
 let compilable (fsmd : Fsmd.t) =
   let func = fsmd.Fsmd.func in
   let ok = ref true in
-  let chk_w w = if w > int_width_limit then ok := false in
+  let chk_w w = if w > Intalu.width_limit then ok := false in
   Array.iter chk_w func.Cir.fn_reg_widths;
   Array.iter
     (fun (rg : Cir.region) ->
@@ -175,6 +167,7 @@ let compile (fsmd : Fsmd.t) : comp =
     match instr with
     | Cir.I_bin { op; dst; a; b } ->
       let a = src a and b = src b in
+      let k = Intalu.binop_index op in
       (* operand-width mismatches funnel through the interpreter's
          operator table, so they raise Width_mismatch (or compare
          unequal, for eq/ne) exactly as Rtlsim would *)
@@ -183,69 +176,34 @@ let compile (fsmd : Fsmd.t) : comp =
         reg_bits.(dst) <- to_bits r;
         reg_w.(dst) <- Bitvec.width r
       in
-      let arith f () =
-        let wa = wid a and wb = wid b in
-        if wa <> wb then slow ()
-        else begin
-          reg_bits.(dst) <- f (bits a) (bits b) wa;
-          reg_w.(dst) <- wa
-        end
-      in
-      let cmp f () =
-        let wa = wid a and wb = wid b in
-        if wa <> wb then slow ()
-        else begin
-          reg_bits.(dst) <- (if f (bits a) (bits b) wa then 1 else 0);
-          reg_w.(dst) <- 1
-        end
-      in
-      (* shift amounts may have any width (Bitvec.shl's contract) *)
-      let shift f () =
-        let wa = wid a in
-        reg_bits.(dst) <- f (bits a) (bits b) wa;
-        reg_w.(dst) <- wa
-      in
       (match op with
-      | Netlist.B_add -> arith (fun x y w -> (x + y) land masks.(w))
-      | Netlist.B_sub -> arith (fun x y w -> (x - y) land masks.(w))
-      | Netlist.B_mul -> arith (fun x y w -> x * y land masks.(w))
-      | Netlist.B_udiv ->
-        arith (fun x y w -> if y = 0 then masks.(w) else x / y)
-      | Netlist.B_urem -> arith (fun x y _ -> if y = 0 then x else x mod y)
-      | Netlist.B_sdiv ->
-        arith (fun x y w ->
-            if y = 0 then masks.(w) else sx x w / sx y w land masks.(w))
-      | Netlist.B_srem ->
-        arith (fun x y w ->
-            if y = 0 then x else sx x w mod sx y w land masks.(w))
-      | Netlist.B_and -> arith (fun x y _ -> x land y)
-      | Netlist.B_or -> arith (fun x y _ -> x lor y)
-      | Netlist.B_xor -> arith (fun x y _ -> x lxor y)
-      | Netlist.B_shl ->
-        shift (fun x y w -> if y >= w then 0 else x lsl y land masks.(w))
-      | Netlist.B_lshr -> shift (fun x y w -> if y >= w then 0 else x lsr y)
-      | Netlist.B_ashr ->
-        shift (fun x y w ->
-            let n = if y > w - 1 then w - 1 else y in
-            sx x w asr n land masks.(w))
-      | Netlist.B_eq -> cmp (fun x y _ -> x = y)
-      | Netlist.B_ne -> cmp (fun x y _ -> x <> y)
-      | Netlist.B_ult -> cmp (fun x y _ -> x < y)
-      | Netlist.B_ule -> cmp (fun x y _ -> x <= y)
-      | Netlist.B_slt -> cmp (fun x y w -> sx x w < sx y w)
-      | Netlist.B_sle -> cmp (fun x y w -> sx x w <= sx y w))
+      | Netlist.B_shl | Netlist.B_lshr | Netlist.B_ashr ->
+        (* shift amounts may have any width (Bitvec.shl's contract) *)
+        fun () ->
+          let wa = wid a in
+          reg_bits.(dst) <- Intalu.binop k wa (bits a) (bits b);
+          reg_w.(dst) <- wa
+      | _ ->
+        let one_bit = Netlist.is_comparison op in
+        fun () ->
+          let wa = wid a in
+          if wa <> wid b then slow ()
+          else begin
+            reg_bits.(dst) <- Intalu.binop k wa (bits a) (bits b);
+            reg_w.(dst) <- (if one_bit then 1 else wa)
+          end)
     | Cir.I_un { op; dst; a } ->
       let a = src a in
       (match op with
       | Netlist.U_not ->
         fun () ->
           let w = wid a in
-          reg_bits.(dst) <- bits a lxor masks.(w);
+          reg_bits.(dst) <- bits a lxor Intalu.masks.(w);
           reg_w.(dst) <- w
       | Netlist.U_neg ->
         fun () ->
           let w = wid a in
-          reg_bits.(dst) <- -bits a land masks.(w);
+          reg_bits.(dst) <- -bits a land Intalu.masks.(w);
           reg_w.(dst) <- w
       | Netlist.U_reduce_or ->
         fun () ->
@@ -259,12 +217,13 @@ let compile (fsmd : Fsmd.t) : comp =
     | Cir.I_cast { dst; signed; src = s } ->
       let s = src s in
       let tw = Cir.reg_width func dst in
-      let tm = masks.(tw) in
+      let tm = Intalu.masks.(tw) in
       if signed then
         fun () ->
           let w = wid s in
           reg_bits.(dst) <-
-            (if w >= tw then bits s land tm else sx (bits s) w land tm);
+            (if w >= tw then bits s land tm
+             else Intalu.sx (bits s) w land tm);
           reg_w.(dst) <- tw
       else
         fun () ->

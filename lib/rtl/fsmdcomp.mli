@@ -18,15 +18,11 @@
     whose registers, immediates, memories or globals exceed 62 bits fall
     back to {!Rtlsim.run} transparently. *)
 
-val int_width_limit : int
-(** Widest register/immediate/memory word the unboxed engine handles
-    (62 bits); anything wider sends the whole design to the fallback. *)
-
 val compilable : Fsmd.t -> bool
 (** Can this FSMD run on the compiled int engine?  Requires every
     register width, immediate width, memory word width and global
-    initializer to fit an unboxed OCaml int (<= 62 bits).  When [false],
-    {!create} wraps the interpreter instead. *)
+    initializer to fit an unboxed OCaml int ({!Intalu.width_limit}).
+    When [false], {!create} wraps the interpreter instead. *)
 
 type t
 (** A compiled simulation engine for one FSMD. *)

@@ -114,16 +114,15 @@ let test_ocapi () =
     (Design.run_int d [ 4 ]);
   check_revived ~label:"ocapi" d ~vectors:[ [ 1 ]; [ 4 ]; [ 8 ] ]
 
-(* A revived FSMD design is shared by every worker domain, and its
-   compiled engine is mutable: two domains running it on many vectors at
-   once must each see exactly the serial results. *)
+let compile backend (w : Workloads.t) =
+  Registry.compile (Registry.get backend) ~knobs:Backend.default_knobs
+    (Workloads.parse w) ~entry:w.Workloads.entry
+
+(* A revived design is shared by every worker domain, and its engines
+   are mutable: two domains running it on many vectors at once must each
+   see exactly the serial results — for the compiled FSMD, the netlist
+   and the C2Verilog engines alike. *)
 let test_shared_engine_two_domains () =
-  let w = Workloads.gcd in
-  let d =
-    Registry.compile (Registry.get "transmogrifier")
-      ~knobs:Backend.default_knobs (Workloads.parse w) ~entry:w.Workloads.entry
-  in
-  let shared = round_trip d in
   let vectors =
     List.concat_map
       (fun a -> List.init 12 (fun b -> Design.int_args [ (a * 37) + 1; b + 1 ]))
@@ -132,16 +131,84 @@ let test_shared_engine_two_domains () =
   let run_all (d : Design.t) order =
     List.map (fun args -> d.Design.run args) order
   in
-  let serial = run_all (round_trip d) vectors in
-  let other = Domain.spawn (fun () -> run_all shared vectors) in
-  let mine = List.rev (run_all shared (List.rev vectors)) in
-  let theirs = Domain.join other in
-  Alcotest.(check bool) "fsmd artifact" true
-    (match shared.Design.artifact with Design.Fsmd _ -> true | _ -> false);
-  Alcotest.(check bool) "spawned domain matches the serial run" true
-    (List.for_all2 run_eq serial theirs);
-  Alcotest.(check bool) "main domain matches the serial run" true
-    (List.for_all2 run_eq serial mine)
+  List.iter
+    (fun (backend, w, artifact) ->
+      let d = compile backend w in
+      let label what =
+        Printf.sprintf "%s/%s: %s" backend w.Workloads.name what
+      in
+      let shared = round_trip d in
+      let serial = run_all (round_trip d) vectors in
+      let other = Domain.spawn (fun () -> run_all shared vectors) in
+      let mine = List.rev (run_all shared (List.rev vectors)) in
+      let theirs = Domain.join other in
+      Alcotest.(check string) (label "artifact") artifact
+        (kind shared.Design.artifact);
+      Alcotest.(check bool) (label "spawned domain matches the serial run")
+        true
+        (List.for_all2 run_eq serial theirs);
+      Alcotest.(check bool) (label "main domain matches the serial run") true
+        (List.for_all2 run_eq serial mine))
+    [ ("transmogrifier", Workloads.gcd, "fsmd");
+      ("cones", Workloads.fir, "combinational");
+      ("c2verilog", Workloads.gcd, "stack machine") ]
+
+(* The C2Verilog program leaves something behind in every part of the
+   unified memory — a global, a global array, a malloc block, a deep
+   stack — and each run reads what an earlier run would have left there
+   ([stale]), so an engine that does not restore memory between runs
+   answers differently from a fresh one. *)
+let reuse_source =
+  {|
+  int g;
+  int hist[8];
+  int deep(int n) {
+    int frame[6];
+    frame[n % 6] = n;
+    if (n <= 0) { return frame[0]; }
+    return deep(n - 1) + frame[n % 6];
+  }
+  int run(int n, int x) {
+    int *block = malloc(4);
+    int stale = block[n & 3] + g + hist[x & 7];
+    block[x & 3] = x;
+    g = g + x;
+    hist[n & 7] = hist[n & 7] + n;
+    return stale * 1000 + deep(n) + block[x & 3];
+  }
+  |}
+
+(* Pooled engines serve run after run; a reused engine must answer as a
+   fresh one does, down to the per-run simulator counters. *)
+let test_engine_reuse () =
+  let a = Design.int_args [ 5; 9 ] and b = Design.int_args [ 9; 5 ] in
+  let reused (d : Design.t) =
+    List.map
+      (fun args -> (d.Design.run args, (round_trip d).Design.run args))
+      [ a; b; a ]
+  in
+  let program = Typecheck.parse_and_check reuse_source in
+  List.iteri
+    (fun i (r, fresh) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "c2verilog run %d matches a fresh design" i)
+        true (run_eq r fresh))
+    (reused (C2v_backend.compile program ~entry:"run"));
+  let counter name (r : Design.run_result) =
+    Option.map Metrics.render_compact (Metrics.find r.Design.metrics name)
+  in
+  List.iteri
+    (fun i (r, fresh) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "cones run %d matches a fresh design" i)
+        true (run_eq r fresh);
+      List.iter
+        (fun name ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "cones run %d: %s" i name)
+            (counter name fresh) (counter name r))
+        [ "sim.engine"; "sim.nodes_evaluated"; "sim.events" ])
+    (reused (compile "cones" Workloads.fir))
 
 let suite =
   ( "design",
@@ -149,4 +216,6 @@ let suite =
         test_every_backend_and_kernel;
       Alcotest.test_case "data round trip, ocapi" `Quick test_ocapi;
       Alcotest.test_case "shared engine, two domains" `Quick
-        test_shared_engine_two_domains ] )
+        test_shared_engine_two_domains;
+      Alcotest.test_case "reused engines answer as fresh ones" `Quick
+        test_engine_reuse ] )

@@ -16,6 +16,23 @@ let dead_source =
    int run(int n) { int a = 0; par { { if (n > 5) { send(c, 1); } } \
    { a = recv(c); } } return a; }"
 
+(* A machine's own runtime errors: recursion past C2Verilog's 32K-word
+   stack; a Handel-C loop whose declaration takes a fresh store word on
+   every iteration; a pointer argument that is a negative address. *)
+let deep_source =
+  "int sum(int n) { if (n <= 0) { return 0; } return n + sum(n - 1); }"
+
+let leak_source =
+  "int fib(int n) { int a = 0; int b = 1; int i = 0; \
+   while (i < n) { int t = a + b; a = b; b = t; i = i + 1; } return a; }"
+
+let deref_source = "int f(int *p) { return *p; }"
+
+let faults =
+  [ ("c2verilog", deep_source, "sum", [ 100_000 ], "stack overflow");
+    ("handelc", leak_source, "fib", [ 70_000 ], "stack overflow");
+    ("c2verilog", deref_source, "f", [ -5 ], "load out of memory (-5)") ]
+
 let compile session backend =
   match Driver.compile session (Registry.get backend) with
   | Ok d -> d
@@ -60,7 +77,20 @@ let test_check_types_every_simulator_stop () =
   in
   stops spin_source "spin" Design.Timeout
     [ "bachc"; "systemc"; "cash"; "c2verilog"; "handelc" ];
-  stops dead_source "run" Design.Deadlock [ "handelc" ]
+  stops dead_source "run" Design.Deadlock [ "handelc" ];
+  List.iter
+    (fun (backend, source, entry, args, message) ->
+      let session = Driver.create ~entry source in
+      let v = Driver.check session (compile session backend) ~args in
+      let what = Printf.sprintf "%s %s(%d)" backend entry (List.hd args) in
+      (match v.Driver.run with
+      | Error stop ->
+        Alcotest.(check string) (what ^ " stop") ("fault: " ^ message)
+          (Design.render_stop stop)
+      | Ok _ -> Alcotest.failf "%s: run completed" what);
+      Alcotest.(check bool) (what ^ " oracle skipped") true
+        (v.Driver.oracle = None))
+    faults
 
 (* The detail chlsc prints survives the one exception: FSMD state and
    CASH token counts ride along with the reason. *)
@@ -108,11 +138,11 @@ let test_serve_stops_are_typed () =
     ~finally:(fun () -> Serve.Pool.shutdown pool)
     (fun () ->
       let handle req = Serve.Pool.handle pool None req in
-      let compile ?(backend = "handelc") source entry =
+      let compile ?(backend = "handelc") ?(args = [ 1 ]) source entry =
         handle
           (Serve.Compile
-             { id = Metrics.Null; source; entry; backend;
-               args = Some [ 1 ]; config = None })
+             { id = Metrics.Null; source; entry; backend; args = Some args;
+               config = None })
       in
       let compare ?backends source entry =
         handle
@@ -140,6 +170,17 @@ let test_serve_stops_are_typed () =
         (member "cycles" fsmd);
       Alcotest.check json "bachc FSM state" (Metrics.Int 2)
         (member "state" fsmd);
+      (* a machine fault answers with its message *)
+      List.iter
+        (fun (backend, source, entry, args, message) ->
+          let what = Printf.sprintf "compile %s %s" backend entry in
+          let resp = compile ~backend ~args source entry in
+          no_internal what resp;
+          Alcotest.check json (what ^ " status") (Metrics.String "fault")
+            (member "status" resp);
+          Alcotest.check json (what ^ " detail") (Metrics.String message)
+            (member "detail" resp))
+        faults;
       let cash = compile ~backend:"cash" spin_source "spin" in
       Alcotest.check json "cash timeout status"
         (Metrics.String "timeout") (member "status" cash);
@@ -203,7 +244,7 @@ let test_engine_cross_check () =
         []
         (Driver.engine_mismatches (compile session backend)
            ~args:[ 1071; 462 ]))
-    [ "bachc"; "transmogrifier"; "hardwarec"; "cash" ]
+    [ "bachc"; "transmogrifier"; "hardwarec"; "cash"; "c2verilog" ]
 
 let suite =
   ( "verdict",
