@@ -1,5 +1,12 @@
 (* The parse-once compile driver.  See driver.mli. *)
 
+type oracle_failure =
+  | Timeout
+  | Deadlock
+  | Void_entry
+  | Runtime_error of string
+  | Internal_error of string * Ast.loc
+
 type error =
   | Frontend_error of { message : string; loc : Ast.loc }
   | No_c_frontend of { backend : string }
@@ -8,6 +15,7 @@ type error =
   | Backend_error of { backend : string; message : string; loc : Ast.loc }
   | Verification_error of { backend : string; message : string }
   | Constraint_infeasible of { backend : string; message : string }
+  | Oracle_error of oracle_failure
 
 type session = {
   source : string;
@@ -15,11 +23,15 @@ type session = {
   digest : string;
   metrics : Metrics.t;
   mutable frontend : (Ast.program, error) result option;
+  (* argument vector -> the oracle's answer; the source and entry are
+     the session's own *)
+  oracle : (int list, (int, error) result) Hashtbl.t;
 }
 
 let create ?(entry = "main") source =
   { source; entry; digest = Digest.to_hex (Digest.string source);
-    metrics = Metrics.create (); frontend = None }
+    metrics = Metrics.create (); frontend = None;
+    oracle = Hashtbl.create 8 }
 
 let entry t = t.entry
 let source_digest t = t.digest
@@ -33,7 +45,7 @@ let render_loc ?file (loc : Ast.loc) =
       loc.Ast.line loc.Ast.col
 
 (* The one name of each error on every surface: serve's error kinds,
-   compare's row status, fuzz's compile-failure classes. *)
+   compare's row status, fuzz's failure classes. *)
 let error_kind = function
   | Frontend_error _ -> "frontend-error"
   | No_c_frontend _ -> "no-c-frontend"
@@ -41,8 +53,13 @@ let error_kind = function
   | Backend_error _ -> "backend-error"
   | Verification_error _ -> "verification-error"
   | Constraint_infeasible _ -> "constraint-infeasible"
+  | Oracle_error Timeout -> "oracle-timeout"
+  | Oracle_error Deadlock -> "oracle-deadlock"
+  | Oracle_error Void_entry -> "oracle-void-entry"
+  | Oracle_error (Runtime_error _) -> "oracle-runtime-error"
+  | Oracle_error (Internal_error _) -> "oracle-internal-error"
 
-let render_error ?file = function
+let rec render_error ?file = function
   | Frontend_error { message; loc } ->
     let where = render_loc ?file loc in
     if where = "" then Printf.sprintf "error: %s" message
@@ -68,6 +85,16 @@ let render_error ?file = function
     Printf.sprintf "%s: pass verification failed: %s" backend message
   | Constraint_infeasible { backend; message } ->
     Printf.sprintf "%s: unsatisfiable timing constraints: %s" backend message
+  | Oracle_error failure ->
+    let message, loc =
+      match failure with
+      | Timeout -> ("timeout (step budget exhausted)", Ast.no_loc)
+      | Deadlock -> ("deadlock (no thread can make progress)", Ast.no_loc)
+      | Void_entry -> ("entry returned void", Ast.no_loc)
+      | Runtime_error message -> (message, Ast.no_loc)
+      | Internal_error (message, loc) -> ("internal error: " ^ message, loc)
+    in
+    render_error ?file (Backend_error { backend = "reference"; message; loc })
 
 (* --- cache bookkeeping --- *)
 
@@ -188,9 +215,10 @@ let program ?(ctx = Span.null) t =
         let r =
           match Typecheck.parse_and_check t.source with
           | p -> Ok p
-          | exception Parser.Error (message, loc) ->
-            Error (Frontend_error { message; loc })
-          | exception Typecheck.Error (message, loc) ->
+          | exception
+              ( Lexer.Error (message, loc)
+              | Parser.Error (message, loc)
+              | Typecheck.Error (message, loc) ) ->
             Error (Frontend_error { message; loc })
         in
         Metrics.add_ms t.metrics "driver.frontend_ms"
@@ -317,6 +345,25 @@ let compile_all ?ctx ?config ?backends t =
   in
   List.map (fun b -> (b, compile ?ctx ?config t b)) backends
 
+(* Answers are memoised per session: the interpreter is deterministic
+   under its fixed step budget, so a repeated vector is a table hit.  A
+   session belongs to one domain, so the table takes no lock; it is
+   dropped whole when full, as serve drops its session table. *)
+let oracle_memo_cap = 64
+
+let interpret prog ~entry args =
+  match
+    Interp.run prog ~entry ~args:(List.map (Bitvec.of_int ~width:64) args)
+  with
+  | { Interp.return_value = Some v; _ } -> Ok (Bitvec.to_int v)
+  | { Interp.return_value = None; _ } -> Error (Oracle_error Void_entry)
+  | exception Interp.Runtime_error message ->
+    Error (Oracle_error (Runtime_error message))
+  | exception Interp.Timeout -> Error (Oracle_error Timeout)
+  | exception Interp.Deadlock -> Error (Oracle_error Deadlock)
+  | exception Interp.Internal_error (message, loc) ->
+    Error (Oracle_error (Internal_error (message, loc)))
+
 let reference ?(ctx = Span.null) t ~args =
   Span.span ctx "oracle"
     ~attrs:[ ("args", Metrics.Int (List.length args)) ]
@@ -324,21 +371,19 @@ let reference ?(ctx = Span.null) t ~args =
       match program ~ctx:sctx t with
       | Error e -> Error e
       | Ok prog -> (
-        let fail ?(loc = Ast.no_loc) message =
-          Error (Backend_error { backend = "reference"; message; loc })
-        in
-        match
-          Interp.run prog ~entry:t.entry
-            ~args:(List.map (Bitvec.of_int ~width:64) args)
-        with
-        | { Interp.return_value = Some v; _ } -> Ok (Bitvec.to_int v)
-        | { Interp.return_value = None; _ } -> fail "entry returned void"
-        | exception Interp.Runtime_error message -> fail message
-        | exception Interp.Timeout -> fail "timeout (step budget exhausted)"
-        | exception Interp.Deadlock ->
-          fail "deadlock (no thread can make progress)"
-        | exception Interp.Internal_error (message, loc) ->
-          fail ~loc ("internal error: " ^ message)))
+        match Hashtbl.find_opt t.oracle args with
+        | Some r ->
+          Metrics.incr t.metrics "driver.oracle.memo_hits";
+          Span.add_attr sctx "memo" (Metrics.Bool true);
+          r
+        | None ->
+          Metrics.incr t.metrics "driver.oracle.runs";
+          Span.add_attr sctx "memo" (Metrics.Bool false);
+          let r = interpret prog ~entry:t.entry args in
+          if Hashtbl.length t.oracle >= oracle_memo_cap then
+            Hashtbl.reset t.oracle;
+          Hashtbl.add t.oracle args r;
+          r))
 
 (* --- one verdict: the only place a run is judged against the oracle --- *)
 

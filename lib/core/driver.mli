@@ -13,13 +13,19 @@
     Per-stage timings and cache activity land in the session's
     {!Metrics.t} registry ([driver.frontend_ms],
     [driver.compile.<backend>_ms], [driver.cache.hits/misses]), which
-    [chlsc compare --metrics-json] and [BENCH_driver.json] render. *)
+    [chlsc compare --metrics-json] and [BENCH_driver.json] render.  The
+    oracle counts apart from the caches: [driver.oracle.runs] interpreter
+    runs and [driver.oracle.memo_hits] answers from {!reference}'s
+    memo. *)
 
 type session
 
 val create : ?entry:string -> string -> session
 (** A session over a source string; [entry] defaults to ["main"].  The
-    frontend has not run yet — it runs (once) on first demand. *)
+    frontend has not run yet — it runs (once) on first demand.  The
+    session's memos take no lock: a session belongs to one domain
+    (serve keeps a session table per worker, explore a session per
+    worker domain). *)
 
 val entry : session -> string
 
@@ -31,6 +37,15 @@ val metrics : session -> Metrics.t
 (** The session's live metrics registry (timings, cache counters). *)
 
 (** {1 Typed rejection} *)
+
+(** Why the reference interpreter gave no answer. *)
+type oracle_failure =
+  | Timeout  (** the step budget ran out *)
+  | Deadlock  (** no thread can make progress *)
+  | Void_entry  (** the entry returned no value *)
+  | Runtime_error of string  (** a wild pointer, an out-of-bounds index... *)
+  | Internal_error of string * Ast.loc
+      (** an invariant the frontend should have established *)
 
 type error =
   | Frontend_error of { message : string; loc : Ast.loc }
@@ -51,16 +66,21 @@ type error =
           (HardwareC's [constrain] walk exhausted the lattice) — a
           property of the design point, not a failure; explore sweeps
           render these as typed [infeasible] cells *)
+  | Oracle_error of oracle_failure
+      (** {!reference} gave no answer *)
 
 val error_kind : error -> string
 (** The error's one name on every surface — [frontend-error],
     [no-c-frontend], [dialect-reject], [backend-error],
-    [verification-error], [constraint-infeasible]: serve's error
-    [kind], a compare row's [status], fuzz's compile-failure class. *)
+    [verification-error], [constraint-infeasible], and
+    [oracle-timeout], [oracle-deadlock], [oracle-void-entry],
+    [oracle-runtime-error], [oracle-internal-error]: serve's error
+    [kind], a compare row's [status], fuzz's failure class. *)
 
 val render_error : ?file:string -> error -> string
 (** One-line diagnostic; locations render as [file:line:col] when a file
-    name is given and the location is known. *)
+    name is given and the location is known.  An {!Oracle_error} renders
+    as an error of backend ["reference"]. *)
 
 (** {1 Compiling} *)
 
@@ -100,9 +120,22 @@ val compile_all :
 
 val reference : ?ctx:Span.ctx -> session -> args:int list -> (int, error) result
 (** The software oracle on the session's (already parsed) program — the
-    frontend is amortized here too.  Under a span context the run is an
-    ["oracle"] span.  Runtime errors, timeouts, deadlocks and void
-    entries are [Backend_error]s of backend ["reference"]. *)
+    frontend is amortized here too.  Runtime errors, timeouts, deadlocks
+    and void entries are typed {!Oracle_error}s.
+
+    The interpreter runs under {!Interp.run}'s fixed budget of 10M
+    steps, so its answer depends only on (source, entry, args); the
+    session fixes the first two and memoises answers keyed by the
+    argument vector.  Errors are memoised too: a vector that timed out
+    answers its second ask at once, with the same error.  The memo holds
+    at most {!oracle_memo_cap} vectors and is emptied when full.  Each
+    call counts one [driver.oracle.runs] or one
+    [driver.oracle.memo_hits].  Under a span context every call, memo
+    hit or not, is an ["oracle"] span whose [memo] attribute says
+    which. *)
+
+val oracle_memo_cap : int
+(** 64: the most argument vectors one session's oracle memo holds. *)
 
 (** {1 One verdict}
 

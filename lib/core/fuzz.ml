@@ -2,23 +2,20 @@
 
    Fuzzgen (lib/analysis) builds dialect-gated random programs; this
    module points the whole oracle machinery at them: the reference
-   interpreter, every C-compiling backend through the parse-once Driver
-   (typed dialect rejections are *expected* matrix cells, not failures),
-   the static concurrency checker, optional differential pass
-   verification and compiled-vs-event-driven simulation.  Any
-   disagreement is classified, shrunk to a local minimum with Fuzzgen's
-   reducer (the keep predicate re-runs only the diverging layer), and
-   returned as a reproducer the caller can pin as a regression test. *)
+   interpreter and every C-compiling backend through one parse-once
+   Driver session per program (typed dialect rejections are *expected*
+   matrix cells, not failures), the static concurrency checker,
+   optional differential pass verification and compiled-vs-event-driven
+   simulation.  Any disagreement is classified, shrunk to a local
+   minimum with Fuzzgen's reducer (the keep predicate re-runs only the
+   diverging layer), and returned as a reproducer the caller can pin as
+   a regression test. *)
 
 let entry = "f"
 
 (* two fixed vectors: one benign, one negative-heavy to stress signed
    division/shift paths *)
 let default_arg_sets = [ [ 3; 5 ]; [ -7; 11 ] ]
-
-(* bounded oracle so shrink candidates that manufacture an infinite loop
-   fail fast instead of burning the full 10M-step default *)
-let oracle_fuel = 2_000_000
 
 type divergence = {
   div_dialect : string;  (* generating dialect's Table-1 name *)
@@ -56,11 +53,6 @@ let exn_class exn =
   match String.index_opt s '(' with
   | Some i -> String.trim (String.sub s 0 i)
   | None -> s
-
-let reference source args : (int, string * string) result =
-  match Interp.run_int ~fuel:oracle_fuel source ~entry ~args with
-  | v -> Ok v
-  | exception exn -> Error (exn_class exn, Printexc.to_string exn)
 
 (* One backend on one argument vector.  [expected] is the reference
    interpreter's value on the same vector.  [config] carries the
@@ -112,26 +104,18 @@ let source_of prog = Pretty.program_to_string prog
    same failure class — candidates that fail differently (or stop
    failing, or stop typechecking) are rejected. *)
 let same_failure ~config ~backend ~args ~cls ~verify_sim prog =
-  let src = source_of prog in
-  match Typecheck.parse_and_check src with
-  | exception _ -> false
-  | _ -> (
-    match backend with
-    | None -> (
-      (* reference-layer failure (interpreter crash/deadlock/timeout) *)
-      match reference src args with
-      | Error (c, _) -> c = cls
-      | Ok _ -> false)
-    | Some b -> (
-      let session = Driver.create ~entry src in
-      match reference src args with
-      | Error _ -> false (* must keep the oracle healthy *)
-      | Ok expected -> (
-        match
-          classify_backend ~config session b ~args ~expected ~verify_sim
-        with
-        | Fail { cls = c; _ } -> c = cls
-        | Agree | Rejected | Skipped -> false)))
+  let session = Driver.create ~entry (source_of prog) in
+  match (backend, Driver.reference session ~args) with
+  | None, Error e ->
+    (* reference-layer failure (runtime error, deadlock, timeout...); a
+       candidate that stops typechecking fails as [frontend-error] *)
+    Driver.error_kind e = cls
+  | None, Ok _ -> false
+  | Some _, Error _ -> false (* must keep the oracle healthy *)
+  | Some b, Ok expected -> (
+    match classify_backend ~config session b ~args ~expected ~verify_sim with
+    | Fail { cls = c; _ } -> c = cls
+    | Agree | Rejected | Skipped -> false)
 
 let shrink_divergence ~config ~backend ~args ~cls ~verify_sim prog =
   Fuzzgen.shrink
@@ -170,10 +154,8 @@ let run_dialect ?(arg_sets = default_arg_sets) ?backends
   let constructs = ref zero_counts in
   let record ~index ~args ~backend ~cls ~detail prog =
     let shrunk =
-      shrink_divergence ~config
-        ~backend:(match backend with "reference" -> None
-                  | b -> Some (Registry.get b))
-        ~args ~cls ~verify_sim prog
+      shrink_divergence ~config ~backend:(Registry.find backend) ~args ~cls
+        ~verify_sim prog
     in
     divergences :=
       { div_dialect = dialect.Dialect.name;
@@ -189,15 +171,17 @@ let run_dialect ?(arg_sets = default_arg_sets) ?backends
   for index = 0 to n - 1 do
     let prog = Fuzzgen.generate dialect ~seed ~index in
     constructs := add_counts !constructs (Fuzzgen.construct_counts prog);
-    let src = source_of prog in
-    match Typecheck.parse_and_check src with
-    | exception exn ->
+    (* one session per program: the frontend runs once, the oracle once
+       per vector, and every backend compiles from the same parse *)
+    let session = Driver.create ~entry (source_of prog) in
+    match Driver.program session with
+    | Error e ->
       (* the generator emitted something the frontend refuses: always a
          bug worth a reproducer, never expected *)
       record ~index ~args:[] ~backend:"reference"
-        ~cls:("generator:" ^ exn_class exn)
-        ~detail:(Printexc.to_string exn) prog
-    | checked ->
+        ~cls:("generator:" ^ Driver.error_kind e)
+        ~detail:(Driver.render_error e) prog
+    | Ok checked ->
       (* the static checker must stay quiet: generated par arms own
          disjoint state and channel traffic is balanced *)
       let diags =
@@ -213,12 +197,12 @@ let run_dialect ?(arg_sets = default_arg_sets) ?backends
       else
         List.iter
           (fun args ->
-            match reference src args with
-            | Error (cls, detail) ->
+            match Driver.reference session ~args with
+            | Error e ->
               record ~index ~args ~backend:"reference"
-                ~cls:("oracle:" ^ cls) ~detail prog
+                ~cls:(Driver.error_kind e) ~detail:(Driver.render_error e)
+                prog
             | Ok expected ->
-              let session = Driver.create ~entry src in
               List.iter
                 (fun b ->
                   match

@@ -44,8 +44,11 @@ val run_dialect :
   ?verify_passes:bool ->
   ?verify_sim:bool ->
   Dialect.t -> seed:int -> n:int -> report
-(** Fuzz [n] programs for one dialect.  [verify_passes] additionally
-    interprets the IR after every pass on the same vectors
+(** Fuzz [n] programs for one dialect, each through one
+    {!Driver.session}: expected values come from {!Driver.reference},
+    and an oracle failure is a divergence classed by
+    {!Driver.error_kind}.  [verify_passes] additionally interprets the
+    IR after every pass on the same vectors
     ({!Passes.options.verify}); [verify_sim] runs
     {!Driver.engine_mismatches} (compiled vs event-driven engine, full
     observable surface) on agreeing designs.  A run that stops is a

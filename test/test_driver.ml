@@ -96,18 +96,68 @@ let test_typed_rejections () =
     Alcotest.(check bool) "violations are reported" true (violations <> [])
   | Ok _ -> Alcotest.fail "cones must reject gcd"
   | Error e -> Alcotest.fail ("wrong error: " ^ Driver.render_error e));
-  (* a frontend failure poisons the session with a typed error *)
-  let bad = Driver.create ~entry:"f" "int f(int x) { return y; }" in
-  match Driver.program bad with
-  | Error (Driver.Frontend_error _) -> ()
-  | Ok _ -> Alcotest.fail "unbound variable must not typecheck"
-  | Error e -> Alcotest.fail ("wrong error: " ^ Driver.render_error e)
+  (* a frontend failure poisons the session with a typed error, whether
+     the typechecker or the lexer refuses the source *)
+  List.iter
+    (fun source ->
+      match Driver.program (Driver.create ~entry:"f" source) with
+      | Error (Driver.Frontend_error _) -> ()
+      | Ok _ -> Alcotest.failf "%S must not typecheck" source
+      | Error e -> Alcotest.fail ("wrong error: " ^ Driver.render_error e))
+    [ "int f(int x) { return y; }"; "int f(int x) { return x @ 2; }" ]
 
 let test_reference_oracle () =
   let s = session () in
   match Driver.reference s ~args:[ 1071; 462 ] with
   | Ok v -> Alcotest.(check int) "gcd(1071,462)" 21 v
   | Error e -> Alcotest.fail (Driver.render_error e)
+
+(* The oracle memo answers exactly what the interpreter computes, asked
+   in any order, and it is bounded: past its cap an early vector is
+   interpreted again. *)
+let test_reference_memo () =
+  List.iter
+    (fun (w : Workloads.t) ->
+      let s = Driver.create ~entry:w.Workloads.entry w.Workloads.source in
+      let ask args =
+        match Driver.reference s ~args with
+        | Ok v ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s(%s)" w.Workloads.name
+               (String.concat "," (List.map string_of_int args)))
+            (Workloads.reference w args) v
+        | Error e -> Alcotest.fail (Driver.render_error e)
+      in
+      List.iter ask w.Workloads.arg_sets;
+      List.iter ask (List.rev w.Workloads.arg_sets);
+      let distinct =
+        List.length (List.sort_uniq compare w.Workloads.arg_sets)
+      in
+      Alcotest.(check (pair int int))
+        (w.Workloads.name ^ ": runs, memo hits")
+        (distinct, (2 * List.length w.Workloads.arg_sets) - distinct)
+        (counter s "driver.oracle.runs", counter s "driver.oracle.memo_hits"))
+    Workloads.all;
+  let s = session () in
+  let ask n =
+    match Driver.reference s ~args:[ n; 6 ] with
+    | Ok v -> Alcotest.(check int) "gcd" (Workloads.reference gcd_w [ n; 6 ]) v
+    | Error e -> Alcotest.fail (Driver.render_error e)
+  in
+  for n = 1 to Driver.oracle_memo_cap + 1 do
+    ask n
+  done;
+  ask 1;
+  Alcotest.(check int) "the first vector is interpreted again"
+    (Driver.oracle_memo_cap + 2)
+    (counter s "driver.oracle.runs");
+  ask (Driver.oracle_memo_cap + 1);
+  Alcotest.(check int) "the latest vector is still memoised" 1
+    (counter s "driver.oracle.memo_hits");
+  (* the cache counters see only each call's frontend demand *)
+  Alcotest.(check (pair int int)) "driver.cache hits, misses"
+    (Driver.oracle_memo_cap + 2, 1)
+    (counter s "driver.cache.hits", counter s "driver.cache.misses")
 
 (* Verdict ordering is contractual (driver.mli): compile_all answers in
    the order of its [backends] argument, defaulting to registry
@@ -140,5 +190,7 @@ let suite =
         test_compile_all_amortizes_frontend;
       Alcotest.test_case "typed rejections" `Quick test_typed_rejections;
       Alcotest.test_case "reference oracle" `Quick test_reference_oracle;
+      Alcotest.test_case "reference memo is exact and bounded" `Quick
+        test_reference_memo;
       Alcotest.test_case "compile_all verdict order is declared order"
         `Quick test_compile_all_declared_order ] )

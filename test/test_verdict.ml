@@ -38,18 +38,33 @@ let compile session backend =
   | Ok d -> d
   | Error e -> Alcotest.fail (Driver.render_error e)
 
+let oracle_runs session =
+  match Metrics.find (Driver.metrics session) "driver.oracle.runs" with
+  | Some (Metrics.Int n) -> n
+  | _ -> 0
+
 let test_reference_types_interpreter_stops () =
-  let typed what source entry =
-    match Driver.reference (Driver.create ~entry source) ~args:[ 1 ] with
-    | Error (Driver.Backend_error { backend = "reference"; message; _ }) ->
+  let typed what source entry failure =
+    let session = Driver.create ~entry source in
+    let first = Driver.reference session ~args:[ 1 ] in
+    (match first with
+    | Error (Driver.Oracle_error f as e) ->
+      Alcotest.(check bool) (what ^ " typed") true (f = failure);
+      let prefix = "reference: error: " ^ what in
+      let shown = Driver.render_error e in
       Alcotest.(check bool) (what ^ " named") true
-        (String.length message >= String.length what
-        && String.sub message 0 (String.length what) = what)
+        (String.length shown >= String.length prefix
+        && String.sub shown 0 (String.length prefix) = prefix)
     | Error e -> Alcotest.fail ("wrong error: " ^ Driver.render_error e)
-    | Ok v -> Alcotest.failf "%s: oracle returned %d" what v
+    | Ok v -> Alcotest.failf "%s: oracle returned %d" what v);
+    (* asked again, the session's memo answers with the same typed
+       error instead of burning the budget twice *)
+    Alcotest.(check bool) (what ^ " answered again") true
+      (Driver.reference session ~args:[ 1 ] = first);
+    Alcotest.(check int) (what ^ " interpreted once") 1 (oracle_runs session)
   in
-  typed "timeout" spin_source "spin";
-  typed "deadlock" dead_source "run";
+  typed "timeout" spin_source "spin" Driver.Timeout;
+  typed "deadlock" dead_source "run" Driver.Deadlock;
   (* the same program with a paired rendezvous still answers *)
   match Driver.reference (Driver.create ~entry:"run" dead_source) ~args:[ 9 ]
   with
@@ -203,7 +218,8 @@ let test_serve_stops_are_typed () =
             compare ~backends:[ "bachc" ] spin_source "spin" ) ])
 
 (* The oracle is the costlier half of a warm verify batch: a compare
-   consults it once per vector, never once per backend x vector. *)
+   consults it once per vector, never once per backend x vector, and a
+   vector the session has answered before comes from its memo. *)
 let test_compare_one_oracle_per_vector () =
   let traces = ref [] in
   let pool =
@@ -215,24 +231,59 @@ let test_compare_one_oracle_per_vector () =
     ~finally:(fun () -> Serve.Pool.shutdown pool)
     (fun () ->
       let w = Workloads.gcd in
-      let resp =
-        Serve.Pool.handle pool None
-          (Serve.Compare
-             { id = Metrics.Null; source = w.Workloads.source;
-               entry = w.Workloads.entry; backends = None;
-               vectors = [ [ 12; 18 ]; [ 54; 24 ]; [ 1071; 462 ] ];
-               config = None })
+      let sessions = Hashtbl.create 4 in
+      let vectors = [ [ 12; 18 ]; [ 54; 24 ]; [ 1071; 462 ]; [ 12; 18 ] ] in
+      let compare () =
+        traces := [];
+        let resp =
+          Serve.Pool.handle pool (Some sessions)
+            (Serve.Compare
+               { id = Metrics.Null; source = w.Workloads.source;
+                 entry = w.Workloads.entry; backends = None; vectors;
+                 config = None })
+        in
+        Alcotest.check json "no mismatch" (Metrics.Bool false)
+          (member "mismatch" resp);
+        (* bachc's row: one result per vector, memo hits included *)
+        let bachc =
+          match member "backends" resp with
+          | Metrics.List rows ->
+            List.find
+              (fun r -> member "backend" r = Metrics.String "bachc")
+              rows
+          | j -> Alcotest.failf "backends: %s" (Metrics.render_compact j)
+        in
+        Alcotest.check json "results per vector"
+          (Metrics.List
+             (List.map (fun v -> Metrics.Int (Workloads.reference w v))
+                vectors))
+          (member "results" bachc);
+        match !traces with
+        | [ tr ] ->
+          let records = Span.records tr in
+          let count k =
+            List.length (List.filter (fun r -> r.Span.kind = k) records)
+          in
+          let memo_hits =
+            List.length
+              (List.filter
+                 (fun r ->
+                   r.Span.kind = "oracle"
+                   && List.assoc_opt "memo" r.Span.attrs
+                      = Some (Metrics.Bool true))
+                 records)
+          in
+          Alcotest.(check bool) "every accepted backend simulated" true
+            (count "simulate" > 4);
+          (count "oracle", memo_hits)
+        | l -> Alcotest.failf "expected one trace, got %d" (List.length l)
       in
-      Alcotest.check json "no mismatch" (Metrics.Bool false)
-        (member "mismatch" resp);
-      match !traces with
-      | [ tr ] ->
-        let kinds = List.map (fun r -> r.Span.kind) (Span.records tr) in
-        let count k = List.length (List.filter (( = ) k) kinds) in
-        Alcotest.(check int) "one oracle span per vector" 3 (count "oracle");
-        Alcotest.(check bool) "every accepted backend simulated" true
-          (count "simulate" > 3)
-      | l -> Alcotest.failf "expected one trace, got %d" (List.length l))
+      Alcotest.(check (pair int int))
+        "one oracle span per vector, the repeat from the memo" (4, 1)
+        (compare ());
+      Alcotest.(check (pair int int))
+        "the same request again: every answer from the memo" (4, 4)
+        (compare ()))
 
 let test_engine_cross_check () =
   let w = Workloads.gcd in
