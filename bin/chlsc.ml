@@ -13,25 +13,26 @@ open Cmdliner
 let read_file path =
   In_channel.with_open_text path In_channel.input_all
 
-(* Run [f], turning located front-end and lowering exceptions into
-   file:line:col diagnostics instead of uncaught-exception crashes. *)
+(* The file's program through the driver's frontend, which types every
+   lexer, parser and typechecker error: on one, print it located and
+   exit 1. *)
+let program_of_file ?entry file =
+  match Driver.program (Driver.create ?entry (read_file file)) with
+  | Ok program -> program
+  | Error e ->
+    prerr_endline (Driver.render_error ~file e);
+    exit 1
+
+(* Run [f], turning a located lowering error into a file:line:col
+   diagnostic instead of an uncaught-exception crash. *)
 let or_located_error file f =
-  let located loc msg =
+  match f () with
+  | v -> v
+  | exception Lower.Error (msg, loc) ->
     if loc = Ast.no_loc then Printf.eprintf "%s: error: %s\n" file msg
     else
       Printf.eprintf "%s:%d:%d: error: %s\n" file loc.Ast.line loc.Ast.col msg;
     exit 1
-  in
-  match f () with
-  | v -> v
-  | exception Parser.Error (msg, loc) -> located loc msg
-  | exception Typecheck.Error (msg, loc) -> located loc msg
-  | exception Lower.Error (msg, loc) -> located loc msg
-  | exception Interp.Internal_error (msg, loc) ->
-    located loc ("internal error: " ^ msg)
-
-let parse_file file =
-  or_located_error file (fun () -> Typecheck.parse_and_check (read_file file))
 
 let parse_args_list s =
   if String.trim s = "" then []
@@ -120,7 +121,7 @@ let attach_cache cache_dir cache_max_bytes =
    1 when any hard error is reported. *)
 let run_races file dialect_name metrics_json =
   let dialect = or_exit (Registry.resolve_dialect dialect_name) in
-  let program = parse_file file in
+  let program = program_of_file file in
   let diags = Conc_check.check_program ~dialect program in
   List.iter (fun d -> print_endline (Conc_check.render ~file d)) diags;
   let errors = Conc_check.errors diags
@@ -168,7 +169,7 @@ let check_cmd =
   let run file races dialect metrics_json =
     if races then run_races file dialect metrics_json
     else begin
-      let program = parse_file file in
+      let program = program_of_file file in
       List.iter
         (fun (d : Dialect.t) ->
           match Dialect.check d program with
@@ -1017,7 +1018,7 @@ let analyze_cmd =
     "Show the compiler's view: CIR, schedule, pipelining, ILP, bitwidths"
   in
   let run file entry =
-    let program = parse_file file in
+    let program = program_of_file ~entry file in
     let lowered, _ =
       or_located_error file (fun () -> Passes.lower_simplify program ~entry)
     in

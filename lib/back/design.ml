@@ -292,7 +292,9 @@ let run_of_artifact artifact =
       stop Timeout (Cycles { cycles; state })
     | exception Asim.Timeout { tokens_fired; time } ->
       stop Timeout (Tokens { fired = tokens_fired; time })
-    | exception (Handel_machine.Timeout | C2v_machine.Timeout) ->
+    | exception
+        (Handel_machine.Timeout | C2v_machine.Timeout | Interp.Timeout) ->
+      (* Interp's: the step budget the Handel-C clock shares *)
       stop Timeout Unreported
     | exception Handel_machine.Deadlock -> stop Deadlock Unreported
     | exception Handel_machine.Combinational_loop ->

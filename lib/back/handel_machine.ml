@@ -1,5 +1,5 @@
-(* The Handel-C statement machine [Celoxica] — also the concurrent
-   subset of Bach C, SpecC, SystemC and HardwareC.
+(* The Handel-C clock [Celoxica] — also the concurrent subset of Bach C,
+   SpecC, SystemC and HardwareC.
 
    The paper: "Celoxica's Handel-C adds constructs for parallel statements
    and OCCAM-like rendezvous communication.  Each assignment statement
@@ -7,9 +7,10 @@
    statements take a clock cycle ... Handel-C may require assignment
    statements to be fused" to meet timing.
 
-   Realization: a cycle-accurate statement machine sharing the reference
-   interpreter's expression semantics and memory.  Threads advance in
-   lock-step, one global clock:
+   Realization: C's semantics plus that one timing rule.  The threads,
+   scopes, joins and rendezvous are the reference interpreter's own
+   thread machine (Interp); this module is the clock that drives it in
+   lock-step and charges each item by what it did:
 
      - `x = e;` and `delay;` consume exactly one cycle (Handel-C policy);
      - control flow (tests, fork/join, blocks) is free — a thread that
@@ -18,7 +19,7 @@
        does to `while(e);`;
      - a rendezvous transfer costs one cycle for both endpoints;
      - under the `Scheduled` policy (Bach C's untimed semantics), the
-       machine instead packs independent assignments into the same cycle,
+       clock instead packs independent assignments into the same cycle,
        bounded by an ops-per-cycle allocation and one access per memory
        region per cycle — the compiler, not a rule, decides the cycles.
 
@@ -31,81 +32,22 @@ exception Timeout
 
 type policy = [ `One_cycle_per_assignment | `Scheduled ]
 
-type item =
-  | H_stmt of Ast.stmt
-  | H_end_scope
-  | H_loop_end
-  | H_while_retest of Ast.expr * Ast.block
-  | H_dowhile_retest of Ast.block * Ast.expr
-  | H_for_test of Ast.expr option * Ast.expr option * Ast.block
-  | H_for_step of Ast.expr option * Ast.expr option * Ast.block
-  | H_join_signal of join
+let max_cycles = 2_000_000
+let ops_per_cycle = 8
 
-and join = { mutable remaining : int; joiner : thread }
+(* zero-cost items one thread may run in one cycle before the machine
+   calls it a combinational loop *)
+let guard = 100_000
 
-and blocked =
-  | Runnable
-  | Blocked_send of string * Bitvec.t
-  | Blocked_recv of string * (Bitvec.t -> unit)
-  | Blocked_join
-
-and thread = {
-  tid : int;
-  mutable cont : item list;
-  mutable tenv : Interp.scope list;
-  mutable state : blocked;
-  (* Scheduled-policy packing state, cleared at every cycle boundary: *)
-  mutable written_this_cycle : (string, unit) Hashtbl.t;
-  mutable ops_this_cycle : int;
-  mutable region_reads : (string, unit) Hashtbl.t;
-  mutable region_writes : (string, unit) Hashtbl.t;
+(* What the Scheduled policy has packed into the current thread's
+   cycle.  Only that thread's turn reads it, so one record serves every
+   thread and is reset at each turn. *)
+type turn = {
+  mutable ops : int;
+  mutable written : string list;
+  mutable region_reads : string list;
+  mutable region_writes : string list;
 }
-
-type machine = {
-  env : Interp.env;
-  policy : policy;
-  ops_per_cycle : int;
-  mutable threads : thread list;
-  mutable next_tid : int;
-  mutable return_value : Bitvec.t option option;
-  mutable cycles : int;
-  mutable assignments : int; (* total dynamic assignments, for stats *)
-}
-
-let spawn machine cont scopes =
-  let t =
-    { tid = machine.next_tid; cont; tenv = scopes; state = Runnable;
-      written_this_cycle = Hashtbl.create 8; ops_this_cycle = 0;
-      region_reads = Hashtbl.create 4; region_writes = Hashtbl.create 4 }
-  in
-  machine.next_tid <- machine.next_tid + 1;
-  machine.threads <- machine.threads @ [ t ];
-  t
-
-let with_env machine thread f =
-  let saved = machine.env.Interp.scopes in
-  machine.env.Interp.scopes <- thread.tenv;
-  Fun.protect
-    ~finally:(fun () -> machine.env.Interp.scopes <- saved)
-    (fun () -> f machine.env)
-
-let scoped_items thread body after =
-  thread.tenv <- Hashtbl.create 4 :: thread.tenv;
-  List.map (fun s -> H_stmt s) body @ (H_end_scope :: after)
-
-let rec unwind_until thread pred =
-  match thread.cont with
-  | [] -> raise (Interp.Runtime_error "break/continue outside loop")
-  | it :: rest ->
-    if pred it then ()
-    else begin
-      (match it with
-      | H_end_scope -> thread.tenv <- List.tl thread.tenv
-      | H_stmt _ | H_loop_end | H_while_retest _ | H_dowhile_retest _
-      | H_for_test _ | H_for_step _ | H_join_signal _ -> ());
-      thread.cont <- rest;
-      unwind_until thread pred
-    end
 
 (* Variables read by a pure expression (for same-cycle conflict checks). *)
 let rec vars_read acc (e : Ast.expr) =
@@ -134,350 +76,106 @@ let rec regions_touched acc (e : Ast.expr) =
   | Ast.Call (_, args) -> List.fold_left regions_touched acc args
 
 (* Does executing `lhs = rhs` conflict with work already packed into this
-   thread's current cycle (Scheduled policy)? *)
-let conflicts thread lhs rhs =
+   turn? *)
+let conflicts turn lhs rhs =
   let reads = vars_read (vars_read [] rhs) lhs in
   let lhs_var =
     match lhs.Ast.e with Ast.Var name -> Some name | _ -> None
   in
-  thread.ops_this_cycle > 0
-  && (List.exists (Hashtbl.mem thread.written_this_cycle) reads
+  turn.ops > 0
+  && (List.exists (fun v -> List.mem v turn.written) reads
      || (match lhs_var with
-        | Some v -> Hashtbl.mem thread.written_this_cycle v
+        | Some v -> List.mem v turn.written
         | None -> false)
-     || List.exists (Hashtbl.mem thread.region_reads) (regions_touched [] rhs)
+     || List.exists
+          (fun r -> List.mem r turn.region_reads)
+          (regions_touched [] rhs)
      ||
      match lhs.Ast.e with
      | Ast.Index ({ e = Ast.Var region; _ }, _) ->
-       Hashtbl.mem thread.region_writes region
+       List.mem region turn.region_writes
      | _ -> false)
 
-let note_assignment machine thread lhs rhs =
-  machine.assignments <- machine.assignments + 1;
-  thread.ops_this_cycle <- thread.ops_this_cycle + 1;
+let note_assignment turn lhs rhs =
+  turn.ops <- turn.ops + 1;
   (match lhs.Ast.e with
-  | Ast.Var name -> Hashtbl.replace thread.written_this_cycle name ()
+  | Ast.Var name -> turn.written <- name :: turn.written
   | Ast.Index ({ e = Ast.Var region; _ }, _) ->
-    Hashtbl.replace thread.region_writes region ()
+    turn.region_writes <- region :: turn.region_writes
   | _ -> ());
-  List.iter
-    (fun r -> Hashtbl.replace thread.region_reads r ())
-    (regions_touched [] rhs)
+  turn.region_reads <- regions_touched turn.region_reads rhs
 
-let try_rendezvous machine ch =
-  let find pred = List.find_opt pred machine.threads in
-  let sender =
-    find (fun t ->
-        match t.state with
-        | Blocked_send (c, _) -> String.equal c ch
-        | Runnable | Blocked_recv _ | Blocked_join -> false)
-  and receiver =
-    find (fun t ->
-        match t.state with
-        | Blocked_recv (c, _) -> String.equal c ch
-        | Runnable | Blocked_send _ | Blocked_join -> false)
-  in
-  match (sender, receiver) with
-  | Some s, Some r -> (
-    match (s.state, r.state) with
-    | Blocked_send (_, v), Blocked_recv (_, deliver) ->
-      deliver v;
-      (* the transfer itself costs the cycle; both resume next cycle *)
-      s.state <- Runnable;
-      r.state <- Runnable;
-      true
-    | (Runnable | Blocked_send _ | Blocked_recv _ | Blocked_join), _ -> false)
-  | (Some _ | None), (Some _ | None) -> false
-
-(* Execute one item.  Returns the cycle cost (0 or 1); blocking costs the
-   rest of the cycle implicitly. *)
-let rec exec_item machine thread : int =
-  match thread.cont with
-  | [] -> 0
-  | it :: rest ->
-    thread.cont <- rest;
-    let eval_in e = with_env machine thread (fun env -> Interp.eval env e) in
-    (match it with
-    | H_end_scope ->
-      thread.tenv <- List.tl thread.tenv;
-      0
-    | H_loop_end -> 0
-    | H_while_retest (c, body) ->
-      if not (Bitvec.is_zero (eval_in c)) then
-        thread.cont <-
-          scoped_items thread body (H_while_retest (c, body) :: thread.cont);
-      0
-    | H_dowhile_retest (body, c) ->
-      if not (Bitvec.is_zero (eval_in c)) then
-        thread.cont <-
-          scoped_items thread body (H_dowhile_retest (body, c) :: thread.cont);
-      0
-    | H_for_test (cond, stepper, body) ->
-      let continue =
-        match cond with
-        | None -> true
-        | Some c -> not (Bitvec.is_zero (eval_in c))
-      in
-      if continue then
-        thread.cont <-
-          scoped_items thread body
-            (H_for_step (cond, stepper, body) :: thread.cont);
-      0
-    | H_for_step (cond, stepper, body) -> (
-      thread.cont <- H_for_test (cond, stepper, body) :: thread.cont;
-      (* the step expression is an assignment: charge per policy *)
-      match stepper with
-      | None -> 0
-      | Some e -> exec_assignment_expr machine thread e)
-    | H_join_signal j ->
-      j.remaining <- j.remaining - 1;
-      if j.remaining = 0 && j.joiner.state = Blocked_join then
-        j.joiner.state <- Runnable;
-      0
-    | H_stmt st -> exec_stmt machine thread st)
-
-and exec_assignment_expr machine thread (e : Ast.expr) : int =
-  (* Evaluate an expression statement that is an assignment (or contains
-     one) and charge the policy's cycle cost. *)
-  match machine.policy with
-  | `One_cycle_per_assignment ->
-    ignore (with_env machine thread (fun env -> Interp.eval env e));
-    machine.assignments <- machine.assignments + 1;
-    1
+(* Under Scheduled, an assignment that cannot pack into this turn ends
+   it; the thread runs it next cycle. *)
+let defers policy turn thread =
+  match policy with
+  | `One_cycle_per_assignment -> false
   | `Scheduled -> (
-    match e.Ast.e with
-    | Ast.Assign (lhs, rhs) ->
-      if conflicts thread lhs rhs || thread.ops_this_cycle >= machine.ops_per_cycle
-      then begin
-        (* cannot pack: spend the cycle boundary, retry next cycle *)
-        thread.cont <- H_stmt (Ast.mk_stmt (Ast.Expr e)) :: thread.cont;
-        1
-      end
-      else begin
-        ignore (with_env machine thread (fun env -> Interp.eval env e));
-        note_assignment machine thread lhs rhs;
-        0
-      end
-    | _ ->
-      ignore (with_env machine thread (fun env -> Interp.eval env e));
-      0)
+    match Interp.pending_assignment thread with
+    | Some (lhs, rhs) -> conflicts turn lhs rhs || turn.ops >= ops_per_cycle
+    | None -> false)
 
-and exec_stmt machine thread (st : Ast.stmt) : int =
-  let eval_in e = with_env machine thread (fun env -> Interp.eval env e) in
-  match st.Ast.s with
-  | Ast.Expr e when Interp.(match as_recv e with Some _ -> true | None -> false)
-    ->
-    let ch, _ = Option.get (Interp.as_recv e) in
-    thread.state <- Blocked_recv (ch, fun _ -> ());
-    ignore (try_rendezvous machine ch);
-    1
-  | Ast.Expr { e = Ast.Assign (lhs, rhs); eloc; ty }
-    when Interp.as_recv rhs <> None ->
-    ignore eloc;
-    ignore ty;
-    let ch, cast = Option.get (Interp.as_recv rhs) in
-    let deliver v =
-      with_env machine thread (fun env ->
-          let addr = Interp.eval_lvalue env lhs in
-          Interp.store_word env.Interp.store addr
-            (Interp.convert_received cast v))
-    in
-    thread.state <- Blocked_recv (ch, deliver);
-    ignore (try_rendezvous machine ch);
-    1
-  | Ast.Expr ({ e = Ast.Assign _; _ } as e) ->
-    exec_assignment_expr machine thread e
-  | Ast.Expr e ->
-    ignore (eval_in e);
+(* The cycles an item costs: Handel-C charges one per assignment, for-step,
+   initialiser, transfer and delay; Scheduled packs assignments and
+   initialisers into the cycle for free. *)
+let cost policy turn (work : Interp.work) =
+  match (policy, work) with
+  | _, Interp.Control -> 0
+  | _, (Interp.Communicated | Interp.Delayed) -> 1
+  | `One_cycle_per_assignment,
+    (Interp.Assigned _ | Interp.Stepped | Interp.Initialised _) -> 1
+  | `Scheduled, Interp.Assigned (lhs, rhs) ->
+    note_assignment turn lhs rhs;
     0
-  | Ast.Decl (ty, name, init) ->
-    let cost = ref 0 in
-    with_env machine thread (fun env ->
-        let addr = Interp.alloc env.Interp.store (max 1 (Ctypes.word_count ty)) in
-        (match thread.tenv with
-        | scope :: _ -> Hashtbl.replace scope name (addr, ty)
-        | [] -> raise (Interp.Runtime_error "no scope"));
-        match init with
-        | Some e when Interp.as_recv e <> None ->
-          let ch, cast = Option.get (Interp.as_recv e) in
-          thread.state <-
-            Blocked_recv
-              ( ch,
-                fun v ->
-                  Interp.store_word env.Interp.store addr
-                    (Interp.convert_received cast v) );
-          ignore (try_rendezvous machine ch);
-          cost := 1
-        | None -> ()
-        | Some e ->
-          (* an initializer is an assignment *)
-          Interp.store_word env.Interp.store addr (Interp.eval env e);
-          machine.assignments <- machine.assignments + 1;
-          cost :=
-            (match machine.policy with
-            | `One_cycle_per_assignment -> 1
-            | `Scheduled ->
-              thread.ops_this_cycle <- thread.ops_this_cycle + 1;
-              Hashtbl.replace thread.written_this_cycle name ();
-              0));
-    !cost
-  | Ast.If (c, t, f) ->
-    if Bitvec.is_zero (eval_in c) then
-      thread.cont <- scoped_items thread f thread.cont
-    else thread.cont <- scoped_items thread t thread.cont;
+  | `Scheduled, Interp.Initialised name ->
+    turn.ops <- turn.ops + 1;
+    turn.written <- name :: turn.written;
     0
-  | Ast.While (c, body) ->
-    thread.cont <- H_while_retest (c, body) :: H_loop_end :: thread.cont;
-    0
-  | Ast.Do_while (body, c) ->
-    thread.cont <-
-      scoped_items thread body
-        (H_dowhile_retest (body, c) :: H_loop_end :: thread.cont);
-    0
-  | Ast.For (init, cond, stepper, body) ->
-    thread.tenv <- Hashtbl.create 4 :: thread.tenv;
-    thread.cont <-
-      (match init with None -> [] | Some st -> [ H_stmt st ])
-      @ H_for_test (cond, stepper, body)
-        :: H_loop_end :: H_end_scope :: thread.cont;
-    0
-  | Ast.Return value ->
-    let v = Option.map eval_in value in
-    machine.return_value <- Some v;
-    thread.cont <- [];
-    0
-  | Ast.Break ->
-    unwind_until thread (function
-      | H_loop_end -> true
-      | H_stmt _ | H_end_scope | H_while_retest _ | H_dowhile_retest _
-      | H_for_test _ | H_for_step _ | H_join_signal _ -> false);
-    (match thread.cont with
-    | H_loop_end :: rest -> thread.cont <- rest
-    | _ -> ());
-    0
-  | Ast.Continue ->
-    unwind_until thread (function
-      | H_while_retest _ | H_dowhile_retest _ | H_for_step _ -> true
-      | H_stmt _ | H_end_scope | H_loop_end | H_for_test _ | H_join_signal _
-        -> false);
-    0
-  | Ast.Block body ->
-    thread.cont <- scoped_items thread body thread.cont;
-    0
-  | Ast.Par branches ->
-    let j = { remaining = List.length branches; joiner = thread } in
-    List.iter
-      (fun branch ->
-        ignore
-          (spawn machine
-             (List.map (fun s -> H_stmt s) branch @ [ H_join_signal j ])
-             (Hashtbl.create 4 :: thread.tenv)))
-      branches;
-    if j.remaining > 0 then thread.state <- Blocked_join;
-    0
-  | Ast.Chan_send (ch, e) ->
-    let v = eval_in e in
-    thread.state <- Blocked_send (ch, v);
-    ignore (try_rendezvous machine ch);
-    1
-  | Ast.Delay -> 1
-  | Ast.Constrain (_, _, body) ->
-    thread.cont <- scoped_items thread body thread.cont;
-    0
+  | `Scheduled, Interp.Stepped -> 0
 
 type outcome = {
   return_value : Bitvec.t option;
   cycles : int;
-  assignments : int;
   store : Interp.store;
 }
 
-(** Run the statement machine to completion. *)
-let run ?(max_cycles = 2_000_000) ?(ops_per_cycle = 8) ~policy
-    (program : Ast.program) ~entry ~args : outcome =
-  let func =
-    match Ast.find_func program entry with
-    | Some f -> f
-    | None -> raise (Interp.Runtime_error ("no entry " ^ entry))
-  in
-  let store =
-    { Interp.mem = Array.make 1024 (Bitvec.zero 1); sp = 0;
-      globals = Hashtbl.create 16; heap_next = Interp.heap_base }
-  in
-  Interp.allocate_globals store program;
-  let env =
-    { Interp.store; program; scopes = []; steps = 0; fuel = max_int }
-  in
-  let machine =
-    { env; policy; ops_per_cycle; threads = []; next_tid = 0;
-      return_value = None; cycles = 0; assignments = 0 }
-  in
-  let frame : Interp.scope = Hashtbl.create 8 in
-  List.iter2
-    (fun (ty, name) v ->
-      let ty =
-        match ty with Ctypes.Array (elt, _) -> Ctypes.Pointer elt | t -> t
-      in
-      let addr = Interp.alloc store 1 in
-      Interp.store_word store addr
-        (Bitvec.resize ~signed:true ~width:(Interp.declared_width ty) v);
-      Hashtbl.replace frame name (addr, ty))
-    func.Ast.f_params args;
-  let entry_thread =
-    spawn machine (List.map (fun s -> H_stmt s) func.Ast.f_body) [ frame ]
-  in
-  let finished t = t.cont = [] in
-  let guard = 100_000 in
-  while
-    machine.return_value = None
-    && not (finished entry_thread)
-  do
-    if machine.cycles >= max_cycles then raise Timeout;
-    machine.cycles <- machine.cycles + 1;
-    let any_progress = ref false in
+(** Run the entry on the interpreter's thread machine, one global clock:
+    each cycle, every runnable thread runs zero-cost items until one
+    costs the cycle or the thread blocks. *)
+let run ~policy (program : Ast.program) ~entry ~args : outcome =
+  let machine = Interp.start program ~entry ~args in
+  let turn = { ops = 0; written = []; region_reads = []; region_writes = [] } in
+  let cycles = ref 0 in
+  while not (Interp.finished machine) do
+    if !cycles >= max_cycles then raise Timeout;
+    incr cycles;
+    let progressed = ref false in
     List.iter
       (fun t ->
-        if machine.return_value = None && t.state = Runnable
-           && not (finished t)
-        then begin
-          any_progress := true;
-          Hashtbl.reset t.written_this_cycle;
-          Hashtbl.reset t.region_reads;
-          Hashtbl.reset t.region_writes;
-          t.ops_this_cycle <- 0;
-          (* run zero-cost items until the thread spends its cycle *)
-          let spent = ref 0 and zero_steps = ref 0 in
+        if Interp.runnable t && not (Interp.finished machine) then begin
+          progressed := true;
+          turn.ops <- 0;
+          turn.written <- [];
+          turn.region_reads <- [];
+          turn.region_writes <- [];
+          let spent = ref 0 and items = ref 0 in
           while
-            !spent = 0 && t.state = Runnable && not (finished t)
-            && machine.return_value = None
+            !spent = 0 && Interp.runnable t && not (Interp.finished machine)
           do
-            incr zero_steps;
-            if !zero_steps > guard then raise Combinational_loop;
-            spent := exec_item machine t
+            incr items;
+            if !items > guard then raise Combinational_loop;
+            spent :=
+              if defers policy turn t then 1
+              else cost policy turn (Interp.exec_item machine t)
           done
         end)
-      machine.threads;
-    machine.threads <-
-      List.filter
-        (fun t -> (not (finished t)) || t == entry_thread)
-        machine.threads;
-    if not !any_progress then
-      if
-        List.exists
-          (fun t ->
-            match t.state with
-            | Blocked_send _ | Blocked_recv _ -> true
-            | Runnable | Blocked_join -> false)
-          machine.threads
-      then raise Deadlock
-      else if machine.return_value = None && not (finished entry_thread) then
-        raise Deadlock
+      (Interp.threads machine);
+    if not !progressed then raise Deadlock
   done;
-  { return_value =
-      (match machine.return_value with Some v -> v | None -> None);
-    cycles = machine.cycles;
-    assignments = machine.assignments;
-    store }
+  let o = Interp.outcome machine in
+  { return_value = o.Interp.return_value;
+    cycles = !cycles;
+    store = o.Interp.final_store }
 
 (* --- rough structural estimate ---------------------------------------- *)
 

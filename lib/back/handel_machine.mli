@@ -1,12 +1,37 @@
-(** The Handel-C statement machine [Celoxica], also the concurrent subset
-    of Bach C, SpecC, SystemC and HardwareC.
+(** The Handel-C clock [Celoxica], also the concurrent subset of Bach C,
+    SpecC, SystemC and HardwareC.
 
-    A cycle-accurate statement machine over the interpreter's expression
-    semantics: assignments and [delay] cost exactly one cycle, control is
-    free (unbounded zero-cost stepping is rejected as a combinational
-    cycle), a rendezvous transfer costs one cycle for both endpoints.
-    The [`Scheduled] policy instead packs independent assignments per
-    cycle (Bach C's compiler-decided timing for concurrent programs).
+    A clock over {!Interp}'s thread machine: the threads, scopes,
+    rendezvous and joins are the interpreter's own, and this module only
+    decides what each item costs.  Threads advance in lockstep; in each
+    cycle every runnable thread runs items until one costs the cycle or
+    the thread blocks.
+
+    {v
+    what the item did                one cycle per        Scheduled
+                                      assignment
+    assignment, rhs not a receive    1                    0 if it packs, else
+                                                          the turn ends (1) and
+                                                          it runs next cycle
+    for-step e                       1                    as an assignment if
+                                                          e is one, else 0
+    declaration with initialiser     1                    0; counts toward the
+                                                          cap, never deferred
+    send, or any receive form        1                    1
+    delay                            1                    1
+    anything else                    0                    0
+    v}
+
+    [`Scheduled] (Bach C's compiler-decided timing for concurrent
+    programs) packs at most 8 operations per thread per cycle, and no
+    assignment that reads or writes a variable written earlier in the
+    cycle, or touches an array another packed operation read.
+
+    Budgets: 2,000,000 cycles ({!Timeout}); 100,000 items one thread may
+    run in one cycle ({!Combinational_loop}, what the real compiler says
+    of [while(e);]); and the interpreter's 10M steps, shared by the
+    thread items and the big-step calls they make ({!Interp.Timeout}).
+    {!run} takes no optional argument.
 
     The backend wrapper lives in {!Handelc}; {!Design.make} runs this
     machine for every statement-machine design. *)
@@ -20,15 +45,18 @@ type policy = [ `One_cycle_per_assignment | `Scheduled ]
 type outcome = {
   return_value : Bitvec.t option;
   cycles : int;
-  assignments : int;  (** dynamic assignment count *)
   store : Interp.store;
 }
 
 val run :
-  ?max_cycles:int -> ?ops_per_cycle:int -> policy:policy -> Ast.program ->
-  entry:string -> args:Bitvec.t list -> outcome
-(** Run the statement machine to completion.
-    @raise Deadlock / Timeout / Combinational_loop as named. *)
+  policy:policy -> Ast.program -> entry:string -> args:Bitvec.t list ->
+  outcome
+(** Run the entry to completion.
+    @raise Deadlock / Timeout / Combinational_loop as named,
+    @raise Interp.Timeout when the step budget runs out (a callee that
+    never returns),
+    @raise Interp.Runtime_error on the machine's own faults (an exhausted
+    stack, a wrong argument count). *)
 
 val observe :
   Ast.program -> outcome ->

@@ -11,14 +11,16 @@
    creation order) and rendezvous channels can block.  Function calls are
    big-step and therefore must be sequential (no par/channel ops inside a
    function called from an expression); the top-level entry function body
-   gets the full concurrent treatment.
+   gets the full concurrent treatment.  The Handel-C clock (Handel_machine)
+   drives the same thread machine in lockstep cycles, charging each item
+   by the work it reports.
 
    Memory is word-addressed: every scalar (of any width) occupies one word
    holding a Bitvec of its declared width; pointers are 32-bit word
-   addresses.  Globals live at low addresses, the stack above them.  The
-   thread machine never shrinks the stack (block scopes may interleave
-   across threads); big-step calls run atomically and do reclaim their
-   frames. *)
+   addresses.  Globals live at low addresses, the stack above them.
+   Big-step calls reclaim their frames.  The thread machine reclaims a
+   block's words when the block closes, except while par branches are
+   running: their block scopes interleave on the one stack. *)
 
 exception Runtime_error of string
 exception Internal_error of string * Ast.loc
@@ -363,7 +365,7 @@ and exec_block_big env body =
 
 type item =
   | I_stmt of Ast.stmt
-  | I_end_scope
+  | I_end_scope of int (* the stack pointer when the scope opened *)
   | I_loop_end
   | I_while_retest of Ast.expr * Ast.block
   | I_dowhile_retest of Ast.block * Ast.expr
@@ -380,7 +382,6 @@ and blocked =
   | Blocked_join
 
 and thread = {
-  tid : int;
   mutable cont : item list;
   mutable tenv : scope list;
   mutable state : blocked;
@@ -388,44 +389,71 @@ and thread = {
 
 type machine = {
   env : env;
-  mutable threads : thread list; (* in creation order *)
-  mutable next_tid : int;
+  entry_thread : thread;
+  mutable threads : thread list;
+      (* in creation order: the entry thread and every unfinished thread *)
   mutable return_value : Bitvec.t option option; (* Some: entry returned *)
 }
 
-let spawn machine cont scopes =
-  let t = { tid = machine.next_tid; cont; tenv = scopes; state = Runnable } in
-  machine.next_tid <- machine.next_tid + 1;
-  machine.threads <- machine.threads @ [ t ];
-  t
+(* What an item did, for a clock that charges by statement kind. *)
+type work =
+  | Control
+  | Assigned of Ast.expr * Ast.expr
+  | Stepped
+  | Initialised of string
+  | Communicated
+  | Delayed
 
-let with_env machine thread f =
-  let saved = machine.env.scopes in
+let threads machine = machine.threads
+
+let runnable t =
+  match (t.cont, t.state) with
+  | _ :: _, Runnable -> true
+  | [], _ | _, (Blocked_send _ | Blocked_recv _ | Blocked_join) -> false
+
+let finished machine =
+  match (machine.return_value, machine.entry_thread.cont) with
+  | Some _, _ | None, [] -> true
+  | None, _ :: _ -> false
+
+(* Every evaluation in a thread reads that thread's scopes. *)
+let eval_in machine thread e =
   machine.env.scopes <- thread.tenv;
-  Fun.protect
-    ~finally:(fun () -> machine.env.scopes <- saved)
-    (fun () -> f machine.env)
+  eval machine.env e
 
-(* Pop continuation items until the predicate holds, popping scopes on the
-   way (used by break/continue). *)
-let rec unwind_until thread pred =
+let holds machine thread c = not (Bitvec.is_zero (eval_in machine thread c))
+
+(* Open a scope now and return the items that execute [body] then close it. *)
+let scoped_items machine thread body after =
+  thread.tenv <- Hashtbl.create 4 :: thread.tenv;
+  List.map (fun s -> I_stmt s) body
+  @ (I_end_scope machine.env.store.sp :: after)
+
+(* Close the thread's innermost scope.  When no other thread is
+   unfinished, no live word lies above the scope's opening stack
+   pointer, so its words are free again; interleaved par branches keep
+   theirs until an enclosing scope of the joined thread closes. *)
+let close_scope machine thread sp =
+  thread.tenv <- List.tl thread.tenv;
+  match machine.threads with
+  | [ only ] when only == thread -> machine.env.store.sp <- sp
+  | _ -> ()
+
+(* Pop continuation items until the predicate holds, closing scopes on
+   the way (used by break/continue). *)
+let rec unwind_until machine thread pred =
   match thread.cont with
   | [] -> error "break/continue with no enclosing loop in thread"
   | item :: rest ->
     if pred item then ()
     else begin
       (match item with
-      | I_end_scope -> thread.tenv <- List.tl thread.tenv
+      | I_end_scope sp -> close_scope machine thread sp
       | I_stmt _ | I_loop_end | I_while_retest _ | I_dowhile_retest _
       | I_for_test _ | I_for_step _ | I_join_signal _ -> ());
       thread.cont <- rest;
-      unwind_until thread pred
+      unwind_until machine thread pred
     end
-
-(* Open a scope now and return the items that execute [body] then close it. *)
-let scoped_items thread body after =
-  thread.tenv <- Hashtbl.create 4 :: thread.tenv;
-  List.map (fun s -> I_stmt s) body @ (I_end_scope :: after)
 
 (* A receive can appear as a bare expression statement, as the rhs of an
    assignment, or as a declaration initializer (possibly behind the cast
@@ -442,6 +470,16 @@ let convert_received ty v =
   match ty with
   | None -> v
   | Some ty -> Bitvec.resize ~signed:true ~width:(declared_width ty) v
+
+(* The assignment the thread's next item would perform, if it is an
+   assignment statement or a for-step that is an assignment. *)
+let pending_assignment thread =
+  match thread.cont with
+  | I_stmt { s = Expr { e = Assign (lhs, rhs); _ }; _ } :: _
+    when as_recv rhs = None -> Some (lhs, rhs)
+  | I_for_step (_, Some { e = Assign (lhs, rhs); _ }, _) :: _ ->
+    Some (lhs, rhs)
+  | _ -> None
 
 (* Try to complete a rendezvous on channel [ch]: pairs the earliest blocked
    sender with the earliest blocked receiver. *)
@@ -468,188 +506,166 @@ let try_rendezvous machine ch =
     | (Runnable | Blocked_send _ | Blocked_recv _ | Blocked_join), _ -> ())
   | (Some _ | None), (Some _ | None) -> ()
 
+let recv machine thread ch deliver =
+  thread.state <- Blocked_recv (ch, deliver);
+  try_rendezvous machine ch;
+  Communicated
+
 let rec exec_item machine thread =
   match thread.cont with
-  | [] -> ()
+  | [] -> Control
   | item :: rest ->
     thread.cont <- rest;
     step machine.env;
-    let eval_in e = with_env machine thread (fun env -> eval env e) in
-    (match item with
-    | I_end_scope -> thread.tenv <- List.tl thread.tenv
-    | I_loop_end -> ()
-    | I_while_retest (c, body) ->
-      if not (Bitvec.is_zero (eval_in c)) then
-        thread.cont <-
-          scoped_items thread body (I_while_retest (c, body) :: thread.cont)
-    | I_dowhile_retest (body, c) ->
-      if not (Bitvec.is_zero (eval_in c)) then
-        thread.cont <-
-          scoped_items thread body (I_dowhile_retest (body, c) :: thread.cont)
-    | I_for_test (cond, stepper, body) ->
-      let continue =
-        match cond with
-        | None -> true
-        | Some c -> not (Bitvec.is_zero (eval_in c))
-      in
-      if continue then
-        thread.cont <-
-          scoped_items thread body
-            (I_for_step (cond, stepper, body) :: thread.cont)
-    | I_for_step (cond, stepper, body) ->
-      (match stepper with None -> () | Some e -> ignore (eval_in e));
-      thread.cont <- I_for_test (cond, stepper, body) :: thread.cont
-    | I_join_signal j ->
-      j.remaining <- j.remaining - 1;
-      if j.remaining = 0 && j.joiner.state = Blocked_join then
-        j.joiner.state <- Runnable
-    | I_stmt st -> exec_thread_stmt machine thread st)
+    let work =
+      match item with
+      | I_end_scope sp ->
+        close_scope machine thread sp;
+        Control
+      | I_loop_end -> Control
+      | I_while_retest (c, body) ->
+        if holds machine thread c then
+          thread.cont <-
+            scoped_items machine thread body
+              (I_while_retest (c, body) :: thread.cont);
+        Control
+      | I_dowhile_retest (body, c) ->
+        if holds machine thread c then
+          thread.cont <-
+            scoped_items machine thread body
+              (I_dowhile_retest (body, c) :: thread.cont);
+        Control
+      | I_for_test (cond, stepper, body) ->
+        if match cond with None -> true | Some c -> holds machine thread c
+        then
+          thread.cont <-
+            scoped_items machine thread body
+              (I_for_step (cond, stepper, body) :: thread.cont);
+        Control
+      | I_for_step (cond, stepper, body) ->
+        let work =
+          match stepper with
+          | None -> Control
+          | Some e -> (
+            ignore (eval_in machine thread e);
+            match e.e with
+            | Assign (lhs, rhs) -> Assigned (lhs, rhs)
+            | _ -> Stepped)
+        in
+        thread.cont <- I_for_test (cond, stepper, body) :: thread.cont;
+        work
+      | I_join_signal j ->
+        j.remaining <- j.remaining - 1;
+        if j.remaining = 0 && j.joiner.state = Blocked_join then
+          j.joiner.state <- Runnable;
+        Control
+      | I_stmt st -> exec_thread_stmt machine thread st
+    in
+    (match thread.cont with
+    | [] when thread != machine.entry_thread ->
+      machine.threads <- List.filter (fun t -> t != thread) machine.threads
+    | _ -> ());
+    work
 
 and exec_thread_stmt machine thread (st : Ast.stmt) =
-  let eval_in e = with_env machine thread (fun env -> eval env e) in
+  let env = machine.env in
   match st.s with
   | Expr e when as_recv e <> None ->
     let ch, _ = Option.get (as_recv e) in
-    thread.state <- Blocked_recv (ch, fun _ -> ());
-    try_rendezvous machine ch
+    recv machine thread ch (fun _ -> ())
   | Expr { e = Ast.Assign (lhs, rhs); _ } when as_recv rhs <> None ->
     let ch, cast = Option.get (as_recv rhs) in
-    let deliver v =
-      with_env machine thread (fun env ->
-          let addr = eval_lvalue env lhs in
+    recv machine thread ch (fun v ->
+        env.scopes <- thread.tenv;
+        store_word env.store (eval_lvalue env lhs) (convert_received cast v))
+  | Expr e -> (
+    ignore (eval_in machine thread e);
+    match e.e with Assign (lhs, rhs) -> Assigned (lhs, rhs) | _ -> Control)
+  | Decl (ty, name, init) -> (
+    let addr = alloc env.store (max 1 (Ctypes.word_count ty)) in
+    (match thread.tenv with
+    | scope :: _ -> Hashtbl.replace scope name (addr, ty)
+    | [] -> error "no scope in thread");
+    match init with
+    | Some e when as_recv e <> None ->
+      let ch, cast = Option.get (as_recv e) in
+      recv machine thread ch (fun v ->
           store_word env.store addr (convert_received cast v))
-    in
-    thread.state <- Blocked_recv (ch, deliver);
-    try_rendezvous machine ch
-  | Expr e -> ignore (eval_in e)
-  | Decl (ty, name, init) ->
-    with_env machine thread (fun env ->
-        let addr = alloc env.store (max 1 (Ctypes.word_count ty)) in
-        (match thread.tenv with
-        | scope :: _ -> Hashtbl.replace scope name (addr, ty)
-        | [] -> error "no scope in thread");
-        match init with
-        | Some e when as_recv e <> None ->
-          let ch, cast = Option.get (as_recv e) in
-          thread.state <-
-            Blocked_recv
-              (ch, fun v -> store_word env.store addr (convert_received cast v));
-          try_rendezvous machine ch
-        | None -> ()
-        | Some e -> store_word env.store addr (eval env e))
+    | None -> Control
+    | Some e ->
+      store_word env.store addr (eval_in machine thread e);
+      Initialised name)
   | If (c, t, f) ->
-    if Bitvec.is_zero (eval_in c) then
-      thread.cont <- scoped_items thread f thread.cont
-    else thread.cont <- scoped_items thread t thread.cont
+    let taken = if holds machine thread c then t else f in
+    thread.cont <- scoped_items machine thread taken thread.cont;
+    Control
   | While (c, body) ->
-    thread.cont <- I_while_retest (c, body) :: I_loop_end :: thread.cont
+    thread.cont <- I_while_retest (c, body) :: I_loop_end :: thread.cont;
+    Control
   | Do_while (body, c) ->
     thread.cont <-
-      scoped_items thread body
-        (I_dowhile_retest (body, c) :: I_loop_end :: thread.cont)
+      scoped_items machine thread body
+        (I_dowhile_retest (body, c) :: I_loop_end :: thread.cont);
+    Control
   | For (init, cond, stepper, body) ->
+    let sp = env.store.sp in
     thread.tenv <- Hashtbl.create 4 :: thread.tenv;
     thread.cont <-
       (match init with None -> [] | Some st -> [ I_stmt st ])
       @ I_for_test (cond, stepper, body)
-        :: I_loop_end :: I_end_scope :: thread.cont
+        :: I_loop_end :: I_end_scope sp :: thread.cont;
+    Control
   | Return value ->
-    let v = Option.map eval_in value in
-    machine.return_value <- Some v;
-    thread.cont <- []
+    machine.return_value <- Some (Option.map (eval_in machine thread) value);
+    thread.cont <- [];
+    Control
   | Break ->
-    unwind_until thread (function
+    unwind_until machine thread (function
       | I_loop_end -> true
-      | I_stmt _ | I_end_scope | I_while_retest _ | I_dowhile_retest _
+      | I_stmt _ | I_end_scope _ | I_while_retest _ | I_dowhile_retest _
       | I_for_test _ | I_for_step _ | I_join_signal _ -> false);
     (match thread.cont with
     | I_loop_end :: rest -> thread.cont <- rest
-    | _ -> ())
+    | _ -> ());
+    Control
   | Continue ->
-    unwind_until thread (function
+    unwind_until machine thread (function
       | I_while_retest _ | I_dowhile_retest _ | I_for_step _ -> true
-      | I_stmt _ | I_end_scope | I_loop_end | I_for_test _ | I_join_signal _
-        -> false)
-  | Block body -> thread.cont <- scoped_items thread body thread.cont
+      | I_stmt _ | I_end_scope _ | I_loop_end | I_for_test _
+      | I_join_signal _ -> false);
+    Control
+  | Block body | Constrain (_, _, body) ->
+    thread.cont <- scoped_items machine thread body thread.cont;
+    Control
   | Par branches ->
     let j = { remaining = List.length branches; joiner = thread } in
-    List.iter
-      (fun branch ->
-        ignore
-          (spawn machine
-             (List.map (fun s -> I_stmt s) branch @ [ I_join_signal j ])
-             (Hashtbl.create 4 :: thread.tenv)))
-      branches;
-    if j.remaining > 0 then thread.state <- Blocked_join
+    machine.threads <-
+      machine.threads
+      @ List.map
+          (fun branch ->
+            { cont = List.map (fun s -> I_stmt s) branch @ [ I_join_signal j ];
+              tenv = Hashtbl.create 4 :: thread.tenv;
+              state = Runnable })
+          branches;
+    if j.remaining > 0 then thread.state <- Blocked_join;
+    Control
   | Chan_send (ch, e) ->
-    let v = eval_in e in
+    let v = eval_in machine thread e in
     thread.state <- Blocked_send (ch, v);
-    try_rendezvous machine ch
-  | Delay -> () (* untimed: a delay is just a yield *)
-  | Constrain (_, _, body) ->
-    thread.cont <- scoped_items thread body thread.cont
-
-(* A deterministic Fisher-Yates shuffle keyed on (seed, round): the
-   scheduler-perturbation hook behind [run ~sched_seed].  Thread *visit*
-   order changes per round; rendezvous pairing (creation order) does not,
-   so a program the static checker calls race-free must produce the same
-   observables under every seed — the qcheck property in test_conc.ml. *)
-let permute ~seed ~round threads =
-  match threads with
-  | [] | [ _ ] -> threads
-  | _ ->
-    let arr = Array.of_list threads in
-    let state = ref (((seed * 0x9e3779b1) lxor (round * 0x85ebca77)) lor 1) in
-    let next bound =
-      state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-      !state mod bound
-    in
-    for i = Array.length arr - 1 downto 1 do
-      let j = next (i + 1) in
-      let t = arr.(i) in
-      arr.(i) <- arr.(j);
-      arr.(j) <- t
-    done;
-    Array.to_list arr
-
-let run_machine ?sched_seed machine entry_thread =
-  let finished t = t.cont = [] in
-  let runnable t = t.state = Runnable && not (finished t) in
-  let round = ref 0 in
-  let rec loop () =
-    if machine.return_value <> None || finished entry_thread then ()
-    else begin
-      incr round;
-      let snapshot =
-        match sched_seed with
-        | None -> machine.threads
-        | Some seed -> permute ~seed ~round:!round machine.threads
-      in
-      let ran = ref false in
-      List.iter
-        (fun t ->
-          if machine.return_value = None && runnable t then begin
-            ran := true;
-            exec_item machine t
-          end)
-        snapshot;
-      machine.threads <-
-        List.filter
-          (fun t -> (not (finished t)) || t == entry_thread)
-          machine.threads;
-      if (not !ran) && machine.return_value = None
-         && not (finished entry_thread)
-      then raise Deadlock;
-      loop ()
-    end
-  in
-  loop ()
+    try_rendezvous machine ch;
+    Communicated
+  | Delay -> Delayed
 
 type outcome = {
   return_value : Bitvec.t option;
   steps : int;
   final_store : store;
 }
+
+let outcome (machine : machine) =
+  { return_value = Option.join machine.return_value;
+    steps = machine.env.steps;
+    final_store = machine.env.store }
 
 let allocate_globals store (program : Ast.program) =
   List.iter
@@ -675,10 +691,9 @@ let allocate_globals store (program : Ast.program) =
           values)
     program.globals
 
-(** Run [entry] with scalar [args]; the program must already be
-    type-checked.  [fuel] bounds the number of interpreter steps. *)
-let run ?(fuel = 10_000_000) ?sched_seed (program : Ast.program) ~entry
-    ~args : outcome =
+(* A fresh store with the program's globals, the entry's arguments in
+   its frame, and the entry thread ready to run its body. *)
+let start ?(fuel = 10_000_000) (program : Ast.program) ~entry ~args =
   let func =
     match Ast.find_func program entry with
     | Some f -> f
@@ -689,7 +704,6 @@ let run ?(fuel = 10_000_000) ?sched_seed (program : Ast.program) ~entry
       globals = Hashtbl.create 16; heap_next = heap_base }
   in
   allocate_globals store program;
-  let env = { store; program; scopes = []; steps = 0; fuel } in
   if List.length args <> List.length func.f_params then
     error "%s expects %d arguments, got %d" entry
       (List.length func.f_params) (List.length args);
@@ -704,15 +718,60 @@ let run ?(fuel = 10_000_000) ?sched_seed (program : Ast.program) ~entry
         (Bitvec.resize ~signed:true ~width:(declared_width ty) v);
       Hashtbl.replace frame name (addr, ty))
     func.f_params args;
-  let machine = { env; threads = []; next_tid = 0; return_value = None } in
   let entry_thread =
-    spawn machine (List.map (fun s -> I_stmt s) func.f_body) [ frame ]
+    { cont = List.map (fun s -> I_stmt s) func.f_body; tenv = [ frame ];
+      state = Runnable }
   in
-  run_machine ?sched_seed machine entry_thread;
-  { return_value =
-      (match machine.return_value with Some v -> v | None -> None);
-    steps = env.steps;
-    final_store = store }
+  { env = { store; program; scopes = []; steps = 0; fuel };
+    entry_thread;
+    threads = [ entry_thread ];
+    return_value = None }
+
+(* A deterministic Fisher-Yates shuffle keyed on (seed, round): the
+   scheduler-perturbation hook behind [run ~sched_seed].  Thread *visit*
+   order changes per round; rendezvous pairing (creation order) does not,
+   so a program the static checker calls race-free must produce the same
+   observables under every seed — the qcheck property in test_conc.ml. *)
+let permute ~seed ~round threads =
+  match threads with
+  | [] | [ _ ] -> threads
+  | _ ->
+    let arr = Array.of_list threads in
+    let state = ref (((seed * 0x9e3779b1) lxor (round * 0x85ebca77)) lor 1) in
+    let next bound =
+      state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+      !state mod bound
+    in
+    for i = Array.length arr - 1 downto 1 do
+      let j = next (i + 1) in
+      let t = arr.(i) in
+      arr.(i) <- arr.(j);
+      arr.(j) <- t
+    done;
+    Array.to_list arr
+
+(** Run [entry] with scalar [args]; the program must already be
+    type-checked.  [fuel] bounds the number of interpreter steps.  Each
+    round runs one item of every runnable thread, in creation order or
+    in the round's [sched_seed] permutation. *)
+let run ?fuel ?sched_seed (program : Ast.program) ~entry ~args : outcome =
+  let machine = start ?fuel program ~entry ~args in
+  let round = ref 0 in
+  while not (finished machine) do
+    incr round;
+    let ran = ref false in
+    List.iter
+      (fun t ->
+        if runnable t && not (finished machine) then begin
+          ran := true;
+          ignore (exec_item machine t)
+        end)
+      (match sched_seed with
+      | None -> machine.threads
+      | Some seed -> permute ~seed ~round:!round machine.threads);
+    if not !ran then raise Deadlock
+  done;
+  outcome machine
 
 (** Read a scalar global after a run. *)
 let read_global outcome name =

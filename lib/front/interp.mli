@@ -8,9 +8,11 @@
     machine so [par] branches interleave (round-robin) and rendezvous
     channels block; deadlock is detected.
 
-    The lower half of this interface (store/env/eval) is the shared
-    expression-semantics surface the Handel-C statement machine builds
-    its cycle-accurate simulator on. *)
+    The whole thread machine is shared with the Handel-C clock
+    ({!Handel_machine}): {!run} drives it with an untimed round robin,
+    the clock drives the same threads in lockstep cycles and charges
+    each item by the {!work} it reports.  A block's stack words are
+    reclaimed when it closes, unless par branches are still running. *)
 
 exception Runtime_error of string
 
@@ -37,15 +39,6 @@ val heap_base : int
     Disjointness means returning from a function never invalidates heap
     storage. *)
 
-val alloc : store -> int -> int
-(** Allocate stack words; returns the base address.
-    @raise Runtime_error on stack overflow. *)
-
-val load : store -> int -> Bitvec.t
-val store_word : store -> int -> Bitvec.t -> unit
-
-val allocate_globals : store -> Ast.program -> unit
-
 (** {1 Environments} *)
 
 type scope = (string, int * Ctypes.t) Hashtbl.t
@@ -58,31 +51,31 @@ type env = {
   fuel : int;
 }
 
-val declared_width : Ctypes.t -> int
-
-(** {1 Expression semantics (shared with the Handel-C machine)} *)
-
-val eval : env -> Ast.expr -> Bitvec.t
-(** Big-step evaluation.  Calls are executed recursively (the callee must
-    be sequential); [recv] in expression context is a runtime error. *)
-
-val eval_lvalue : env -> Ast.expr -> int
-(** The address of an lvalue. *)
-
 val eval_binop : env -> Ast.binop -> Ast.expr -> Ast.expr -> Bitvec.t
 (** Scalar binary-operator semantics (pointer arithmetic included) on
     already-lowered operands.  The short-circuit operators are rewritten
-    by {!eval} before this level.
+    before this level.
     @raise Internal_error on [Log_and]/[Log_or], which must not reach the
     scalar evaluator. *)
 
-val as_recv : Ast.expr -> (string * Ctypes.t option) option
-(** Recognize the statement-position receive forms: a bare [recv(c)] or
-    one behind the cast the type checker inserts. *)
+(** {1 The thread machine}
 
-val convert_received : Ctypes.t option -> Bitvec.t -> Bitvec.t
+    The entry function's body runs as threads of continuation items.
+    [par] spawns one thread per branch and blocks its parent until all
+    of them join; [send] and [recv] block until the earliest blocked
+    sender and receiver on the channel pair up.  Calls inside
+    expressions run big-step and must be sequential.  Every item and
+    every statement of a big-step call counts one step against the
+    machine's fuel, so both clocks share one step budget.
 
-(** {1 Running programs} *)
+    A scope closes at the end of its block, or when [break]/[continue]
+    unwinds past it.  If its thread is then the only unfinished one, the
+    stack pointer returns to where it stood when the scope opened;
+    otherwise (interleaved par branches) its words stay taken until an
+    enclosing scope closes. *)
+
+type thread
+type machine
 
 type outcome = {
   return_value : Bitvec.t option;
@@ -90,10 +83,52 @@ type outcome = {
   final_store : store;
 }
 
+val start :
+  ?fuel:int -> Ast.program -> entry:string -> args:Bitvec.t list -> machine
+(** A fresh store holding the program's globals, the entry's frame
+    holding [args], and the entry thread.  [fuel] bounds the steps
+    (default 10M).
+    @raise Runtime_error on a missing entry or a wrong argument count. *)
+
+val threads : machine -> thread list
+(** The entry thread and every unfinished thread, in creation order.  A
+    thread spawned during a round joins the list, not the round. *)
+
+val runnable : thread -> bool
+(** The thread has items left and is not blocked. *)
+
+val finished : machine -> bool
+(** The entry returned or ran out of items. *)
+
+(** What an item did: the statement kinds a timed clock charges. *)
+type work =
+  | Control  (** tests, scopes, loops, fork/join, return, break, a call *)
+  | Assigned of Ast.expr * Ast.expr
+      (** [lhs = rhs]: an assignment statement whose rhs is not a
+          receive, or a for-step that is an assignment *)
+  | Stepped  (** a for-step that is not an assignment *)
+  | Initialised of string  (** a declaration with an initialiser *)
+  | Communicated  (** a send, or any of the three receive forms *)
+  | Delayed  (** [delay]: a no-op for the untimed semantics *)
+
+val exec_item : machine -> thread -> work
+(** Run the thread's next item and report it.
+    @raise Timeout when the fuel runs out,
+    @raise Runtime_error on semantic errors. *)
+
+val pending_assignment : thread -> (Ast.expr * Ast.expr) option
+(** The [(lhs, rhs)] that the thread's next item would report as
+    [Assigned], without running it. *)
+
+val outcome : machine -> outcome
+
+(** {1 Running programs} *)
+
 val run :
   ?fuel:int -> ?sched_seed:int -> Ast.program -> entry:string ->
   args:Bitvec.t list -> outcome
-(** Run [entry] on a type-checked program.  [sched_seed] perturbs the
+(** Run [entry] on a type-checked program: each round runs one item of
+    every runnable thread, in creation order.  [sched_seed] perturbs the
     round-robin thread *visit* order with a deterministic per-round
     shuffle (rendezvous pairing is unaffected): programs the static
     concurrency checker calls race-free must return identical observables

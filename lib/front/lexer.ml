@@ -84,7 +84,7 @@ let rec skip_trivia st =
   | (Some _ | None), _ -> ()
 
 let lex_number st =
-  let start = st.pos in
+  let start = st.pos and at = loc st in
   let hex =
     peek st = Some '0' && (peek2 st = Some 'x' || peek2 st = Some 'X')
   in
@@ -100,7 +100,16 @@ let lex_number st =
       advance st
     done;
   let digits = String.sub st.src start (st.pos - start) in
-  let value = Int64.of_string digits in
+  let value =
+    match Int64.of_string_opt digits with
+    | Some v -> v
+    | None ->
+      raise
+        (Error
+           ( Printf.sprintf "integer literal %s is not a 64-bit integer"
+               digits,
+             at ))
+  in
   let suffix = ref `Plain in
   let rec suffixes () =
     match peek st with

@@ -27,4 +27,5 @@ val keywords : string list
 val tokenize : string -> tok list
 (** Tokenize a complete source string; the trailing token is [EOF].
     @raise Error on malformed input (bad characters, unterminated
-    comments or character literals). *)
+    comments or character literals, an integer literal that is not a
+    64-bit integer). *)

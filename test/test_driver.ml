@@ -97,14 +97,16 @@ let test_typed_rejections () =
   | Ok _ -> Alcotest.fail "cones must reject gcd"
   | Error e -> Alcotest.fail ("wrong error: " ^ Driver.render_error e));
   (* a frontend failure poisons the session with a typed error, whether
-     the typechecker or the lexer refuses the source *)
+     the typechecker or the lexer refuses the source, a stray character
+     or a literal too large for 64 bits *)
   List.iter
     (fun source ->
       match Driver.program (Driver.create ~entry:"f" source) with
       | Error (Driver.Frontend_error _) -> ()
       | Ok _ -> Alcotest.failf "%S must not typecheck" source
       | Error e -> Alcotest.fail ("wrong error: " ^ Driver.render_error e))
-    [ "int f(int x) { return y; }"; "int f(int x) { return x @ 2; }" ]
+    [ "int f(int x) { return y; }"; "int f(int x) { return x @ 2; }";
+      "int f(int a) { return a + 99999999999999999999; }" ]
 
 let test_reference_oracle () =
   let s = session () in

@@ -25,12 +25,18 @@ let test_lexer_comments_and_suffixes () =
 
 let test_lexer_positions () =
   let toks = Lexer.tokenize "a\n  b" in
-  match toks with
+  (match toks with
   | [ a; b; _eof ] ->
     Alcotest.(check int) "a line" 1 a.Lexer.tline;
     Alcotest.(check int) "b line" 2 b.Lexer.tline;
     Alcotest.(check int) "b col" 3 b.Lexer.tcol
-  | _ -> Alcotest.fail "expected two tokens"
+  | _ -> Alcotest.fail "expected two tokens");
+  (* a literal too large for 64 bits is a lexer error at the literal *)
+  match Lexer.tokenize "a +\n  99999999999999999999;" with
+  | _ -> Alcotest.fail "an oversized literal lexed"
+  | exception Lexer.Error (_, loc) ->
+    Alcotest.(check (pair int int)) "literal position" (2, 3)
+      (loc.Ast.line, loc.Ast.col)
 
 let test_parse_simple_function () =
   let p = parse "int add(int a, int b) { return a + b; }" in

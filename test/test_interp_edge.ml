@@ -171,7 +171,10 @@ let test_runtime_errors () =
     "int buf[4];\nint f(void) { buf[100] = 1; return 0; }";
   (* recv nested in a larger expression is a documented restriction *)
   expect_runtime_error
-    "chan int c;\nint f(void) { int x = 1 + recv(c); return x; }"
+    "chan int c;\nint f(void) { int x = 1 + recv(c); return x; }";
+  (* a pointer to a closed block's local: the block's word is free *)
+  expect_runtime_error
+    "int f(void) { int* p = (int*)0; { int x = 5; p = &x; } return *p; }"
 
 let test_step_counting () =
   (* the work metric grows with iterations — the untimed model's only

@@ -16,22 +16,36 @@ let dead_source =
    int run(int n) { int a = 0; par { { if (n > 5) { send(c, 1); } } \
    { a = recv(c); } } return a; }"
 
+(* a callee that never returns: the Handel-C clock cannot advance inside
+   one big-step call, so the shared step budget stops it *)
+let callee_spin_source =
+  "int g(int n) { int x = 0; while (n > 0) { x = x + 1; } return x; } \
+   int f(int a) { return g(a); }"
+
 (* A machine's own runtime errors: recursion past C2Verilog's 32K-word
-   stack; a Handel-C loop whose declaration takes a fresh store word on
-   every iteration; a pointer argument that is a negative address. *)
+   stack; two par branches whose interleaved declarations each take a
+   fresh store word on every iteration; a pointer argument that is a
+   negative address. *)
 let deep_source =
   "int sum(int n) { if (n <= 0) { return 0; } return n + sum(n - 1); }"
 
-let leak_source =
-  "int fib(int n) { int a = 0; int b = 1; int i = 0; \
-   while (i < n) { int t = a + b; a = b; b = t; i = i + 1; } return a; }"
+let par_leak_source =
+  "int g; int f(int n) { int r = 0; par { { int i = 0; while (i < n) { \
+   int t = i; r = r + t; i = i + 1; } } { int j = 0; while (j < n) { \
+   int u = j; g = g + u; j = j + 1; } } } return r + g; }"
 
 let deref_source = "int f(int *p) { return *p; }"
 
 let faults =
   [ ("c2verilog", deep_source, "sum", [ 100_000 ], "stack overflow");
-    ("handelc", leak_source, "fib", [ 70_000 ], "stack overflow");
+    ("handelc", par_leak_source, "f", [ 40_000 ], "stack overflow");
     ("c2verilog", deref_source, "f", [ -5 ], "load out of memory (-5)") ]
+
+(* one thread's loop declaration: its block's word is free again at the
+   end of every iteration *)
+let leak_source =
+  "int fib(int n) { int a = 0; int b = 1; int i = 0; \
+   while (i < n) { int t = a + b; a = b; b = t; i = i + 1; } return a; }"
 
 let compile session backend =
   match Driver.compile session (Registry.get backend) with
@@ -92,6 +106,7 @@ let test_check_types_every_simulator_stop () =
   in
   stops spin_source "spin" Design.Timeout
     [ "bachc"; "systemc"; "cash"; "c2verilog"; "handelc" ];
+  stops callee_spin_source "f" Design.Timeout [ "handelc" ];
   stops dead_source "run" Design.Deadlock [ "handelc" ];
   List.iter
     (fun (backend, source, entry, args, message) ->
@@ -106,6 +121,20 @@ let test_check_types_every_simulator_stop () =
       Alcotest.(check bool) (what ^ " oracle skipped") true
         (v.Driver.oracle = None))
     faults
+
+(* A closed block's words are free again: the loop that used to exhaust
+   the store answers on the oracle and on the Handel-C clock alike. *)
+let test_closed_blocks_free_words () =
+  let session = Driver.create ~entry:"fib" leak_source in
+  let v = Driver.check session (compile session "handelc") ~args:[ 70_000 ] in
+  (match v.Driver.run with
+  | Ok _ -> ()
+  | Error stop -> Alcotest.fail (Design.render_stop stop));
+  (match v.Driver.oracle with
+  | Some (Ok _) -> ()
+  | Some (Error e) -> Alcotest.fail (Driver.render_error e)
+  | None -> Alcotest.fail "the oracle was not asked");
+  Alcotest.(check bool) "handelc agrees with the oracle" true v.Driver.agrees
 
 (* The detail chlsc prints survives the one exception: FSMD state and
    CASH token counts ride along with the reason. *)
@@ -303,6 +332,8 @@ let suite =
         test_reference_types_interpreter_stops;
       Alcotest.test_case "check types every simulator stop" `Quick
         test_check_types_every_simulator_stop;
+      Alcotest.test_case "closed blocks free their words" `Quick
+        test_closed_blocks_free_words;
       Alcotest.test_case "stop keeps simulator progress" `Quick
         test_stop_keeps_progress;
       Alcotest.test_case "serve answers stops with a status" `Quick
