@@ -16,8 +16,8 @@ let read_file path =
 (* The file's program through the driver's frontend, which types every
    lexer, parser and typechecker error: on one, print it located and
    exit 1. *)
-let program_of_file ?entry file =
-  match Driver.program (Driver.create ?entry (read_file file)) with
+let program_of_file file =
+  match Driver.program (Driver.create (read_file file)) with
   | Ok program -> program
   | Error e ->
     prerr_endline (Driver.render_error ~file e);
@@ -1018,7 +1018,7 @@ let analyze_cmd =
     "Show the compiler's view: CIR, schedule, pipelining, ILP, bitwidths"
   in
   let run file entry =
-    let program = program_of_file ~entry file in
+    let program = program_of_file file in
     let lowered, _ =
       or_located_error file (fun () -> Passes.lower_simplify program ~entry)
     in

@@ -143,7 +143,7 @@ type outcome = {
     each cycle, every runnable thread runs zero-cost items until one
     costs the cycle or the thread blocks. *)
 let run ~policy (program : Ast.program) ~entry ~args : outcome =
-  let machine = Interp.start program ~entry ~args in
+  let machine = Interp.start ~fuel:Interp.step_budget program ~entry ~args in
   let turn = { ops = 0; written = []; region_reads = []; region_writes = [] } in
   let cycles = ref 0 in
   while not (Interp.finished machine) do

@@ -29,8 +29,9 @@
 
     Budgets: 2,000,000 cycles ({!Timeout}); 100,000 items one thread may
     run in one cycle ({!Combinational_loop}, what the real compiler says
-    of [while(e);]); and the interpreter's 10M steps, shared by the
-    thread items and the big-step calls they make ({!Interp.Timeout}).
+    of [while(e);]); and the oracle's own {!Interp.step_budget} of 10M
+    steps, counted over the thread items and the statements of the
+    big-step calls they make ({!Interp.Timeout}).
     {!run} takes no optional argument.
 
     The backend wrapper lives in {!Handelc}; {!Design.make} runs this

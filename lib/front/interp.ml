@@ -416,7 +416,8 @@ let finished machine =
   | Some _, _ | None, [] -> true
   | None, _ :: _ -> false
 
-(* Every evaluation in a thread reads that thread's scopes. *)
+(* Every evaluation in a thread first points the environment at that
+   thread's scopes, so nothing has to restore them afterwards. *)
 let eval_in machine thread e =
   machine.env.scopes <- thread.tenv;
   eval machine.env e
@@ -691,9 +692,11 @@ let allocate_globals store (program : Ast.program) =
           values)
     program.globals
 
+let step_budget = 10_000_000
+
 (* A fresh store with the program's globals, the entry's arguments in
    its frame, and the entry thread ready to run its body. *)
-let start ?(fuel = 10_000_000) (program : Ast.program) ~entry ~args =
+let start ~fuel (program : Ast.program) ~entry ~args =
   let func =
     match Ast.find_func program entry with
     | Some f -> f
@@ -754,8 +757,9 @@ let permute ~seed ~round threads =
     type-checked.  [fuel] bounds the number of interpreter steps.  Each
     round runs one item of every runnable thread, in creation order or
     in the round's [sched_seed] permutation. *)
-let run ?fuel ?sched_seed (program : Ast.program) ~entry ~args : outcome =
-  let machine = start ?fuel program ~entry ~args in
+let run ?(fuel = step_budget) ?sched_seed (program : Ast.program) ~entry
+    ~args : outcome =
+  let machine = start ~fuel program ~entry ~args in
   let round = ref 0 in
   while not (finished machine) do
     incr round;

@@ -83,11 +83,14 @@ type outcome = {
   final_store : store;
 }
 
+val step_budget : int
+(** 10M: the steps {!run} allows by default, and the Handel-C clock
+    always. *)
+
 val start :
-  ?fuel:int -> Ast.program -> entry:string -> args:Bitvec.t list -> machine
+  fuel:int -> Ast.program -> entry:string -> args:Bitvec.t list -> machine
 (** A fresh store holding the program's globals, the entry's frame
-    holding [args], and the entry thread.  [fuel] bounds the steps
-    (default 10M).
+    holding [args], and the entry thread.  [fuel] bounds the steps.
     @raise Runtime_error on a missing entry or a wrong argument count. *)
 
 val threads : machine -> thread list
@@ -102,7 +105,9 @@ val finished : machine -> bool
 
 (** What an item did: the statement kinds a timed clock charges. *)
 type work =
-  | Control  (** tests, scopes, loops, fork/join, return, break, a call *)
+  | Control
+      (** tests, scopes, loops, fork/join, return, break, continue, an
+          expression statement that is not an assignment *)
   | Assigned of Ast.expr * Ast.expr
       (** [lhs = rhs]: an assignment statement whose rhs is not a
           receive, or a for-step that is an assignment *)
@@ -112,7 +117,7 @@ type work =
   | Delayed  (** [delay]: a no-op for the untimed semantics *)
 
 val exec_item : machine -> thread -> work
-(** Run the thread's next item and report it.
+(** Run the next item of a {!runnable} thread and report it.
     @raise Timeout when the fuel runs out,
     @raise Runtime_error on semantic errors. *)
 
@@ -137,7 +142,7 @@ val run :
     @raise Runtime_error on semantic errors (wild pointers, out-of-bounds
     accesses, undefined functions),
     @raise Deadlock when no thread can make progress,
-    @raise Timeout when [fuel] (default 10M steps) is exhausted. *)
+    @raise Timeout when [fuel] (default {!step_budget}) is exhausted. *)
 
 val read_global : outcome -> string -> Bitvec.t
 val read_global_array : outcome -> string -> Bitvec.t array
