@@ -112,7 +112,8 @@ type work =
       (** [lhs = rhs]: an assignment statement whose rhs is not a
           receive, or a for-step that is an assignment *)
   | Stepped  (** a for-step that is not an assignment *)
-  | Initialised of string  (** a declaration with an initialiser *)
+  | Initialised of string
+      (** a declaration whose initialiser is not a receive *)
   | Communicated  (** a send, or any of the three receive forms *)
   | Delayed  (** [delay]: a no-op for the untimed semantics *)
 

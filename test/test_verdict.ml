@@ -122,8 +122,9 @@ let test_check_types_every_simulator_stop () =
         (v.Driver.oracle = None))
     faults
 
-(* A closed block's words are free again: the loop that used to exhaust
-   the store answers on the oracle and on the Handel-C clock alike. *)
+(* A closed block's words are free again, so a loop that declares a
+   variable on every iteration answers on the oracle and on the Handel-C
+   clock alike. *)
 let test_closed_blocks_free_words () =
   let session = Driver.create ~entry:"fib" leak_source in
   let v = Driver.check session (compile session "handelc") ~args:[ 70_000 ] in
