@@ -585,7 +585,14 @@ let compile_cmd =
         | _ -> ()
       in
       Metrics.set_string m "run.engine" (Design.engine_name sim);
-      let v = Driver.check ~ctx:tctx ?vcd:writer ~sim session design ~args in
+      let v =
+        match Driver.check ~ctx:tctx ?vcd:writer ~sim session design ~args with
+        | Ok v -> v
+        | Error e ->
+          write_trace ~failed:true ();
+          prerr_endline (Driver.render_error ~file e);
+          exit 1
+      in
       (* the verdict as the daemon answers it; a stop is a partial
          outcome that reports how far the run got *)
       List.iter

@@ -22,10 +22,12 @@ let () =
           Registry.compile backend program ~entry:w.Workloads.entry
         in
         let ok =
-          Driver.agree
-            (List.map
-               (fun args -> Driver.check session design ~args)
-               w.Workloads.arg_sets)
+          List.for_all
+            (fun args ->
+              match Driver.check session design ~args with
+              | Ok v -> v.Driver.agrees
+              | Error _ -> false)
+            w.Workloads.arg_sets
         in
         let r = design.Design.run (Design.int_args [ 1; 2 ]) in
         Printf.printf "%-16s %8s %8s %11s %12s %8b\n"

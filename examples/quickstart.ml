@@ -51,10 +51,12 @@ let () =
       (* every backend must agree with the oracle *)
       let session = Driver.create ~entry:"isqrt" source in
       Printf.printf "  matches software semantics: %b\n\n"
-        (Driver.agree
-           (List.map
-              (fun x -> Driver.check session design ~args:[ x ])
-              inputs)))
+        (List.for_all
+           (fun x ->
+             match Driver.check session design ~args:[ x ] with
+             | Ok v -> v.Driver.agrees
+             | Error _ -> false)
+           inputs))
     [ (Registry.get "transmogrifier"); (Registry.get "handelc"); (Registry.get "cash") ];
   (* 3. look at generated RTL *)
   let design = Registry.compile (Registry.get "bachc") program ~entry:"isqrt" in

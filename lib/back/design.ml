@@ -300,8 +300,11 @@ let run_of_artifact artifact =
     | exception Handel_machine.Combinational_loop ->
       stop Combinational_loop Unreported
     | exception
-        (C2v_machine.Runtime_error message | Interp.Runtime_error message) ->
-      (* the C2Verilog machines, and the Handel-C machine's store *)
+        ( C2v_machine.Runtime_error message
+        | Interp.Runtime_error message
+        | Cir_interp.Runtime_error message ) ->
+      (* the C2Verilog machines, the Handel-C machine's store, and the
+         CIR machine under the FSMD, SystemC and CASH simulators *)
       stop (Fault message) Unreported
 
 (* --- structural views ----------------------------------------------- *)

@@ -72,13 +72,15 @@ type stop_reason =
   | Combinational_loop
   | Fault of string
       (** the machine's own runtime error, with its message: stack
-          overflow, a load or store outside memory, an exhausted heap *)
+          overflow, a load or store outside memory, an exhausted heap, an
+          argument vector the CIR machine's arity check refuses *)
 
 (** How far a stopped run got, as far as its simulator reports it. *)
 type progress =
   | Cycles of { cycles : int; state : int }  (** FSMDs, SystemC's kernel *)
   | Tokens of { fired : int; time : float }  (** CASH *)
-  | Unreported  (** the Handel-C and C2Verilog machines *)
+  | Unreported
+      (** the Handel-C and C2Verilog machines, and every fault *)
 
 type stop = { reason : stop_reason; progress : progress }
 

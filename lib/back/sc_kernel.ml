@@ -14,10 +14,10 @@
    evaluation model — including the classic delta-cycle convergence — is
    the point: "Verilog in C++".
 
-   [of_fsmd] models a scheduled FSMD as a two-process network (next-state
-   logic + clocked state), demonstrating the synthesizable subset;
-   [run_fsmd] drives that network to completion.  The backend wrapper
-   lives in Systemc. *)
+   [of_fsmd] models a scheduled FSMD as a process network whose clocked
+   process runs Rtlsim's one-state step on Cir_interp's machine,
+   demonstrating the synthesizable subset; [run_fsmd] drives that network
+   to completion.  The backend wrapper lives in Systemc. *)
 
 exception Unstable of string
 
@@ -141,74 +141,18 @@ let of_fsmd (fsmd : Fsmd.t) ~args : kernel * signal * signal =
   let result =
     signal kernel ~name:"result" ~width:(max 1 func.Cir.fn_ret_width) ()
   in
-  (* datapath state lives in plain arrays, as an RTL model would keep regs *)
-  let regs =
-    Array.init func.Cir.fn_reg_count (fun r ->
-        Bitvec.zero (max 1 func.Cir.fn_reg_widths.(r)))
-  in
-  List.iter (fun (_, r, init) -> regs.(r) <- init) func.Cir.fn_globals;
-  List.iter2
-    (fun (_, r) v ->
-      regs.(r) <- Bitvec.resize ~signed:true ~width:(Cir.reg_width func r) v)
-    func.Cir.fn_params args;
-  let memories =
-    Array.map
-      (fun (rg : Cir.region) ->
-        match rg.Cir.rg_init with
-        | Some init -> Array.copy init
-        | None -> Array.make rg.Cir.rg_words (Bitvec.zero rg.Cir.rg_width))
-      func.Cir.fn_regions
-  in
-  let value = function
-    | Cir.O_imm bv -> bv
-    | Cir.O_reg r -> regs.(r)
-  in
-  (* the single clocked process: execute the current state's actions and
-     write the next state — one cycle per state, SystemC-style *)
+  (* datapath state lives in the CIR machine's plain arrays, as an RTL
+     model would keep its registers *)
+  let m = Cir_interp.start func ~args in
+  (* the single clocked process: one FSMD state per rising edge, on the
+     settled state signal *)
   sc_clocked kernel ~name:"fsmd" (fun () ->
-      if not (Bitvec.to_bool (read done_sig)) then begin
-        let st = fsmd.Fsmd.states.(Bitvec.to_int_unsigned (read state)) in
-        let stores = ref [] in
-        List.iter
-          (fun instr ->
-            match instr with
-            | Cir.I_bin { op; dst; a; b } ->
-              regs.(dst) <- Neteval.apply_binop op (value a) (value b)
-            | Cir.I_un { op; dst; a } ->
-              regs.(dst) <- Neteval.apply_unop op (value a)
-            | Cir.I_mov { dst; src } -> regs.(dst) <- value src
-            | Cir.I_cast { dst; signed; src } ->
-              regs.(dst) <-
-                Bitvec.resize ~signed ~width:(Cir.reg_width func dst)
-                  (value src)
-            | Cir.I_mux { dst; sel; if_true; if_false } ->
-              regs.(dst) <-
-                (if Bitvec.to_bool (value sel) then value if_true
-                 else value if_false)
-            | Cir.I_load { dst; region; addr } ->
-              let mem = memories.(region) in
-              let a = Bitvec.to_int_unsigned (value addr) in
-              regs.(dst) <-
-                (if a < Array.length mem then mem.(a)
-                 else Bitvec.zero (Cir.reg_width func dst))
-            | Cir.I_store { region; addr; value = v } ->
-              stores := (region, Bitvec.to_int_unsigned (value addr), value v)
-                        :: !stores)
-          st.Fsmd.actions;
-        List.iter
-          (fun (region, a, v) ->
-            let mem = memories.(region) in
-            if a < Array.length mem then mem.(a) <- v)
-          (List.rev !stores);
-        match st.Fsmd.next with
-        | Fsmd.N_goto target -> write_int state target
-        | Fsmd.N_branch { cond; if_true; if_false } ->
-          write_int state
-            (if Bitvec.to_bool (value cond) then if_true else if_false)
-        | Fsmd.N_halt v ->
-          (match v with Some op -> write result (value op) | None -> ());
-          write_int done_sig 1
-      end);
+      if not (Bitvec.to_bool (read done_sig)) then
+        match Rtlsim.step m fsmd (Bitvec.to_int_unsigned (read state)) with
+        | _, Rtlsim.Goto target -> write_int state target
+        | _, Rtlsim.Halt v ->
+          Option.iter (write result) v;
+          write_int done_sig 1);
   (kernel, done_sig, result)
 
 (* Drive the FSMD's process network until [done]; a timeout carries the

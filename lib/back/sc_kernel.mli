@@ -2,7 +2,10 @@
     discrete-event kernel with signals (current/next with delta-cycle
     update), combinational processes re-run to convergence, and clocked
     processes fired per rising edge.  [run_fsmd] runs a scheduled FSMD
-    as a process network; the backend entry point is {!Systemc}. *)
+    as a process network: signals carry the FSM state and the done flag,
+    and the one clocked process runs {!Rtlsim.step} on {!Cir_interp}'s
+    machine, so the kernel adds only its signals and delta cycles to the
+    shared datapath.  The backend entry point is {!Systemc}. *)
 
 exception Unstable of string
 (** Combinational processes failed to converge within the delta bound. *)
@@ -44,4 +47,5 @@ val run_until :
 val run_fsmd : Fsmd.t -> args:Bitvec.t list -> Bitvec.t * int
 (** Model an FSMD as a clocked process network and clock it until done
     (bound 2,000,000 cycles); returns (result, cycles).
-    @raise Rtlsim.Timeout past the bound, with the current FSM state. *)
+    @raise Rtlsim.Timeout past the bound, with the current FSM state.
+    @raise Cir_interp.Runtime_error on an arity mismatch. *)

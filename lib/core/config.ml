@@ -51,7 +51,6 @@ let render t =
       Printf.sprintf "mem_read_ports=%d" r.Schedule.mem_read_ports;
       Printf.sprintf "mem_write_ports=%d" r.Schedule.mem_write_ports;
       Printf.sprintf "chain_budget=%s" (render_float r.Schedule.chain_budget);
-      Printf.sprintf "mem_forwarding=%b" r.Schedule.mem_forwarding;
       Printf.sprintf "unroll=%d" t.unroll_factor;
       Printf.sprintf "ii_limit=%d" t.ii_limit;
       Printf.sprintf "verify=%s"
@@ -93,7 +92,6 @@ let to_json t =
       ("mem_read_ports", Metrics.Int r.Schedule.mem_read_ports);
       ("mem_write_ports", Metrics.Int r.Schedule.mem_write_ports);
       ("chain_budget", Metrics.Float r.Schedule.chain_budget);
-      ("mem_forwarding", Metrics.Bool r.Schedule.mem_forwarding);
       ("unroll", Metrics.Int t.unroll_factor);
       ("ii_limit", Metrics.Int t.ii_limit);
       ("verify",
@@ -111,8 +109,8 @@ let of_json (j : Metrics.json) : (t, string) result =
   | Metrics.Obj fields ->
     let known =
       [ "adders"; "multipliers"; "dividers"; "shifters"; "mem_read_ports";
-        "mem_write_ports"; "chain_budget"; "mem_forwarding"; "unroll";
-        "ii_limit"; "verify"; "sim" ]
+        "mem_write_ports"; "chain_budget"; "unroll"; "ii_limit"; "verify";
+        "sim" ]
     in
     let* () =
       match List.find_opt (fun (k, _) -> not (List.mem k known)) fields with
@@ -140,12 +138,6 @@ let of_json (j : Metrics.json) : (t, string) result =
       | Some (Metrics.Float f) when f >= 1. -> Ok f
       | Some _ -> Error (Printf.sprintf "config: %s must be a number >= 1" name)
     in
-    let bool name default =
-      match field name with
-      | None -> Ok default
-      | Some (Metrics.Bool b) -> Ok b
-      | Some _ -> Error (Printf.sprintf "config: %s must be a bool" name)
-    in
     let d = default and dr = default.resources in
     let* adders = bound "adders" dr.Schedule.adders in
     let* multipliers = bound "multipliers" dr.Schedule.multipliers in
@@ -158,7 +150,6 @@ let of_json (j : Metrics.json) : (t, string) result =
       int "mem_write_ports" dr.Schedule.mem_write_ports ~min:1
     in
     let* chain_budget = num "chain_budget" dr.Schedule.chain_budget in
-    let* mem_forwarding = bool "mem_forwarding" dr.Schedule.mem_forwarding in
     let* unroll_factor = int "unroll" d.unroll_factor ~min:1 in
     let* ii_limit = int "ii_limit" d.ii_limit ~min:1 in
     let* verify =
@@ -196,7 +187,7 @@ let of_json (j : Metrics.json) : (t, string) result =
     Ok
       { resources =
           { Schedule.adders; multipliers; dividers; shifters;
-            mem_read_ports; mem_write_ports; chain_budget; mem_forwarding };
+            mem_read_ports; mem_write_ports; chain_budget };
         unroll_factor;
         ii_limit;
         verify;

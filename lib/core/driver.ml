@@ -15,6 +15,7 @@ type error =
   | Backend_error of { backend : string; message : string; loc : Ast.loc }
   | Verification_error of { backend : string; message : string }
   | Constraint_infeasible of { backend : string; message : string }
+  | Arity_mismatch of { entry : string; expected : int; given : int }
   | Oracle_error of oracle_failure
 
 type session = {
@@ -53,6 +54,7 @@ let error_kind = function
   | Backend_error _ -> "backend-error"
   | Verification_error _ -> "verification-error"
   | Constraint_infeasible _ -> "constraint-infeasible"
+  | Arity_mismatch _ -> "arity-mismatch"
   | Oracle_error Timeout -> "oracle-timeout"
   | Oracle_error Deadlock -> "oracle-deadlock"
   | Oracle_error Void_entry -> "oracle-void-entry"
@@ -85,6 +87,15 @@ let rec render_error ?file = function
     Printf.sprintf "%s: pass verification failed: %s" backend message
   | Constraint_infeasible { backend; message } ->
     Printf.sprintf "%s: unsatisfiable timing constraints: %s" backend message
+  | Arity_mismatch { entry; expected; given } ->
+    (* a usage error about the source's entry, rendered like an
+       unlocated frontend error *)
+    render_error ?file
+      (Frontend_error
+         { message =
+             Printf.sprintf "%s expects %d argument(s), the vector has %d"
+               entry expected given;
+           loc = Ast.no_loc })
   | Oracle_error failure ->
     let message, loc =
       match failure with
@@ -229,6 +240,20 @@ let program ?(ctx = Span.null) t =
         t.frontend <- Some r;
         r)
 
+(* The one arity check, before any simulator, pass check or oracle
+   runs: every vector's length against the entry's parameter count.  An
+   entry the program lacks is the backend's or the oracle's to report. *)
+let fits t vectors prog =
+  match Ast.find_func prog t.entry with
+  | None -> Ok prog
+  | Some f -> (
+    let expected = List.length f.Ast.f_params in
+    match List.find_opt (fun v -> List.length v <> expected) vectors with
+    | None -> Ok prog
+    | Some v ->
+      Error
+        (Arity_mismatch { entry = t.entry; expected; given = List.length v }))
+
 (* --- per-backend compilation --- *)
 
 (* Passes cannot open spans itself (chl_ir sits below chl_obs in the
@@ -257,7 +282,7 @@ let emit_pass_spans ctx ~at (trace : Passes.trace) =
     trace
 
 let compile ?(ctx = Span.null) ?(config = Config.default) t backend =
-  match program ~ctx t with
+  match Result.bind (program ~ctx t) (fits t config.Config.verify) with
   | Error e -> Error e
   | Ok prog ->
     let name = Registry.name backend in
@@ -368,7 +393,7 @@ let reference ?(ctx = Span.null) t ~args =
   Span.span ctx "oracle"
     ~attrs:[ ("args", Metrics.Int (List.length args)) ]
     (fun sctx ->
-      match program ~ctx:sctx t with
+      match Result.bind (program ~ctx:sctx t) (fits t [ args ]) with
       | Error e -> Error e
       | Ok prog -> (
         match Hashtbl.find_opt t.oracle args with
@@ -469,14 +494,20 @@ let judge ?ctx ?vcd ?sim design ~args ~oracle =
   verdict args (simulate ?ctx ?vcd ?sim design args) (Some oracle)
 
 let check ?ctx ?vcd ?sim t design ~args =
-  match simulate ?ctx ?vcd ?sim design args with
-  | Ok _ as run -> verdict args run (Some (reference ?ctx t ~args))
-  | Error _ as run -> verdict args run None
+  (* the design came from this session, so its program is memoised: the
+     peek opens no frontend span and counts no cache hit *)
+  let prog = match t.frontend with Some r -> r | None -> program ?ctx t in
+  match Result.bind prog (fits t [ args ]) with
+  | Error e -> Error e
+  | Ok _ -> (
+    match simulate ?ctx ?vcd ?sim design args with
+    | Ok _ as run -> Ok (verdict args run (Some (reference ?ctx t ~args)))
+    | Error _ as run -> Ok (verdict args run None))
 
 (* The oracle runs once per vector, not once per backend x vector: on
    warm designs it is the costlier half of a verify batch. *)
 let compare ?ctx ?config ?backends t ~vectors =
-  match program ?ctx t with
+  match Result.bind (program ?ctx t) (fits t vectors) with
   | Error e -> Error e
   | Ok _ ->
     let oracles =

@@ -66,13 +66,17 @@ type error =
           (HardwareC's [constrain] walk exhausted the lattice) — a
           property of the design point, not a failure; explore sweeps
           render these as typed [infeasible] cells *)
+  | Arity_mismatch of { entry : string; expected : int; given : int }
+      (** an argument vector — a run's, or one of the config's [verify]
+          vectors — whose length is not the entry's parameter count;
+          refused before any pass check, simulator or oracle runs *)
   | Oracle_error of oracle_failure
       (** {!reference} gave no answer *)
 
 val error_kind : error -> string
 (** The error's one name on every surface — [frontend-error],
     [no-c-frontend], [dialect-reject], [backend-error],
-    [verification-error], [constraint-infeasible], and
+    [verification-error], [constraint-infeasible], [arity-mismatch], and
     [oracle-timeout], [oracle-deadlock], [oracle-void-entry],
     [oracle-runtime-error], [oracle-internal-error]: serve's error
     [kind], a compare row's [status], fuzz's failure class. *)
@@ -99,7 +103,9 @@ val compile :
     exception converted to a typed {!error}.  Never raises on bad
     input; a repeated call with identical (source, backend, entry,
     config digest) is a cache hit returning the same design, and two
-    calls differing only in config compile and cache independently.
+    calls differing only in config compile and cache independently.  A
+    [verify] vector of the wrong length is an {!Arity_mismatch}, before
+    the dialect check.
 
     Under a span context the stages become spans: ["frontend"],
     ["dialect-check"], and a ["backend"] span whose [cache] attribute
@@ -120,8 +126,9 @@ val compile_all :
 
 val reference : ?ctx:Span.ctx -> session -> args:int list -> (int, error) result
 (** The software oracle on the session's (already parsed) program — the
-    frontend is amortized here too.  Runtime errors, timeouts, deadlocks
-    and void entries are typed {!Oracle_error}s.
+    frontend is amortized here too.  A vector of the wrong length is an
+    {!Arity_mismatch}, and no interpreter runs; runtime errors, timeouts,
+    deadlocks and void entries are typed {!Oracle_error}s.
 
     The interpreter runs under {!Interp.run}'s fixed budget of 10M
     steps, so its answer depends only on (source, entry, args); the
@@ -166,16 +173,19 @@ val judge :
 
 val check :
   ?ctx:Span.ctx -> ?vcd:Vcd.t -> ?sim:Design.engine -> session ->
-  Design.t -> args:int list -> verdict
-(** {!judge} against {!reference}, asked only once the run completed. *)
+  Design.t -> args:int list -> (verdict, error) result
+(** {!judge} against {!reference}, asked only once the run completed.
+    A vector of the wrong length is an {!Arity_mismatch}: nothing runs
+    and no ["simulate"] span opens. *)
 
 val compare :
   ?ctx:Span.ctx -> ?config:Config.t -> ?backends:Registry.t list ->
   session -> vectors:int list list ->
   ((Registry.t * (Design.t * verdict list, error) result) list, error) result
-(** {!program} (an [Error] poisons the table), {!reference} once per
-    vector, {!compile_all}, then every accepted design judged on every
-    vector under [config]'s engine. *)
+(** {!program} (an [Error] poisons the table, as does a vector of the
+    wrong length), {!reference} once per vector, {!compile_all}, then
+    every accepted design judged on every vector under [config]'s
+    engine. *)
 
 val engine_mismatches : Design.t -> args:int list -> string list
 (** The surfaces — ["result"], ["globals"], ["memories"], ["cycles"] (or

@@ -157,12 +157,16 @@ type cell = {
 }
 
 let evaluate session backend config ~args ~expected : status =
-  match Driver.compile ~config session backend with
-  | Error (Driver.Constraint_infeasible { message; _ }) -> Infeasible message
-  | Error ((Driver.Dialect_reject _ | Driver.No_c_frontend _) as e) ->
+  match (Driver.compile ~config session backend, expected) with
+  | Error (Driver.Constraint_infeasible { message; _ }), _ ->
+    Infeasible message
+  | Error ((Driver.Dialect_reject _ | Driver.No_c_frontend _) as e), _ ->
     Rejected (Driver.render_error e)
-  | Error e -> Failed (Driver.render_error e)
-  | Ok design -> (
+  | Error e, _ -> Failed (Driver.render_error e)
+  | Ok _, Error (Driver.Arity_mismatch _ as e) ->
+    (* the oracle refused the vector, so no simulator runs it either *)
+    Failed (Driver.render_error e)
+  | Ok design, _ -> (
     let v =
       Driver.judge ~sim:config.Config.sim design ~args ~oracle:expected
     in

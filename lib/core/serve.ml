@@ -267,12 +267,13 @@ let handle_compile sessions ~ctx ~id ~source ~entry ~backend ~args ~config =
       | Some args ->
         (* every served design is checked against the interpreter
            oracle on the request's vector *)
-        let v =
+        match
           Driver.check ~ctx
             ?sim:(Option.map (fun c -> c.Config.sim) config)
             s design ~args
-        in
-        Metrics.Obj (base @ Driver.run_members v)))
+        with
+        | Error e -> driver_error ~id e
+        | Ok v -> Metrics.Obj (base @ Driver.run_members v)))
 
 let handle_compare sessions ~ctx ~id ~source ~entry ~backends ~vectors
     ~config =

@@ -13,7 +13,11 @@
    There is no clock anywhere: completion time is the critical path of
    the *dynamic* computation, which is exactly the asynchronous-circuit
    advantage experiment E6 measures against the synchronous backends
-   (whose every operation is quantized to a multiple of the clock). *)
+   (whose every operation is quantized to a multiple of the clock).
+
+   What each operator computes is Cir_interp's machine; this module adds
+   only the token times, the phi merges and the per-region memory token
+   order around its step. *)
 
 type timing = {
   latency : Cir.instr -> float; (* pure computation delay, time units *)
@@ -57,30 +61,12 @@ let run ?timing ?(max_tokens = 10_000_000) ?on_fire (ssa : Ssa.t)
   let timing =
     match timing with Some t -> t | None -> default_timing_for func
   in
-  let regs =
-    Array.init func.Cir.fn_reg_count (fun r ->
-        Bitvec.zero (max 1 func.Cir.fn_reg_widths.(r)))
-  in
+  let m = Cir_interp.start func ~args in
+  let regs = m.Cir_interp.regs in
   let reg_time = Array.make func.Cir.fn_reg_count 0. in
-  let memories =
-    Array.map
-      (fun (rg : Cir.region) ->
-        match rg.Cir.rg_init with
-        | Some init -> Array.copy init
-        | None -> Array.make rg.Cir.rg_words (Bitvec.zero rg.Cir.rg_width))
-      func.Cir.fn_regions
-  in
-  let mem_store_time = Array.make (Array.length memories) 0. in
-  let mem_load_time = Array.make (Array.length memories) 0. in
-  List.iter (fun (_, r, init) -> regs.(r) <- init) func.Cir.fn_globals;
-  List.iter2
-    (fun (_, r) v ->
-      regs.(r) <- Bitvec.resize ~signed:true ~width:(Cir.reg_width func r) v)
-    func.Cir.fn_params args;
-  let value = function
-    | Cir.O_imm bv -> bv
-    | Cir.O_reg r -> regs.(r)
-  in
+  let regions = Array.length func.Cir.fn_regions in
+  let mem_store_time = Array.make regions 0. in
+  let mem_load_time = Array.make regions 0. in
   let time_of = function
     | Cir.O_imm _ -> 0.
     | Cir.O_reg r -> reg_time.(r)
@@ -101,6 +87,10 @@ let run ?timing ?(max_tokens = 10_000_000) ?on_fire (ssa : Ssa.t)
     | None -> ()
     | Some f -> f ~time:t ~reg:(dst : Cir.reg) ~value:(v : Bitvec.t)
   in
+  let define t dst =
+    reg_time.(dst) <- t;
+    observe t dst regs.(dst)
+  in
   let rec run_block ~came_from ~control b =
     (* phis: merge (mu) nodes fire at max(value token, control token) *)
     let phi_updates =
@@ -108,7 +98,7 @@ let run ?timing ?(max_tokens = 10_000_000) ?on_fire (ssa : Ssa.t)
         (fun (phi : Ssa.phi) ->
           match List.assoc_opt came_from phi.Ssa.p_srcs with
           | Some src ->
-            (phi.Ssa.p_dst, value src,
+            (phi.Ssa.p_dst, Cir_interp.value m src,
              Float.max control (time_of src) +. timing.handshake)
           | None -> (phi.Ssa.p_dst, Bitvec.zero phi.Ssa.p_width, control))
         ssa.Ssa.phis.(b)
@@ -129,53 +119,29 @@ let run ?timing ?(max_tokens = 10_000_000) ?on_fire (ssa : Ssa.t)
             (fun acc r -> Float.max acc reg_time.(r))
             control (Cir.uses_of instr)
         in
-        let finish = input_time +. timing.latency instr +. timing.handshake in
-        match instr with
-        | Cir.I_bin { op; dst; a; b } ->
-          regs.(dst) <- Neteval.apply_binop op (value a) (value b);
-          reg_time.(dst) <- finish;
-          observe finish dst regs.(dst)
-        | Cir.I_un { op; dst; a } ->
-          regs.(dst) <- Neteval.apply_unop op (value a);
-          reg_time.(dst) <- finish;
-          observe finish dst regs.(dst)
-        | Cir.I_mov { dst; src } ->
-          regs.(dst) <- value src;
-          reg_time.(dst) <- finish;
-          observe finish dst regs.(dst)
-        | Cir.I_cast { dst; signed; src } ->
-          regs.(dst) <-
-            Bitvec.resize ~signed ~width:(Cir.reg_width func dst) (value src);
-          reg_time.(dst) <- finish;
-          observe finish dst regs.(dst)
-        | Cir.I_mux { dst; sel; if_true; if_false } ->
-          regs.(dst) <-
-            (if Bitvec.to_bool (value sel) then value if_true
-             else value if_false);
-          reg_time.(dst) <- finish;
-          observe finish dst regs.(dst)
-        | Cir.I_load { dst; region; addr } ->
-          let start = Float.max input_time mem_store_time.(region) in
-          let finish = start +. timing.latency instr +. timing.handshake in
-          let mem = memories.(region) in
-          let a = Bitvec.to_int_unsigned (value addr) in
-          regs.(dst) <-
-            (if a < Array.length mem then mem.(a)
-             else Bitvec.zero (Cir.reg_width func dst));
-          reg_time.(dst) <- finish;
-          mem_load_time.(region) <- Float.max mem_load_time.(region) finish;
-          observe finish dst regs.(dst)
-        | Cir.I_store { region; addr; value = v } ->
-          let start =
+        (* memory tokens: a load waits for the region's last store, a
+           store for its last load and store *)
+        let start =
+          match instr with
+          | Cir.I_load { region; _ } ->
+            Float.max input_time mem_store_time.(region)
+          | Cir.I_store { region; _ } ->
             Float.max input_time
               (Float.max mem_store_time.(region) mem_load_time.(region))
-          in
-          let finish = start +. timing.latency instr +. timing.handshake in
-          let mem = memories.(region) in
-          let a = Bitvec.to_int_unsigned (value addr) in
-          if a < Array.length mem then mem.(a) <- value v;
+          | Cir.I_bin _ | Cir.I_un _ | Cir.I_mov _ | Cir.I_cast _
+          | Cir.I_mux _ -> input_time
+        in
+        let finish = start +. timing.latency instr +. timing.handshake in
+        Cir_interp.step m instr;
+        match instr with
+        | Cir.I_load { dst; region; _ } ->
+          mem_load_time.(region) <- Float.max mem_load_time.(region) finish;
+          define finish dst
+        | Cir.I_store { region; _ } ->
           mem_store_time.(region) <- finish;
-          if finish > !now then now := finish)
+          if finish > !now then now := finish
+        | Cir.I_bin { dst; _ } | Cir.I_un { dst; _ } | Cir.I_mov { dst; _ }
+        | Cir.I_cast { dst; _ } | Cir.I_mux { dst; _ } -> define finish dst)
       blk.Cir.instrs;
     match blk.Cir.term with
     | Cir.T_jump next -> run_block ~came_from:b ~control next
@@ -183,7 +149,7 @@ let run ?timing ?(max_tokens = 10_000_000) ?on_fire (ssa : Ssa.t)
       (* eta/steer: successors' control tokens wait for the predicate *)
       fire ();
       let resolve = Float.max control (time_of cond) +. timing.handshake in
-      if Bitvec.to_bool (value cond) then
+      if Bitvec.to_bool (Cir_interp.value m cond) then
         run_block ~came_from:b ~control:resolve if_true
       else run_block ~came_from:b ~control:resolve if_false
     | Cir.T_return v ->
@@ -192,7 +158,7 @@ let run ?timing ?(max_tokens = 10_000_000) ?on_fire (ssa : Ssa.t)
         | Some op -> Float.max control (time_of op) +. timing.handshake
         | None -> control
       in
-      (Option.map value v, t)
+      (Option.map (Cir_interp.value m) v, t)
   in
   let return_value, completion_time =
     run_block ~came_from:(-1) ~control:0. func.Cir.fn_entry
@@ -200,10 +166,5 @@ let run ?timing ?(max_tokens = 10_000_000) ?on_fire (ssa : Ssa.t)
   { return_value;
     completion_time;
     tokens_fired = !fired;
-    globals =
-      List.map (fun (name, r, _) -> (name, regs.(r))) func.Cir.fn_globals;
-    memories =
-      Array.to_list
-        (Array.mapi
-           (fun i (rg : Cir.region) -> (rg.Cir.rg_name, memories.(i)))
-           func.Cir.fn_regions) }
+    globals = Cir_interp.globals m;
+    memories = Cir_interp.memories m }

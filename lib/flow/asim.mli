@@ -3,7 +3,13 @@
     when inputs (and the control token) arrive, taking latency plus a
     handshake overhead; memory is token-serialized per region.  No clock
     anywhere — completion time is the dynamic critical path, which is the
-    asynchronous advantage experiment E6 measures. *)
+    asynchronous advantage experiment E6 measures.
+
+    What each token carries is {!Cir_interp}'s machine: every operator
+    fires through its {!Cir_interp.step}.  This module adds the token
+    times, the phi merges (a phi takes the value on the edge control
+    arrived by; edge [-1] at the entry) and the per-region memory token
+    order.  It is also the SSA form's only evaluator. *)
 
 type timing = {
   latency : Cir.instr -> float;  (** pure computation delay, time units *)
@@ -37,4 +43,6 @@ val run :
 (** [on_fire] observes each committed token (completion time, defined
     register, value).  Tokens are reported in execution order, not time
     order — Obs.Trace buffers and sorts before writing a waveform.  The
-    hook observes only; it cannot perturb the run. *)
+    hook observes only; it cannot perturb the run.
+    @raise Timeout past [max_tokens] (default 10M).
+    @raise Cir_interp.Runtime_error on an arity mismatch. *)

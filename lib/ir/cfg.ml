@@ -92,20 +92,27 @@ let dominates t a b =
   in
   reachable t a && reachable t b && go b
 
-(** Dominance frontier of each block. *)
+(** Dominance frontier of each block.  The call is the entry's extra
+    incoming edge, from a caller that dominates the entry: an entry block
+    with a back edge is a join, in its own frontier and in that of every
+    block on the way up from the latch. *)
 let dominance_frontiers t =
   let n = Cir.num_blocks t.func in
+  let entry = t.func.Cir.fn_entry in
+  let caller = -1 in
+  let idom b = if b = entry then caller else t.idom.(b) in
   let df = Array.make n [] in
   for b = 0 to n - 1 do
-    if reachable t b && List.length t.preds.(b) >= 2 then
+    let incoming = List.length t.preds.(b) + if b = entry then 1 else 0 in
+    if reachable t b && incoming >= 2 then
       List.iter
         (fun p ->
           if reachable t p then begin
             let runner = ref p in
-            while !runner <> t.idom.(b) do
+            while !runner <> idom b do
               if not (List.mem b df.(!runner)) then
                 df.(!runner) <- b :: df.(!runner);
-              runner := t.idom.(!runner)
+              runner := idom !runner
             done
           end)
         t.preds.(b)

@@ -4,8 +4,9 @@
    The result keeps the CIR block structure but rewrites instructions over
    fresh single-assignment registers and attaches phi nodes per block.
    The CASH backend builds its dataflow circuit from this form (SSA defs
-   become dataflow nodes, phis at loop headers become merge/mu nodes), and
-   tests use the verifier plus an SSA evaluator to check semantics are
+   become dataflow nodes, phis at loop headers become merge/mu nodes).
+   There is no evaluator here: Asim executes the SSA form, phis included,
+   on Cir_interp's machine, and tests run it to check semantics are
    preserved. *)
 
 type phi = {
@@ -185,7 +186,9 @@ let of_func (func : Cir.func) : t =
     =
     Array.make n []
   in
-  (* materialize phi slots: (orig reg, width, ssa dst placeholder later) *)
+  (* materialize phi slots: (orig reg, width, ssa dst placeholder later).
+     An entry phi's value on the call edge (-1) is the original register:
+     the parameter, the global's initial value, or zero. *)
   for b = 0 to n - 1 do
     let here =
       Hashtbl.fold
@@ -194,7 +197,9 @@ let of_func (func : Cir.func) : t =
     in
     phis.(b) <-
       List.map
-        (fun r -> (r, func.Cir.fn_reg_widths.(r), -1, ref []))
+        (fun r ->
+          let call = if b = func.Cir.fn_entry then [ (-1, Cir.O_reg r) ] else [] in
+          (r, func.Cir.fn_reg_widths.(r), -1, ref call))
         (List.sort_uniq compare here)
   done;
   (* children in dominator tree *)
@@ -286,81 +291,3 @@ let verify t =
         blk.Cir.instrs)
     t.func.Cir.fn_blocks;
   List.rev !violations
-
-exception Timeout of { func_name : string; max_steps : int }
-
-(** Execute the SSA form (phis evaluated with the incoming edge), used to
-    check semantic preservation in tests. *)
-let run ?(max_steps = 10_000_000) t ~args =
-  let func = t.func in
-  let regs =
-    Array.init func.Cir.fn_reg_count (fun r ->
-        Bitvec.zero (max 1 func.Cir.fn_reg_widths.(r)))
-  in
-  let memories =
-    Array.map
-      (fun (rg : Cir.region) ->
-        match rg.Cir.rg_init with
-        | Some init -> Array.copy init
-        | None -> Array.make rg.Cir.rg_words (Bitvec.zero rg.Cir.rg_width))
-      func.Cir.fn_regions
-  in
-  List.iter (fun (_, r, init) -> regs.(r) <- init) func.Cir.fn_globals;
-  List.iter2
-    (fun (_, r) v ->
-      regs.(r) <- Bitvec.resize ~signed:true ~width:(Cir.reg_width func r) v)
-    func.Cir.fn_params args;
-  let value = function
-    | Cir.O_imm bv -> bv
-    | Cir.O_reg r -> regs.(r)
-  in
-  let steps = ref 0 in
-  let rec run_block ~came_from b =
-    incr steps;
-    if !steps > max_steps then
-      raise (Timeout { func_name = func.Cir.fn_name; max_steps });
-    (* phis evaluate in parallel on entry *)
-    let phi_values =
-      List.map
-        (fun phi ->
-          match List.assoc_opt came_from phi.p_srcs with
-          | Some src -> (phi.p_dst, value src)
-          | None -> (phi.p_dst, Bitvec.zero phi.p_width))
-        t.phis.(b)
-    in
-    List.iter (fun (dst, v) -> regs.(dst) <- v) phi_values;
-    let blk = Cir.block func b in
-    List.iter
-      (fun instr ->
-        match instr with
-        | Cir.I_bin { op; dst; a; b } ->
-          regs.(dst) <- Neteval.apply_binop op (value a) (value b)
-        | Cir.I_un { op; dst; a } ->
-          regs.(dst) <- Neteval.apply_unop op (value a)
-        | Cir.I_mov { dst; src } -> regs.(dst) <- value src
-        | Cir.I_cast { dst; signed; src } ->
-          regs.(dst) <-
-            Bitvec.resize ~signed ~width:(Cir.reg_width func dst) (value src)
-        | Cir.I_mux { dst; sel; if_true; if_false } ->
-          regs.(dst) <-
-            (if Bitvec.to_bool (value sel) then value if_true
-             else value if_false)
-        | Cir.I_load { dst; region; addr } ->
-          let mem = memories.(region) in
-          let a = Bitvec.to_int_unsigned (value addr) in
-          regs.(dst) <-
-            (if a < Array.length mem then mem.(a)
-             else Bitvec.zero (Cir.reg_width func dst))
-        | Cir.I_store { region; addr; value = v } ->
-          let mem = memories.(region) in
-          let a = Bitvec.to_int_unsigned (value addr) in
-          if a < Array.length mem then mem.(a) <- value v)
-      blk.Cir.instrs;
-    match blk.Cir.term with
-    | Cir.T_jump next -> run_block ~came_from:b next
-    | Cir.T_branch { cond; if_true; if_false } ->
-      if Bitvec.to_bool (value cond) then run_block ~came_from:b if_true
-      else run_block ~came_from:b if_false
-    | Cir.T_return v -> Option.map value v
-  in
-  run_block ~came_from:(-1) func.Cir.fn_entry

@@ -5,12 +5,16 @@
     The result keeps the block structure but rewrites instructions over
     single-assignment registers, with phi nodes attached per block.  The
     CASH backend builds its dataflow circuit from this form (phis at loop
-    headers become merge/mu nodes). *)
+    headers become merge/mu nodes).  This module has no evaluator: Asim
+    runs the SSA form on {!Cir_interp}'s machine, and a phi takes the
+    value of the edge control arrived on. *)
 
 type phi = {
   p_dst : Cir.reg;
   p_width : int;
-  p_srcs : (int * Cir.operand) list;  (** predecessor block -> value *)
+  p_srcs : (int * Cir.operand) list;
+      (** predecessor block -> value; at the entry block, edge [-1] is
+          the call and carries the original register *)
 }
 
 type t = {
@@ -22,16 +26,8 @@ type t = {
 
 val of_func : Cir.func -> t
 (** Convert to pruned SSA.  Parameters and globals keep their original
-    registers as their first definition. *)
+    registers as their first definition; when the entry block is a loop
+    header, its phis read them on the call edge. *)
 
 val verify : t -> Cir.reg list
 (** Registers violating single assignment (empty = valid). *)
-
-exception Timeout of { func_name : string; max_steps : int }
-(** [run] exceeded its step budget — the function name and the budget
-    ride along so drivers can report which evaluation diverged. *)
-
-val run : ?max_steps:int -> t -> args:Bitvec.t list -> Bitvec.t option
-(** Execute the SSA form (phis take the incoming-edge value); used to
-    check semantic preservation.  Raises {!Timeout} past [max_steps]
-    block entries (default 10M). *)

@@ -101,9 +101,7 @@ let of_func ?(mem_forwarding = false) (func : Cir.func)
 (** The Transmogrifier C policy: one state per basic block with everything
     chained (register-file memories allow same-cycle store/load). *)
 let transmogrifier_schedule func blk =
-  Schedule.list_schedule func
-    { Schedule.unconstrained with Schedule.mem_forwarding = true }
-    blk.Cir.instrs
+  Schedule.forwarding_asap func blk.Cir.instrs
 
 (** The Handel-C policy over CIR: a state ends after each committed
     assignment (a mov to a program variable or a store); the expression

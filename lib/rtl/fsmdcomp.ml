@@ -324,17 +324,11 @@ let execute_compiled ~max_cycles ~trace (c : comp) ~args : Rtlsim.outcome =
   Array.iteri
     (fun i live -> Array.blit c.mem_init_w.(i) 0 live 0 (Array.length live))
     c.mem_w;
-  if List.length args <> List.length func.Cir.fn_params then
-    raise
-      (Rtlsim.Runtime_error
-         (Printf.sprintf "%s expects %d args" func.Cir.fn_name
-            (List.length func.Cir.fn_params)));
-  List.iter2
-    (fun (_, r) v ->
-      let bv = Bitvec.resize ~signed:true ~width:(Cir.reg_width func r) v in
+  List.iter
+    (fun (r, bv) ->
       c.reg_bits.(r) <- to_bits bv;
       c.reg_w.(r) <- Bitvec.width bv)
-    func.Cir.fn_params args;
+    (Cir_interp.arguments func args);
   c.traced := trace <> None;
   c.store_log := [];
   c.result := None;

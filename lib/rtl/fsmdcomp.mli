@@ -43,7 +43,7 @@ val execute :
     Tracing materializes the register file as [Bitvec.t]s once per
     cycle — only paid when a trace is attached.
     @raise Rtlsim.Timeout after [max_cycles] (default 2,000,000).
-    @raise Rtlsim.Runtime_error on argument-count mismatch. *)
+    @raise Cir_interp.Runtime_error on argument-count mismatch. *)
 
 val run :
   ?max_cycles:int -> ?trace:Rtlsim.trace -> Fsmd.t -> args:Bitvec.t list ->

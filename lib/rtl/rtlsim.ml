@@ -1,11 +1,12 @@
 (* Cycle-accurate FSMD simulator.
 
-   One simulation step = one clock cycle = one FSM state.  Within a state,
-   actions execute in order with immediate register visibility (that is
-   chaining-by-wire; the scheduler guarantees the order is legal), memory
-   stores are buffered to the end of the cycle unless the design uses
-   forwarding register-file memories, and loads read the pre-state
-   contents.
+   One simulation step = one clock cycle = one FSM state.  What the
+   state's actions compute is Cir_interp's machine; this module adds the
+   clock.  Within a state, actions execute in order with immediate
+   register visibility (that is chaining-by-wire; the scheduler
+   guarantees the order is legal), memory stores are buffered to the end
+   of the cycle unless the FSMD forwards them (register-file memories),
+   and loads read the pre-state contents.
 
    An optional trace hook observes every cycle (state taken, register
    file, stores committed this cycle) after the cycle's effects are
@@ -13,7 +14,6 @@
    VCD waveform. *)
 
 exception Timeout of { cycles : int; state : int }
-exception Runtime_error of string
 
 type trace = {
   on_cycle :
@@ -34,103 +34,57 @@ type outcome = {
   states_visited : int array; (* visit count per state, for profiling *)
 }
 
+type transition = Goto of int | Halt of Bitvec.t option
+
+(* A state's actions in order on the machine; its stores are collected
+   in program order, and committed at once when the memory forwards. *)
+let rec act m ~forwarding stores = function
+  | [] -> List.rev stores
+  | Cir.I_store { region; addr; value } :: rest ->
+    let addr = Bitvec.to_int_unsigned (Cir_interp.value m addr)
+    and v = Cir_interp.value m value in
+    if forwarding then Cir_interp.commit m ~region ~addr v;
+    act m ~forwarding ((region, addr, v) :: stores) rest
+  | instr :: rest ->
+    Cir_interp.step m instr;
+    act m ~forwarding stores rest
+
+let step m (fsmd : Fsmd.t) state =
+  let st = fsmd.Fsmd.states.(state) in
+  let forwarding = fsmd.Fsmd.mem_forwarding in
+  let stores = act m ~forwarding [] st.Fsmd.actions in
+  (* clock edge: buffered stores commit in program order *)
+  if not forwarding then
+    List.iter
+      (fun (region, addr, v) -> Cir_interp.commit m ~region ~addr v)
+      stores;
+  ( stores,
+    match st.Fsmd.next with
+    | Fsmd.N_goto target -> Goto target
+    | Fsmd.N_branch { cond; if_true; if_false } ->
+      Goto
+        (if Bitvec.to_bool (Cir_interp.value m cond) then if_true
+         else if_false)
+    | Fsmd.N_halt v -> Halt (Option.map (Cir_interp.value m) v) )
+
 let run ?(max_cycles = 2_000_000) ?trace (fsmd : Fsmd.t) ~args : outcome =
-  let func = fsmd.Fsmd.func in
-  let regs =
-    Array.init func.Cir.fn_reg_count (fun r ->
-        Bitvec.zero (max 1 func.Cir.fn_reg_widths.(r)))
-  in
-  let memories =
-    Array.map
-      (fun (rg : Cir.region) ->
-        match rg.Cir.rg_init with
-        | Some init -> Array.copy init
-        | None -> Array.make rg.Cir.rg_words (Bitvec.zero rg.Cir.rg_width))
-      func.Cir.fn_regions
-  in
-  List.iter (fun (_, r, init) -> regs.(r) <- init) func.Cir.fn_globals;
-  if List.length args <> List.length func.Cir.fn_params then
-    raise
-      (Runtime_error
-         (Printf.sprintf "%s expects %d args" func.Cir.fn_name
-            (List.length func.Cir.fn_params)));
-  List.iter2
-    (fun (_, r) v ->
-      regs.(r) <- Bitvec.resize ~signed:true ~width:(Cir.reg_width func r) v)
-    func.Cir.fn_params args;
-  let value = function
-    | Cir.O_imm bv -> bv
-    | Cir.O_reg r -> regs.(r)
-  in
+  let m = Cir_interp.start fsmd.Fsmd.func ~args in
   let visited = Array.make (Fsmd.num_states fsmd) 0 in
-  let cycles = ref 0 in
-  let state = ref fsmd.Fsmd.entry in
-  let result = ref None in
-  let halted = ref false in
-  while not !halted do
-    if !cycles >= max_cycles then
-      raise (Timeout { cycles = !cycles; state = !state });
-    incr cycles;
-    let st = fsmd.Fsmd.states.(!state) in
-    visited.(!state) <- visited.(!state) + 1;
-    let store_buffer = ref [] in
-    let store_log = ref [] in
-    List.iter
-      (fun instr ->
-        match instr with
-        | Cir.I_bin { op; dst; a; b } ->
-          regs.(dst) <- Neteval.apply_binop op (value a) (value b)
-        | Cir.I_un { op; dst; a } ->
-          regs.(dst) <- Neteval.apply_unop op (value a)
-        | Cir.I_mov { dst; src } -> regs.(dst) <- value src
-        | Cir.I_cast { dst; signed; src } ->
-          regs.(dst) <-
-            Bitvec.resize ~signed ~width:(Cir.reg_width func dst) (value src)
-        | Cir.I_mux { dst; sel; if_true; if_false } ->
-          regs.(dst) <-
-            (if Bitvec.to_bool (value sel) then value if_true
-             else value if_false)
-        | Cir.I_load { dst; region; addr } ->
-          let mem = memories.(region) in
-          let a = Bitvec.to_int_unsigned (value addr) in
-          regs.(dst) <-
-            (if a < Array.length mem then mem.(a)
-             else Bitvec.zero (Cir.reg_width func dst))
-        | Cir.I_store { region; addr; value = v } ->
-          let a = Bitvec.to_int_unsigned (value addr) in
-          store_log := (region, a, value v) :: !store_log;
-          if fsmd.Fsmd.mem_forwarding then begin
-            let mem = memories.(region) in
-            if a < Array.length mem then mem.(a) <- value v
-          end
-          else store_buffer := (region, a, value v) :: !store_buffer)
-      st.Fsmd.actions;
-    (* clock edge: apply buffered stores, then transition *)
-    List.iter
-      (fun (region, a, v) ->
-        let mem = memories.(region) in
-        if a < Array.length mem then mem.(a) <- v)
-      (List.rev !store_buffer);
+  let rec clock cycles state =
+    if cycles >= max_cycles then raise (Timeout { cycles; state });
+    visited.(state) <- visited.(state) + 1;
+    let stores, next = step m fsmd state in
     (match trace with
     | None -> ()
     | Some tr ->
-      tr.on_cycle ~cycle:(!cycles - 1) ~state:!state ~regs
-        ~stores:(List.rev !store_log));
-    (match st.Fsmd.next with
-    | Fsmd.N_goto target -> state := target
-    | Fsmd.N_branch { cond; if_true; if_false } ->
-      state := (if Bitvec.to_bool (value cond) then if_true else if_false)
-    | Fsmd.N_halt v ->
-      result := Option.map value v;
-      halted := true)
-  done;
-  { return_value = !result;
-    cycles = !cycles;
-    globals =
-      List.map (fun (name, r, _) -> (name, regs.(r))) func.Cir.fn_globals;
-    memories =
-      Array.to_list
-        (Array.mapi
-           (fun i (rg : Cir.region) -> (rg.Cir.rg_name, memories.(i)))
-           func.Cir.fn_regions);
+      tr.on_cycle ~cycle:cycles ~state ~regs:m.Cir_interp.regs ~stores);
+    match next with
+    | Goto target -> clock (cycles + 1) target
+    | Halt result -> (result, cycles + 1)
+  in
+  let return_value, cycles = clock 0 fsmd.Fsmd.entry in
+  { return_value;
+    cycles;
+    globals = Cir_interp.globals m;
+    memories = Cir_interp.memories m;
     states_visited = visited }

@@ -1,14 +1,16 @@
 (** Cycle-accurate FSMD simulator: one step = one clock = one state.
-    Within a state, actions execute in order with immediate register
-    visibility (chaining-by-wire); stores are buffered to the cycle end
-    unless the design uses forwarding register-file memories. *)
+
+    The datapath is {!Cir_interp}'s machine; this module is the clock
+    around it.  Within a state, actions execute in order with immediate
+    register visibility (chaining-by-wire); stores are buffered to the
+    cycle end unless the FSMD forwards them ([Fsmd.mem_forwarding],
+    register-file memories).  {!step} is one such clock; the SystemC
+    kernel's clocked process runs it too. *)
 
 exception Timeout of { cycles : int; state : int }
 (** Raised past [max_cycles], carrying how far the run got (cycles
     elapsed, the state being executed) so callers can report a partial
     outcome instead of a bare failure. *)
-
-exception Runtime_error of string
 
 type trace = {
   on_cycle :
@@ -33,5 +35,20 @@ type outcome = {
       (** visit count per state; sums to [cycles] (profiling) *)
 }
 
+type transition = Goto of int | Halt of Bitvec.t option
+    (** the next state, or the result the FSMD halts with *)
+
+val step :
+  Cir_interp.machine -> Fsmd.t -> int ->
+  (int * int * Bitvec.t) list * transition
+(** One clock in the given state: its actions in order on the machine,
+    its stores committed at the clock edge in program order (or at once,
+    when the FSMD forwards), then its transition.  Returns the cycle's
+    (region, address, value) stores in program order with the
+    transition. *)
+
 val run :
   ?max_cycles:int -> ?trace:trace -> Fsmd.t -> args:Bitvec.t list -> outcome
+(** Clock the FSMD from its entry state on a fresh {!Cir_interp.start}
+    machine until it halts.
+    @raise Cir_interp.Runtime_error on an arity mismatch. *)

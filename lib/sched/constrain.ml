@@ -76,19 +76,19 @@ let explore (func : Cir.func) (constraints : t list) ~block
     [ ("1 adder, 1 mul, chain 10",
        { Schedule.adders = Some 1; multipliers = Some 1; dividers = Some 1;
          shifters = Some 1; mem_read_ports = 1; mem_write_ports = 1;
-         chain_budget = 10.; mem_forwarding = false });
+         chain_budget = 10. });
       ("2 adders, 1 mul, chain 20",
        { Schedule.adders = Some 2; multipliers = Some 1; dividers = Some 1;
          shifters = Some 1; mem_read_ports = 1; mem_write_ports = 1;
-         chain_budget = 20.; mem_forwarding = false });
+         chain_budget = 20. });
       ("2 adders, 2 muls, chain 30",
        { Schedule.adders = Some 2; multipliers = Some 2; dividers = Some 1;
          shifters = Some 2; mem_read_ports = 2; mem_write_ports = 1;
-         chain_budget = 30.; mem_forwarding = false });
+         chain_budget = 30. });
       ("4 adders, 4 muls, chain 60",
        { Schedule.adders = Some 4; multipliers = Some 4; dividers = Some 2;
          shifters = Some 4; mem_read_ports = 2; mem_write_ports = 2;
-         chain_budget = 60.; mem_forwarding = false });
+         chain_budget = 60. });
       ("unconstrained, full chaining", Schedule.unconstrained) ]
   in
   let trail = ref [] in

@@ -10,9 +10,10 @@
        see each other's results as wires (so RAW chains within a step are
        legal when the delay budget allows);
      - a load may not be placed in the same or an earlier step than a
-       store it depends on (synchronous-write memories) unless
-       [mem_forwarding] is set (register-file memories, as in
-       Transmogrifier C's register-rich FPGA target);
+       store it depends on (synchronous-write memories), except in
+       [forwarding_asap], whose register-file memories (Transmogrifier
+       C's register-rich FPGA target) forward a store to a load in the
+       same step;
      - WAR/WAW edges only require non-decreasing steps, since original
        order is preserved within a step. *)
 
@@ -42,19 +43,18 @@ type resources = {
   mem_read_ports : int; (* per region, per step *)
   mem_write_ports : int;
   chain_budget : float; (* max combinational delay per step; infinity ok *)
-  mem_forwarding : bool; (* same-step store->load allowed (register file) *)
 }
 
 let unconstrained =
   { adders = None; multipliers = None; dividers = None; shifters = None;
     mem_read_ports = max_int; mem_write_ports = max_int;
-    chain_budget = infinity; mem_forwarding = false }
+    chain_budget = infinity }
 
 (** A typical datapath allocation: used as the default by Bach C. *)
 let default_allocation =
   { adders = Some 2; multipliers = Some 1; dividers = Some 1;
     shifters = Some 1; mem_read_ports = 1; mem_write_ports = 1;
-    chain_budget = 20.; mem_forwarding = false }
+    chain_budget = 20. }
 
 let instr_delay func instr =
   let w_of = function
@@ -93,9 +93,10 @@ let capacity resources cls =
   | Logic -> max_int
   | Mem -> max_int (* per-region ports handled separately *)
 
-(** Resource-constrained list scheduling with chaining of [instrs] (one
-    basic block).  Priority is longest path to a sink. *)
-let list_schedule (func : Cir.func) (resources : resources)
+(* Resource-constrained list scheduling with chaining of [instrs] (one
+   basic block).  Priority is longest path to a sink.  [forwarding]
+   lets a load share a step with a store it depends on. *)
+let schedule ~forwarding (func : Cir.func) (resources : resources)
     (instrs : Cir.instr list) : schedule =
   let g = Dep.of_instrs instrs in
   let n = Array.length g.Dep.instrs in
@@ -150,7 +151,7 @@ let list_schedule (func : Cir.func) (resources : resources)
                             | Some (_, `Read) -> true
                             | Some (_, `Write) | None -> false
                           in
-                          if store_to_load && not resources.mem_forwarding
+                          if store_to_load && not forwarding
                           then steps.(p) < !step
                           else steps.(p) <= !step)
                       g.Dep.preds.(i))
@@ -217,8 +218,14 @@ let list_schedule (func : Cir.func) (resources : resources)
         Array.sub a 0 (min num_steps (Array.length a)) }
   end
 
+let list_schedule func resources instrs =
+  schedule ~forwarding:false func resources instrs
+
 (** ASAP schedule: list scheduling with no resource limits. *)
 let asap func instrs = list_schedule func unconstrained instrs
+
+let forwarding_asap func instrs =
+  schedule ~forwarding:true func unconstrained instrs
 
 (** ALAP schedule derived from ASAP by pushing every op as late as its
     successors allow within the ASAP makespan.  Uses the same dependence

@@ -4,9 +4,11 @@
 
     Contract with the FSMD backends: instructions placed in the same step
     keep their original order and see each other's results as wires;
-    a load may not share a step with (or precede) a store it depends on
-    unless [mem_forwarding] models register-file memories; WAR/WAW edges
-    only require non-decreasing steps. *)
+    a load may not share a step with (or precede) a store it depends on,
+    except under {!forwarding_asap}, whose register-file memories
+    forward; WAR/WAW edges only require non-decreasing steps.  No
+    resource bound can ask for forwarding: only a design whose memories
+    forward may be scheduled that way. *)
 
 type resource_class = Adder | Multiplier | Divider | Shifter | Logic | Mem
 
@@ -20,7 +22,6 @@ type resources = {
   mem_read_ports : int;  (** per region, per step *)
   mem_write_ports : int;
   chain_budget : float;  (** max chained delay per step; [infinity] ok *)
-  mem_forwarding : bool;  (** same-step store->load allowed *)
 }
 
 val unconstrained : resources
@@ -48,6 +49,12 @@ val list_schedule : Cir.func -> resources -> Cir.instr list -> schedule
 
 val asap : Cir.func -> Cir.instr list -> schedule
 (** List scheduling with no resource limits. *)
+
+val forwarding_asap : Cir.func -> Cir.instr list -> schedule
+(** {!asap} over register-file memories: a load may share a step with a
+    store it depends on, because the memory forwards the stored word
+    within the step.  Only an FSMD built with [mem_forwarding] may run
+    such a schedule (Transmogrifier C's). *)
 
 val alap : Cir.func -> Cir.instr list -> schedule
 (** Latest legal steps within the ASAP makespan, same dependence model as

@@ -9,11 +9,10 @@ let gcd_w = Workloads.gcd
 
 let golden_render =
   "chls.config/1;adders=2;multipliers=1;dividers=1;shifters=1;\
-   mem_read_ports=1;mem_write_ports=1;chain_budget=20;\
-   mem_forwarding=false;unroll=1;ii_limit=4096;verify=;dump_after=;\
-   sim=compiled"
+   mem_read_ports=1;mem_write_ports=1;chain_budget=20;unroll=1;\
+   ii_limit=4096;verify=;dump_after=;sim=compiled"
 
-let golden_digest = "3887f3d160870b0be2ca39a3dc900d24"
+let golden_digest = "310bc5d115042faf8f97d22946fccbd4"
 
 let test_render_golden () =
   Alcotest.(check string) "default renders canonically" golden_render
@@ -97,8 +96,7 @@ let test_json_round_trip () =
         { Schedule.default_allocation with
           Schedule.adders = None;
           multipliers = Some 3;
-          chain_budget = 7.5;
-          mem_forwarding = true };
+          chain_budget = 7.5 };
       unroll_factor = 4;
       ii_limit = 16;
       verify = [ [ 1; 2 ]; [ -3 ] ];
@@ -136,6 +134,7 @@ let test_of_json_errors () =
       ("zero bound", "{\"adders\": 0}");
       ("bad unroll", "{\"unroll\": \"two\"}");
       ("bad sim", "{\"sim\": \"quantum\"}");
+      ("retired forwarding knob", "{\"mem_forwarding\": true}");
       ("retired sweep engine", "{\"sim\": \"sweep\"}");
       ("non-object", "[1,2]") ]
 

@@ -52,7 +52,10 @@ let test_verify_against_reference () =
   in
   let verdicts =
     List.map
-      (fun args -> Driver.check session design ~args)
+      (fun args ->
+        match Driver.check session design ~args with
+        | Ok v -> v
+        | Error e -> Alcotest.fail (Driver.render_error e))
       w.Workloads.arg_sets
   in
   Alcotest.(check int) "one verdict per vector"

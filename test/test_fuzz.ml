@@ -1,7 +1,7 @@
 (* The dialect-matrix fuzzer: generation gating, reproducibility, the
    shrinker, a mini differential sweep, and the typed crash-path
-   regressions that ride along (Ssa.Timeout, Backend.Dialect_rejected,
-   the delay feature axis). *)
+   regressions that ride along (the SSA token timeout,
+   Backend.Dialect_rejected, the delay feature axis). *)
 
 let contains ~affix s =
   let n = String.length affix and m = String.length s in
@@ -213,9 +213,9 @@ let test_sweep_reproducible () =
 
 (* --- crash-path regressions ------------------------------------------- *)
 
-(* Ssa.run used to spin forever (or die with a bare Failure) on
-   non-terminating input; now it raises a typed Timeout naming the
-   function and the budget. *)
+(* The SSA form runs on Asim, whose token budget stops a non-terminating
+   input with a typed Timeout carrying how far it got (SSA's own
+   evaluator used to spin forever, or die with a bare Failure). *)
 let test_ssa_timeout_typed () =
   let src =
     {|
@@ -229,11 +229,11 @@ let test_ssa_timeout_typed () =
   let program = Typecheck.parse_and_check src in
   let lowered, _ = Passes.lower_simplify program ~entry:"f" in
   let ssa = Ssa.of_func lowered.Lower.func in
-  match Ssa.run ~max_steps:100 ssa ~args:[ Bitvec.of_int ~width:64 0 ] with
-  | _ -> Alcotest.fail "expected Ssa.Timeout"
-  | exception Ssa.Timeout { func_name; max_steps } ->
-    Alcotest.(check string) "timeout names the function" "f" func_name;
-    Alcotest.(check int) "timeout carries the budget" 100 max_steps
+  match Asim.run ~max_tokens:100 ssa ~args:[ Bitvec.of_int ~width:64 0 ] with
+  | _ -> Alcotest.fail "expected Asim.Timeout"
+  | exception Asim.Timeout { tokens_fired; time } ->
+    Alcotest.(check int) "timeout carries the budget" 100 tokens_fired;
+    Alcotest.(check bool) "and the time reached" true (time > 0.)
 
 (* Backend dialect rejections are one typed exception naming backend,
    rule and source location — and the driver maps it to Dialect_reject
@@ -305,7 +305,7 @@ let suite =
         test_mini_sweep_clean;
       Alcotest.test_case "sweep reproducibility" `Quick
         test_sweep_reproducible;
-      Alcotest.test_case "Ssa.run timeout is typed" `Quick
+      Alcotest.test_case "SSA token run timeout is typed" `Quick
         test_ssa_timeout_typed;
       Alcotest.test_case "typed dialect rejection with location" `Quick
         test_typed_rejection_has_location;

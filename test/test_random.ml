@@ -3,10 +3,10 @@
    A qcheck generator produces small well-typed C programs (arithmetic,
    arrays, nested if/for, global state).  Each generated program is run
    through every semantic layer of the system — the AST interpreter, the
-   CIR interpreter, the SSA evaluator, the FSMD simulator (three
-   scheduling policies), the elaborated netlist, the asynchronous token
-   simulator, the Handel-C statement machine and the C2Verilog stack
-   machine — and all results must agree bit-for-bit.  This is the deepest
+   CIR interpreter, the FSMD simulator (four scheduling policies), the
+   elaborated netlist, the asynchronous token simulator over the SSA
+   form, the Handel-C statement machine and the C2Verilog stack machine —
+   and all results must agree bit-for-bit.  This is the deepest
    correctness net in the repository: any divergence between two layers is
    a real compiler bug. *)
 
@@ -187,10 +187,6 @@ let layers (src : string) (a, b) : (string * int option) list =
     let o = Cir_interp.run converted ~args:(args_of (a, b)) in
     Option.map Bitvec.to_int o.Cir_interp.return_value
   in
-  let ssa_result =
-    Option.map Bitvec.to_int
-      (Ssa.run (Ssa.of_func simplified) ~args:(args_of (a, b)))
-  in
   let fsmd_with schedule_name schedule_block =
     let fsmd = Fsmd.of_func simplified ~schedule_block in
     let o = Rtlsim.run fsmd ~args:(args_of (a, b)) in
@@ -240,8 +236,8 @@ let layers (src : string) (a, b) : (string * int option) list =
     ("c2verilog", Design.run_int d [ a; b ])
   in
   [ ("interp", reference); ("cir", cir); ("cir-simplified", cir_simplified);
-    ("if-converted", if_converted); ("ssa", ssa_result); serial; scheduled;
-    handelc_fsmd; transmogrifier; netlist; async; handelc; c2v ]
+    ("if-converted", if_converted); serial; scheduled; handelc_fsmd;
+    transmogrifier; netlist; async; handelc; c2v ]
 
 let prop_all_layers_agree =
   QCheck.Test.make ~name:"all semantic layers agree on random programs"

@@ -52,6 +52,11 @@ let compile session backend =
   | Ok d -> d
   | Error e -> Alcotest.fail (Driver.render_error e)
 
+let check session design ~args =
+  match Driver.check session design ~args with
+  | Ok v -> v
+  | Error e -> Alcotest.fail (Driver.render_error e)
+
 let oracle_runs session =
   match Metrics.find (Driver.metrics session) "driver.oracle.runs" with
   | Some (Metrics.Int n) -> n
@@ -90,7 +95,7 @@ let test_check_types_every_simulator_stop () =
     let session = Driver.create ~entry source in
     List.iter
       (fun backend ->
-        let v = Driver.check session (compile session backend) ~args:[ 1 ] in
+        let v = check session (compile session backend) ~args:[ 1 ] in
         (match v.Driver.run with
         | Error stop ->
           Alcotest.(check string)
@@ -111,7 +116,7 @@ let test_check_types_every_simulator_stop () =
   List.iter
     (fun (backend, source, entry, args, message) ->
       let session = Driver.create ~entry source in
-      let v = Driver.check session (compile session backend) ~args in
+      let v = check session (compile session backend) ~args in
       let what = Printf.sprintf "%s %s(%d)" backend entry (List.hd args) in
       (match v.Driver.run with
       | Error stop ->
@@ -127,7 +132,7 @@ let test_check_types_every_simulator_stop () =
    clock alike. *)
 let test_closed_blocks_free_words () =
   let session = Driver.create ~entry:"fib" leak_source in
-  let v = Driver.check session (compile session "handelc") ~args:[ 70_000 ] in
+  let v = check session (compile session "handelc") ~args:[ 70_000 ] in
   (match v.Driver.run with
   | Ok _ -> ()
   | Error stop -> Alcotest.fail (Design.render_stop stop));
@@ -142,7 +147,7 @@ let test_closed_blocks_free_words () =
 let test_stop_keeps_progress () =
   let session = Driver.create ~entry:"spin" spin_source in
   let stop backend =
-    let v = Driver.check session (compile session backend) ~args:[ 1 ] in
+    let v = check session (compile session backend) ~args:[ 1 ] in
     match v.Driver.run with
     | Error s -> s
     | Ok _ -> Alcotest.failf "%s: run completed" backend
@@ -327,6 +332,86 @@ let test_engine_cross_check () =
            ~args:[ 1071; 462 ]))
     [ "bachc"; "transmogrifier"; "hardwarec"; "cash"; "c2verilog" ]
 
+(* A vector of the wrong length is refused once, in Driver, before any
+   pass check, simulator or oracle runs: one typed error on every
+   compiling backend, in compare, for the config's verify vectors, and on
+   the daemon. *)
+let two_source = "int f(int a, int b) { return a + b; }"
+
+let test_wrong_arity_refused () =
+  let session = Driver.create ~entry:"f" two_source in
+  let refused what = function
+    | Error (Driver.Arity_mismatch { entry = "f"; expected = 2; given = 1 }
+             as e) ->
+      Alcotest.(check string) (what ^ " kind") "arity-mismatch"
+        (Driver.error_kind e)
+    | Error e -> Alcotest.failf "%s: %s" what (Driver.render_error e)
+    | Ok _ -> Alcotest.failf "%s: the vector was accepted" what
+  in
+  List.iter
+    (fun backend ->
+      let name = Registry.name backend in
+      let design = compile session name in
+      let tr, ctx = Span.start ~kind:"check" () in
+      refused (name ^ " run") (Driver.check ~ctx session design ~args:[ 1 ]);
+      Span.finish tr;
+      Alcotest.(check bool) (name ^ ": no simulate span") false
+        (List.exists (fun r -> r.Span.kind = "simulate") (Span.records tr));
+      refused (name ^ " verify vector")
+        (Driver.compile
+           ~config:{ Config.default with Config.verify = [ [ 1 ] ] }
+           session backend))
+    (Registry.compiling ());
+  refused "compare" (Driver.compare session ~vectors:[ [ 1; 2 ]; [ 1 ] ]);
+  refused "oracle" (Driver.reference session ~args:[ 1 ]);
+  Alcotest.(check int) "the oracle never ran" 0 (oracle_runs session);
+  let pool = Serve.Pool.create ~domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> Serve.Pool.shutdown pool)
+    (fun () ->
+      let kind resp =
+        match member "error" resp with
+        | Metrics.Obj _ as e -> member "kind" e
+        | j -> j
+      in
+      List.iter
+        (fun (what, req) ->
+          Alcotest.check json (what ^ " answers the kind")
+            (Metrics.String "arity-mismatch")
+            (kind (Serve.Pool.handle pool None req)))
+        [ ( "serve compile",
+            Serve.Compile
+              { id = Metrics.Null; source = two_source; entry = "f";
+                backend = "cash"; args = Some [ 1 ]; config = None } );
+          ( "serve compare",
+            Serve.Compare
+              { id = Metrics.Null; source = two_source; entry = "f";
+                backends = None; vectors = [ [ 1 ] ]; config = None } );
+          ( "serve config.verify",
+            Serve.Compile
+              { id = Metrics.Null; source = two_source; entry = "f";
+                backend = "bachc"; args = None;
+                config =
+                  Some { Config.default with Config.verify = [ [ 1 ] ] } } )
+        ])
+
+(* Same-step store->load forwarding is Transmogrifier C's alone: no
+   configuration can schedule it onto an FSMD whose memory buffers its
+   stores, so every FSMD backend answers 17. *)
+let test_forwarding_is_transmogrifiers () =
+  let source =
+    "int f(int a) { int m[4]; m[0] = a; m[1] = m[0] + 1; \
+     m[2] = m[1] * 2; return m[2] + m[0]; }"
+  in
+  let session = Driver.create ~entry:"f" source in
+  List.iter
+    (fun backend ->
+      let v = check session (compile session backend) ~args:[ 5 ] in
+      Alcotest.(check (option int)) (backend ^ " result") (Some 17)
+        (Driver.observed v);
+      Alcotest.(check bool) (backend ^ " agrees") true v.Driver.agrees)
+    [ "bachc"; "cyber"; "hardwarec"; "specc"; "systemc"; "transmogrifier" ]
+
 let suite =
   ( "verdict",
     [ Alcotest.test_case "reference types interpreter stops" `Quick
@@ -342,4 +427,8 @@ let suite =
       Alcotest.test_case "compare runs one oracle per vector" `Quick
         test_compare_one_oracle_per_vector;
       Alcotest.test_case "engine cross-check, full surface" `Quick
-        test_engine_cross_check ] )
+        test_engine_cross_check;
+      Alcotest.test_case "wrong-arity vectors refused once" `Quick
+        test_wrong_arity_refused;
+      Alcotest.test_case "forwarding is transmogrifier's alone" `Quick
+        test_forwarding_is_transmogrifiers ] )
