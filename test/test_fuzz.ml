@@ -214,8 +214,7 @@ let test_sweep_reproducible () =
 (* --- crash-path regressions ------------------------------------------- *)
 
 (* The SSA form runs on Asim, whose token budget stops a non-terminating
-   input with a typed Timeout carrying how far it got (SSA's own
-   evaluator used to spin forever, or die with a bare Failure). *)
+   input with a typed Timeout carrying how far it got. *)
 let test_ssa_timeout_typed () =
   let src =
     {|
