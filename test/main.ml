@@ -7,4 +7,5 @@ let () =
       Test_conc.suite; Test_registry.suite; Test_driver.suite; Test_cache.suite;
       Test_serve.suite; Test_span.suite; Test_fuzz.suite;
       Test_config.suite; Test_explore.suite; Test_design.suite;
-      Test_verdict.suite; Test_statement_machine.suite; Test_datapath.suite ]
+      Test_verdict.suite; Test_statement_machine.suite; Test_datapath.suite;
+      Test_config_pins.suite ]
