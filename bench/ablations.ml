@@ -6,7 +6,8 @@
 
 let compile_bachc_with resources (w : Workloads.t) =
   let program = Workloads.parse w in
-  Bachc.compile ~resources program ~entry:w.Workloads.entry
+  Bachc.compile ~config:(Config.with_resources resources Config.default)
+    program ~entry:w.Workloads.entry
 
 let run_cycles design args =
   let r = design.Design.run (Design.int_args args) in

@@ -525,8 +525,6 @@ let compile_cmd =
     | Some p -> Metrics.set_fixed m "design.clock_period" ~decimals:1 p
     | None -> ());
     Metrics.set m "passes" (Trace.json_of_pass_trace design.Design.pass_trace);
-    if Pipeline.fallback_count () > 0 then
-      Metrics.set_int m "sched.modulo.fallbacks" (Pipeline.fallback_count ());
     let write_metrics () =
       match metrics_json with
       | Some path ->

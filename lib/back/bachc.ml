@@ -24,20 +24,17 @@ let pipeline =
     ~program_passes:[ Conc_check.pass Dialect.bachc ]
     ~func_passes:[ Passes.simplify_pass ]
 
-let compile ?(knobs = Backend.default_knobs) ?resources
-    (program : Ast.program) ~entry : Design.t =
-  let resources =
-    match resources with Some r -> r | None -> knobs.Backend.resources
-  in
+let compile ?(config = Config.default) (program : Ast.program) ~entry :
+    Design.t =
   if Handelc.uses_concurrency program then
     (* The concurrent subset runs on the statement machine
        (Handel_machine) with compiler-packed cycles. *)
     Handelc.compile_with_policy ~backend_name:"bachc" ~dialect
-      ~policy:`Scheduled ~knobs program ~entry
+      ~policy:`Scheduled ~config program ~entry
   else
-    Fsmd_common.build ~backend_name:"bachc" ~dialect ~pipeline ~knobs
+    Fsmd_common.build ~backend_name:"bachc" ~dialect ~pipeline ~config
       ~schedule_block:(fun func blk ->
-        Schedule.list_schedule func resources blk.Cir.instrs)
+        Schedule.list_schedule func config.Config.resources blk.Cir.instrs)
       program ~entry
 
 let descriptor =
@@ -45,7 +42,7 @@ let descriptor =
     ~description:"untimed semantics: resource-constrained scheduling \
                   decides the cycles"
     ~dialect:Dialect.bachc
-    (fun ~knobs program ~entry -> compile ~knobs program ~entry)
+    (fun ~config program ~entry -> compile ~config program ~entry)
 
 (* Cyber/BDL rides the same scheduler but is a distinct surveyed
    language: its own Table 1 row, dialect restrictions and registration. *)
@@ -53,4 +50,4 @@ let cyber_descriptor =
   Backend.make ~name:"cyber" ~aliases:[ "bdl" ] ~pipeline:(Some pipeline)
     ~description:"restricted C (BDL) on the Bach C scheduler"
     ~dialect:Dialect.cyber
-    (fun ~knobs program ~entry -> compile ~knobs program ~entry)
+    (fun ~config program ~entry -> compile ~config program ~entry)

@@ -12,11 +12,9 @@ val pipeline : Passes.pipeline
 (** [lower; simplify] (sequential programs; the concurrent subset runs on
     the Handel-C statement machine instead). *)
 
-val compile :
-  ?knobs:Backend.knobs -> ?resources:Schedule.resources -> Ast.program ->
-  entry:string -> Design.t
-(** [resources] (when given) overrides [knobs.resources]; [knobs]
-    otherwise carries the allocation plus pass options and unroll. *)
+val compile : ?config:Config.t -> Ast.program -> entry:string -> Design.t
+(** [config] carries the allocation, the pass options and the unroll
+    factor. *)
 
 val descriptor : Backend.descriptor
 

@@ -8,34 +8,13 @@ type capabilities = {
 
 let default_capabilities = { c_frontend = true; constraint_reports = false }
 
-type knobs = {
-  resources : Schedule.resources;
-  unroll_factor : int;
-  ii_limit : int;
-  pass_options : Passes.options;
-}
-
-let default_knobs =
-  { resources = Schedule.default_allocation;
-    unroll_factor = 1;
-    ii_limit = Pipeline.ii_search_limit;
-    pass_options = Passes.default_options }
-
-let specialize knobs pl =
-  if knobs.unroll_factor < 2 then pl
-  else
-    { pl with
-      Passes.pl_program_passes =
-        Passes.unroll_factor_pass knobs.unroll_factor
-        :: pl.Passes.pl_program_passes }
-
 type descriptor = {
   name : string;
   aliases : string list;
   description : string;
   dialect : Dialect.t;
   pipeline : Passes.pipeline option;
-  compile : knobs:knobs -> Ast.program -> entry:string -> Design.t;
+  compile : config:Config.t -> Ast.program -> entry:string -> Design.t;
   capabilities : capabilities;
 }
 

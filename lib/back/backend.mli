@@ -26,37 +26,6 @@ val default_capabilities : capabilities
 (** [{ c_frontend = true; constraint_reports = false }] — the common
     C-compiling case. *)
 
-(** {1 Knobs}
-
-    The per-compile synthesis knobs every backend receives: the
-    backend-facing half of the driver's configuration value.  [lib/core]
-    builds one from a [Config.t]; backends read from it instead of
-    hardcoding {!Schedule.default_allocation} or the process-global pass
-    options, so two concurrent compiles with different settings cannot
-    interfere. *)
-
-type knobs = {
-  resources : Schedule.resources;
-      (** functional-unit / memory-port bounds and the chaining budget
-          for the scheduling backends *)
-  unroll_factor : int;
-      (** partial-unroll factor applied as a source pass before the
-          declared pipeline; 1 disables *)
-  ii_limit : int;
-      (** largest initiation interval modulo scheduling may try *)
-  pass_options : Passes.options;
-      (** verification vectors and dump hooks for this compile *)
-}
-
-val default_knobs : knobs
-(** [default_allocation], unroll 1, {!Pipeline.ii_search_limit},
-    {!Passes.default_options} — exactly the pre-config behaviour. *)
-
-val specialize : knobs -> Passes.pipeline -> Passes.pipeline
-(** Apply the source-level knobs to a declared pipeline: prepends
-    {!Passes.unroll_factor_pass} when [unroll_factor >= 2], otherwise
-    returns the pipeline unchanged. *)
-
 type descriptor = {
   name : string;  (** canonical lowercase name ("bachc") *)
   aliases : string list;  (** alternate spellings ("bach") *)
@@ -65,8 +34,8 @@ type descriptor = {
   pipeline : Passes.pipeline option;
       (** declared pass pipeline; [None] when no compilation pipeline
           runs (Ocapi) *)
-  compile : knobs:knobs -> Ast.program -> entry:string -> Design.t;
-      (** synthesize a checked program under the given knobs; raises
+  compile : config:Config.t -> Ast.program -> entry:string -> Design.t;
+      (** synthesize a checked program under the given config; raises
           {!No_c_frontend} for backends without a C frontend *)
   capabilities : capabilities;
 }
@@ -94,7 +63,7 @@ val make :
   ?aliases:string list -> ?capabilities:capabilities ->
   ?pipeline:Passes.pipeline option -> name:string -> description:string ->
   dialect:Dialect.t ->
-  (knobs:knobs -> Ast.program -> entry:string -> Design.t) ->
+  (config:Config.t -> Ast.program -> entry:string -> Design.t) ->
   descriptor
 (** Descriptor smart constructor; [pipeline] defaults to [None] wrapped
     over nothing — pass [~pipeline:(Some p)] explicitly. *)

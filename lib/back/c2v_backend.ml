@@ -7,11 +7,11 @@
    its declared pipeline is source-only and empty. *)
 let pipeline = Passes.pipeline "c2verilog" ~lowers:false
 
-let compile ?(knobs = Backend.default_knobs) (program : Ast.program) ~entry :
+let compile ?(config = Config.default) (program : Ast.program) ~entry :
     Design.t =
   Backend.reject_if_illegal ~backend:"c2verilog" Dialect.c2verilog program;
   let program, pass_trace =
-    Passes.run_program_passes ~options:knobs.Backend.pass_options pipeline
+    Passes.run_program_passes ~options:(Config.pass_options config) pipeline
       program ~entry
   in
   let compiled = C2verilog.compile_program program ~entry in
@@ -37,4 +37,4 @@ let descriptor =
     ~description:"full ANSI C on a synthesized stack machine with one \
                   unified memory"
     ~dialect:Dialect.c2verilog
-    (fun ~knobs program ~entry -> compile ~knobs program ~entry)
+    (fun ~config program ~entry -> compile ~config program ~entry)

@@ -6,6 +6,6 @@ val pipeline : Passes.pipeline
 (** Source-only and empty: the stack-machine compiler consumes the AST
     (pointers and recursion need the unified memory, not CIR). *)
 
-val compile : ?knobs:Backend.knobs -> Ast.program -> entry:string -> Design.t
+val compile : ?config:Config.t -> Ast.program -> entry:string -> Design.t
 
 val descriptor : Backend.descriptor

@@ -14,11 +14,11 @@ let dialect = Dialect.cash
    of the raw lowering, where every tiny block is just a cheap merge. *)
 let pipeline = Passes.pipeline "cash"
 
-let compile ?(knobs = Backend.default_knobs) ?handshake
+let compile ?(config = Config.default) ?handshake
     (program : Ast.program) ~entry : Design.t =
   Backend.reject_if_illegal ~backend:"cash" dialect program;
   let lowered, pass_trace =
-    Passes.run ~options:knobs.Backend.pass_options pipeline program ~entry
+    Passes.run ~options:(Config.pass_options config) pipeline program ~entry
   in
   let circuit = Dfg.of_ssa (Ssa.of_func lowered.Lower.func) in
   let stats = Dfg.stats circuit in
@@ -36,4 +36,4 @@ let descriptor =
   Backend.make ~name:"cash" ~pipeline:(Some pipeline)
     ~description:"asynchronous Pegasus-style dataflow circuit, no clock"
     ~dialect:Dialect.cash
-    (fun ~knobs program ~entry -> compile ~knobs program ~entry)
+    (fun ~config program ~entry -> compile ~config program ~entry)

@@ -9,7 +9,7 @@ val pipeline : Passes.pipeline
     lowering. *)
 
 val compile :
-  ?knobs:Backend.knobs -> ?handshake:float -> Ast.program -> entry:string ->
+  ?config:Config.t -> ?handshake:float -> Ast.program -> entry:string ->
   Design.t
 (** [handshake] adjusts the per-token overhead of the default width-aware
     latency model — the knob ablations sweep. *)

@@ -413,10 +413,10 @@ let synthesize (program : Ast.program) ~entry : Netlist.t =
    for loops itself.  The declared pipeline is source-only and empty. *)
 let pipeline = Passes.pipeline "cones" ~lowers:false
 
-let compile ?(knobs = Backend.default_knobs) (program : Ast.program) ~entry :
+let compile ?(config = Config.default) (program : Ast.program) ~entry :
     Design.t =
   let program, pass_trace =
-    Passes.run_program_passes ~options:knobs.Backend.pass_options pipeline
+    Passes.run_program_passes ~options:(Config.pass_options config) pipeline
       program ~entry
   in
   let nl = synthesize program ~entry in
@@ -435,4 +435,4 @@ let descriptor =
       "symbolic execution of the entry function into combinational \
        two-level logic"
     ~dialect:Dialect.cones
-    (fun ~knobs program ~entry -> compile ~knobs program ~entry)
+    (fun ~config program ~entry -> compile ~config program ~entry)

@@ -14,6 +14,6 @@ val synthesize : Ast.program -> entry:string -> Netlist.t
 (** The combinational netlist; scalar globals appear as [g_<name>]
     outputs.  @raise Unsupported / Failure outside the Cones dialect. *)
 
-val compile : ?knobs:Backend.knobs -> Ast.program -> entry:string -> Design.t
+val compile : ?config:Config.t -> Ast.program -> entry:string -> Design.t
 
 val descriptor : Backend.descriptor

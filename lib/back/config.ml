@@ -1,16 +1,16 @@
 (* Synthesis configuration as a first-class value.
 
    Every knob the stack exposes — resource allocation, chaining budget,
-   unroll factor, modulo-scheduling II limit, pass options, simulation
-   engine — bundled into one record that travels with each compile
-   instead of living in globals or per-backend defaults.  The canonical
-   rendering and its digest key caches: two compiles of one source under
-   different configs are different designs, on disk included. *)
+   unroll factor, pass options, simulation engine — bundled into one
+   record that every backend reads directly, instead of globals or
+   per-backend defaults.  The canonical rendering and its digest key
+   caches: two compiles of one source under different configs are
+   different designs, on disk included.  The dump sink and the
+   simulation engine stay out of it: neither changes the design. *)
 
 type t = {
   resources : Schedule.resources;
   unroll_factor : int;
-  ii_limit : int;
   verify : int list list;
   dump_after : string list;
   dump_sink : string -> unit;
@@ -20,13 +20,25 @@ type t = {
 let default =
   { resources = Schedule.default_allocation;
     unroll_factor = 1;
-    ii_limit = Pipeline.ii_search_limit;
     verify = [];
     dump_after = [];
     dump_sink = print_string;
     sim = Design.Compiled }
 
 let with_resources resources t = { t with resources }
+
+let pass_options t =
+  { Passes.verify = t.verify;
+    dump_after = t.dump_after;
+    dump_sink = t.dump_sink }
+
+let specialize t pl =
+  if t.unroll_factor < 2 then pl
+  else
+    { pl with
+      Passes.pl_program_passes =
+        Passes.unroll_factor_pass t.unroll_factor
+        :: pl.Passes.pl_program_passes }
 
 (* --- canonical rendering and digest ----------------------------------- *)
 
@@ -52,29 +64,16 @@ let render t =
       Printf.sprintf "mem_write_ports=%d" r.Schedule.mem_write_ports;
       Printf.sprintf "chain_budget=%s" (render_float r.Schedule.chain_budget);
       Printf.sprintf "unroll=%d" t.unroll_factor;
-      Printf.sprintf "ii_limit=%d" t.ii_limit;
       Printf.sprintf "verify=%s"
         (String.concat "|"
            (List.map
               (fun v -> String.concat "," (List.map string_of_int v))
               t.verify));
-      Printf.sprintf "dump_after=%s" (String.concat "," t.dump_after);
-      Printf.sprintf "sim=%s" (Design.engine_name t.sim) ]
+      Printf.sprintf "dump_after=%s" (String.concat "," t.dump_after) ]
 
 let digest t = Digest.to_hex (Digest.string (render t))
 
 let equal a b = render a = render b
-
-(* --- backend knobs ---------------------------------------------------- *)
-
-let knobs t =
-  { Backend.resources = t.resources;
-    unroll_factor = t.unroll_factor;
-    ii_limit = t.ii_limit;
-    pass_options =
-      { Passes.verify = t.verify;
-        dump_after = t.dump_after;
-        dump_sink = t.dump_sink } }
 
 (* --- JSON (for serve requests and metrics reports) --------------------- *)
 
@@ -93,7 +92,6 @@ let to_json t =
       ("mem_write_ports", Metrics.Int r.Schedule.mem_write_ports);
       ("chain_budget", Metrics.Float r.Schedule.chain_budget);
       ("unroll", Metrics.Int t.unroll_factor);
-      ("ii_limit", Metrics.Int t.ii_limit);
       ("verify",
        Metrics.List
          (List.map
@@ -109,8 +107,7 @@ let of_json (j : Metrics.json) : (t, string) result =
   | Metrics.Obj fields ->
     let known =
       [ "adders"; "multipliers"; "dividers"; "shifters"; "mem_read_ports";
-        "mem_write_ports"; "chain_budget"; "unroll"; "ii_limit"; "verify";
-        "sim" ]
+        "mem_write_ports"; "chain_budget"; "unroll"; "verify"; "sim" ]
     in
     let* () =
       match List.find_opt (fun (k, _) -> not (List.mem k known)) fields with
@@ -151,7 +148,6 @@ let of_json (j : Metrics.json) : (t, string) result =
     in
     let* chain_budget = num "chain_budget" dr.Schedule.chain_budget in
     let* unroll_factor = int "unroll" d.unroll_factor ~min:1 in
-    let* ii_limit = int "ii_limit" d.ii_limit ~min:1 in
     let* verify =
       match field "verify" with
       | None -> Ok d.verify
@@ -189,7 +185,6 @@ let of_json (j : Metrics.json) : (t, string) result =
           { Schedule.adders; multipliers; dividers; shifters;
             mem_read_ports; mem_write_ports; chain_budget };
         unroll_factor;
-        ii_limit;
         verify;
         dump_after = d.dump_after;
         dump_sink = d.dump_sink;

@@ -6,7 +6,7 @@
 let clock_period fsmd = Float.max 1. (Fsmd.critical_state_delay fsmd)
 
 let build ~backend_name ~dialect ?(mem_forwarding = false) ?pipeline
-    ?(knobs = Backend.default_knobs)
+    ?(config = Config.default)
     ~(schedule_block : Cir.func -> Cir.block -> Schedule.schedule)
     (program : Ast.program) ~entry : Design.t =
   Backend.reject_if_illegal ~backend:backend_name dialect program;
@@ -16,9 +16,9 @@ let build ~backend_name ~dialect ?(mem_forwarding = false) ?pipeline
     | None ->
       Passes.pipeline backend_name ~func_passes:[ Passes.simplify_pass ]
   in
-  let pipeline = Backend.specialize knobs pipeline in
+  let pipeline = Config.specialize config pipeline in
   let lowered, pass_trace =
-    Passes.run ~options:knobs.Backend.pass_options pipeline program ~entry
+    Passes.run ~options:(Config.pass_options config) pipeline program ~entry
   in
   let func = lowered.Lower.func in
   let fsmd =

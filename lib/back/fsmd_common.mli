@@ -9,11 +9,11 @@ val clock_period : Fsmd.t -> float
 
 val build :
   backend_name:string -> dialect:Dialect.t -> ?mem_forwarding:bool ->
-  ?pipeline:Passes.pipeline -> ?knobs:Backend.knobs ->
+  ?pipeline:Passes.pipeline -> ?config:Config.t ->
   schedule_block:(Cir.func -> Cir.block -> Schedule.schedule) ->
   Ast.program -> entry:string -> Design.t
-(** [pipeline] defaults to [backend_name: lower; simplify].  [knobs]
-    (default {!Backend.default_knobs}) supplies the per-compile pass
-    options and specializes the pipeline ({!Backend.specialize});
-    resource bounds stay the caller's business — close [schedule_block]
-    over [knobs.resources]. *)
+(** [pipeline] defaults to [backend_name: lower; simplify].  [config]
+    (default {!Config.default}) supplies the per-compile pass options
+    and specializes the pipeline ({!Config.specialize}); resource bounds
+    stay the caller's business — close [schedule_block] over
+    [config.resources]. *)

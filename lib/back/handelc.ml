@@ -30,10 +30,9 @@ let uses_concurrency (program : Ast.program) =
     program.Ast.funcs
 
 let compile_with_policy ~backend_name ~dialect ~policy
-    ?(knobs = Backend.default_knobs) (program : Ast.program) ~entry :
-    Design.t =
+    ?(config = Config.default) (program : Ast.program) ~entry : Design.t =
   Backend.reject_if_illegal ~backend:backend_name dialect program;
-  let options = knobs.Backend.pass_options in
+  let options = Config.pass_options config in
   (* Source passes (the concurrency checker, the unroll knob) are declared
      to the pass manager so they are timed and differentially checked;
      the statement machine runs the transformed program.  A program the
@@ -42,7 +41,7 @@ let compile_with_policy ~backend_name ~dialect ~policy
      Conc_check.Check_failed carries the located diagnostics. *)
   let program, source_trace =
     Passes.run_program_passes ~options
-      (Backend.specialize knobs
+      (Config.specialize config
          (Passes.pipeline backend_name
             ~program_passes:[ Conc_check.pass dialect ] ~lowers:false))
       program ~entry
@@ -99,9 +98,9 @@ let pipeline =
     ~program_passes:[ Conc_check.pass Dialect.handelc ]
     ~func_passes:[ Passes.simplify_pass ]
 
-let compile ?knobs (program : Ast.program) ~entry : Design.t =
+let compile ?config (program : Ast.program) ~entry : Design.t =
   compile_with_policy ~backend_name:"handelc" ~dialect
-    ~policy:`One_cycle_per_assignment ?knobs program ~entry
+    ~policy:`One_cycle_per_assignment ?config program ~entry
 
 let descriptor =
   Backend.make ~name:"handelc" ~aliases:[ "handel-c" ]
@@ -109,4 +108,4 @@ let descriptor =
     ~description:"one cycle per assignment, par/channels on the statement \
                   machine"
     ~dialect:Dialect.handelc
-    (fun ~knobs program ~entry -> compile ~knobs program ~entry)
+    (fun ~config program ~entry -> compile ~config program ~entry)

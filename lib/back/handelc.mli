@@ -14,8 +14,8 @@ val uses_concurrency : Ast.program -> bool
 
 val compile_with_policy :
   backend_name:string -> dialect:Dialect.t -> policy:Handel_machine.policy ->
-  ?knobs:Backend.knobs -> Ast.program -> entry:string -> Design.t
-(** [knobs] (default {!Backend.default_knobs}) supplies the per-compile
+  ?config:Config.t -> Ast.program -> entry:string -> Design.t
+(** [config] (default {!Config.default}) supplies the per-compile
     pass options and the unroll factor; the statement machine runs the
     transformed program.  When the sequential structural view cannot be
     lowered, the reason appears as a ["structural view"] diagnostic in
@@ -26,7 +26,7 @@ val dialect : Dialect.t
 val pipeline : Passes.pipeline
 (** The structural view's pipeline: [lower; simplify]. *)
 
-val compile : ?knobs:Backend.knobs -> Ast.program -> entry:string -> Design.t
+val compile : ?config:Config.t -> Ast.program -> entry:string -> Design.t
 (** The Handel-C rule: one cycle per assignment. *)
 
 val descriptor : Backend.descriptor

@@ -28,11 +28,8 @@ type report = {
   chosen_allocation : string;
 }
 
-let compile ?(knobs = Backend.default_knobs) ?resources
-    (program : Ast.program) ~entry : Design.t * report =
-  let resources =
-    match resources with Some r -> r | None -> knobs.Backend.resources
-  in
+let compile ?(config = Config.default) (program : Ast.program) ~entry :
+    Design.t * report =
   Backend.reject_if_illegal ~backend:"hardwarec" dialect program;
   if Handelc.uses_concurrency program then
     (* HardwareC's process-level parallelism and message passing run on
@@ -41,7 +38,7 @@ let compile ?(knobs = Backend.default_knobs) ?resources
        report is empty.  [constrain] blocks execute their body (the
        machine has no schedule to check them against). *)
     ( Handelc.compile_with_policy ~backend_name:"hardwarec" ~dialect
-        ~policy:`Scheduled ~knobs program ~entry,
+        ~policy:`Scheduled ~config program ~entry,
       { statuses = [];
         exploration = [];
         chosen_allocation = "statement machine (concurrent)" } )
@@ -50,7 +47,7 @@ let compile ?(knobs = Backend.default_knobs) ?resources
      even the unroll knob must not reshape the source here.  Only the
      pass options (verify/dump) flow through. *)
   let lowered, pass_trace =
-    Passes.run ~options:knobs.Backend.pass_options pipeline program ~entry
+    Passes.run ~options:(Config.pass_options config) pipeline program ~entry
   in
   let func = lowered.Lower.func in
   let constraints = Constrain.of_lowering lowered.Lower.constraints in
@@ -59,7 +56,7 @@ let compile ?(knobs = Backend.default_knobs) ?resources
     List.sort_uniq compare (List.map (fun c -> c.Constrain.block) constraints)
   in
   let exploration = ref [] in
-  let chosen = ref ("requested allocation", resources) in
+  let chosen = ref ("requested allocation", config.Config.resources) in
   List.iter
     (fun b ->
       let instrs = (Cir.block func b).Cir.instrs in
@@ -142,8 +139,8 @@ let stats_of_report (r : report) =
                 (if ok then "" else " (violated)"))
             trail)) ])
 
-let compile_reporting ?knobs program ~entry =
-  let design, report = compile ?knobs program ~entry in
+let compile_reporting ?config program ~entry =
+  let design, report = compile ?config program ~entry in
   let data = Design.data design in
   Design.of_data { data with stats = data.stats @ stats_of_report report }
 
@@ -155,4 +152,4 @@ let descriptor =
     ~description:"scheduled FSMD exploring allocations under [constrain] \
                   timing bounds"
     ~dialect:Dialect.hardwarec
-    (fun ~knobs program ~entry -> compile_reporting ~knobs program ~entry)
+    (fun ~config program ~entry -> compile_reporting ~config program ~entry)

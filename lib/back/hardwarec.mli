@@ -20,13 +20,11 @@ type report = {
 }
 
 val compile :
-  ?knobs:Backend.knobs -> ?resources:Schedule.resources -> Ast.program ->
-  entry:string -> Design.t * report
-(** [resources] (when given) overrides [knobs.resources].
-    @raise Unsatisfiable when no candidate allocation meets a constraint. *)
+  ?config:Config.t -> Ast.program -> entry:string -> Design.t * report
+(** @raise Unsatisfiable when no candidate allocation meets a constraint. *)
 
 val compile_reporting :
-  ?knobs:Backend.knobs -> Ast.program -> entry:string -> Design.t
+  ?config:Config.t -> Ast.program -> entry:string -> Design.t
 (** {!compile} with the exploration {!report} folded into the design's
     stats ([constraint-status], [constraint-exploration]) instead of
     discarded — what the registry registers. *)

@@ -231,4 +231,4 @@ let descriptor =
     ~description:"structural EDSL: the OCaml program builds the FSMD \
                   directly (no C frontend)"
     ~dialect:Dialect.ocapi
-    (fun ~knobs:_ _program ~entry:_ -> raise (Backend.No_c_frontend "ocapi"))
+    (fun ~config:_ _program ~entry:_ -> raise (Backend.No_c_frontend "ocapi"))

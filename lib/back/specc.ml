@@ -51,7 +51,7 @@ let pipeline =
 
 (** Run the refinement flow, checking equivalence at every level on each
     of [test_vectors]. *)
-let refine ?(knobs = Backend.default_knobs) (program : Ast.program) ~entry
+let refine ?(config = Config.default) (program : Ast.program) ~entry
     ~test_vectors : Design.t * report =
   Backend.reject_if_illegal ~backend:"specc" dialect program;
   let spec_result vector =
@@ -79,11 +79,11 @@ let refine ?(knobs = Backend.default_knobs) (program : Ast.program) ~entry
   let arch_design =
     if concurrent then
       Handelc.compile_with_policy ~backend_name:"specc-arch" ~dialect
-        ~policy:`Scheduled ~knobs program ~entry
+        ~policy:`Scheduled ~config program ~entry
     else
-      Fsmd_common.build ~backend_name:"specc-arch" ~dialect ~pipeline ~knobs
+      Fsmd_common.build ~backend_name:"specc-arch" ~dialect ~pipeline ~config
         ~schedule_block:(fun func blk ->
-          Schedule.list_schedule func knobs.Backend.resources blk.Cir.instrs)
+          Schedule.list_schedule func config.Config.resources blk.Cir.instrs)
         program ~entry
   in
   List.iter
@@ -99,7 +99,7 @@ let refine ?(knobs = Backend.default_knobs) (program : Ast.program) ~entry
   let comm_design =
     if concurrent then
       Handelc.compile_with_policy ~backend_name:"specc-comm" ~dialect
-        ~policy:`One_cycle_per_assignment ~knobs program ~entry
+        ~policy:`One_cycle_per_assignment ~config program ~entry
     else arch_design
   in
   List.iter
@@ -132,11 +132,11 @@ let refine ?(knobs = Backend.default_knobs) (program : Ast.program) ~entry
   ( Design.of_data { (Design.data impl_design) with backend = "specc" },
     { checks; all_equivalent = List.for_all (fun c -> c.equivalent) checks } )
 
-let compile ?knobs (program : Ast.program) ~entry : Design.t =
-  fst (refine ?knobs program ~entry ~test_vectors:[])
+let compile ?config (program : Ast.program) ~entry : Design.t =
+  fst (refine ?config program ~entry ~test_vectors:[])
 
 let descriptor =
   Backend.make ~name:"specc" ~pipeline:(Some pipeline)
     ~description:"behavioural hierarchy with par, scheduled per behaviour"
     ~dialect:Dialect.specc
-    (fun ~knobs program ~entry -> compile ~knobs program ~entry)
+    (fun ~config program ~entry -> compile ~config program ~entry)

@@ -25,11 +25,11 @@ val pipeline : Passes.pipeline
 (** The architecture-level refinement's pipeline: [lower; simplify]. *)
 
 val refine :
-  ?knobs:Backend.knobs -> Ast.program -> entry:string ->
+  ?config:Config.t -> Ast.program -> entry:string ->
   test_vectors:int list list -> Design.t * report
 (** Run the full flow; the returned design is the implementation level.
-    [knobs] supplies the architecture level's resource allocation. *)
+    [config] supplies the architecture level's resource allocation. *)
 
-val compile : ?knobs:Backend.knobs -> Ast.program -> entry:string -> Design.t
+val compile : ?config:Config.t -> Ast.program -> entry:string -> Design.t
 
 val descriptor : Backend.descriptor

@@ -6,11 +6,8 @@ let pipeline = Passes.pipeline "systemc" ~func_passes:[ Passes.simplify_pass ]
 
 (** SystemC backend entry point: schedule like Bach C, then simulate the
     FSMD as a clock-edge-triggered process network. *)
-let compile ?(knobs = Backend.default_knobs) ?resources
-    (program : Ast.program) ~entry : Design.t =
-  let resources =
-    match resources with Some r -> r | None -> knobs.Backend.resources
-  in
+let compile ?(config = Config.default) (program : Ast.program) ~entry :
+    Design.t =
   Backend.reject_if_illegal ~backend:"systemc" Dialect.systemc program;
   if Handelc.uses_concurrency program then
     (* Process-level par/channels are not representable in the
@@ -18,17 +15,17 @@ let compile ?(knobs = Backend.default_knobs) ?resources
        on the statement machine with compiler-packed cycles, like the
        other concurrent dialects. *)
     Handelc.compile_with_policy ~backend_name:"systemc"
-      ~dialect:Dialect.systemc ~policy:`Scheduled ~knobs program ~entry
+      ~dialect:Dialect.systemc ~policy:`Scheduled ~config program ~entry
   else
   let lowered, pass_trace =
-    Passes.run ~options:knobs.Backend.pass_options
-      (Backend.specialize knobs pipeline)
+    Passes.run ~options:(Config.pass_options config)
+      (Config.specialize config pipeline)
       program ~entry
   in
   let func = lowered.Lower.func in
   let fsmd =
     Fsmd.of_func func ~schedule_block:(fun blk ->
-        Schedule.list_schedule func resources blk.Cir.instrs)
+        Schedule.list_schedule func config.Config.resources blk.Cir.instrs)
   in
   Design.make ~name:entry ~backend:"systemc"
     ~clock_period:(Fsmd_common.clock_period fsmd)
@@ -39,4 +36,4 @@ let descriptor =
   Backend.make ~name:"systemc" ~pipeline:(Some pipeline)
     ~description:"clocked process network simulated at the RTL level"
     ~dialect:Dialect.systemc
-    (fun ~knobs program ~entry -> compile ~knobs program ~entry)
+    (fun ~config program ~entry -> compile ~config program ~entry)

@@ -5,9 +5,6 @@
 val pipeline : Passes.pipeline
 (** [lower; simplify]. *)
 
-val compile :
-  ?knobs:Backend.knobs -> ?resources:Schedule.resources -> Ast.program ->
-  entry:string -> Design.t
-(** [resources] (when given) overrides [knobs.resources]. *)
+val compile : ?config:Config.t -> Ast.program -> entry:string -> Design.t
 
 val descriptor : Backend.descriptor

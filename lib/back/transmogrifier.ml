@@ -19,9 +19,9 @@ let dialect = Dialect.transmogrifier
 let pipeline =
   Passes.pipeline "transmogrifier" ~func_passes:[ Passes.simplify_pass ]
 
-let compile ?knobs (program : Ast.program) ~entry : Design.t =
+let compile ?config (program : Ast.program) ~entry : Design.t =
   Fsmd_common.build ~backend_name:"transmogrifier" ~dialect
-    ~mem_forwarding:true ~pipeline ?knobs
+    ~mem_forwarding:true ~pipeline ?config
     ~schedule_block:Fsmd.transmogrifier_schedule program ~entry
 
 let descriptor =
@@ -29,4 +29,4 @@ let descriptor =
     ~pipeline:(Some pipeline)
     ~description:"one state per basic block, whole blocks chained per cycle"
     ~dialect:Dialect.transmogrifier
-    (fun ~knobs program ~entry -> compile ~knobs program ~entry)
+    (fun ~config program ~entry -> compile ~config program ~entry)

@@ -9,6 +9,6 @@ val dialect : Dialect.t
 val pipeline : Passes.pipeline
 (** [lower; simplify]. *)
 
-val compile : ?knobs:Backend.knobs -> Ast.program -> entry:string -> Design.t
+val compile : ?config:Config.t -> Ast.program -> entry:string -> Design.t
 
 val descriptor : Backend.descriptor

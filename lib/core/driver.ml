@@ -326,10 +326,7 @@ let compile ?(ctx = Span.null) ?(config = Config.default) t backend =
             Error (Backend_error { backend = name; message; loc })
           in
           let r =
-            match
-              Registry.compile backend ~knobs:(Config.knobs config) prog
-                ~entry:t.entry
-            with
+            match Registry.compile backend ~config prog ~entry:t.entry with
             | design ->
               Cache.add design_cache key design;
               (* only a fresh compile has live pass timings — a cached

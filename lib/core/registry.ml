@@ -67,8 +67,8 @@ let description h = (descriptor h).Backend.description
 let dialect h = (descriptor h).Backend.dialect
 let pipeline h = (descriptor h).Backend.pipeline
 let capabilities h = (descriptor h).Backend.capabilities
-let compile h ?(knobs = Backend.default_knobs) program ~entry =
-  (descriptor h).Backend.compile ~knobs program ~entry
+let compile h ?(config = Config.default) program ~entry =
+  (descriptor h).Backend.compile ~config program ~entry
 let equal (a : t) (b : t) = a.id = b.id
 
 let all () = List.rev_map (fun (id, _) -> { id }) !table

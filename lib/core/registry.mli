@@ -64,10 +64,10 @@ val pipeline : t -> Passes.pipeline option
 val capabilities : t -> Backend.capabilities
 
 val compile :
-  t -> ?knobs:Backend.knobs -> Ast.program -> entry:string -> Design.t
-(** The descriptor's compile entry point; [knobs] (default
-    {!Backend.default_knobs}) carries the per-compile resource
-    allocation, unroll factor and pass options.
+  t -> ?config:Config.t -> Ast.program -> entry:string -> Design.t
+(** The descriptor's compile entry point; [config] (default
+    {!Config.default}) carries the per-compile resource allocation,
+    unroll factor and pass options.
     @raise Backend.No_c_frontend for structural backends (Ocapi). *)
 
 val equal : t -> t -> bool

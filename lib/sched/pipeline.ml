@@ -228,18 +228,17 @@ type result = {
    to the sequential list schedule instead. *)
 let ii_search_limit = 4096
 
-(* How many loops fell back; lib/sched can't see Obs.Metrics, so the
-   driver layers (bench E2, chlsc analyze) export this counter as the
-   sched.modulo.fallbacks metric. *)
+(* How many loops fell back; lib/sched can't see Obs.Metrics, so bench
+   E2 prints this counter as sched.modulo.fallbacks. *)
 let fallbacks = Atomic.make 0
 let fallback_count () = Atomic.get fallbacks
 
 (** Iterative modulo scheduling: place operations at the smallest start
     times satisfying dependences, wrapping resource use modulo II; raise II
     on failure. *)
-let modulo_schedule ?(resources = Schedule.default_allocation)
-    ?(latency = default_latency) ?(ii_limit = ii_search_limit)
-    (func : Cir.func) : result =
+let modulo_schedule (func : Cir.func) : result =
+  let resources = Schedule.default_allocation
+  and latency = default_latency in
   let body = extract_loop func latency in
   let n = Array.length body.instrs in
   let rmii = rec_mii body in
@@ -332,7 +331,7 @@ let modulo_schedule ?(resources = Schedule.default_allocation)
     end
   in
   let rec search ii =
-    if ii > ii_limit then None
+    if ii > ii_search_limit then None
     else
       match try_ii ii with
       | Some final -> Some (ii, final)

@@ -59,15 +59,13 @@ val ii_search_limit : int
 
 val fallback_count : unit -> int
 (** How many {!modulo_schedule} calls have fallen back to list
-    scheduling in this process; exported by the driver layers as the
-    [sched.modulo.fallbacks] metric. *)
+    scheduling in this process; bench E2 prints it as
+    [sched.modulo.fallbacks]. *)
 
-val modulo_schedule :
-  ?resources:Schedule.resources -> ?latency:latency_model -> ?ii_limit:int ->
-  Cir.func -> result
-(** Iterative modulo scheduling of the innermost loop, raising II from
-    max(RecMII, ResMII) until a legal schedule exists.  When no legal II
-    <= [ii_limit] (default {!ii_search_limit}) exists the loop is left
-    unpipelined ([fallback = true]) rather than aborting the compile;
-    driver configs expose the limit as the modulo-scheduling knob.
+val modulo_schedule : Cir.func -> result
+(** Iterative modulo scheduling of the innermost loop under
+    {!Schedule.default_allocation} and {!default_latency}, raising II
+    from max(RecMII, ResMII) until a legal schedule exists.  When no
+    legal II <= {!ii_search_limit} exists the loop is left unpipelined
+    ([fallback = true]) rather than aborting the caller.
     @raise Irregular as {!extract_loop}. *)

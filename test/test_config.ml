@@ -10,9 +10,9 @@ let gcd_w = Workloads.gcd
 let golden_render =
   "chls.config/1;adders=2;multipliers=1;dividers=1;shifters=1;\
    mem_read_ports=1;mem_write_ports=1;chain_budget=20;unroll=1;\
-   ii_limit=4096;verify=;dump_after=;sim=compiled"
+   verify=;dump_after="
 
-let golden_digest = "310bc5d115042faf8f97d22946fccbd4"
+let golden_digest = "1af19bf024316c320ee08f94c5b71552"
 
 let test_render_golden () =
   Alcotest.(check string) "default renders canonically" golden_render
@@ -27,10 +27,8 @@ let test_digests_distinguish_knobs () =
   let d = Config.default in
   let variants =
     [ ("unroll", { d with Config.unroll_factor = 2 });
-      ("ii limit", { d with Config.ii_limit = 8 });
       ("verify", { d with Config.verify = [ [ 1; 2 ] ] });
       ("dump", { d with Config.dump_after = [ "simplify" ] });
-      ("sim", { d with Config.sim = Design.Event_driven });
       ( "adders",
         Config.with_resources
           { Schedule.default_allocation with Schedule.adders = Some 1 }
@@ -66,28 +64,16 @@ let test_dump_sink_is_not_identity () =
     (Config.equal Config.default c)
 
 let test_knobs_mapping () =
-  let resources =
-    { Schedule.default_allocation with
-      Schedule.adders = Some 1;
-      chain_budget = 12.5 }
-  in
   let c =
     { Config.default with
-      Config.resources;
-      unroll_factor = 3;
-      ii_limit = 7;
-      verify = [ [ 4 ] ];
+      Config.verify = [ [ 4 ] ];
       dump_after = [ "simplify" ] }
   in
-  let k = Config.knobs c in
-  Alcotest.(check bool) "resources forwarded" true
-    (k.Backend.resources = resources);
-  Alcotest.(check int) "unroll forwarded" 3 k.Backend.unroll_factor;
-  Alcotest.(check int) "ii limit forwarded" 7 k.Backend.ii_limit;
+  let o = Config.pass_options c in
   Alcotest.(check bool) "verify vectors forwarded" true
-    (k.Backend.pass_options.Passes.verify = [ [ 4 ] ]);
+    (o.Passes.verify = [ [ 4 ] ]);
   Alcotest.(check bool) "dump passes forwarded" true
-    (k.Backend.pass_options.Passes.dump_after = [ "simplify" ])
+    (o.Passes.dump_after = [ "simplify" ])
 
 let test_json_round_trip () =
   let c =
@@ -98,7 +84,6 @@ let test_json_round_trip () =
           multipliers = Some 3;
           chain_budget = 7.5 };
       unroll_factor = 4;
-      ii_limit = 16;
       verify = [ [ 1; 2 ]; [ -3 ] ];
       sim = Design.Event_driven }
   in
@@ -106,7 +91,9 @@ let test_json_round_trip () =
   | Error msg -> Alcotest.fail msg
   | Ok c' ->
     Alcotest.(check string) "round trip preserves the digest"
-      (Config.digest c) (Config.digest c')
+      (Config.digest c) (Config.digest c');
+    Alcotest.(check bool) "round trip preserves the engine" true
+      (c'.Config.sim = c.Config.sim)
 
 let test_of_json_errors () =
   let parse s =
@@ -135,6 +122,7 @@ let test_of_json_errors () =
       ("bad unroll", "{\"unroll\": \"two\"}");
       ("bad sim", "{\"sim\": \"quantum\"}");
       ("retired forwarding knob", "{\"mem_forwarding\": true}");
+      ("retired II limit", "{\"ii_limit\": 8}");
       ("retired sweep engine", "{\"sim\": \"sweep\"}");
       ("non-object", "[1,2]") ]
 
@@ -181,6 +169,34 @@ let test_two_configs_two_front_entries () =
         (Design.run_int da args);
       Alcotest.(check (option int)) "config B agrees" (Some expected)
         (Design.run_int db args))
+    gcd_w.Workloads.arg_sets
+
+(* The engine picks how a design runs, not what the design is: a
+   compile under the event-driven engine is a front hit on the default
+   compile's design, and that design answers alike on both engines. *)
+let test_sim_shares_one_design () =
+  Driver.clear_cache ();
+  let bachc = Registry.get "bachc" in
+  let s = Driver.create ~entry:gcd_w.Workloads.entry gcd_w.Workloads.source in
+  let d = compile_cfg s Config.default bachc in
+  let d' =
+    compile_cfg s { Config.default with Config.sim = Design.Event_driven } bachc
+  in
+  Alcotest.(check (pair int int)) "one compile, then a front hit" (1, 1)
+    (counter s "driver.cache.design_misses",
+     counter s "driver.cache.design_hits");
+  Alcotest.(check bool) "one design" true (d == d');
+  List.iter
+    (fun args ->
+      let run sim =
+        let r = d.Design.run ~sim (Design.int_args args) in
+        (Option.map Bitvec.to_int r.Design.result, r.Design.cycles)
+      in
+      let compiled = run Design.Compiled in
+      Alcotest.(check (option int)) "the oracle's answer"
+        (Some (Workloads.reference gcd_w args)) (fst compiled);
+      Alcotest.(check (pair (option int) (option int)))
+        "both engines agree" compiled (run Design.Event_driven))
     gcd_w.Workloads.arg_sets
 
 let fresh_dir =
@@ -312,6 +328,8 @@ let suite =
         test_of_json_errors;
       Alcotest.test_case "two configs, two front entries" `Quick
         test_two_configs_two_front_entries;
+      Alcotest.test_case "one design serves both engines" `Quick
+        test_sim_shares_one_design;
       Alcotest.test_case "two configs, two disk entries" `Quick
         test_two_configs_two_disk_entries;
       Alcotest.test_case "no options bleed across domains" `Quick

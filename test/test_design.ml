@@ -70,10 +70,7 @@ let test_every_backend_and_kernel () =
       List.iter
         (fun b ->
           if Dialect.check (Registry.dialect b) program = [] then begin
-            let d =
-              Registry.compile b ~knobs:Backend.default_knobs program
-                ~entry:w.Workloads.entry
-            in
+            let d = Registry.compile b program ~entry:w.Workloads.entry in
             check_revived
               ~label:(w.Workloads.name ^ "/" ^ Registry.name b)
               d ~vectors:w.Workloads.arg_sets;
@@ -115,8 +112,8 @@ let test_ocapi () =
   check_revived ~label:"ocapi" d ~vectors:[ [ 1 ]; [ 4 ]; [ 8 ] ]
 
 let compile backend (w : Workloads.t) =
-  Registry.compile (Registry.get backend) ~knobs:Backend.default_knobs
-    (Workloads.parse w) ~entry:w.Workloads.entry
+  Registry.compile (Registry.get backend) (Workloads.parse w)
+    ~entry:w.Workloads.entry
 
 (* A revived design is shared by every worker domain, and its engines
    are mutable: two domains running it on many vectors at once must each
