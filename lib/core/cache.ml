@@ -38,7 +38,6 @@ end
 
 type store = Store : (module STORE with type t = 'a) * 'a -> store
 
-let store_name (Store ((module S), s)) = S.name s
 let store_find (Store ((module S), s)) key = S.find s key
 let store_put (Store ((module S), s)) key v = S.put s key v
 let store_delete (Store ((module S), s)) key = S.delete s key

@@ -59,7 +59,6 @@ end
 type store = Store : (module STORE with type t = 'a) * 'a -> store
 (** A packed store: what {!t} and the driver plug in. *)
 
-val store_name : store -> string
 val store_find : store -> string -> string option
 val store_put : store -> string -> string -> unit
 val store_delete : store -> string -> unit

@@ -26,10 +26,6 @@ type t =
   | Function of { ret : t; params : t list }
 
 let bool_t = Integer { kind = Bool; signed = false }
-let char_t = Integer { kind = Char; signed = true }
-let uchar_t = Integer { kind = Char; signed = false }
-let short_t = Integer { kind = Short; signed = true }
-let ushort_t = Integer { kind = Short; signed = false }
 let int_t = Integer { kind = Int; signed = true }
 let uint_t = Integer { kind = Int; signed = false }
 let long_t = Integer { kind = Long; signed = true }
@@ -102,5 +98,3 @@ let rec to_string = function
   | Function { ret; params } ->
     Printf.sprintf "%s(%s)" (to_string ret)
       (String.concat ", " (List.map to_string params))
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

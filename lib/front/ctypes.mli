@@ -17,10 +17,6 @@ type t =
   | Function of { ret : t; params : t list }
 
 val bool_t : t
-val char_t : t
-val uchar_t : t
-val short_t : t
-val ushort_t : t
 val int_t : t
 val uint_t : t
 val long_t : t
@@ -53,4 +49,3 @@ val decay : t -> t
 
 val equal : t -> t -> bool
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -113,7 +113,4 @@ let pp_program fmt (p : Ast.program) =
     (pp_print_list ~pp_sep:(fun fmt () -> fprintf fmt "@,@,") pp_func)
     p.funcs
 
-let expr_to_string e = Format.asprintf "%a" pp_expr e
-let stmt_to_string s = Format.asprintf "%a" pp_stmt s
-let func_to_string f = Format.asprintf "%a" pp_func f
 let program_to_string p = Format.asprintf "%a" pp_program p

@@ -8,7 +8,4 @@ val pp_func : Format.formatter -> Ast.func -> unit
 val pp_global : Format.formatter -> Ast.global -> unit
 val pp_program : Format.formatter -> Ast.program -> unit
 
-val expr_to_string : Ast.expr -> string
-val stmt_to_string : Ast.stmt -> string
-val func_to_string : Ast.func -> string
 val program_to_string : Ast.program -> string

@@ -174,5 +174,4 @@ let significant_bits t =
   go t.width
 
 let to_string t = Printf.sprintf "%d'd%Lu" t.width t.bits
-let to_hex_string t = Printf.sprintf "%d'h%Lx" t.width t.bits
 let pp fmt t = Format.pp_print_string fmt (to_string t)

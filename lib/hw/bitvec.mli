@@ -111,5 +111,4 @@ val significant_bits : t -> int
 (** {1 Printing} *)
 
 val to_string : t -> string
-val to_hex_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -103,9 +103,6 @@ let binop t op a b =
 let mux t ~sel ~if_true ~if_false =
   add t ~width:(width t if_true) (Mux { sel; if_true; if_false })
 
-let concat t ~hi ~lo =
-  add t ~width:(width t hi + width t lo) (Concat { hi; lo })
-
 let extract t ~hi ~lo arg = add t ~width:(hi - lo + 1) (Extract { hi; lo; arg })
 let zext t ~width:w arg = add t ~width:w (Zext { width = w; arg })
 let sext t ~width:w arg = add t ~width:w (Sext { width = w; arg })
@@ -130,9 +127,6 @@ let reg_connect t r ~next ?enable () =
   | Const _ | Input _ | Unop _ | Binop _ | Mux _ | Concat _ | Extract _
   | Zext _ | Sext _ | Mem_read _ ->
     invalid_arg "Netlist.reg_connect: not a register"
-
-let reg t ~init ~next ?enable () =
-  add t ~width:(Bitvec.width init) (Reg { init; next; enable })
 
 let add_mem t ~name ~word_width ~depth ?init () =
   let m =

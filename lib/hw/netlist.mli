@@ -66,7 +66,6 @@ val binop : t -> binop -> signal -> signal -> signal
 (** Result width: 1 for comparisons, else the left operand's. *)
 
 val mux : t -> sel:signal -> if_true:signal -> if_false:signal -> signal
-val concat : t -> hi:signal -> lo:signal -> signal
 val extract : t -> hi:int -> lo:int -> signal -> signal
 val zext : t -> width:int -> signal -> signal
 val sext : t -> width:int -> signal -> signal
@@ -78,8 +77,6 @@ val reg_forward : t -> init:Bitvec.t -> signal
 (** Allocate a register with its next-state unconnected (feedback). *)
 
 val reg_connect : t -> signal -> next:signal -> ?enable:signal -> unit -> unit
-
-val reg : t -> init:Bitvec.t -> next:signal -> ?enable:signal -> unit -> signal
 
 val add_mem :
   t -> name:string -> word_width:int -> depth:int ->

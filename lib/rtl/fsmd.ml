@@ -132,7 +132,3 @@ let serial_schedule _func blk =
   { Schedule.steps = Array.init n Fun.id;
     num_steps = n;
     step_delay = Array.make n 0. }
-
-let pp_stats fmt t =
-  Format.fprintf fmt "%d states, clock period %.1f"
-    (num_states t) (critical_state_delay t)

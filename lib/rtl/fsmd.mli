@@ -46,5 +46,3 @@ val handelc_schedule : Cir.func -> Cir.block -> Schedule.schedule
 
 val serial_schedule : Cir.func -> Cir.block -> Schedule.schedule
 (** One instruction per state: the maximally serial baseline. *)
-
-val pp_stats : Format.formatter -> t -> unit
