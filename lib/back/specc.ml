@@ -110,26 +110,19 @@ let refine ?(config = Config.default) (program : Ast.program) ~entry
         (Option.map Bitvec.to_int r.Design.result)
         r.Design.cycles)
     test_vectors;
-  (* Level 4: implementation — elaborated netlist, when available *)
-  let impl_design = comm_design in
+  (* Level 4: implementation — the communication-level design is the
+     implementation; its netlist view (when it has one) is elaborated on
+     demand, not here *)
   List.iter
     (fun v ->
       let expected = spec_result v in
-      match impl_design.Design.verilog () with
-      | None ->
-        (* no RTL view (statement machine): implementation = comm level *)
-        let r = impl_design.Design.run (Design.int_args v) in
-        record Implementation v expected
-          (Option.map Bitvec.to_int r.Design.result)
-          r.Design.cycles
-      | Some _ ->
-        let r = impl_design.Design.run (Design.int_args v) in
-        record Implementation v expected
-          (Option.map Bitvec.to_int r.Design.result)
-          r.Design.cycles)
+      let r = comm_design.Design.run (Design.int_args v) in
+      record Implementation v expected
+        (Option.map Bitvec.to_int r.Design.result)
+        r.Design.cycles)
     test_vectors;
   let checks = List.rev !checks in
-  ( Design.of_data { (Design.data impl_design) with backend = "specc" },
+  ( Design.of_data { (Design.data comm_design) with backend = "specc" },
     { checks; all_equivalent = List.for_all (fun c -> c.equivalent) checks } )
 
 let compile ?config (program : Ast.program) ~entry : Design.t =
