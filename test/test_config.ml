@@ -1,7 +1,8 @@
 (* Config as a first-class value: the canonical rendering is pinned
    against a golden string (changing it invalidates persisted caches —
    exactly when it should change), distinct knob points get distinct
-   digests, the digest keys the design cache front-to-disk, and two
+   digests while the dump sink and the simulation engine stay out of
+   them, the digest keys the design cache front-to-disk, and two
    domains compiling under different options concurrently never bleed
    into each other (the old process-wide pass-options race). *)
 
