@@ -25,7 +25,7 @@
 (* --- targets and accesses ---------------------------------------------- *)
 
 type target =
-  | Scalar of string (* a local of an enclosing scope, or a parameter *)
+  | Scalar of string (* a local or parameter of the enclosing function *)
   | Global of string
   | Array of string (* whole-region granularity, element-insensitive *)
   | Pointer (* any pointer-mediated access: may alias anything *)
@@ -148,26 +148,26 @@ type ctx = {
   mutable call_stack : string list; (* recursion guard *)
 }
 
-type scopes = (string, unit) Hashtbl.t list
+(* Who binds a name in scope: the par arm itself (or the function a call
+   enters), or the function enclosing the par, whose locals and
+   parameters the arms share. *)
+type binder = Arm | Enclosing
 
-let bound (scopes : scopes) name =
-  List.exists (fun t -> Hashtbl.mem t name) scopes
+type scopes = (string, binder) Hashtbl.t list
 
 (* Classify a named variable as seen from inside a par arm: names bound
    inside the arm are private (no shared access), everything else is
-   shared storage.  The elaborated type distinguishes whole arrays. *)
-let classify ctx scopes name (ty : Ctypes.t) =
-  if bound scopes name then None
-  else
+   shared storage.  An enclosing local or parameter is its own storage,
+   even where a global has its name; a global's declared type
+   distinguishes whole arrays. *)
+let classify ctx (scopes : scopes) name =
+  match List.find_map (fun t -> Hashtbl.find_opt t name) scopes with
+  | Some Arm -> None
+  | Some Enclosing -> Some (Scalar name)
+  | None -> (
     match Ast.find_global ctx.program name with
-    | Some g -> (
-      match g.Ast.g_ty with
-      | Ctypes.Array _ -> Some (Array name)
-      | _ -> Some (Global name))
-    | None -> (
-      match ty with
-      | Ctypes.Array _ -> Some (Array name)
-      | _ -> Some (Scalar name))
+    | Some { Ast.g_ty = Ctypes.Array _; _ } -> Some (Array name)
+    | Some _ | None -> Some (Global name))
 
 let add_access (out : effects) target kind loc =
   out.acc <- { a_target = target; a_kind = kind; a_loc = loc } :: out.acc
@@ -186,7 +186,7 @@ let rec walk_expr ctx scopes (out : effects) ~depth (e : Ast.expr) =
   match e.Ast.e with
   | Ast.Const _ -> ()
   | Ast.Var name -> (
-    match classify ctx scopes name e.Ast.ty with
+    match classify ctx scopes name with
     | Some t -> add_access out t Read loc
     | None -> ())
   | Ast.Unop (_, a) | Ast.Cast (_, a) ->
@@ -211,7 +211,7 @@ let rec walk_expr ctx scopes (out : effects) ~depth (e : Ast.expr) =
     (* the address escapes: whatever it names may be read and written *)
     (match (strip_casts a).Ast.e with
     | Ast.Var name -> (
-      match classify ctx scopes name a.Ast.ty with
+      match classify ctx scopes name with
       | Some t ->
         add_access out t Read loc;
         add_access out t Write loc
@@ -229,7 +229,7 @@ and walk_lvalue ctx scopes (out : effects) ~depth (lhs : Ast.expr) =
   let loc = lhs.Ast.eloc in
   match (strip_casts lhs).Ast.e with
   | Ast.Var name -> (
-    match classify ctx scopes name lhs.Ast.ty with
+    match classify ctx scopes name with
     | Some t -> add_access out t Write loc
     | None -> ())
   | Ast.Index (base, idx) ->
@@ -244,10 +244,9 @@ and walk_indexed ctx scopes (out : effects) ~depth base kind =
   let b = strip_casts base in
   match b.Ast.e with
   | Ast.Var name -> (
-    match classify ctx scopes name b.Ast.ty with
-    | Some (Array _ as t) -> add_access out t kind b.Ast.eloc
-    | Some (Scalar _) ->
-      (* indexing through a pointer-typed outer local *)
+    match classify ctx scopes name with
+    | Some (Scalar _) when Ctypes.is_pointer b.Ast.ty ->
+      (* indexing through a pointer-typed enclosing local *)
       add_access out Pointer kind b.Ast.eloc
     | Some t -> add_access out t kind b.Ast.eloc
     | None -> () (* arm-private array *))
@@ -273,7 +272,7 @@ and apply_call ctx scopes (out : effects) ~depth name args loc =
         | Ctypes.Pointer _ | Ctypes.Array _ -> (
           match (strip_casts arg).Ast.e with
           | Ast.Var aname -> (
-            match classify ctx scopes aname arg.Ast.ty with
+            match classify ctx scopes aname with
             | Some t ->
               add_access out t Read loc;
               add_access out t Write loc
@@ -301,7 +300,7 @@ and summary_of ctx (f : Ast.func) : effects =
       let out = new_effects () in
       let params : scopes =
         let t = Hashtbl.create 8 in
-        List.iter (fun (_, n) -> Hashtbl.replace t n ()) f.Ast.f_params;
+        List.iter (fun (_, n) -> Hashtbl.replace t n Arm) f.Ast.f_params;
         [ t ]
       in
       walk_block ctx params out ~depth:0 f.Ast.f_body;
@@ -318,7 +317,7 @@ and walk_stmt ctx scopes (out : effects) ~depth (st : Ast.stmt) =
     | Some e -> walk_expr ctx scopes out ~depth e
     | None -> ());
     (match scopes with
-    | t :: _ -> Hashtbl.replace t name ()
+    | t :: _ -> Hashtbl.replace t name Arm
     | [] -> ())
   | Ast.If (c, t, f) ->
     walk_expr ctx scopes out ~depth c;
@@ -545,14 +544,14 @@ let check_par ctx dialect ~total_uses scopes (branches : Ast.block list) =
 
 (* Structural walk of a function body: find every [par] (including nested
    ones inside arms), carrying the lexical scope so arm effects can tell
-   arm-private storage from shared outer storage. *)
+   arm-private storage from the enclosing function's shared storage. *)
 let check_func ctx dialect ~total_uses (f : Ast.func) =
   let diags = ref [] in
   let rec go_stmt (scopes : scopes) (st : Ast.stmt) =
     match st.Ast.s with
     | Ast.Decl (_, name, _) -> (
       match scopes with
-      | t :: _ -> Hashtbl.replace t name ()
+      | t :: _ -> Hashtbl.replace t name Enclosing
       | [] -> ())
     | Ast.Par branches ->
       diags := !diags @ check_par ctx dialect ~total_uses scopes branches;
@@ -574,7 +573,7 @@ let check_func ctx dialect ~total_uses (f : Ast.func) =
   and go_block scopes body = List.iter (go_stmt scopes) body in
   let params : scopes =
     let t = Hashtbl.create 8 in
-    List.iter (fun (_, n) -> Hashtbl.replace t n ()) f.Ast.f_params;
+    List.iter (fun (_, n) -> Hashtbl.replace t n Enclosing) f.Ast.f_params;
     [ t ]
   in
   go_block (Hashtbl.create 8 :: params) f.Ast.f_body;

@@ -20,9 +20,11 @@
     {!pass} and surfaced by [chlsc check --races]. *)
 
 type target =
-  | Scalar of string  (** a local of an enclosing scope, or a parameter *)
+  | Scalar of string
+      (** a local (scalar or array) or parameter of the function enclosing
+          the par: storage of its own, even where a global has its name *)
   | Global of string
-  | Array of string  (** whole-region granularity *)
+  | Array of string  (** a global array, whole-region granularity *)
   | Pointer  (** may alias anything *)
 
 type access_kind = Read | Write

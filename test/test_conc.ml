@@ -186,6 +186,55 @@ let test_nested_par () =
   Alcotest.(check int) "race inside nested par is found" 1
     (count_kind is_ww (check src))
 
+(* Only names declared inside an arm are private to it: the enclosing
+   function's locals and parameters are shared like globals. *)
+let test_outer_locals_shared () =
+  let local_src =
+    "int f(int n) { int x = 0; par { { x = n; } { x = n + 1; } } return x; }"
+  and array_src =
+    "int f(int n) { int b[4]; par { { b[0] = n; } { b[1] = n; } } return b[0]; }"
+  and param_src = "int f(int n) { par { { n = 1; } { n = 2; } } return n; }"
+  and read_src =
+    "int g0; int g1; \
+     int f(int n) { par { { g0 = n + 1; } { g1 = n * 2; } } return g0 + g1; }"
+  in
+  let dialects =
+    [ (Dialect.handelc, "error"); (Dialect.bachc, "error");
+      (Dialect.cyber, "error"); (Dialect.specc, "warning") ]
+  in
+  List.iter
+    (fun (what, src, name) ->
+      List.iter
+        (fun ((d : Dialect.t), severity) ->
+          let where = what ^ " under " ^ d.Dialect.name in
+          match check ~dialect:d src with
+          | [ { Conc_check.d_kind = Race_ww (Scalar v); d_severity; _ } ] ->
+            Alcotest.(check (pair string string)) where (name, severity)
+              (v, Conc_check.severity_name d_severity)
+          | ds ->
+            Alcotest.failf "%s: %d diagnostics, expected one write/write race"
+              where (List.length ds))
+        dialects)
+    [ ("local", local_src, "x"); ("local array", array_src, "b");
+      ("parameter", param_src, "n") ];
+  List.iter
+    (fun ((d : Dialect.t), _) ->
+      Alcotest.(check int)
+        ("parameter two arms read, under " ^ d.Dialect.name)
+        0
+        (List.length (check ~dialect:d read_src)))
+    dialects;
+  (* a local named like a global is its own storage: writing it races
+     with no call that writes the global *)
+  List.iter
+    (fun src ->
+      Alcotest.(check int) "a local named like a global" 0
+        (List.length (check src)))
+    [ "int g; void h() { g = 1; } \
+       int f(int n) { int g = 0; par { { g = n; } { h(); } } return g; }";
+      "int b[4]; void h() { b[0] = 1; } \
+       int f(int n) { int b[4]; par { { b[1] = n; } { h(); } } return b[1]; }" ]
+
 (* --- channel lint --- *)
 
 let test_chan_unmatched_send () =
@@ -338,6 +387,8 @@ let suite =
         test_pointer_param_aliasing;
       Alcotest.test_case "races through calls" `Quick test_call_effects;
       Alcotest.test_case "nested par" `Quick test_nested_par;
+      Alcotest.test_case "outer locals and parameters are shared" `Quick
+        test_outer_locals_shared;
       Alcotest.test_case "unmatched send" `Quick test_chan_unmatched_send;
       Alcotest.test_case "channel fan-in/out" `Quick test_chan_fan;
       Alcotest.test_case "self-communication deadlock" `Quick
