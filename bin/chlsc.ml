@@ -287,9 +287,11 @@ let sim_arg =
            ~doc:
              "Simulation engine for the behavioural run: $(b,compiled) \
               (levelized closure evaluator, the default) or $(b,event) \
-              (event-driven interpreter).  Backends with a single \
-              simulator ignore the selection; designs wider than 62 bits \
-              fall back to the interpreter.")
+              (event-driven interpreter; SystemC's kernel for SystemC).  \
+              CASH and the statement machine (Handel-C and every \
+              concurrent program) have a single simulator and ignore the \
+              selection; designs wider than 62 bits fall back to the \
+              interpreter.")
 
 let verify_sim_flag =
   Arg.(value & flag

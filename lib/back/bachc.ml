@@ -24,18 +24,9 @@ let pipeline =
     ~program_passes:[ Conc_check.pass Dialect.bachc ]
     ~func_passes:[ Passes.simplify_pass ]
 
-let compile ?(config = Config.default) (program : Ast.program) ~entry :
-    Design.t =
-  if Handelc.uses_concurrency program then
-    (* The concurrent subset runs on the statement machine
-       (Handel_machine) with compiler-packed cycles. *)
-    Handelc.compile_with_policy ~backend_name:"bachc" ~dialect
-      ~policy:`Scheduled ~config program ~entry
-  else
-    Fsmd_common.build ~backend_name:"bachc" ~dialect ~pipeline ~config
-      ~schedule_block:(fun func blk ->
-        Schedule.list_schedule func config.Config.resources blk.Cir.instrs)
-      program ~entry
+let compile ?config (program : Ast.program) ~entry : Design.t =
+  Fsmd_common.scheduled ~backend_name:"bachc" ~dialect ~pipeline ?config
+    program ~entry
 
 let descriptor =
   Backend.make ~name:"bachc" ~aliases:[ "bach" ] ~pipeline:(Some pipeline)
@@ -45,9 +36,18 @@ let descriptor =
     (fun ~config program ~entry -> compile ~config program ~entry)
 
 (* Cyber/BDL rides the same scheduler but is a distinct surveyed
-   language: its own Table 1 row, dialect restrictions and registration. *)
+   language: its own Table 1 row, dialect restrictions, concurrency rules
+   and registration. *)
+let cyber_pipeline =
+  Passes.pipeline "cyber"
+    ~program_passes:[ Conc_check.pass Dialect.cyber ]
+    ~func_passes:[ Passes.simplify_pass ]
+
 let cyber_descriptor =
-  Backend.make ~name:"cyber" ~aliases:[ "bdl" ] ~pipeline:(Some pipeline)
+  Backend.make ~name:"cyber" ~aliases:[ "bdl" ]
+    ~pipeline:(Some cyber_pipeline)
     ~description:"restricted C (BDL) on the Bach C scheduler"
     ~dialect:Dialect.cyber
-    (fun ~config program ~entry -> compile ~config program ~entry)
+    (fun ~config program ~entry ->
+      Fsmd_common.scheduled ~backend_name:"cyber" ~dialect:Dialect.cyber
+        ~pipeline:cyber_pipeline ~config program ~entry)

@@ -9,8 +9,8 @@
 val dialect : Dialect.t
 
 val pipeline : Passes.pipeline
-(** [lower; simplify] (sequential programs; the concurrent subset runs on
-    the Handel-C statement machine instead). *)
+(** [conc-check; lower; simplify] (sequential programs; the concurrent
+    subset runs on the Handel-C statement machine instead). *)
 
 val compile : ?config:Config.t -> Ast.program -> entry:string -> Design.t
 (** [config] carries the allocation, the pass options and the unroll
@@ -20,4 +20,5 @@ val descriptor : Backend.descriptor
 
 val cyber_descriptor : Backend.descriptor
 (** Cyber/BDL rides the same scheduler (restricted C, no pointers or
-    recursion): its own Table 1 row, dialect and registration. *)
+    recursion): its own Table 1 row, dialect, [cyber] pipeline (whose
+    concurrency check runs Cyber's rules) and registration. *)

@@ -12,10 +12,10 @@
 (* Which simulation engine executes the behavioural run.  Compiled is
    the fast path over unboxed ints (Netcomp's packed code, Fsmdcomp's
    per-state closures, C2vcomp's decoded stack code); Event_driven — the
-   change-propagating Neteval, the instruction-walking Rtlsim, the
-   Bitvec-word C2v_machine — survives as the differential oracle.  The
-   CASH, SystemC and Handel-C simulators have one engine each and ignore
-   the selection. *)
+   change-propagating Neteval, the instruction-walking Rtlsim (SystemC's
+   kernel for a process network), the Bitvec-word C2v_machine — survives
+   as the differential oracle.  CASH and the statement machine have one
+   engine each and ignore the selection. *)
 type engine = Compiled | Event_driven
 
 let engine_name = function Compiled -> "compiled" | Event_driven -> "event"
@@ -120,11 +120,6 @@ let outcome ?(globals = []) ?(memories = []) ?cycles ?time_units ~metrics
     result =
   { result; globals; memories; cycles; time_units; metrics }
 
-let cycles_metrics cycles =
-  let metrics = Metrics.create () in
-  Metrics.set_int metrics "sim.cycles" cycles;
-  metrics
-
 (* One small pool of simulation engines per design.  A run pops a free
    engine or builds one, runs, and pushes it back, so worker domains
    running one design each hold an engine of their own and never wait on
@@ -154,7 +149,13 @@ let engine_metric metrics ran_compiled =
   Metrics.set_string metrics "sim.engine"
     (if ran_compiled then "compiled" else "event")
 
-let fsmd_run fsmd =
+(* Every FSMD runs on the design's Fsmdcomp pool by default; [event] is
+   its event-driven engine: Rtlsim, or SystemC's kernel for a process
+   network. *)
+let fsmd_run
+    ~(event :
+       ?max_cycles:int -> ?trace:Rtlsim.trace -> Fsmd.t ->
+       args:Bitvec.t list -> Rtlsim.outcome) fsmd =
   let with_engine = pool (fun () -> Fsmdcomp.create fsmd) in
   fun ?vcd ?(sim = Compiled) args ->
     let trace = Option.map (fun v -> Trace.rtlsim_trace v fsmd) vcd in
@@ -163,7 +164,7 @@ let fsmd_run fsmd =
       | Compiled ->
         with_engine (fun e ->
             (Fsmdcomp.execute ?trace e ~args, Fsmdcomp.compiled e))
-      | Event_driven -> (Rtlsim.run ?trace fsmd ~args, false)
+      | Event_driven -> (event ?trace fsmd ~args, false)
     in
     let metrics = Metrics.create () in
     engine_metric metrics ran_compiled;
@@ -264,22 +265,20 @@ let dataflow_run ssa ~handshake =
       ~memories:o.Asim.memories ~time_units:o.Asim.completion_time ~metrics
 
 let simulator_of_artifact = function
-  | Fsmd fsmd -> fsmd_run fsmd
+  | Fsmd fsmd -> fsmd_run ~event:Rtlsim.run fsmd
+  | Process_network fsmd -> fsmd_run ~event:Sc_kernel.run_fsmd fsmd
   | Combinational { netlist; critical_path } ->
     netlist_run netlist ~critical_path
   | Dataflow { circuit; handshake } -> dataflow_run circuit.Dfg.ssa ~handshake
-  | Process_network fsmd ->
-    fun ?vcd:_ ?sim:_ args ->
-      let result, cycles = Sc_kernel.run_fsmd fsmd ~args in
-      outcome (Some result) ~cycles ~metrics:(cycles_metrics cycles)
   | Stack_machine { compiled; ret_width } -> stack_run compiled ~ret_width
   | Statement_machine { program; entry; policy; _ } ->
     fun ?vcd:_ ?sim:_ args ->
       let o = Handel_machine.run ~policy program ~entry ~args in
       let globals, memories = Handel_machine.observe program o in
+      let metrics = Metrics.create () in
+      Metrics.set_int metrics "sim.cycles" o.Handel_machine.cycles;
       outcome o.Handel_machine.return_value ~globals ~memories
-        ~cycles:o.Handel_machine.cycles
-        ~metrics:(cycles_metrics o.Handel_machine.cycles)
+        ~cycles:o.Handel_machine.cycles ~metrics
 
 let run_of_artifact artifact =
   let run = simulator_of_artifact artifact in
@@ -355,7 +354,9 @@ let area_of_artifact ~netlist = function
     Option.map Area.analyze (Lazy.force netlist)
 
 (* One lock per live value guards its lazies: a cached design is shared
-   by every worker domain.  Runs take engines from their own pool. *)
+   by every worker domain.  Compiled runs of an FSMD or process network
+   (Fsmdcomp), a netlist (Netcomp) or a stack machine (C2vcomp) take
+   engines from the value's own pool. *)
 let make ~name ~backend ?clock_period ?(stats = []) ?(pass_trace = [])
     artifact : t =
   let lock = Mutex.create () in

@@ -10,12 +10,13 @@ type engine =
   | Compiled
       (** fast path over unboxed ints ({!Netcomp}/{!Fsmdcomp}/{!C2vcomp}) *)
   | Event_driven
-      (** interpreting oracle ({!Neteval}/{!Rtlsim}/{!C2v_machine}) *)
+      (** interpreting oracle ({!Neteval}/{!Rtlsim}/{!C2v_machine}; SystemC's
+          process network runs on {!Sc_kernel}) *)
       (** Which simulation engine executes the behavioural run.  The
           interpreter survives as the differential oracle for the
-          compiled engine ([chlsc compile --verify-sim]); the CASH,
-          SystemC and Handel-C simulators have one engine each and ignore
-          the selection. *)
+          compiled engine ([chlsc compile --verify-sim]); CASH and the
+          statement machine have one engine each and ignore the
+          selection. *)
 
 val engine_name : engine -> string
 (** ["compiled"], ["event"] — the [--sim] flag values. *)
@@ -29,8 +30,8 @@ type artifact =
       (** scheduled FSMD: Transmogrifier C, Bach C/Cyber, HardwareC,
           sequential SpecC, Ocapi *)
   | Process_network of Fsmd.t
-      (** an FSMD run as a clocked SystemC process network
-          ({!Sc_kernel}) *)
+      (** SystemC's FSMD: it runs like {!Fsmd}, with a clocked process
+          network ({!Sc_kernel}) as its event-driven engine *)
   | Combinational of { netlist : Netlist.t; critical_path : float }
       (** Cones' two-level network; its critical path is the settle time
           every run reports *)
@@ -138,8 +139,9 @@ val make :
   name:string -> backend:string -> ?clock_period:float ->
   ?stats:(string * string) list -> ?pass_trace:Passes.trace -> artifact -> t
 (** Derive [run], [area], [verilog] and [netlist] from the artifact.  The
-    structural views are built lazily, at most once per value.  Runs take
-    a simulation engine from the value's own pool (built on demand,
+    structural views are built lazily, at most once per value.  Compiled
+    runs of an FSMD, process network, combinational netlist or stack
+    machine take an engine from the value's own pool (built on demand,
     reused after), so runs from several domains never share an engine
     and never wait for each other's simulation. *)
 

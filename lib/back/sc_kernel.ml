@@ -14,10 +14,11 @@
    evaluation model — including the classic delta-cycle convergence — is
    the point: "Verilog in C++".
 
-   [of_fsmd] models a scheduled FSMD as a process network whose clocked
+   [run_fsmd] models a scheduled FSMD as a process network whose clocked
    process runs Rtlsim's one-state step on Cir_interp's machine,
-   demonstrating the synthesizable subset; [run_fsmd] drives that network
-   to completion.  The backend wrapper lives in Systemc. *)
+   demonstrating the synthesizable subset, and drives it to completion:
+   SystemC designs' event-driven engine (Design, [--sim event]).  The
+   backend wrapper lives in Systemc. *)
 
 exception Unstable of string
 
@@ -129,8 +130,14 @@ let run_until kernel ~stop ~max_cycles =
 
 (* --- modeling a scheduled FSMD as a SystemC process network --- *)
 
-let of_fsmd (fsmd : Fsmd.t) ~args : kernel * signal * signal =
-  let func = fsmd.Fsmd.func in
+(* Signals carry the FSM state and the done flag; the datapath state
+   lives in the CIR machine's plain arrays, as an RTL model would keep its
+   registers, so the outcome (globals, memories, visit counts, the
+   per-cycle trace) reads off the same machine Rtlsim clocks.  A timeout
+   carries the cycle count and current FSM state like the other
+   simulators, so chlsc can exit 3 with a partial outcome. *)
+let run_fsmd ?(max_cycles = 2_000_000) ?trace (fsmd : Fsmd.t) ~args :
+    Rtlsim.outcome =
   let kernel = create () in
   let state =
     signal kernel ~name:"state"
@@ -138,34 +145,35 @@ let of_fsmd (fsmd : Fsmd.t) ~args : kernel * signal * signal =
       ~init:fsmd.Fsmd.entry ()
   in
   let done_sig = signal kernel ~name:"done" ~width:1 () in
-  let result =
-    signal kernel ~name:"result" ~width:(max 1 func.Cir.fn_ret_width) ()
-  in
-  (* datapath state lives in the CIR machine's plain arrays, as an RTL
-     model would keep its registers *)
-  let m = Cir_interp.start func ~args in
+  let m = Cir_interp.start fsmd.Fsmd.func ~args in
+  let visited = Array.make (Fsmd.num_states fsmd) 0 in
+  let return_value = ref None in
   (* the single clocked process: one FSMD state per rising edge, on the
      settled state signal *)
   sc_clocked kernel ~name:"fsmd" (fun () ->
-      if not (Bitvec.to_bool (read done_sig)) then
-        match Rtlsim.step m fsmd (Bitvec.to_int_unsigned (read state)) with
-        | _, Rtlsim.Goto target -> write_int state target
-        | _, Rtlsim.Halt v ->
-          Option.iter (write result) v;
-          write_int done_sig 1);
-  (kernel, done_sig, result)
-
-(* Drive the FSMD's process network until [done]; a timeout carries the
-   cycle count and current FSM state like the other simulators, so chlsc
-   can exit 3 with a partial outcome instead of crashing. *)
-let run_fsmd fsmd ~args =
-  let kernel, done_sig, result = of_fsmd fsmd ~args in
-  match run_until kernel ~stop:done_sig ~max_cycles:2_000_000 with
-  | Ok cycles -> (read result, cycles)
+      if not (Bitvec.to_bool (read done_sig)) then begin
+        let s = Bitvec.to_int_unsigned (read state) in
+        visited.(s) <- visited.(s) + 1;
+        let stores, next = Rtlsim.step m fsmd s in
+        Option.iter
+          (fun tr ->
+            tr.Rtlsim.on_cycle ~cycle:kernel.cycle ~state:s
+              ~regs:m.Cir_interp.regs ~stores)
+          trace;
+        match next with
+        | Rtlsim.Goto target -> write_int state target
+        | Rtlsim.Halt v ->
+          return_value := v;
+          write_int done_sig 1
+      end);
+  match run_until kernel ~stop:done_sig ~max_cycles with
+  | Ok cycles ->
+    { Rtlsim.return_value = !return_value;
+      cycles;
+      globals = Cir_interp.globals m;
+      memories = Cir_interp.memories m;
+      states_visited = visited }
   | Error `Timeout ->
-    let state =
-      match List.find_opt (fun s -> s.sig_name = "state") kernel.signals with
-      | Some s -> read_int s
-      | None -> -1
-    in
-    raise (Rtlsim.Timeout { cycles = kernel.cycle; state })
+    raise
+      (Rtlsim.Timeout
+         { cycles = kernel.cycle; state = Bitvec.to_int_unsigned (read state) })

@@ -5,7 +5,9 @@
     as a process network: signals carry the FSM state and the done flag,
     and the one clocked process runs {!Rtlsim.step} on {!Cir_interp}'s
     machine, so the kernel adds only its signals and delta cycles to the
-    shared datapath.  The backend entry point is {!Systemc}. *)
+    shared datapath.  It is SystemC designs' event-driven engine
+    ([--sim event]); by default they run on the compiled FSMD engine
+    like every FSMD.  The backend entry point is {!Systemc}. *)
 
 exception Unstable of string
 (** Combinational processes failed to converge within the delta bound. *)
@@ -44,8 +46,11 @@ val run_until :
   kernel -> stop:signal -> max_cycles:int -> (int, [ `Timeout ]) result
 (** Clock until [stop] reads true; returns the cycle count. *)
 
-val run_fsmd : Fsmd.t -> args:Bitvec.t list -> Bitvec.t * int
-(** Model an FSMD as a clocked process network and clock it until done
-    (bound 2,000,000 cycles); returns (result, cycles).
+val run_fsmd :
+  ?max_cycles:int -> ?trace:Rtlsim.trace -> Fsmd.t -> args:Bitvec.t list ->
+  Rtlsim.outcome
+(** Model an FSMD as a clocked process network and clock it until done:
+    a drop-in for {!Rtlsim.run}, with the same outcome, trace stream and
+    budget (default 2,000,000 cycles).
     @raise Rtlsim.Timeout past the bound, with the current FSM state.
     @raise Cir_interp.Runtime_error on an arity mismatch. *)

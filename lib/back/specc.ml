@@ -54,74 +54,48 @@ let pipeline =
 let refine ?(config = Config.default) (program : Ast.program) ~entry
     ~test_vectors : Design.t * report =
   Backend.reject_if_illegal ~backend:"specc" dialect program;
-  let spec_result vector =
-    let outcome =
-      Interp.run program ~entry
-        ~args:(List.map (Bitvec.of_int ~width:64) vector)
-    in
-    Option.map Bitvec.to_int outcome.Interp.return_value
+  (* Level 1: specification = the oracle itself, asked once per vector *)
+  let spec =
+    List.map
+      (fun vector ->
+        let outcome =
+          Interp.run program ~entry
+            ~args:(List.map (Bitvec.of_int ~width:64) vector)
+        in
+        let r = Option.map Bitvec.to_int outcome.Interp.return_value in
+        { level = Specification; vector; observed = r; expected = r;
+          equivalent = true; cycles = None })
+      test_vectors
   in
-  let checks = ref [] in
-  let record level vector expected observed cycles =
-    checks :=
-      { level; vector; observed; expected;
-        equivalent = observed = expected; cycles }
-      :: !checks
+  let check level (design : Design.t) =
+    List.map
+      (fun s ->
+        let r = design.Design.run (Design.int_args s.vector) in
+        let observed = Option.map Bitvec.to_int r.Design.result in
+        { s with level; observed; equivalent = observed = s.expected;
+                 cycles = r.Design.cycles })
+      spec
   in
-  (* Level 1: specification = the oracle itself *)
-  List.iter
-    (fun v ->
-      let r = spec_result v in
-      record Specification v r r None)
-    test_vectors;
-  let concurrent = Handelc.uses_concurrency program in
   (* Level 2: architecture — scheduled design *)
   let arch_design =
-    if concurrent then
-      Handelc.compile_with_policy ~backend_name:"specc-arch" ~dialect
-        ~policy:`Scheduled ~config program ~entry
-    else
-      Fsmd_common.build ~backend_name:"specc-arch" ~dialect ~pipeline ~config
-        ~schedule_block:(fun func blk ->
-          Schedule.list_schedule func config.Config.resources blk.Cir.instrs)
-        program ~entry
+    Fsmd_common.scheduled ~backend_name:"specc-arch" ~dialect ~pipeline
+      ~config program ~entry
   in
-  List.iter
-    (fun v ->
-      let expected = spec_result v in
-      let r = arch_design.Design.run (Design.int_args v) in
-      record Architecture v expected
-        (Option.map Bitvec.to_int r.Design.result)
-        r.Design.cycles)
-    test_vectors;
+  let arch = check Architecture arch_design in
   (* Level 3: communication — cycle-true rendezvous (concurrent programs
      only; sequential designs pass through unchanged) *)
   let comm_design =
-    if concurrent then
+    if Handelc.uses_concurrency program then
       Handelc.compile_with_policy ~backend_name:"specc-comm" ~dialect
         ~policy:`One_cycle_per_assignment ~config program ~entry
     else arch_design
   in
-  List.iter
-    (fun v ->
-      let expected = spec_result v in
-      let r = comm_design.Design.run (Design.int_args v) in
-      record Communication v expected
-        (Option.map Bitvec.to_int r.Design.result)
-        r.Design.cycles)
-    test_vectors;
+  let comm = check Communication comm_design in
   (* Level 4: implementation — the communication-level design is the
-     implementation; its netlist view (when it has one) is elaborated on
-     demand, not here *)
-  List.iter
-    (fun v ->
-      let expected = spec_result v in
-      let r = comm_design.Design.run (Design.int_args v) in
-      record Implementation v expected
-        (Option.map Bitvec.to_int r.Design.result)
-        r.Design.cycles)
-    test_vectors;
-  let checks = List.rev !checks in
+     implementation, so level 3's runs are its checks; its netlist view
+     (when it has one) is elaborated on demand, not here *)
+  let impl = List.map (fun c -> { c with level = Implementation }) comm in
+  let checks = spec @ arch @ comm @ impl in
   ( Design.of_data { (Design.data comm_design) with backend = "specc" },
     { checks; all_equivalent = List.for_all (fun c -> c.equivalent) checks } )
 

@@ -119,7 +119,7 @@ let test_sequential_kernels () =
             [ Some bachc_cycles; Some tm_cycles; Some sc_cycles ]
             [ cycles ~sim:Design.Event_driven bachc;
               cycles ~sim:Design.Event_driven transmogrifier;
-              cycles systemc ];
+              cycles ~sim:Design.Event_driven systemc ];
           let r = run cash in
           Alcotest.(check (pair (option int) (option (float 0.))))
             (what ^ ": cash tokens, time units")

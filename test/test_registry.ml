@@ -70,6 +70,18 @@ let test_cyber_distinct_from_bachc () =
     ((Registry.dialect cyber).Dialect.name
     = (Registry.dialect bachc).Dialect.name)
 
+(* Cyber compiles under its own name: its designs, its pipeline and its
+   concurrency rules say cyber, not bachc. *)
+let test_cyber_compiles_as_cyber () =
+  let cyber = Registry.get "cyber" in
+  Alcotest.(check (option string)) "pipeline name" (Some "cyber")
+    (Option.map (fun p -> p.Passes.pl_name) (Registry.pipeline cyber));
+  let w = Workloads.gcd in
+  let session = Driver.create ~entry:w.Workloads.entry w.Workloads.source in
+  match Driver.compile session cyber with
+  | Ok d -> Alcotest.(check string) "design backend" "cyber" d.Design.backend
+  | Error e -> Alcotest.fail (Driver.render_error e)
+
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
   let rec go i =
@@ -114,6 +126,8 @@ let suite =
       Alcotest.test_case "name round-trip" `Quick test_name_round_trip;
       Alcotest.test_case "cyber distinct from bachc" `Quick
         test_cyber_distinct_from_bachc;
+      Alcotest.test_case "cyber compiles as cyber" `Quick
+        test_cyber_compiles_as_cyber;
       Alcotest.test_case "unknown backend lists catalog" `Quick
         test_unknown_backend_lists_catalog;
       Alcotest.test_case "capabilities" `Quick test_capabilities ] )

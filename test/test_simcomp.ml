@@ -28,6 +28,9 @@ let named_eq eq a b =
   List.length a = List.length b
   && List.for_all2 (fun (n1, v1) (n2, v2) -> n1 = n2 && eq v1 v2) a b
 
+let memory_eq x y =
+  Array.length x = Array.length y && Array.for_all2 Bitvec.equal x y
+
 let outcome_eq (a : Rtlsim.outcome) (b : Rtlsim.outcome) =
   (match (a.Rtlsim.return_value, b.Rtlsim.return_value) with
   | Some x, Some y -> Bitvec.equal x y
@@ -35,10 +38,7 @@ let outcome_eq (a : Rtlsim.outcome) (b : Rtlsim.outcome) =
   | _ -> false)
   && a.Rtlsim.cycles = b.Rtlsim.cycles
   && named_eq Bitvec.equal a.Rtlsim.globals b.Rtlsim.globals
-  && named_eq
-       (fun x y ->
-         Array.length x = Array.length y && Array.for_all2 Bitvec.equal x y)
-       a.Rtlsim.memories b.Rtlsim.memories
+  && named_eq memory_eq a.Rtlsim.memories b.Rtlsim.memories
   && a.Rtlsim.states_visited = b.Rtlsim.states_visited
 
 (* the VCD stream an FSMD run produces under the shared trace hook *)
@@ -175,6 +175,61 @@ let test_netlist_engine_reset () =
         (named_eq Bitvec.equal out1 out2))
     w.Workloads.arg_sets
 
+(* --- SystemC: a process network runs like every FSMD --- *)
+
+(* On bsort, whose global array is a memory, a SystemC design answers
+   exactly like Bach C's on both engines: result, globals, memories,
+   cycles, state visits and waveform, with [sim.engine] naming the engine
+   that ran.  Its event engine is the kernel, so under [Event_driven] the
+   kernel answers like Rtlsim. *)
+let test_systemc_answers_like_bachc () =
+  let w = Workloads.bsort in
+  let session = Driver.create ~entry:w.Workloads.entry w.Workloads.source in
+  let design backend =
+    match Driver.compile session (Registry.get backend) with
+    | Ok d -> d
+    | Error e -> Alcotest.fail (Driver.render_error e)
+  in
+  let systemc = design "systemc" and bachc = design "bachc" in
+  (match systemc.Design.artifact with
+  | Design.Process_network _ -> ()
+  | _ -> Alcotest.fail "systemc: not a process network");
+  let run sim (d : Design.t) args =
+    let v = Vcd.create () in
+    let r = d.Design.run ~vcd:v ~sim args in
+    (r, Vcd.contents v)
+  in
+  let metric (r : Design.run_result) name = Metrics.find r.Design.metrics name in
+  List.iter
+    (fun int_args ->
+      let args = args_of int_args in
+      List.iter
+        (fun sim ->
+          let what =
+            Printf.sprintf "bsort(%d) on %s" (List.hd int_args)
+              (Design.engine_name sim)
+          in
+          let s, s_vcd = run sim systemc args
+          and b, b_vcd = run sim bachc args in
+          Alcotest.(check (pair (option int) (option int)))
+            (what ^ ": result, cycles")
+            (Option.map Bitvec.to_int b.Design.result, b.Design.cycles)
+            (Option.map Bitvec.to_int s.Design.result, s.Design.cycles);
+          Alcotest.(check bool) (what ^ ": globals") true
+            (named_eq Bitvec.equal s.Design.globals b.Design.globals);
+          Alcotest.(check bool) (what ^ ": memories") true
+            (s.Design.memories <> []
+            && named_eq memory_eq s.Design.memories b.Design.memories);
+          Alcotest.(check bool) (what ^ ": states visited") true
+            (metric s "sim.states_visited" <> None
+            && metric s "sim.states_visited" = metric b "sim.states_visited");
+          Alcotest.(check bool) (what ^ ": engine") true
+            (metric s "sim.engine"
+            = Some (Metrics.String (Design.engine_name sim)));
+          Alcotest.(check string) (what ^ ": waveform") b_vcd s_vcd)
+        [ Design.Compiled; Design.Event_driven ])
+    w.Workloads.arg_sets
+
 (* --- random programs: property versions of the same checks --- *)
 
 let gen_inputs =
@@ -254,5 +309,7 @@ let suite =
       Alcotest.test_case "FSMD engine reuse" `Quick test_fsmd_engine_reuse;
       Alcotest.test_case "netlist engine reset" `Quick
         test_netlist_engine_reset;
+      Alcotest.test_case "systemc answers like bachc" `Quick
+        test_systemc_answers_like_bachc;
       QCheck_alcotest.to_alcotest prop_fsmd_compiled_equals_interpreter;
       QCheck_alcotest.to_alcotest prop_netlist_engines_agree ] )
