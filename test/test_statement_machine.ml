@@ -77,6 +77,18 @@ let handelc_kernels =
 (* the kernels the Handel-C dialect rejects (pointers, recursion) *)
 let handelc_rejects = [ "pointer_sum"; "recursion"; "dynamic_list"; "fir_ptr" ]
 
+(* (kernel, args, result, oracle steps) for every vector of the
+   rejects: the oracle's pointer, call and heap paths *)
+let reject_oracle =
+  [ ("pointer_sum", [ 5 ], 335, 93);
+    ("pointer_sum", [ -2 ], 265, 93);
+    ("recursion", [ 6 ], 2108, 65);
+    ("recursion", [ 10 ], 5555, 377);
+    ("dynamic_list", [ 5 ], 30, 66);
+    ("dynamic_list", [ 9 ], 204, 110);
+    ("fir_ptr", [ 1; 2 ], -68, 78);
+    ("fir_ptr", [ 5; -3 ], 76, 78) ]
+
 (* (backend, kernel, args, result, cycles) on the concurrent kernels:
    Bach C, HardwareC and SystemC run them under [`Scheduled]; the specc
    design is the one-cycle-per-assignment communication level *)
@@ -209,6 +221,28 @@ let test_handelc_kernels () =
         (List.mem w.Workloads.name handelc_rejects))
     Workloads.all
 
+let test_reject_oracle () =
+  List.iter
+    (fun (name, args, result, steps) ->
+      let w = kernel name in
+      let o =
+        Interp.run (Workloads.parse w) ~entry:w.Workloads.entry
+          ~args:(Design.int_args args)
+      in
+      Alcotest.(check (pair (option int) int))
+        (row "oracle" name args ^ ": result, steps")
+        (Some result, steps)
+        (Option.map Bitvec.to_int o.Interp.return_value, o.Interp.steps))
+    reject_oracle;
+  (* every vector of every reject is pinned *)
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ " vectors pinned")
+        (List.length (kernel name).Workloads.arg_sets)
+        (List.length
+           (List.filter (fun (n, _, _, _) -> n = name) reject_oracle)))
+    handelc_rejects
+
 let test_concurrent_kernels () =
   List.iter
     (fun (backend, name, args, result, cycles) ->
@@ -252,6 +286,8 @@ let test_programs () =
 let suite =
   ( "statement-machine",
     [ Alcotest.test_case "handelc kernels pinned" `Quick test_handelc_kernels;
+      Alcotest.test_case "oracle on the handelc rejects pinned" `Quick
+        test_reject_oracle;
       Alcotest.test_case "concurrent kernels pinned" `Quick
         test_concurrent_kernels;
       Alcotest.test_case "packing and channel programs pinned" `Quick
