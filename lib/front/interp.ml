@@ -51,6 +51,8 @@ type store = {
    never invalidates heap storage. *)
 let heap_base = 1 lsl 16
 
+(* Bitvec.zero serves one shared value per width, so neither this fill
+   nor the one in [start] makes OCaml 5 force a minor collection. *)
 let grow store needed =
   if needed > Array.length store.mem then begin
     let bigger =

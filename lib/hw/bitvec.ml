@@ -39,7 +39,15 @@ let of_int ~width n = make ~width (Int64.of_int n)
 let of_int64 ~width n = make ~width n
 let of_bool b = make ~width:1 (if b then 1L else 0L)
 
-let zero width = make ~width 0L
+(* One zero per width, built once.  A value that has outlived a minor
+   collection lives in the major heap, so an array over 256 words made
+   from one of these is filled in place: filled from a fresh value,
+   OCaml 5 first runs a minor collection, which stops every domain. *)
+let zeros = Array.init max_width (fun i -> make ~width:(i + 1) 0L)
+
+let zero width =
+  if width >= 1 && width <= max_width then zeros.(width - 1)
+  else make ~width 0L
 let one width = make ~width 1L
 let ones width = make ~width (-1L)
 let is_zero t = Int64.equal t.bits 0L

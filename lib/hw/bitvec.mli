@@ -31,6 +31,10 @@ val of_bool : bool -> t
 (** 1-bit 0 or 1. *)
 
 val zero : int -> t
+(** One shared value per width, so a large array filled with it is not
+    filled from a freshly allocated value (which makes OCaml 5 force a
+    minor collection first). *)
+
 val one : int -> t
 
 val ones : int -> t
