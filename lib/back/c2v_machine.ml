@@ -9,7 +9,11 @@
 
    The invariant maintained throughout is that every stored word is
    already masked to its C type's width, so each [Bin (op, w)]
-   reinterprets its operands at width [w] and pushes a masked result. *)
+   reinterprets its operands at width [w] and pushes a masked result.
+
+   The RAM is [memory_words] long, but only the part a run has touched
+   is allocated: it grows as stores reach further, and a word never
+   stored reads as zero. *)
 
 exception Runtime_error of string
 exception Timeout
@@ -18,7 +22,9 @@ let error fmt = Printf.ksprintf (fun m -> raise (Runtime_error m)) fmt
 
 type state = {
   compiled : C2verilog.compiled;
-  mem : Bitvec.t array; (* 64-bit words, each masked to its value width *)
+  mutable mem : Bitvec.t array;
+      (* the touched prefix of the RAM: 64-bit words, each masked to its
+         value width *)
   mutable pc : int;
   mutable sp : int; (* next free slot *)
   mutable fp : int;
@@ -29,16 +35,32 @@ type state = {
 
 let word_width = 64
 
+let read st addr =
+  if addr < Array.length st.mem then st.mem.(addr) else Bitvec.zero word_width
+
+let write st addr v =
+  let size = Array.length st.mem in
+  if addr >= size then begin
+    let bigger =
+      Array.make
+        (min st.compiled.C2verilog.memory_words (max (addr + 1) (2 * size)))
+        (Bitvec.zero word_width)
+    in
+    Array.blit st.mem 0 bigger 0 size;
+    st.mem <- bigger
+  end;
+  st.mem.(addr) <- v
+
 let push st v =
   if st.sp >= st.compiled.C2verilog.heap_base then error "stack overflow";
   if st.sp < 0 then error "stack underflow";
-  st.mem.(st.sp) <- Bitvec.zero_extend ~width:word_width v;
+  write st st.sp (Bitvec.zero_extend ~width:word_width v);
   st.sp <- st.sp + 1
 
 let pop st =
   if st.sp <= 0 then error "stack underflow";
   st.sp <- st.sp - 1;
-  st.mem.(st.sp)
+  read st st.sp
 
 let at_width w v = Bitvec.resize ~signed:false ~width:w v
 
@@ -61,16 +83,16 @@ let step st =
     st.pc <- next
   | C2verilog.Load ->
     let addr = Bitvec.to_int_unsigned (pop st) in
-    if addr < 0 || addr >= Array.length st.mem then
+    if addr < 0 || addr >= st.compiled.C2verilog.memory_words then
       error "load out of memory (%d)" addr;
-    push st st.mem.(addr);
+    push st (read st addr);
     st.pc <- next
   | C2verilog.Store ->
     let v = pop st in
     let addr = Bitvec.to_int_unsigned (pop st) in
-    if addr < 0 || addr >= Array.length st.mem then
+    if addr < 0 || addr >= st.compiled.C2verilog.memory_words then
       error "store out of memory (%d)" addr;
-    st.mem.(addr) <- v;
+    write st addr v;
     st.pc <- next
   | C2verilog.Bin (op, w) ->
     let b = at_width w (pop st) in
@@ -107,25 +129,26 @@ let step st =
       error "stack overflow";
     (* locals read as zero *)
     for i = st.sp to st.sp + locals - 1 do
-      st.mem.(i) <- Bitvec.zero word_width
+      write st i (Bitvec.zero word_width)
     done;
     st.sp <- st.sp + locals;
     st.pc <- next
   | C2verilog.Ret { args; has_value } ->
     let value = if has_value then Some (pop st) else None in
     (* a frame the program overwrote can name any frame pointer *)
-    if st.fp < 2 || st.fp > Array.length st.mem then
+    if st.fp < 2 || st.fp > st.compiled.C2verilog.memory_words then
       error "frame pointer out of memory (%d)" st.fp;
     st.sp <- st.fp;
-    let saved_fp = Bitvec.to_int_unsigned st.mem.(st.sp - 1) in
-    let ret_pc = Bitvec.to_int_unsigned st.mem.(st.sp - 2) in
+    let saved_fp = Bitvec.to_int_unsigned (read st (st.sp - 1)) in
+    let ret_pc = Bitvec.to_int_unsigned (read st (st.sp - 2)) in
     st.sp <- st.sp - 2 - args;
     st.fp <- saved_fp;
     (match value with Some v -> push st v | None -> ());
     st.pc <- ret_pc
   | C2verilog.Alloc ->
     let words = max 1 (Bitvec.to_int (at_width 32 (pop st))) in
-    if st.hp + words >= Array.length st.mem then error "heap exhausted";
+    if st.hp + words >= st.compiled.C2verilog.memory_words then
+      error "heap exhausted";
     push st (Bitvec.of_int ~width:32 st.hp);
     st.hp <- st.hp + words;
     st.pc <- next
@@ -146,7 +169,7 @@ let observe (compiled : C2verilog.compiled) ~word =
       | Ctypes.Array (elt, n) ->
         let w = max 1 (Ctypes.width elt) in
         ( scalars,
-          (name, Array.init n (fun i -> word (b.C2verilog.offset + i) w))
+          (name, Bitvec.init_array n (fun i -> word (b.C2verilog.offset + i) w))
           :: arrays )
       | Ctypes.Void | Ctypes.Integer _ | Ctypes.Pointer _ | Ctypes.Function _
         ->
@@ -160,7 +183,11 @@ let run ?(max_cycles = max_cycles) (compiled : C2verilog.compiled)
     ~(ret_width : int) ~args : outcome =
   let st =
     { compiled;
-      mem = Array.make compiled.C2verilog.memory_words (Bitvec.zero word_width);
+      mem =
+        Array.make
+          (min compiled.C2verilog.memory_words
+             (compiled.C2verilog.stack_base + 1024))
+          (Bitvec.zero word_width);
       pc = compiled.C2verilog.entry_pc;
       sp = compiled.C2verilog.stack_base;
       fp = compiled.C2verilog.stack_base;
@@ -168,7 +195,7 @@ let run ?(max_cycles = max_cycles) (compiled : C2verilog.compiled)
       cycles = 0;
       executed = 0 }
   in
-  List.iter (fun (addr, v) -> st.mem.(addr) <- v) compiled.C2verilog.initial_memory;
+  List.iter (fun (addr, v) -> write st addr v) compiled.C2verilog.initial_memory;
   if List.length args <> compiled.C2verilog.entry_args then
     error "expected %d arguments" compiled.C2verilog.entry_args;
   (* boot protocol: args, then a return pc beyond the code *)
@@ -186,7 +213,7 @@ let run ?(max_cycles = max_cycles) (compiled : C2verilog.compiled)
   in
   let globals, memories =
     observe compiled ~word:(fun addr w ->
-        Bitvec.resize ~signed:false ~width:w st.mem.(addr))
+        Bitvec.resize ~signed:false ~width:w (read st addr))
   in
   { return_value;
     cycles = st.cycles;

@@ -284,7 +284,7 @@ let observe (program : Ast.program) (o : outcome) =
         match g.Ast.g_ty with
         | Ctypes.Array (_, n) ->
           ( scalars,
-            (g.Ast.g_name, Array.init n (fun i -> mem.(addr + i))) :: arrays )
+            (g.Ast.g_name, Array.sub mem addr n) :: arrays )
         | Ctypes.Void | Ctypes.Integer _ | Ctypes.Pointer _
         | Ctypes.Function _ -> ((g.Ast.g_name, mem.(addr)) :: scalars, arrays)))
     program.Ast.globals ([], [])

@@ -789,7 +789,7 @@ let read_global outcome name =
 let read_global_array outcome name =
   match Hashtbl.find_opt outcome.final_store.globals name with
   | Some (addr, Ctypes.Array (_, n)) ->
-    Array.init n (fun i -> outcome.final_store.mem.(addr + i))
+    Array.sub outcome.final_store.mem addr n
   | Some _ -> error "%s is not an array" name
   | None -> error "no global %s" name
 

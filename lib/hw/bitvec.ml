@@ -48,6 +48,13 @@ let zeros = Array.init max_width (fun i -> make ~width:(i + 1) 0L)
 let zero width =
   if width >= 1 && width <= max_width then zeros.(width - 1)
   else make ~width 0L
+
+let init_array n f =
+  let a = Array.make n zeros.(0) in
+  for i = 0 to n - 1 do
+    a.(i) <- f i
+  done;
+  a
 let one width = make ~width 1L
 let ones width = make ~width (-1L)
 let is_zero t = Int64.equal t.bits 0L

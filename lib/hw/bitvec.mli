@@ -35,6 +35,10 @@ val zero : int -> t
     filled from a freshly allocated value (which makes OCaml 5 force a
     minor collection first). *)
 
+val init_array : int -> (int -> t) -> t array
+(** [Array.init] for vectors, without that forced collection: the array
+    is made from a shared zero, then filled. *)
+
 val one : int -> t
 
 val ones : int -> t

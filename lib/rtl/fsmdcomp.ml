@@ -381,7 +381,7 @@ let execute_compiled ~max_cycles ~trace (c : comp) ~args : Rtlsim.outcome =
         (Array.mapi
            (fun i (rg : Cir.region) ->
              ( rg.Cir.rg_name,
-               Array.init
+               Bitvec.init_array
                  (Array.length c.mem_bits.(i))
                  (fun j ->
                    Bitvec.make ~width:c.mem_w.(i).(j)

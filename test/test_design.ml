@@ -207,6 +207,69 @@ let test_engine_reuse () =
         [ "sim.engine"; "sim.nodes_evaluated"; "sim.events" ])
     (reused (compile "cones" Workloads.fir))
 
+(* No run forces a minor collection.  OCaml 5 forces one, and stops
+   every domain for it, when an array over 256 words is filled from a
+   value still in the minor heap.  So 50 runs may take only the minor
+   collections their own allocation explains: one per minor heap of
+   words allocated, one more for the heap they started in, and one per
+   major cycle they complete (a cycle ends by emptying every minor
+   heap). *)
+let big_memory_source =
+  "int a[1000]; int f(int n) { a[0] = n; a[n] = a[0] + 1; return a[n]; }"
+
+let test_no_forced_collections () =
+  let forced = ref [] in
+  let runs label run =
+    run ();
+    let words = Gc.minor_words () and before = Gc.quick_stat () in
+    for _ = 1 to 50 do
+      run ()
+    done;
+    let words = Gc.minor_words () -. words and after = Gc.quick_stat () in
+    let taken = after.Gc.minor_collections - before.Gc.minor_collections in
+    let explained =
+      int_of_float
+        (Float.ceil (words /. float_of_int (Gc.get ()).Gc.minor_heap_size))
+      + 1
+      + (after.Gc.major_collections - before.Gc.major_collections)
+    in
+    if taken > explained then
+      forced :=
+        Printf.sprintf "%s: %d minor collections, %.0f words explain %d" label
+          taken words explained
+        :: !forced
+  in
+  List.iter
+    (fun (name, source, entry, args, rejects) ->
+      let args = Design.int_args args in
+      let session = Driver.create ~entry source in
+      let program =
+        match Driver.program session with
+        | Ok p -> p
+        | Error e -> Alcotest.fail (Driver.render_error e)
+      in
+      runs (name ^ " oracle") (fun () -> ignore (Interp.run program ~entry ~args));
+      List.iter
+        (fun b ->
+          let backend = Registry.name b in
+          match Driver.compile session b with
+          | Error e ->
+            if not (List.mem backend rejects) then
+              Alcotest.failf "%s %s: %s" name backend (Driver.render_error e)
+          | Ok d ->
+            List.iter
+              (fun sim ->
+                runs
+                  (Printf.sprintf "%s %s %s" name backend
+                     (Design.engine_name sim))
+                  (fun () -> ignore (d.Design.run ~sim args)))
+              [ Design.Compiled; Design.Event_driven ])
+        (Registry.compiling ()))
+    [ ("gcd", Workloads.gcd.Workloads.source, "gcd", [ 1071; 462 ], [ "cones" ]);
+      ("a[1000]", big_memory_source, "f", [ 7 ], []) ];
+  Alcotest.(check (list string)) "runs that force a collection" []
+    (List.rev !forced)
+
 let suite =
   ( "design",
     [ Alcotest.test_case "data round trip, every backend x kernel" `Quick
@@ -215,4 +278,6 @@ let suite =
       Alcotest.test_case "shared engine, two domains" `Quick
         test_shared_engine_two_domains;
       Alcotest.test_case "reused engines answer as fresh ones" `Quick
-        test_engine_reuse ] )
+        test_engine_reuse;
+      Alcotest.test_case "no run forces a minor collection" `Quick
+        test_no_forced_collections ] )
