@@ -145,6 +145,22 @@ let pool create =
     Mutex.protect lock (fun () -> free := engine :: !free);
     r
 
+(* A value built on first use, at most once, by whichever domain asks
+   first; later asks read it without taking the lock. *)
+let once build =
+  let lock = Mutex.create () and value = Atomic.make None in
+  fun () ->
+    match Atomic.get value with
+    | Some v -> v
+    | None ->
+      Mutex.protect lock (fun () ->
+          match Atomic.get value with
+          | Some v -> v
+          | None ->
+            let v = build () in
+            Atomic.set value (Some v);
+            v)
+
 let engine_metric metrics ran_compiled =
   Metrics.set_string metrics "sim.engine"
     (if ran_compiled then "compiled" else "event")
@@ -272,8 +288,11 @@ let simulator_of_artifact = function
   | Dataflow { circuit; handshake } -> dataflow_run circuit.Dfg.ssa ~handshake
   | Stack_machine { compiled; ret_width } -> stack_run compiled ~ret_width
   | Statement_machine { program; entry; policy; _ } ->
+    (* resolved on the design's first run, once, whichever domain runs
+       it first *)
+    let resolved = once (fun () -> Interp.resolve program) in
     fun ?vcd:_ ?sim:_ args ->
-      let o = Handel_machine.run ~policy program ~entry ~args in
+      let o = Handel_machine.run ~policy (resolved ()) ~entry ~args in
       let globals, memories = Handel_machine.observe program o in
       let metrics = Metrics.create () in
       Metrics.set_int metrics "sim.cycles" o.Handel_machine.cycles;

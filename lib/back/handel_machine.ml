@@ -8,9 +8,10 @@
    statements to be fused" to meet timing.
 
    Realization: C's semantics plus that one timing rule.  The threads,
-   scopes, joins and rendezvous are the reference interpreter's own
-   thread machine (Interp); this module is the clock that drives it in
-   lock-step and charges each item by what it did:
+   frames, joins and rendezvous are the reference interpreter's own
+   thread machine (Interp), run on the program Interp resolved once per
+   design; this module is the clock that drives it in lock-step and
+   charges each item by what it did:
 
      - `x = e;` and `delay;` consume exactly one cycle (Handel-C policy);
      - control flow (tests, fork/join, blocks) is free — a thread that
@@ -22,6 +23,8 @@
        clock instead packs independent assignments into the same cycle,
        bounded by an ops-per-cycle allocation and one access per memory
        region per cycle — the compiler, not a rule, decides the cycles.
+       Each assignment's read, write and region sets come with it, built
+       by the resolve pass, so a turn compares interned names only.
 
    The backend wrapper (dialect check, pass pipeline, stats) lives in
    Handelc; Design runs this machine for every statement-machine design. *)
@@ -40,70 +43,35 @@ let ops_per_cycle = 8
 let guard = 100_000
 
 (* What the Scheduled policy has packed into the current thread's
-   cycle.  Only that thread's turn reads it, so one record serves every
-   thread and is reset at each turn. *)
+   cycle, by interned variable name.  Only that thread's turn reads it,
+   so one record serves every thread and is reset at each turn. *)
 type turn = {
   mutable ops : int;
-  mutable written : string list;
-  mutable region_reads : string list;
-  mutable region_writes : string list;
+  mutable written : int list;
+  mutable region_reads : int list;
+  mutable region_writes : int list;
 }
 
-(* Variables read by a pure expression (for same-cycle conflict checks). *)
-let rec vars_read acc (e : Ast.expr) =
-  match e.Ast.e with
-  | Ast.Var name -> name :: acc
-  | Ast.Const _ | Ast.Chan_recv _ -> acc
-  | Ast.Unop (_, a) | Ast.Cast (_, a) | Ast.Deref a | Ast.Addr_of a ->
-    vars_read acc a
-  | Ast.Binop (_, a, b) | Ast.Index (a, b) ->
-    vars_read (vars_read acc a) b
-  | Ast.Assign (a, b) -> vars_read (vars_read acc a) b
-  | Ast.Cond (a, b, c) -> vars_read (vars_read (vars_read acc a) b) c
-  | Ast.Call (_, args) -> List.fold_left vars_read acc args
+let mem (v : int) l = List.exists (fun w -> w = v) l
 
-let rec regions_touched acc (e : Ast.expr) =
-  match e.Ast.e with
-  | Ast.Index ({ e = Ast.Var name; _ }, idx) ->
-    regions_touched (name :: acc) idx
-  | Ast.Const _ | Ast.Var _ | Ast.Chan_recv _ -> acc
-  | Ast.Unop (_, a) | Ast.Cast (_, a) | Ast.Deref a | Ast.Addr_of a ->
-    regions_touched acc a
-  | Ast.Binop (_, a, b) | Ast.Index (a, b) | Ast.Assign (a, b) ->
-    regions_touched (regions_touched acc a) b
-  | Ast.Cond (a, b, c) ->
-    regions_touched (regions_touched (regions_touched acc a) b) c
-  | Ast.Call (_, args) -> List.fold_left regions_touched acc args
-
-(* Does executing `lhs = rhs` conflict with work already packed into this
-   turn? *)
-let conflicts turn lhs rhs =
-  let reads = vars_read (vars_read [] rhs) lhs in
-  let lhs_var =
-    match lhs.Ast.e with Ast.Var name -> Some name | _ -> None
-  in
+(* Does an assignment with this footprint conflict with work already
+   packed into this turn? *)
+let conflicts turn (f : Interp.footprint) =
   turn.ops > 0
-  && (List.exists (fun v -> List.mem v turn.written) reads
-     || (match lhs_var with
-        | Some v -> List.mem v turn.written
-        | None -> false)
-     || List.exists
-          (fun r -> List.mem r turn.region_reads)
-          (regions_touched [] rhs)
-     ||
-     match lhs.Ast.e with
-     | Ast.Index ({ e = Ast.Var region; _ }, _) ->
-       List.mem region turn.region_writes
-     | _ -> false)
+  && (Array.exists (fun v -> mem v turn.written) f.Interp.reads
+     || (f.Interp.target >= 0 && mem f.Interp.target turn.written)
+     || Array.exists (fun r -> mem r turn.region_reads) f.Interp.rhs_regions
+     || (f.Interp.target_region >= 0
+        && mem f.Interp.target_region turn.region_writes))
 
-let note_assignment turn lhs rhs =
+let note_assignment turn (f : Interp.footprint) =
   turn.ops <- turn.ops + 1;
-  (match lhs.Ast.e with
-  | Ast.Var name -> turn.written <- name :: turn.written
-  | Ast.Index ({ e = Ast.Var region; _ }, _) ->
-    turn.region_writes <- region :: turn.region_writes
-  | _ -> ());
-  turn.region_reads <- regions_touched turn.region_reads rhs
+  if f.Interp.target >= 0 then turn.written <- f.Interp.target :: turn.written
+  else if f.Interp.target_region >= 0 then
+    turn.region_writes <- f.Interp.target_region :: turn.region_writes;
+  turn.region_reads <-
+    Array.fold_left (fun acc r -> r :: acc) turn.region_reads
+      f.Interp.rhs_regions
 
 (* Under Scheduled, an assignment that cannot pack into this turn ends
    it; the thread runs it next cycle. *)
@@ -112,7 +80,7 @@ let defers policy turn thread =
   | `One_cycle_per_assignment -> false
   | `Scheduled -> (
     match Interp.pending_assignment thread with
-    | Some (lhs, rhs) -> conflicts turn lhs rhs || turn.ops >= ops_per_cycle
+    | Some f -> conflicts turn f || turn.ops >= ops_per_cycle
     | None -> false)
 
 (* The cycles an item costs: Handel-C charges one per assignment, for-step,
@@ -124,8 +92,8 @@ let cost policy turn (work : Interp.work) =
   | _, (Interp.Communicated | Interp.Delayed) -> 1
   | `One_cycle_per_assignment,
     (Interp.Assigned _ | Interp.Stepped | Interp.Initialised _) -> 1
-  | `Scheduled, Interp.Assigned (lhs, rhs) ->
-    note_assignment turn lhs rhs;
+  | `Scheduled, Interp.Assigned f ->
+    note_assignment turn f;
     0
   | `Scheduled, Interp.Initialised name ->
     turn.ops <- turn.ops + 1;
@@ -142,7 +110,7 @@ type outcome = {
 (** Run the entry on the interpreter's thread machine, one global clock:
     each cycle, every runnable thread runs zero-cost items until one
     costs the cycle or the thread blocks. *)
-let run ~policy (program : Ast.program) ~entry ~args : outcome =
+let run ~policy (program : Interp.resolved) ~entry ~args : outcome =
   let machine = Interp.start ~fuel:Interp.step_budget program ~entry ~args in
   let turn = { ops = 0; written = []; region_reads = []; region_writes = [] } in
   let cycles = ref 0 in

@@ -50,9 +50,9 @@ type outcome = {
 }
 
 val run :
-  policy:policy -> Ast.program -> entry:string -> args:Bitvec.t list ->
+  policy:policy -> Interp.resolved -> entry:string -> args:Bitvec.t list ->
   outcome
-(** Run the entry to completion.
+(** Run the entry of a resolved program to completion.
     @raise Deadlock / Timeout / Combinational_loop as named,
     @raise Interp.Timeout when the step budget runs out (a callee that
     never returns),

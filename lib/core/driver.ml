@@ -24,6 +24,9 @@ type session = {
   digest : string;
   metrics : Metrics.t;
   mutable frontend : (Ast.program, error) result option;
+  (* the program as the oracle runs it, resolved on the first oracle
+     miss: compiles and memo hits never need it *)
+  mutable resolved : Interp.resolved option;
   (* argument vector -> the oracle's answer; the source and entry are
      the session's own *)
   oracle : (int list, (int, error) result) Hashtbl.t;
@@ -31,7 +34,7 @@ type session = {
 
 let create ?(entry = "main") source =
   { source; entry; digest = Digest.to_hex (Digest.string source);
-    metrics = Metrics.create (); frontend = None;
+    metrics = Metrics.create (); frontend = None; resolved = None;
     oracle = Hashtbl.create 8 }
 
 let entry t = t.entry
@@ -373,9 +376,18 @@ let compile_all ?ctx ?config ?backends t =
    dropped whole when full, as serve drops its session table. *)
 let oracle_memo_cap = 64
 
-let interpret prog ~entry args =
+let interpret t prog args =
   match
-    Interp.run prog ~entry ~args:(List.map (Bitvec.of_int ~width:64) args)
+    let resolved =
+      match t.resolved with
+      | Some r -> r
+      | None ->
+        let r = Interp.resolve prog in
+        t.resolved <- Some r;
+        r
+    in
+    Interp.run_resolved resolved ~entry:t.entry
+      ~args:(List.map (Bitvec.of_int ~width:64) args)
   with
   | { Interp.return_value = Some v; _ } -> Ok (Bitvec.to_int v)
   | { Interp.return_value = None; _ } -> Error (Oracle_error Void_entry)
@@ -401,7 +413,7 @@ let reference ?(ctx = Span.null) t ~args =
         | None ->
           Metrics.incr t.metrics "driver.oracle.runs";
           Span.add_attr sctx "memo" (Metrics.Bool false);
-          let r = interpret prog ~entry:t.entry args in
+          let r = interpret t prog args in
           if Hashtbl.length t.oracle >= oracle_memo_cap then
             Hashtbl.reset t.oracle;
           Hashtbl.add t.oracle args r;

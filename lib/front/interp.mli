@@ -11,8 +11,12 @@
     The whole thread machine is shared with the Handel-C clock
     ({!Handel_machine}): {!run} drives it with an untimed round robin,
     the clock drives the same threads in lockstep cycles and charges
-    each item by the {!work} it reports.  A block's stack words are
-    reclaimed when it closes, unless par branches are still running. *)
+    each item by the {!work} it reports.  Both run a {!resolved}
+    program: names are looked up once per program, never per step.
+    A block's stack words are free again when it closes; each par
+    branch has a region of its own, so this holds in par branches too.
+    The store is sized from the program and grows from a shared zero
+    word, so no run makes OCaml 5 force a minor collection. *)
 
 exception Runtime_error of string
 
@@ -28,10 +32,11 @@ exception Timeout
 (** {1 The word-addressed store} *)
 
 type store = {
-  mutable mem : Bitvec.t array;
+  mutable mem : Bitvec.t array;  (** globals, then the stack: [0, sp) *)
   mutable sp : int;  (** next free stack word *)
   globals : (string, int * Ctypes.t) Hashtbl.t;
-  mutable heap_next : int;  (** malloc bump pointer, above the stack *)
+  mutable heap : Bitvec.t array;  (** the words [heap_base, heap_next) *)
+  mutable heap_next : int;  (** malloc bump pointer *)
 }
 
 val heap_base : int
@@ -39,24 +44,27 @@ val heap_base : int
     Disjointness means returning from a function never invalidates heap
     storage. *)
 
-(** {1 Environments} *)
+val scalar_binop :
+  Ast.binop -> signed:bool -> Ast.loc -> Bitvec.t -> Bitvec.t -> Bitvec.t
+(** Scalar binary-operator semantics on already-lowered operands, chosen
+    once per operator occurrence.  Pointer arithmetic and the
+    short-circuit operators have nodes of their own before this level.
+    @raise Internal_error (at the given location) on [Log_and]/[Log_or],
+    which must not reach the scalar evaluator. *)
 
-type scope = (string, int * Ctypes.t) Hashtbl.t
+(** {1 Resolving a program} *)
 
-type env = {
-  store : store;
-  program : Ast.program;
-  mutable scopes : scope list;
-  mutable steps : int;
-  fuel : int;
-}
+type resolved
+(** A type-checked program with its names resolved, once: every variable
+    a global address or a frame offset, every constant built, every
+    block's thread-machine items pre-built, and each assignment's
+    footprint for the Scheduled clock.  Immutable, so domains may share
+    one. *)
 
-val eval_binop : env -> Ast.binop -> Ast.expr -> Ast.expr -> Bitvec.t
-(** Scalar binary-operator semantics (pointer arithmetic included) on
-    already-lowered operands.  The short-circuit operators are rewritten
-    before this level.
-    @raise Internal_error on [Log_and]/[Log_or], which must not reach the
-    scalar evaluator. *)
+val resolve : Ast.program -> resolved
+(** Semantic errors stay runtime errors: a node that would fail (an
+    undefined variable or function, a receive inside an expression)
+    raises {!Runtime_error} only if a run evaluates it. *)
 
 (** {1 The thread machine}
 
@@ -68,11 +76,15 @@ val eval_binop : env -> Ast.binop -> Ast.expr -> Ast.expr -> Bitvec.t
     every statement of a big-step call counts one step against the
     machine's fuel, so both clocks share one step budget.
 
-    A scope closes at the end of its block, or when [break]/[continue]
-    unwinds past it.  If its thread is then the only unfinished one, the
-    stack pointer returns to where it stood when the scope opened;
-    otherwise (interleaved par branches) its words stay taken until an
-    enclosing scope closes. *)
+    Every function has a static frame: each local has a slot, and a
+    block's words begin where its enclosing block's declarations so far
+    end.  A block closes at its end, or when [break]/[continue] unwinds
+    past it, and its words are free again.  Each par branch has its own
+    region of the frame, held while the par runs, so a branch that
+    closes a block frees its words whatever the other branches do.  The
+    stack pointer follows the entry thread's declarations and block
+    ends: a pointer to a closed block's local faults.  One thread's
+    stack holds at most {!heap_base} words. *)
 
 type thread
 type machine
@@ -88,9 +100,11 @@ val step_budget : int
     always. *)
 
 val start :
-  fuel:int -> Ast.program -> entry:string -> args:Bitvec.t list -> machine
+  fuel:int -> resolved -> entry:string -> args:Bitvec.t list -> machine
 (** A fresh store holding the program's globals, the entry's frame
-    holding [args], and the entry thread.  [fuel] bounds the steps.
+    holding [args], and the entry thread.  The store starts large enough
+    for the globals and the deepest static chain of frames from the
+    entry, and grows on demand.  [fuel] bounds the steps.
     @raise Runtime_error on a missing entry or a wrong argument count. *)
 
 val threads : machine -> thread list
@@ -103,17 +117,28 @@ val runnable : thread -> bool
 val finished : machine -> bool
 (** The entry returned or ran out of items. *)
 
+(** What an assignment names, each variable interned to one int per
+    program: the Scheduled clock's same-cycle conflict test, computed
+    once by {!resolve}. *)
+type footprint = {
+  reads : int array;  (** every variable the rhs and the lhs name *)
+  target : int;  (** the variable the lhs is, or -1 *)
+  rhs_regions : int array;  (** the arrays the rhs indexes by name *)
+  target_region : int;  (** the array the lhs indexes by name, or -1 *)
+}
+
 (** What an item did: the statement kinds a timed clock charges. *)
 type work =
   | Control
       (** tests, scopes, loops, fork/join, return, break, continue, an
           expression statement that is not an assignment *)
-  | Assigned of Ast.expr * Ast.expr
+  | Assigned of footprint
       (** [lhs = rhs]: an assignment statement whose rhs is not a
           receive, or a for-step that is an assignment *)
   | Stepped  (** a for-step that is not an assignment *)
-  | Initialised of string
-      (** a declaration whose initialiser is not a receive *)
+  | Initialised of int
+      (** a declaration whose initialiser is not a receive: its
+          variable, interned as in {!footprint} *)
   | Communicated  (** a send, or any of the three receive forms *)
   | Delayed  (** [delay]: a no-op for the untimed semantics *)
 
@@ -122,8 +147,8 @@ val exec_item : machine -> thread -> work
     @raise Timeout when the fuel runs out,
     @raise Runtime_error on semantic errors. *)
 
-val pending_assignment : thread -> (Ast.expr * Ast.expr) option
-(** The [(lhs, rhs)] that the thread's next item would report as
+val pending_assignment : thread -> footprint option
+(** The footprint that the thread's next item would report as
     [Assigned], without running it. *)
 
 val outcome : machine -> outcome
@@ -143,7 +168,13 @@ val run :
     @raise Runtime_error on semantic errors (wild pointers, out-of-bounds
     accesses, undefined functions),
     @raise Deadlock when no thread can make progress,
-    @raise Timeout when [fuel] (default {!step_budget}) is exhausted. *)
+    @raise Timeout when [fuel] (default {!step_budget}) is exhausted.
+    Resolves the program on every call; see {!run_resolved}. *)
+
+val run_resolved :
+  ?fuel:int -> ?sched_seed:int -> resolved -> entry:string ->
+  args:Bitvec.t list -> outcome
+(** {!run} on a program resolved once, for callers that run it again. *)
 
 val read_global : outcome -> string -> Bitvec.t
 val read_global_array : outcome -> string -> Bitvec.t array

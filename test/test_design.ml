@@ -118,7 +118,8 @@ let compile backend (w : Workloads.t) =
 (* A revived design is shared by every worker domain, and its engines
    are mutable: two domains running it on many vectors at once must each
    see exactly the serial results — for the compiled FSMD, the netlist
-   and the C2Verilog engines alike. *)
+   and the C2Verilog engines alike, and for the statement machine, whose
+   program is resolved by whichever domain runs it first. *)
 let test_shared_engine_two_domains () =
   let vectors =
     List.concat_map
@@ -148,7 +149,8 @@ let test_shared_engine_two_domains () =
         (List.for_all2 run_eq serial mine))
     [ ("transmogrifier", Workloads.gcd, "fsmd");
       ("cones", Workloads.fir, "combinational");
-      ("c2verilog", Workloads.gcd, "stack machine") ]
+      ("c2verilog", Workloads.gcd, "stack machine");
+      ("handelc", Workloads.gcd, "statement machine") ]
 
 (* The C2Verilog program leaves something behind in every part of the
    unified memory — a global, a global array, a malloc block, a deep

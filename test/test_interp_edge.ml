@@ -223,25 +223,16 @@ let test_deep_expression_nesting () =
        ~entry:"f" ~args:[])
 
 let test_short_circuit_internal_error () =
-  (* The scalar binop evaluator must never see && / || — eval rewrites
-     them into muxes first.  If a lowering change lets one through, the
-     process used to die on [assert false]; now it raises a located
-     Internal_error the CLI renders as a file:line:col diagnostic. *)
-  let program = Typecheck.parse_and_check "int f(int a) { return a; }" in
-  let store =
-    { Interp.mem = Array.make 64 (Bitvec.of_int ~width:64 0);
-      sp = 0;
-      globals = Hashtbl.create 4;
-      heap_next = Interp.heap_base }
-  in
-  let env =
-    { Interp.store; program; scopes = []; steps = 0; fuel = 1000 }
-  in
+  (* The scalar binop evaluator must never see && / || — the resolver
+     gives them nodes of their own first.  If a lowering change lets one
+     through, the process used to die on [assert false]; now it raises a
+     located Internal_error the CLI renders as a file:line:col
+     diagnostic. *)
   let loc = { Ast.line = 42; col = 7 } in
-  let one = Ast.mk_expr ~loc (Ast.Const (1L, Ctypes.int_t)) in
+  let one = Bitvec.of_int ~width:32 1 in
   List.iter
     (fun op ->
-      match Interp.eval_binop env op one one with
+      match Interp.scalar_binop op ~signed:true loc one one with
       | _ -> Alcotest.fail "short-circuit op reached the scalar evaluator"
       | exception Interp.Internal_error (msg, eloc) ->
         Alcotest.(check bool) "diagnostic names the operator" true

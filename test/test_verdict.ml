@@ -23,23 +23,26 @@ let callee_spin_source =
    int f(int a) { return g(a); }"
 
 (* A machine's own runtime errors: recursion past C2Verilog's 32K-word
-   stack; two par branches whose interleaved declarations each take a
-   fresh store word on every iteration; a pointer argument that is a
-   negative address. *)
+   stack; a local array larger than one thread's 65,536-word stack; a
+   pointer argument that is a negative address. *)
 let deep_source =
   "int sum(int n) { if (n <= 0) { return 0; } return n + sum(n - 1); }"
 
-let par_leak_source =
-  "int g; int f(int n) { int r = 0; par { { int i = 0; while (i < n) { \
-   int t = i; r = r + t; i = i + 1; } } { int j = 0; while (j < n) { \
-   int u = j; g = g + u; j = j + 1; } } } return r + g; }"
+let big_array_source = "int f(int n) { int a[70000]; a[0] = n; return a[0]; }"
 
 let deref_source = "int f(int *p) { return *p; }"
 
 let faults =
   [ ("c2verilog", deep_source, "sum", [ 100_000 ], "stack overflow");
-    ("handelc", par_leak_source, "f", [ 40_000 ], "stack overflow");
+    ("handelc", big_array_source, "f", [ 5 ], "stack overflow");
     ("c2verilog", deref_source, "f", [ -5 ], "load out of memory (-5)") ]
+
+(* two par branches that each declare a variable on every iteration of
+   a 40,000-iteration loop *)
+let par_leak_source =
+  "int g; int f(int n) { int r = 0; par { { int i = 0; while (i < n) { \
+   int t = i; r = r + t; i = i + 1; } } { int j = 0; while (j < n) { \
+   int u = j; g = g + u; j = j + 1; } } } return r + g; }"
 
 (* one thread's loop declaration: its block's word is free again at the
    end of every iteration *)
@@ -141,6 +144,29 @@ let test_closed_blocks_free_words () =
   | Some (Error e) -> Alcotest.fail (Driver.render_error e)
   | None -> Alcotest.fail "the oracle was not asked");
   Alcotest.(check bool) "handelc agrees with the oracle" true v.Driver.agrees
+
+(* Each par branch frees its own blocks' words, whatever the other
+   branch does: the interleaved loops answer on the oracle and on the
+   Handel-C clock alike, and the oracle also stops on a real overflow. *)
+let test_par_branches_free_words () =
+  let session = Driver.create ~entry:"f" par_leak_source in
+  let v = check session (compile session "handelc") ~args:[ 40_000 ] in
+  (match v.Driver.run with
+  | Ok r ->
+    Alcotest.(check (option int)) "handelc answers" (Some 1_599_960_000)
+      (Option.map Bitvec.to_int r.Design.result)
+  | Error stop -> Alcotest.fail (Design.render_stop stop));
+  (match v.Driver.oracle with
+  | Some (Ok n) -> Alcotest.(check int) "the oracle answers" 1_599_960_000 n
+  | Some (Error e) -> Alcotest.fail (Driver.render_error e)
+  | None -> Alcotest.fail "the oracle was not asked");
+  Alcotest.(check bool) "handelc agrees with the oracle" true v.Driver.agrees;
+  match Driver.reference (Driver.create ~entry:"f" big_array_source) ~args:[ 5 ]
+  with
+  | Error (Driver.Oracle_error (Driver.Runtime_error m)) ->
+    Alcotest.(check string) "the oracle overflows" "stack overflow" m
+  | Error e -> Alcotest.fail (Driver.render_error e)
+  | Ok n -> Alcotest.failf "a[70000] answered %d" n
 
 (* The detail chlsc prints survives the one exception: FSMD state and
    CASH token counts ride along with the reason. *)
@@ -438,6 +464,8 @@ let suite =
         test_check_types_every_simulator_stop;
       Alcotest.test_case "closed blocks free their words" `Quick
         test_closed_blocks_free_words;
+      Alcotest.test_case "par branches free their words" `Quick
+        test_par_branches_free_words;
       Alcotest.test_case "stop keeps simulator progress" `Quick
         test_stop_keeps_progress;
       Alcotest.test_case "serve answers stops with a status" `Quick
