@@ -265,13 +265,18 @@ let stack_run compiled ~ret_width =
       ~memories:o.C2v_machine.memories ~cycles:o.C2v_machine.cycles ~metrics
 
 (* SSA renaming grows the register file, and the token simulator executes
-   the SSA: the timing model and the tracer both see the SSA function. *)
+   the SSA: the timing model and the tracer both see the SSA function.
+   Each instruction's latency and uses are tabled on the design's first
+   run, once. *)
 let dataflow_run ssa ~handshake =
   let func = ssa.Ssa.func in
-  let timing = Asim.default_timing_for ?handshake func in
+  let plan =
+    once (fun () ->
+        Asim.plan ~timing:(Asim.default_timing_for ?handshake func) ssa)
+  in
   fun ?vcd ?sim:_ args ->
     let tracer = Option.map (fun v -> Trace.asim_tracer v func) vcd in
-    let o = Asim.run ~timing ?on_fire:(Option.map fst tracer) ssa ~args in
+    let o = Asim.run_plan ?on_fire:(Option.map fst tracer) (plan ()) ~args in
     Option.iter (fun (_, finalize) -> finalize ()) tracer;
     let metrics = Metrics.create () in
     Metrics.set_int metrics "sim.tokens_fired" o.Asim.tokens_fired;

@@ -54,13 +54,35 @@ type outcome = {
 
 exception Timeout of { tokens_fired : int; time : float }
 
-(** Execute the dataflow circuit of [ssa] with timed tokens. *)
-let run ?timing ?(max_tokens = 10_000_000) ?on_fire (ssa : Ssa.t)
-    ~args : outcome =
+(* One instruction with its latency and the registers it reads, so a
+   firing neither recomputes the cost model nor allocates its uses. *)
+type fired = { instr : Cir.instr; latency : float; uses : Cir.reg array }
+
+type plan = { ssa : Ssa.t; handshake : float; blocks : fired array array }
+
+let plan ?timing (ssa : Ssa.t) =
   let func = ssa.Ssa.func in
   let timing =
     match timing with Some t -> t | None -> default_timing_for func
   in
+  { ssa;
+    handshake = timing.handshake;
+    blocks =
+      Array.map
+        (fun (blk : Cir.block) ->
+          Array.of_list
+            (List.map
+               (fun instr ->
+                 { instr;
+                   latency = timing.latency instr;
+                   uses = Array.of_list (Cir.uses_of instr) })
+               blk.Cir.instrs))
+        func.Cir.fn_blocks }
+
+(** Execute a planned dataflow circuit with timed tokens. *)
+let run_plan ?(max_tokens = 10_000_000) ?on_fire plan ~args : outcome =
+  let ssa = plan.ssa and handshake = plan.handshake in
+  let func = ssa.Ssa.func in
   let m = Cir_interp.start func ~args in
   let regs = m.Cir_interp.regs in
   let reg_time = Array.make func.Cir.fn_reg_count 0. in
@@ -99,7 +121,7 @@ let run ?timing ?(max_tokens = 10_000_000) ?on_fire (ssa : Ssa.t)
           match List.assoc_opt came_from phi.Ssa.p_srcs with
           | Some src ->
             (phi.Ssa.p_dst, Cir_interp.value m src,
-             Float.max control (time_of src) +. timing.handshake)
+             Float.max control (time_of src) +. handshake)
           | None -> (phi.Ssa.p_dst, Bitvec.zero phi.Ssa.p_width, control))
         ssa.Ssa.phis.(b)
     in
@@ -110,14 +132,13 @@ let run ?timing ?(max_tokens = 10_000_000) ?on_fire (ssa : Ssa.t)
         reg_time.(dst) <- t;
         observe t dst v)
       phi_updates;
-    let blk = Cir.block func b in
-    List.iter
-      (fun instr ->
+    Array.iter
+      (fun { instr; latency; uses } ->
         fire ();
         let input_time =
-          List.fold_left
+          Array.fold_left
             (fun acc r -> Float.max acc reg_time.(r))
-            control (Cir.uses_of instr)
+            control uses
         in
         (* memory tokens: a load waits for the region's last store, a
            store for its last load and store *)
@@ -131,7 +152,7 @@ let run ?timing ?(max_tokens = 10_000_000) ?on_fire (ssa : Ssa.t)
           | Cir.I_bin _ | Cir.I_un _ | Cir.I_mov _ | Cir.I_cast _
           | Cir.I_mux _ -> input_time
         in
-        let finish = start +. timing.latency instr +. timing.handshake in
+        let finish = start +. latency +. handshake in
         Cir_interp.step m instr;
         match instr with
         | Cir.I_load { dst; region; _ } ->
@@ -142,20 +163,20 @@ let run ?timing ?(max_tokens = 10_000_000) ?on_fire (ssa : Ssa.t)
           if finish > !now then now := finish
         | Cir.I_bin { dst; _ } | Cir.I_un { dst; _ } | Cir.I_mov { dst; _ }
         | Cir.I_cast { dst; _ } | Cir.I_mux { dst; _ } -> define finish dst)
-      blk.Cir.instrs;
-    match blk.Cir.term with
+      plan.blocks.(b);
+    match (Cir.block func b).Cir.term with
     | Cir.T_jump next -> run_block ~came_from:b ~control next
     | Cir.T_branch { cond; if_true; if_false } ->
       (* eta/steer: successors' control tokens wait for the predicate *)
       fire ();
-      let resolve = Float.max control (time_of cond) +. timing.handshake in
+      let resolve = Float.max control (time_of cond) +. handshake in
       if Bitvec.to_bool (Cir_interp.value m cond) then
         run_block ~came_from:b ~control:resolve if_true
       else run_block ~came_from:b ~control:resolve if_false
     | Cir.T_return v ->
       let t =
         match v with
-        | Some op -> Float.max control (time_of op) +. timing.handshake
+        | Some op -> Float.max control (time_of op) +. handshake
         | None -> control
       in
       (Option.map (Cir_interp.value m) v, t)
@@ -168,3 +189,7 @@ let run ?timing ?(max_tokens = 10_000_000) ?on_fire (ssa : Ssa.t)
     tokens_fired = !fired;
     globals = Cir_interp.globals m;
     memories = Cir_interp.memories m }
+
+(** Execute the dataflow circuit of [ssa] with timed tokens. *)
+let run ?timing ?max_tokens ?on_fire ssa ~args =
+  run_plan ?max_tokens ?on_fire (plan ?timing ssa) ~args

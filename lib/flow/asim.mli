@@ -35,6 +35,20 @@ exception Timeout of { tokens_fired : int; time : float }
     latest completion time reached, so callers can report a partial
     outcome instead of a bare failure. *)
 
+type plan
+(** A circuit with every instruction's latency and read registers
+    tabled, so a run neither recomputes the cost model nor allocates per
+    firing.  Immutable: domains may share one. *)
+
+val plan : ?timing:timing -> Ssa.t -> plan
+(** Table the circuit under [timing] (default {!default_timing_for}). *)
+
+val run_plan :
+  ?max_tokens:int ->
+  ?on_fire:(time:float -> reg:Cir.reg -> value:Bitvec.t -> unit) ->
+  plan -> args:Bitvec.t list -> outcome
+(** {!run} on a planned circuit. *)
+
 val run :
   ?timing:timing ->
   ?max_tokens:int ->
