@@ -4,8 +4,10 @@
 
    - a par-block race detector: per [Ast.Par] arm, compute the may-read /
      may-write sets of shared storage (globals, outer locals, arrays as
-     whole regions, conservatively everything for pointer operations) and
-     report write/write and read/write conflicts between sibling arms;
+     whole regions, and for pointer operations everything a pointer can
+     reach: globals, arrays, and outer locals that are arrays or have
+     their address taken) and report write/write and read/write conflicts
+     between sibling arms;
 
    - a channel lint: rendezvous endpoints used across arms are matched up,
      flagging sends with no possible receiving arm (and vice versa),
@@ -28,7 +30,10 @@ type target =
   | Scalar of string (* a local or parameter of the enclosing function *)
   | Global of string
   | Array of string (* whole-region granularity, element-insensitive *)
-  | Pointer (* any pointer-mediated access: may alias anything *)
+  | Pointer
+      (* any pointer-mediated access: may alias every global and array,
+         and an enclosing local that is an array or has its address
+         taken *)
 
 type access_kind = Read | Write
 
@@ -361,11 +366,38 @@ and walk_block ctx scopes (out : effects) ~depth body =
 
 (* --- conflict detection ------------------------------------------------ *)
 
-let may_alias a b =
-  match (a, b) with Pointer, _ | _, Pointer -> true | x, y -> x = y
+(* [addressable n]: the enclosing local or parameter [n] can be pointed
+   to, being an array or having its address taken. *)
+let may_alias ~addressable a b =
+  match (a, b) with
+  | Pointer, Scalar n | Scalar n, Pointer -> addressable n
+  | Pointer, _ | _, Pointer -> true
+  | x, y -> x = y
+
+(* The locals and parameters of [f] a pointer can reach: the arrays, and
+   every name whose address is taken anywhere in [f]. *)
+let addressable_locals (f : Ast.func) =
+  let names = Hashtbl.create 8 in
+  let add name = Hashtbl.replace names name () in
+  List.iter
+    (function Ctypes.Array _, name -> add name | _ -> ())
+    f.Ast.f_params;
+  Ast.iter_func
+    ~stmt:(fun st ->
+      match st.Ast.s with
+      | Ast.Decl (Ctypes.Array _, name, _) -> add name
+      | _ -> ())
+    ~expr:(fun e ->
+      match e.Ast.e with
+      | Ast.Addr_of a -> (
+        match (strip_casts a).Ast.e with Ast.Var name -> add name | _ -> ())
+      | _ -> ())
+    f;
+  Hashtbl.mem names
 
 (* Race diagnostics between two sibling arms, one per (target, shape). *)
-let pair_races dialect (i, ei) (j, ej) =
+let pair_races dialect ~addressable (i, ei) (j, ej) =
+  let may_alias = may_alias ~addressable in
   let seen = Hashtbl.create 8 in
   let diags = ref [] in
   let report shape target wloc oloc =
@@ -512,7 +544,8 @@ let program_chan_uses ctx =
     ctx.program.Ast.funcs;
   counts
 
-let check_par ctx dialect ~total_uses scopes (branches : Ast.block list) =
+let check_par ctx dialect ~total_uses ~addressable scopes
+    (branches : Ast.block list) =
   let arms =
     List.mapi
       (fun i b ->
@@ -525,7 +558,8 @@ let check_par ctx dialect ~total_uses scopes (branches : Ast.block list) =
     let rec pairs = function
       | [] -> []
       | a :: rest ->
-        List.concat_map (fun b -> pair_races dialect a b) rest @ pairs rest
+        List.concat_map (fun b -> pair_races dialect ~addressable a b) rest
+        @ pairs rest
     in
     pairs arms
   in
@@ -546,7 +580,7 @@ let check_par ctx dialect ~total_uses scopes (branches : Ast.block list) =
    ones inside arms), carrying the lexical scope so arm effects can tell
    arm-private storage from the enclosing function's shared storage. *)
 let check_func ctx dialect ~total_uses (f : Ast.func) =
-  let diags = ref [] in
+  let diags = ref [] and addressable = addressable_locals f in
   let rec go_stmt (scopes : scopes) (st : Ast.stmt) =
     match st.Ast.s with
     | Ast.Decl (_, name, _) -> (
@@ -554,7 +588,8 @@ let check_func ctx dialect ~total_uses (f : Ast.func) =
       | t :: _ -> Hashtbl.replace t name Enclosing
       | [] -> ())
     | Ast.Par branches ->
-      diags := !diags @ check_par ctx dialect ~total_uses scopes branches;
+      diags :=
+        !diags @ check_par ctx dialect ~total_uses ~addressable scopes branches;
       List.iter
         (fun b -> go_block (Hashtbl.create 4 :: scopes) b)
         branches

@@ -3,7 +3,9 @@
 
     The race detector computes may-read/may-write sets per [Ast.Par] arm
     (outer locals, globals, whole arrays, channel endpoints; conservative
-    on pointer operations — a pointer access may alias anything) and
+    on pointer operations — a pointer access may alias every global and
+    array, and every outer local that is an array or has its address
+    taken) and
     reports write/write and read/write conflicts between sibling arms
     with source locations.  The channel lint matches rendezvous endpoints
     across arms: sends with no receiving sibling, receives with no
@@ -25,7 +27,9 @@ type target =
           the par: storage of its own, even where a global has its name *)
   | Global of string
   | Array of string  (** a global array, whole-region granularity *)
-  | Pointer  (** may alias anything *)
+  | Pointer
+      (** may alias any global or array, and an outer local that is an
+          array or has its address taken *)
 
 type access_kind = Read | Write
 

@@ -237,6 +237,43 @@ let test_outer_locals_shared () =
 
 (* --- channel lint --- *)
 
+(* A pointer reaches an enclosing scalar only when the scalar is an
+   array or its address is taken: writes through [p] race with each
+   other and with reads of [buf], but not with a read of [n], whose
+   address nobody takes. *)
+let test_pointer_reaches_addressable () =
+  let bachc = Dialect.bachc in
+  let diags =
+    check ~dialect:bachc
+      "int f(int n) { int buf[4]; int *p = buf; \
+       par { { p[0] = n; } { p[1] = n; } } return buf[0]; }"
+  in
+  Alcotest.(check (list string)) "only the write/write through p"
+    [ "write/write race on pointer-aliased storage between par arms 1 and 2" ]
+    (List.map (fun d -> d.Conc_check.d_msg) diags);
+  let diags =
+    check ~dialect:bachc
+      "int f(int n) { int buf[4]; int *p = buf; int x = 0; \
+       par { { x = buf[0]; } { p[1] = n; } } return x; }"
+  in
+  Alcotest.(check bool) "a read of buf races with a write through p" true
+    (List.exists
+       (fun d ->
+         is_rw d.Conc_check.d_kind
+         && contains ~affix:"pointer-aliased" d.Conc_check.d_msg)
+       diags);
+  let diags =
+    check ~dialect:bachc
+      "int f(int n) { int *q = &n; int r = 0; \
+       par { { *q = 1; } { r = n; } } return r; }"
+  in
+  Alcotest.(check bool) "a read of n races with a write through &n" true
+    (List.exists
+       (fun d ->
+         is_rw d.Conc_check.d_kind
+         && contains ~affix:"pointer-aliased" d.Conc_check.d_msg)
+       diags)
+
 let test_chan_unmatched_send () =
   let src =
     {|
@@ -389,6 +426,8 @@ let suite =
       Alcotest.test_case "nested par" `Quick test_nested_par;
       Alcotest.test_case "outer locals and parameters are shared" `Quick
         test_outer_locals_shared;
+      Alcotest.test_case "a pointer reaches only addressable locals" `Quick
+        test_pointer_reaches_addressable;
       Alcotest.test_case "unmatched send" `Quick test_chan_unmatched_send;
       Alcotest.test_case "channel fan-in/out" `Quick test_chan_fan;
       Alcotest.test_case "self-communication deadlock" `Quick
