@@ -52,17 +52,17 @@ type turn = {
   mutable region_writes : int list;
 }
 
-let mem (v : int) l = List.exists (fun w -> w = v) l
-
 (* Does an assignment with this footprint conflict with work already
    packed into this turn? *)
 let conflicts turn (f : Interp.footprint) =
   turn.ops > 0
-  && (Array.exists (fun v -> mem v turn.written) f.Interp.reads
-     || (f.Interp.target >= 0 && mem f.Interp.target turn.written)
-     || Array.exists (fun r -> mem r turn.region_reads) f.Interp.rhs_regions
+  && (Array.exists (fun v -> List.mem v turn.written) f.Interp.reads
+     || (f.Interp.target >= 0 && List.mem f.Interp.target turn.written)
+     || Array.exists
+          (fun r -> List.mem r turn.region_reads)
+          f.Interp.rhs_regions
      || (f.Interp.target_region >= 0
-        && mem f.Interp.target_region turn.region_writes))
+        && List.mem f.Interp.target_region turn.region_writes))
 
 let note_assignment turn (f : Interp.footprint) =
   turn.ops <- turn.ops + 1;

@@ -1,7 +1,8 @@
 (** The Handel-C clock [Celoxica], also the concurrent subset of Bach C,
     SpecC, SystemC and HardwareC.
 
-    A clock over {!Interp}'s thread machine: the threads, scopes,
+    A clock over {!Interp}'s thread machine, run on a program
+    {!Interp.resolve} built once per design: the threads, frames,
     rendezvous and joins are the interpreter's own, and this module only
     decides what each item costs.  Threads advance in lockstep; in each
     cycle every runnable thread runs items until one costs the cycle or
@@ -25,7 +26,8 @@
     [`Scheduled] (Bach C's compiler-decided timing for concurrent
     programs) packs at most 8 operations per thread per cycle, and no
     assignment that reads or writes a variable written earlier in the
-    cycle, or touches an array another packed operation read.
+    cycle, or touches an array another packed operation read.  It reads
+    each assignment's {!Interp.footprint}, built by the resolve pass.
 
     Budgets: 2,000,000 cycles ({!Timeout}); 100,000 items one thread may
     run in one cycle ({!Combinational_loop}, what the real compiler says

@@ -166,7 +166,6 @@ type expr =
   | Const of Bitvec.t
   | Global of int (* a scalar at a fixed address *)
   | Local of int (* a scalar at a frame offset *)
-  | Local_array of int (* an array's frame offset, as a pointer *)
   | Not of expr
   | Unop of (Bitvec.t -> Bitvec.t) * expr
   | And of expr * expr
@@ -193,8 +192,7 @@ and lvalue =
   | Not_lvalue of string
 
 type stmt =
-  | Expr of expr
-  | Assignment of expr * work (* an [Assign] whose rhs is no receive *)
+  | Expr of expr * work (* [Assigned] for an assignment, else [Control] *)
   | Receive of string
   | Receive_into of lvalue * string * int option (* cast to this width *)
   | Decl of { slot : int; top : int; init : expr option; work : work }
@@ -338,7 +336,7 @@ let rec expr cx scopes (e : Ast.expr) : expr =
   | Ast.Const (v, ty) -> Const (Bitvec.of_int64 ~width:(declared_width ty) v)
   | Ast.Var name -> (
     match lookup cx scopes name with
-    | Some (Slot (off, Ctypes.Array _)) -> Local_array off
+    | Some (Slot (off, Ctypes.Array _)) -> Address (At_local off)
     | Some (Slot (off, _)) -> Local off
     | Some (Address_of (addr, Ctypes.Array _)) ->
       Const (Bitvec.of_int ~width:ptr_width addr)
@@ -419,8 +417,8 @@ let rec stmt cx scopes (st : Ast.stmt) : stmt =
     | None, Ast.Assign (lhs, rhs) -> (
       match as_recv rhs with
       | Some (ch, cast) -> Receive_into (lvalue cx scopes lhs, ch, cast)
-      | None -> Assignment (expr cx scopes e, Assigned (footprint cx lhs rhs)))
-    | None, _ -> Expr (expr cx scopes e))
+      | None -> Expr (expr cx scopes e, Assigned (footprint cx lhs rhs)))
+    | None, _ -> Expr (expr cx scopes e, Control))
   | Ast.Decl (ty, name, init) -> (
     let words = max 1 (Ctypes.word_count ty) in
     let slot = take cx words in
@@ -611,7 +609,6 @@ let rec eval env = function
   | Const v -> v
   | Global addr -> env.store.mem.(addr)
   | Local off -> env.store.mem.(env.fp + off)
-  | Local_array off -> Bitvec.of_int ~width:ptr_width (env.fp + off)
   | Not a -> bool_result (Bitvec.is_zero (eval env a))
   | Unop (f, a) -> f (eval env a)
   | And (a, b) ->
@@ -677,9 +674,6 @@ and address env = function
    its locals as their declarations run. *)
 and call env func args =
   let values = Array.map (eval env) args in
-  if Array.length values <> func.nparams then
-    error "call with %d arguments to a function of %d" (Array.length values)
-      func.nparams;
   let store = env.store in
   let saved_sp = store.sp and saved_fp = env.fp in
   let finish () =
@@ -705,7 +699,7 @@ and call env func args =
 and exec_big env st =
   step env;
   match st with
-  | Expr e | Assignment (e, _) -> ignore (eval env e)
+  | Expr (e, _) -> ignore (eval env e)
   | Decl { slot; top; init; _ } -> (
     push_sp env.store (env.fp + top);
     match init with
@@ -713,10 +707,7 @@ and exec_big env st =
     | Some e ->
       let v = eval env e in
       env.store.mem.(env.fp + slot) <- v)
-  | Decl_receive { top; _ } ->
-    push_sp env.store (env.fp + top);
-    error "channel receive inside an expression-context call"
-  | Receive _ | Receive_into _ ->
+  | Receive _ | Receive_into _ | Decl_receive _ ->
     error "channel receive inside an expression-context call"
   | If (c, t, f) ->
     if Bitvec.is_zero (eval env c) then exec_block_big env f
@@ -892,7 +883,7 @@ let pending_assignment thread =
   else
     let d = thread.depth - 1 in
     match thread.frames.(d).(thread.pcs.(d)) with
-    | I_stmt (Assignment (_, Assigned f)) | I_for_step (_, Assigned f) ->
+    | I_stmt (Expr (_, Assigned f)) | I_for_step (_, Assigned f) ->
       Some f
     | _ -> None
 
@@ -980,10 +971,7 @@ and exec_thread_stmt machine thread st =
   | Receive_into (lhs, ch, cast) ->
     recv machine thread ch (fun v ->
         store_word env.store (address env lhs) (convert_received cast v))
-  | Expr e ->
-    ignore (eval env e);
-    Control
-  | Assignment (e, work) ->
+  | Expr (e, work) ->
     ignore (eval env e);
     work
   | Decl { slot; top; init; work } ->
