@@ -58,8 +58,8 @@ type resolved
 (** A type-checked program with its names resolved, once: every variable
     a global address or a frame offset, every constant built, every
     block's thread-machine items pre-built, and each assignment's
-    footprint for the Scheduled clock.  Immutable, so domains may share
-    one. *)
+    footprint for the Scheduled clock.  Nothing changes it after
+    {!resolve}, so domains may share one. *)
 
 val resolve : Ast.program -> resolved
 (** Semantic errors stay runtime errors: a node that would fail (an
