@@ -229,8 +229,7 @@ and item =
   | I_stmt of stmt
   | I_end_scope of int
   | I_loop_end
-  | I_while_retest of expr * block
-  | I_dowhile_retest of block * expr
+  | I_retest of expr * block (* while and do-while: the body again? *)
   | I_for_test of expr option * item array
   | I_for_step of expr option * work
   | I_join_signal
@@ -442,12 +441,11 @@ let rec stmt cx scopes (st : Ast.stmt) : stmt =
   | Ast.While (c, body) ->
     let cond = expr cx scopes c in
     let body = block cx scopes body in
-    While { cond; body; frame = [| I_while_retest (cond, body); I_loop_end |] }
+    While { cond; body; frame = [| I_retest (cond, body); I_loop_end |] }
   | Ast.Do_while (body, c) ->
     let body = block cx scopes body in
     let cond = expr cx scopes c in
-    Do_while
-      { body; cond; frame = [| I_dowhile_retest (body, cond); I_loop_end |] }
+    Do_while { body; cond; frame = [| I_retest (cond, body); I_loop_end |] }
   | Ast.For (init, cond, step, body) ->
     let start = cx.next in
     let scopes = Hashtbl.create 4 :: scopes in
@@ -864,8 +862,8 @@ let rec unwind_until machine thread pred =
   else if not (pred items.(pc)) then begin
     (match items.(pc) with
     | I_end_scope start -> close_scope machine thread start
-    | I_stmt _ | I_loop_end | I_while_retest _ | I_dowhile_retest _
-    | I_for_test _ | I_for_step _ | I_join_signal -> ());
+    | I_stmt _ | I_loop_end | I_retest _ | I_for_test _ | I_for_step _
+    | I_join_signal -> ());
     thread.pcs.(d) <- pc + 1;
     unwind_until machine thread pred
   end
@@ -930,7 +928,7 @@ let rec exec_item machine thread =
         close_scope machine thread start;
         Control
       | I_loop_end -> Control
-      | I_while_retest (c, body) | I_dowhile_retest (body, c) ->
+      | I_retest (c, body) ->
         (* run the body, then this retest again *)
         if holds machine c then begin
           thread.pcs.(d) <- pc;
@@ -1004,14 +1002,14 @@ and exec_thread_stmt machine thread st =
   | Break ->
     unwind_until machine thread (function
       | I_loop_end -> true
-      | I_stmt _ | I_end_scope _ | I_while_retest _ | I_dowhile_retest _
-      | I_for_test _ | I_for_step _ | I_join_signal -> false);
+      | I_stmt _ | I_end_scope _ | I_retest _ | I_for_test _ | I_for_step _
+      | I_join_signal -> false);
     (* and the loop end itself *)
     thread.pcs.(thread.depth - 1) <- thread.pcs.(thread.depth - 1) + 1;
     Control
   | Continue ->
     unwind_until machine thread (function
-      | I_while_retest _ | I_dowhile_retest _ | I_for_step _ -> true
+      | I_retest _ | I_for_step _ -> true
       | I_stmt _ | I_end_scope _ | I_loop_end | I_for_test _ | I_join_signal
         -> false);
     Control
