@@ -580,7 +580,10 @@ let check_par ctx dialect ~total_uses ~addressable scopes
    ones inside arms), carrying the lexical scope so arm effects can tell
    arm-private storage from the enclosing function's shared storage. *)
 let check_func ctx dialect ~total_uses (f : Ast.func) =
-  let diags = ref [] and addressable = addressable_locals f in
+  (* walked only when the function has a par *)
+  let addressable = lazy (addressable_locals f) in
+  let addressable n = Lazy.force addressable n in
+  let diags = ref [] in
   let rec go_stmt (scopes : scopes) (st : Ast.stmt) =
     match st.Ast.s with
     | Ast.Decl (_, name, _) -> (
