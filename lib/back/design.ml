@@ -341,13 +341,12 @@ let elaborate fsmd =
    directly, a sequential statement machine through an FSMD cut at
    assignment boundaries. *)
 let netlist_of_artifact = function
-  | Fsmd fsmd -> lazy (elaborate fsmd)
+  | Fsmd fsmd -> elaborate fsmd
   | Statement_machine { structural = Some func; _ } ->
-    lazy
-      (elaborate (Fsmd.of_func func ~schedule_block:(Fsmd.handelc_schedule func)))
-  | Combinational { netlist; _ } -> Lazy.from_val (Some netlist)
+    elaborate (Fsmd.of_func func ~schedule_block:(Fsmd.handelc_schedule func))
+  | Combinational { netlist; _ } -> Some netlist
   | Process_network _ | Dataflow _ | Stack_machine _
-  | Statement_machine { structural = None; _ } -> Lazy.from_val None
+  | Statement_machine { structural = None; _ } -> None
 
 let area_of_artifact ~netlist = function
   | Dataflow { circuit; _ } ->
@@ -375,25 +374,23 @@ let area_of_artifact ~netlist = function
         num_nodes = code_words;
         num_registers = 4 }
   | Fsmd _ | Process_network _ | Combinational _ | Statement_machine _ ->
-    Option.map Area.analyze (Lazy.force netlist)
+    Option.map Area.analyze (netlist ())
 
-(* One lock per live value guards its lazies: a cached design is shared
-   by every worker domain.  Compiled runs of an FSMD or process network
+(* A cached design is shared by every worker domain, so each view is
+   built [once].  Compiled runs of an FSMD or process network
    (Fsmdcomp), a netlist (Netcomp) or a stack machine (C2vcomp) take
    engines from the value's own pool. *)
 let make ~name ~backend ?clock_period ?(stats = []) ?(pass_trace = [])
     artifact : t =
-  let lock = Mutex.create () in
-  let force l = Mutex.protect lock (fun () -> Lazy.force l) in
-  let netlist = netlist_of_artifact artifact in
-  let area = lazy (area_of_artifact ~netlist artifact) in
+  let netlist = once (fun () -> netlist_of_artifact artifact) in
+  let area = once (fun () -> area_of_artifact ~netlist artifact) in
   let verilog =
-    lazy
-      (match artifact with
-      | Stack_machine { compiled; _ } ->
-        Some (C2v_verilog.to_string compiled ~name)
-      | Fsmd _ | Process_network _ | Combinational _ | Dataflow _
-      | Statement_machine _ -> Option.map Verilog.to_string (Lazy.force netlist))
+    once (fun () ->
+        match artifact with
+        | Stack_machine { compiled; _ } ->
+          Some (C2v_verilog.to_string compiled ~name)
+        | Fsmd _ | Process_network _ | Combinational _ | Dataflow _
+        | Statement_machine _ -> Option.map Verilog.to_string (netlist ()))
   in
   { design_name = name;
     backend;
@@ -402,9 +399,9 @@ let make ~name ~backend ?clock_period ?(stats = []) ?(pass_trace = [])
     stats;
     pass_trace;
     run = run_of_artifact artifact;
-    area = (fun () -> force area);
-    verilog = (fun () -> force verilog);
-    netlist = (fun () -> force netlist) }
+    area;
+    verilog;
+    netlist }
 
 let data (d : t) : data =
   { design_name = d.design_name;
