@@ -198,7 +198,8 @@ let fsmd_run
    Scalar globals leave the block as outputs [g_<name>]; the settle time
    is the netlist's critical path. *)
 let netlist_run nl ~critical_path =
-  let with_engine = pool (fun () -> Netcomp.create nl) in
+  let with_engine = pool (fun () -> Netcomp.create nl)
+  and with_evaluator = pool (fun () -> Neteval.create nl) in
   let settle e ~inputs =
     let before = Netcomp.stats e in
     let nodes = before.Neteval.nodes_evaluated
@@ -228,10 +229,17 @@ let netlist_run nl ~critical_path =
         Netcomp.set_probe e p;
         settle e ~inputs
       | Event_driven, _ ->
-        let outputs, st =
-          Neteval.eval_combinational_stats ?probe nl ~inputs
-        in
-        (outputs, st.Neteval.nodes_evaluated, st.Neteval.events, false)
+        with_evaluator (fun t ->
+            Neteval.reset t;
+            Option.iter (Neteval.set_probe t) probe;
+            Neteval.settle t ~inputs;
+            let st = Neteval.stats t in
+            ( List.map
+                (fun (name, s) -> (name, Neteval.value t s))
+                (Netlist.outputs nl),
+              st.Neteval.nodes_evaluated,
+              st.Neteval.events,
+              false ))
     in
     let metrics = Metrics.create () in
     engine_metric metrics ran_compiled;

@@ -104,12 +104,7 @@ type comp = {
          is attached *)
 }
 
-(* the fallback interpreter sits behind a ref so [reset] can rebuild it
-   (Neteval has no in-place reset: its event heap, dirty flags and primed
-   bit make fresh construction the reliable way back to cycle 0) *)
-type interp = { inl : Netlist.t; mutable ie : Neteval.t }
-
-type t = Compiled of comp | Interp of interp
+type t = Compiled of comp | Interp of Neteval.t
 
 (* The packed encoding.  Each evaluated node [s] is two ints, in id
    order:
@@ -230,15 +225,15 @@ let compile nl =
 
 let create nl =
   if compilable nl then Compiled (compile nl)
-  else Interp { inl = nl; ie = Neteval.create nl }
+  else Interp (Neteval.create nl)
 
 let compiled = function Compiled _ -> true | Interp _ -> false
 
 (* Back to power-on state, keeping the compiled code: registers and
    memories reload their initial images, the cycle counter and the
    probe's shadow array rewind.  This is what makes the engine reusable —
-   compile once, run many.  (The interpreter fallback is rebuilt instead:
-   Neteval's event heap / dirty flags / primed bit have no cheap rewind.) *)
+   compile once, run many.  The interpreter fallback rewinds with
+   [Neteval.reset]. *)
 let reset = function
   | Compiled c ->
     Array.iter (fun (s, b) -> c.values.(s) <- b) c.reg_init;
@@ -248,7 +243,7 @@ let reset = function
     c.ccycle <- 0;
     c.cstats.Neteval.cycles <- 0;
     Array.fill c.prev 0 (Array.length c.prev) (Bitvec.zero 1)
-  | Interp i -> i.ie <- Neteval.create i.inl
+  | Interp ie -> Neteval.reset ie
 
 let set_probe t p =
   match t with
@@ -256,7 +251,7 @@ let set_probe t p =
     if Array.length c.prev = 0 then
       c.prev <- Array.make (Netlist.length c.netlist) (Bitvec.zero 1);
     c.probe <- Some p
-  | Interp i -> Neteval.set_probe i.ie p
+  | Interp ie -> Neteval.set_probe ie p
 
 let bv_of c s =
   Bitvec.make ~width:(Netlist.width c.netlist s) (Int64.of_int c.values.(s))
@@ -328,7 +323,7 @@ let settle t ~inputs =
   | Compiled c ->
     set_inputs_c c inputs;
     settle_resolved c
-  | Interp i -> Neteval.settle i.ie ~inputs
+  | Interp ie -> Neteval.settle ie ~inputs
 
 let tick_c c =
   let v = c.values in
@@ -354,12 +349,12 @@ let tick_c c =
   c.ccycle <- c.ccycle + 1;
   c.cstats.Neteval.cycles <- c.ccycle
 
-let tick = function Compiled c -> tick_c c | Interp i -> Neteval.tick i.ie
+let tick = function Compiled c -> tick_c c | Interp ie -> Neteval.tick ie
 
-let cycle = function Compiled c -> c.ccycle | Interp i -> Neteval.cycle i.ie
+let cycle = function Compiled c -> c.ccycle | Interp ie -> Neteval.cycle ie
 
 let value t s =
-  match t with Compiled c -> bv_of c s | Interp i -> Neteval.value i.ie s
+  match t with Compiled c -> bv_of c s | Interp ie -> Neteval.value ie s
 
 let output_signal_c c name =
   match List.assoc_opt name (Netlist.outputs c.netlist) with
@@ -376,13 +371,13 @@ let output_signal_c c name =
 let output t name =
   match t with
   | Compiled c -> bv_of c (output_signal_c c name)
-  | Interp i -> Neteval.output i.ie name
+  | Interp ie -> Neteval.output ie name
 
-let stats = function Compiled c -> c.cstats | Interp i -> Neteval.stats i.ie
+let stats = function Compiled c -> c.cstats | Interp ie -> Neteval.stats ie
 
 let drive t ~inputs ~done_name ~max_cycles =
   match t with
-  | Interp i -> Neteval.drive i.ie ~inputs ~done_name ~max_cycles
+  | Interp ie -> Neteval.drive ie ~inputs ~done_name ~max_cycles
   | Compiled c ->
     let done_sig = output_signal_c c done_name in
     set_inputs_c c inputs;

@@ -105,52 +105,79 @@ type t = {
   mutable probe : probe option; (* observation hook: fired on value commits *)
 }
 
+(* Back to the state [create] gives: registers at their initial values,
+   memories at their images, inputs and values at zero, no settle yet. *)
+let reset t =
+  Array.fill t.values 0 (Array.length t.values) (Bitvec.zero 1);
+  for s = 0 to Netlist.length t.netlist - 1 do
+    match Netlist.node t.netlist s with
+    | Reg { init; _ } -> t.reg_state.(s) <- init
+    | Input _ -> t.input_vals.(s) <- Bitvec.zero (Netlist.width t.netlist s)
+    | Const _ | Unop _ | Binop _ | Mux _ | Concat _ | Extract _ | Zext _
+    | Sext _ | Mem_read _ -> ()
+  done;
+  Array.iteri
+    (fun i (m : Netlist.mem) ->
+      match m.init with
+      | Some a -> Array.blit a 0 t.mem_state.(i) 0 m.depth
+      | None -> Array.fill t.mem_state.(i) 0 m.depth (Bitvec.zero m.word_width))
+    (Netlist.mems t.netlist);
+  Array.fill t.dirty 0 (Array.length t.dirty) false;
+  Heap.clear t.heap;
+  t.primed <- false;
+  t.cycle <- 0;
+  t.stats.cycles <- 0;
+  t.stats.settles <- 0;
+  t.stats.nodes_evaluated <- 0;
+  t.stats.events <- 0;
+  t.stats.wall_time <- 0.;
+  Array.fill t.eval_counts 0 (Array.length t.eval_counts) 0;
+  t.probe <- None
+
 let create ?(strategy = Event_driven) netlist =
   let n = Netlist.length netlist in
-  let reg_state = Array.make (max n 1) (Bitvec.zero 1) in
-  let input_vals = Array.make (max n 1) (Bitvec.zero 1) in
   let input_nodes = ref [] in
   let nmems = Array.length (Netlist.mems netlist) in
   let mem_readers = Array.make (max nmems 1) [] in
   for s = n - 1 downto 0 do
     match Netlist.node netlist s with
-    | Reg { init; _ } -> reg_state.(s) <- init
-    | Input name ->
-      input_vals.(s) <- Bitvec.zero (Netlist.width netlist s);
-      input_nodes := (s, name) :: !input_nodes
+    | Input name -> input_nodes := (s, name) :: !input_nodes
     | Mem_read { mem; _ } -> mem_readers.(mem) <- s :: mem_readers.(mem)
     | Const _ | Unop _ | Binop _ | Mux _ | Concat _ | Extract _ | Zext _
-    | Sext _ -> ()
+    | Sext _ | Reg _ -> ()
   done;
   let mem_state =
     Array.map
       (fun (m : Netlist.mem) ->
-        match m.init with
-        | Some a ->
-          if Array.length a <> m.depth then
-            invalid_arg "Neteval: memory init size mismatch";
-          Array.copy a
-        | None -> Array.make m.depth (Bitvec.zero m.word_width))
+        (match m.init with
+        | Some a when Array.length a <> m.depth ->
+          invalid_arg "Neteval: memory init size mismatch"
+        | Some _ | None -> ());
+        Array.make m.depth (Bitvec.zero m.word_width))
       (Netlist.mems netlist)
   in
-  { netlist;
-    strategy;
-    values = Array.make (max n 1) (Bitvec.zero 1);
-    input_vals;
-    input_nodes = Array.of_list !input_nodes;
-    reg_state;
-    mem_state;
-    fanouts = Netlist.fanouts netlist;
-    mem_readers = Array.map (fun l -> Array.of_list l) mem_readers;
-    dirty = Array.make (max n 1) false;
-    heap = Heap.create ();
-    primed = false;
-    cycle = 0;
-    stats =
-      { cycles = 0; settles = 0; nodes_evaluated = 0; events = 0;
-        wall_time = 0. };
-    eval_counts = Array.make (max n 1) 0;
-    probe = None }
+  let t =
+    { netlist;
+      strategy;
+      values = Array.make (max n 1) (Bitvec.zero 1);
+      input_vals = Array.make (max n 1) (Bitvec.zero 1);
+      input_nodes = Array.of_list !input_nodes;
+      reg_state = Array.make (max n 1) (Bitvec.zero 1);
+      mem_state;
+      fanouts = Netlist.fanouts netlist;
+      mem_readers = Array.map (fun l -> Array.of_list l) mem_readers;
+      dirty = Array.make (max n 1) false;
+      heap = Heap.create ();
+      primed = false;
+      cycle = 0;
+      stats =
+        { cycles = 0; settles = 0; nodes_evaluated = 0; events = 0;
+          wall_time = 0. };
+      eval_counts = Array.make (max n 1) 0;
+      probe = None }
+  in
+  reset t;
+  t
 
 let set_probe t probe = t.probe <- Some probe
 

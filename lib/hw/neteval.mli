@@ -34,6 +34,11 @@ type t
 val create : ?strategy:strategy -> Netlist.t -> t
 (** Default strategy is [Event_driven]. *)
 
+val reset : t -> unit
+(** Back to the state [create] gives: power-on registers and memories,
+    zero inputs, counters cleared, no probe, and the next settle a full
+    sweep.  A reset evaluator answers and counts as a fresh one does. *)
+
 val set_probe : t -> probe -> unit
 (** Install an observation hook on this evaluator instance. *)
 

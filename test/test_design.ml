@@ -181,9 +181,10 @@ let reuse_source =
    fresh one does, down to the per-run simulator counters. *)
 let test_engine_reuse () =
   let a = Design.int_args [ 5; 9 ] and b = Design.int_args [ 9; 5 ] in
-  let reused (d : Design.t) =
+  let reused ?sim (d : Design.t) =
     List.map
-      (fun args -> (d.Design.run args, (round_trip d).Design.run args))
+      (fun args ->
+        (d.Design.run ?sim args, (round_trip d).Design.run ?sim args))
       [ a; b; a ]
   in
   let program = Typecheck.parse_and_check reuse_source in
@@ -196,18 +197,23 @@ let test_engine_reuse () =
   let counter name (r : Design.run_result) =
     Option.map Metrics.render_compact (Metrics.find r.Design.metrics name)
   in
-  List.iteri
-    (fun i (r, fresh) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "cones run %d matches a fresh design" i)
-        true (run_eq r fresh);
-      List.iter
-        (fun name ->
-          Alcotest.(check (option string))
-            (Printf.sprintf "cones run %d: %s" i name)
-            (counter name fresh) (counter name r))
-        [ "sim.engine"; "sim.nodes_evaluated"; "sim.events" ])
-    (reused (compile "cones" Workloads.fir))
+  let cones = compile "cones" Workloads.fir in
+  List.iter
+    (fun sim ->
+      let engine = Design.engine_name sim in
+      List.iteri
+        (fun i (r, fresh) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "cones %s run %d matches a fresh design" engine i)
+            true (run_eq r fresh);
+          List.iter
+            (fun name ->
+              Alcotest.(check (option string))
+                (Printf.sprintf "cones %s run %d: %s" engine i name)
+                (counter name fresh) (counter name r))
+            [ "sim.engine"; "sim.nodes_evaluated"; "sim.events" ])
+        (reused ~sim cones))
+    [ Design.Compiled; Design.Event_driven ]
 
 (* No run forces a minor collection.  OCaml 5 forces one, and stops
    every domain for it, when an array over 256 words is filled from a
