@@ -891,12 +891,6 @@ let serve_cmd =
                 block past it, which is the daemon's backpressure")
   in
   let run socket domains queue cache_dir cache_max_bytes trace_json =
-    (* A run no longer forces a minor collection, and those collections
-       were also what paced the daemon's major collector: at OCaml 5's
-       default space_overhead of 120 its heap peaked about 14% higher on
-       perfbench's warm-repeat.  At 100 it peaks where it did; compiling
-       on a fresh heap takes about 4% longer. *)
-    Gc.set { (Gc.get ()) with Gc.space_overhead = 100 };
     attach_cache cache_dir cache_max_bytes;
     match
       Serve.run ?domains ?queue_capacity:queue ?trace_json
