@@ -13,7 +13,9 @@
 
    The RAM is [memory_words] long, but only the part a run has touched
    is allocated: it grows as stores reach further, and a word never
-   stored reads as zero. *)
+   stored reads as zero.  A whole 65,536-word RAM per run ends a major
+   collection cycle every few runs, and each cycle end stops every
+   domain for a minor collection. *)
 
 exception Runtime_error of string
 exception Timeout
