@@ -181,6 +181,111 @@ let test_compile_all_declared_order () =
        (fun (b, _) -> Registry.name b)
        (Driver.compile_all ~backends:subset s))
 
+(* One scripted session pins the driver's bookkeeping: every cache and
+   oracle counter, and the session registry as it renders, key order
+   included.  Timer values are zeroed first, as the one part that varies
+   from run to run.  The script: a frontend miss, then hits; a design
+   miss, a front hit, then a revival through a reopened store; one
+   dialect reject asked twice; the default config and an explicit one;
+   one oracle run and one memo hit. *)
+let rec zero_timers = function
+  | Metrics.Fixed (d, _) -> Metrics.Fixed (d, 0.)
+  | Metrics.Obj members ->
+    Metrics.Obj (List.map (fun (k, v) -> (k, zero_timers v)) members)
+  | Metrics.List items -> Metrics.List (List.map zero_timers items)
+  | (Metrics.Null | Metrics.Bool _ | Metrics.Int _ | Metrics.Float _
+    | Metrics.String _) as v ->
+    v
+
+let pinned_session_rendering =
+  "{\"driver\": {\"cache\": {\"misses\": 3, \"frontend_misses\": 1, \
+   \"hits\": 13, \"frontend_hits\": 10, \"design_misses\": 2, \
+   \"design_hits\": 2, \"design_store_hits\": 1}, \"frontend_ms\": 0.000, \
+   \"compile\": {\"bachc_ms\": 0.000}, \
+   \"oracle\": {\"runs\": 1, \"memo_hits\": 1}}}"
+
+let test_session_bookkeeping_pinned () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "chlsc-driver-pin-%d" (Unix.getpid ()))
+  in
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let empty () =
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
+  in
+  empty ();
+  let previous = Driver.cache_store () in
+  let attach () =
+    match Driver.attach_disk_cache ~dir () with
+    | Ok _ -> ()
+    | Error msg -> Alcotest.fail msg
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Driver.set_cache_store previous;
+      Driver.clear_cache ();
+      empty ();
+      Unix.rmdir dir)
+    (fun () ->
+      Driver.clear_cache ();
+      attach ();
+      let s = session () in
+      let bachc = Registry.get "bachc" and cones = Registry.get "cones" in
+      ignore (design_of (Driver.program s));
+      ignore (design_of (Driver.program s));
+      let d1 = design_of (Driver.compile s bachc) in
+      let d2 = design_of (Driver.compile s bachc) in
+      Alcotest.(check bool) "a front hit is the same design" true (d1 == d2);
+      (* the front tier dies; a fresh handle reopens the same directory *)
+      Driver.clear_cache ();
+      attach ();
+      let d3 = design_of (Driver.compile s bachc) in
+      Alcotest.(check bool) "the revived design is a copy" false (d1 == d3);
+      let reject () =
+        match Driver.compile s cones with
+        | Error (Driver.Dialect_reject { violations; _ }) -> violations
+        | Ok _ -> Alcotest.fail "cones must reject gcd"
+        | Error e -> Alcotest.fail ("wrong error: " ^ Driver.render_error e)
+      in
+      let v1 = reject () in
+      let v2 = reject () in
+      Alcotest.(check bool) "the reject names violations" true (v1 <> []);
+      Alcotest.(check bool) "both rejects carry equal violations" true
+        (v1 = v2);
+      (* an explicit config, built afresh for each ask as a serve request
+         builds it *)
+      let config () =
+        Config.with_resources
+          { Schedule.default_allocation with Schedule.chain_budget = 200. }
+          Config.default
+      in
+      let e1 = design_of (Driver.compile ~config:(config ()) s bachc) in
+      let e2 = design_of (Driver.compile ~config:(config ()) s bachc) in
+      Alcotest.(check bool) "the explicit config hits its own design" true
+        (e1 == e2 && not (e1 == d3));
+      List.iter
+        (fun _ ->
+          match Driver.reference s ~args:[ 1071; 462 ] with
+          | Ok v -> Alcotest.(check int) "gcd(1071,462)" 21 v
+          | Error e -> Alcotest.fail (Driver.render_error e))
+        [ (); () ];
+      List.iter
+        (fun (key, n) -> Alcotest.(check int) key n (counter s key))
+        [ ("driver.cache.misses", 3);
+          ("driver.cache.hits", 13);
+          ("driver.cache.frontend_misses", 1);
+          ("driver.cache.frontend_hits", 10);
+          ("driver.cache.design_misses", 2);
+          ("driver.cache.design_hits", 2);
+          ("driver.cache.design_store_hits", 1);
+          ("driver.oracle.runs", 1);
+          ("driver.oracle.memo_hits", 1) ];
+      Alcotest.(check string) "the session registry, timers zeroed"
+        pinned_session_rendering
+        (Metrics.render_compact
+           (zero_timers (Metrics.to_json (Driver.metrics s)))))
+
 let suite =
   ( "driver",
     [ Alcotest.test_case "frontend memoized" `Quick test_frontend_memoized;
@@ -195,4 +300,6 @@ let suite =
       Alcotest.test_case "reference memo is exact and bounded" `Quick
         test_reference_memo;
       Alcotest.test_case "compile_all verdict order is declared order"
-        `Quick test_compile_all_declared_order ] )
+        `Quick test_compile_all_declared_order;
+      Alcotest.test_case "session bookkeeping pinned" `Quick
+        test_session_bookkeeping_pinned ] )
