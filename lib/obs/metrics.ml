@@ -1,6 +1,8 @@
 (* Obs.Metrics: the unified metrics registry.
 
-   A registry is an insertion-ordered list of (name, json) entries.  The
+   A registry is an insertion-ordered list of named entries.  A write to
+   a name already present updates its entry in place, so the entry keeps
+   the place of the name's first write; nothing rebuilds the list.  The
    rendering is deliberately hand-rolled (no yojson in the container) and
    byte-stable: keys keep insertion order and floats that must reproduce
    exactly carry their own precision (Fixed).  Dotted names fold into
@@ -413,7 +415,12 @@ end
    JSON at read time; everything else is a plain JSON value. *)
 type cell = Json of json | Hist of Histogram.h
 
-type t = { mutable entries : (string * cell) list (* reversed *) }
+(* An entry is updated in place: a write to a name already present
+   overwrites that entry's cell, so a counter bump allocates only its new
+   value and the entry keeps the place its first write gave it. *)
+type entry = { name : string; mutable cell : cell }
+
+type t = { mutable entries : entry list (* newest first *) }
 
 let create () = { entries = [] }
 
@@ -421,50 +428,58 @@ let materialize = function
   | Json j -> j
   | Hist h -> Histogram.to_json h
 
-let set t name v =
-  if List.mem_assoc name t.entries then
-    t.entries <-
-      List.map
-        (fun (k, old) -> (k, if k = name then Json v else old))
-        t.entries
-  else t.entries <- (name, Json v) :: t.entries
+let rec entry name = function
+  | [] -> raise_notrace Not_found
+  | e :: rest -> if String.equal e.name name then e else entry name rest
 
-let find t name = Option.map materialize (List.assoc_opt name t.entries)
+let add t name cell = t.entries <- { name; cell } :: t.entries
+
+let set t name v =
+  match entry name t.entries with
+  | e -> e.cell <- Json v
+  | exception Not_found -> add t name (Json v)
+
+let find t name =
+  match entry name t.entries with
+  | e -> Some (materialize e.cell)
+  | exception Not_found -> None
 
 let observe_ms t name v =
-  match List.assoc_opt name t.entries with
-  | Some (Hist h) -> Histogram.observe h v
-  | Some (Json _) ->
+  match entry name t.entries with
+  | { cell = Hist h; _ } -> Histogram.observe h v
+  | { cell = Json _; _ } ->
     invalid_arg
       (Printf.sprintf "Metrics.observe_ms: %S is not a histogram" name)
-  | None ->
+  | exception Not_found ->
     let h = Histogram.create () in
     Histogram.observe h v;
-    t.entries <- (name, Hist h) :: t.entries
+    add t name (Hist h)
 
 let histogram t name =
-  match List.assoc_opt name t.entries with
-  | Some (Hist h) -> Some h
-  | _ -> None
+  match entry name t.entries with
+  | { cell = Hist h; _ } -> Some h
+  | { cell = Json _; _ } | (exception Not_found) -> None
 let set_int t name n = set t name (Int n)
 let set_bool t name b = set t name (Bool b)
 let set_string t name s = set t name (String s)
 let set_fixed t name ~decimals f = set t name (Fixed (decimals, f))
 
 let incr t ?(by = 1) name =
-  match find t name with
-  | Some (Int n) -> set t name (Int (n + by))
-  | Some _ -> invalid_arg (Printf.sprintf "Metrics.incr: %S is not an Int" name)
-  | None -> set t name (Int by)
+  match entry name t.entries with
+  | { cell = Json (Int n); _ } as e -> e.cell <- Json (Int (n + by))
+  | { cell = Json _ | Hist _; _ } ->
+    invalid_arg (Printf.sprintf "Metrics.incr: %S is not an Int" name)
+  | exception Not_found -> add t name (Json (Int by))
 
 let add_ms t name ms =
-  match find t name with
-  | Some (Fixed (d, prev)) -> set t name (Fixed (d, prev +. ms))
-  | Some _ ->
+  match entry name t.entries with
+  | { cell = Json (Fixed (d, prev)); _ } as e ->
+    e.cell <- Json (Fixed (d, prev +. ms))
+  | { cell = Json _ | Hist _; _ } ->
     invalid_arg (Printf.sprintf "Metrics.add_ms: %S is not a timer" name)
-  | None -> set t name (Fixed (3, ms))
+  | exception Not_found -> add t name (Json (Fixed (3, ms)))
 
-let pairs t = List.rev_map (fun (k, c) -> (k, materialize c)) t.entries
+let pairs t = List.rev_map (fun e -> (e.name, materialize e.cell)) t.entries
 
 let merge ~into ?prefix src =
   let rename k =
