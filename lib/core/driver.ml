@@ -30,12 +30,17 @@ type session = {
   (* argument vector -> the oracle's answer; the source and entry are
      the session's own *)
   oracle : (int list, (int, error) result) Hashtbl.t;
+  (* dialect name -> its verdict on the program: a verdict depends only
+     on (program, dialect), and the session fixes the program *)
+  mutable verdicts : (string * Dialect.violation list) list;
+  (* the last explicit config the session digested, and its digest *)
+  mutable digested : (Config.t * string) option;
 }
 
 let create ?(entry = "main") source =
   { source; entry; digest = Digest.to_hex (Digest.string source);
     metrics = Metrics.create (); frontend = None; resolved = None;
-    oracle = Hashtbl.create 8 }
+    oracle = Hashtbl.create 8; verdicts = []; digested = None }
 
 let entry t = t.entry
 let source_digest t = t.digest
@@ -197,21 +202,38 @@ let cache_hit_rates () =
   in
   front @ store
 
-let hit t kind =
+(* [counter] is the tier's own name, e.g. driver.cache.frontend_hits *)
+let hit t counter =
   Metrics.incr t.metrics "driver.cache.hits";
-  Metrics.incr t.metrics (Printf.sprintf "driver.cache.%s_hits" kind)
+  Metrics.incr t.metrics counter
 
-let miss t kind =
+let miss t counter =
   Metrics.incr t.metrics "driver.cache.misses";
-  Metrics.incr t.metrics (Printf.sprintf "driver.cache.%s_misses" kind)
+  Metrics.incr t.metrics counter
 
 (* The configuration is part of the compile's identity — resource
    bounds, unroll factor, verify vectors and dump hooks all change what
    the backend produces or does — so its digest joins the content hash.
-   Distinct config points are distinct cached designs, on disk too. *)
-let design_key t backend config =
-  Printf.sprintf "%s|%s|%s|%s" t.digest (Registry.name backend) t.entry
-    (Config.digest config)
+   Distinct config points are distinct cached designs, on disk too.  A
+   config is immutable, so its digest is taken once per value:
+   Config.default's once per process, and any other config once per
+   session that meets it.  The session keeps the last one, compared by
+   address, which a compare's backends and a serve request's compile and
+   echo share. *)
+let default_digest = Config.digest Config.default
+
+let config_digest t config =
+  if config == Config.default then default_digest
+  else
+    match t.digested with
+    | Some (c, d) when c == config -> d
+    | Some _ | None ->
+      let d = Config.digest config in
+      t.digested <- Some (config, d);
+      d
+
+let design_key t name config =
+  String.concat "|" [ t.digest; name; t.entry; config_digest t config ]
 
 (* --- the frontend, exactly once per session --- *)
 
@@ -219,11 +241,11 @@ let program ?(ctx = Span.null) t =
   Span.span ctx "frontend" (fun sctx ->
       match t.frontend with
       | Some r ->
-        hit t "frontend";
+        hit t "driver.cache.frontend_hits";
         Span.add_attr sctx "memo" (Metrics.Bool true);
         r
       | None ->
-        miss t "frontend";
+        miss t "driver.cache.frontend_misses";
         Span.add_attr sctx "memo" (Metrics.Bool false);
         let t0 = Sys.time () in
         let r =
@@ -284,6 +306,16 @@ let emit_pass_spans ctx ~at (trace : Passes.trace) =
         ("pass:" ^ r.Passes.pass_name))
     trace
 
+(* The dialect's verdict on the session's program, checked once per
+   (session, dialect) *)
+let verdict_on t prog (dialect : Dialect.t) =
+  match List.assoc dialect.Dialect.name t.verdicts with
+  | vs -> vs
+  | exception Not_found ->
+    let vs = Dialect.check dialect prog in
+    t.verdicts <- (dialect.Dialect.name, vs) :: t.verdicts;
+    vs
+
 let compile ?(ctx = Span.null) ?(config = Config.default) t backend =
   match Result.bind (program ~ctx t) (fits t config.Config.verify) with
   | Error e -> Error e
@@ -296,7 +328,7 @@ let compile ?(ctx = Span.null) ?(config = Config.default) t backend =
         Span.span ctx "dialect-check"
           ~attrs:[ ("backend", Metrics.String name) ]
           (fun sctx ->
-            let vs = Dialect.check (Registry.dialect backend) prog in
+            let vs = verdict_on t prog (Registry.dialect backend) in
             Span.add_attr sctx "violations" (Metrics.Int (List.length vs));
             vs)
       in
@@ -307,21 +339,21 @@ let compile ?(ctx = Span.null) ?(config = Config.default) t backend =
         Span.span ctx "backend"
           ~attrs:[ ("backend", Metrics.String name) ]
           (fun sctx ->
-        let key = design_key t backend config in
+        let key = design_key t name config in
         match Cache.find design_cache key with
         | Some (design, `Front) ->
-          hit t "design";
+          hit t "driver.cache.design_hits";
           Span.add_attr sctx "cache" (Metrics.String "front");
           Ok design
         | Some (design, `Store) ->
           (* revived from the persistent store: a hit that did no
              backend work, distinguished so benchmarks can see
              restart-survival *)
-          hit t "design_store";
+          hit t "driver.cache.design_store_hits";
           Span.add_attr sctx "cache" (Metrics.String "store");
           Ok design
         | None ->
-          miss t "design";
+          miss t "driver.cache.design_misses";
           Span.add_attr sctx "cache" (Metrics.String "miss");
           let t0 = Sys.time () in
           let at = Span.elapsed_ms sctx in

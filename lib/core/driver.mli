@@ -36,6 +36,14 @@ val source_digest : session -> string
 val metrics : session -> Metrics.t
 (** The session's live metrics registry (timings, cache counters). *)
 
+val config_digest : session -> Config.t -> string
+(** {!Config.digest} of the config, as the session's design keys use
+    it.  A config is digested once per value: {!Config.default}'s once
+    per process, any other config when the session first meets that
+    value (the session keeps the last one, compared by address).  So a
+    serve request's compile and its [config_digest] echo, and a
+    compare's backends, share one digest. *)
+
 (** {1 Typed rejection} *)
 
 (** Why the reference interpreter gave no answer. *)

@@ -151,7 +151,7 @@ type status =
 type cell = {
   cell_backend : string;
   cell_config : Config.t;
-  cell_digest : string;  (* Config.digest — the cache-key component *)
+  cell_digest : string;  (* the config's digest — the cache-key component *)
   cell_status : status;
   cell_wall_ms : float;
 }
@@ -258,7 +258,7 @@ let run ?domains ?(base = Config.default) ~source ~entry ~args grid backends
           Some
             { cell_backend = Registry.name backend;
               cell_config = config;
-              cell_digest = Config.digest config;
+              cell_digest = Driver.config_digest session config;
               cell_status = status;
               cell_wall_ms = (Unix.gettimeofday () -. c0) *. 1000. };
         loop ()
@@ -325,7 +325,7 @@ let metrics (sweep : sweep) : Metrics.t =
     (fun i c ->
       let p key = Printf.sprintf "explore.cell.%d.%s" i key in
       Metrics.set_string m (p "backend") c.cell_backend;
-      Metrics.set_string m (p "config") (Config.digest c.cell_config);
+      Metrics.set_string m (p "config") c.cell_digest;
       Metrics.set m (p "knobs") (Config.to_json c.cell_config);
       Metrics.set_string m (p "status") (status_name c.cell_status);
       Metrics.set_bool m (p "pareto") (List.mem i sweep.sw_pareto);

@@ -223,15 +223,21 @@ let session_counter s key =
 
 (* One session per (source, entry) per worker domain: the frontend runs
    once per distinct program per domain, designs are shared across
-   domains through the process-wide content-hash cache. *)
+   domains through the process-wide content-hash cache.  The table is
+   keyed by the source text itself, so a lookup hashes and compares it
+   and never digests it; a source asked under several entries holds one
+   binding per entry. *)
 let session_for sessions source entry =
-  let key = Digest.to_hex (Digest.string source) ^ "|" ^ entry in
-  match Hashtbl.find_opt sessions key with
+  match
+    List.find_opt
+      (fun s -> String.equal (Driver.entry s) entry)
+      (Hashtbl.find_all sessions source)
+  with
   | Some s -> s
   | None ->
     if Hashtbl.length sessions > 128 then Hashtbl.reset sessions;
     let s = Driver.create ~entry source in
-    Hashtbl.add sessions key s;
+    Hashtbl.add sessions source s;
     s
 
 let handle_compile sessions ~ctx ~id ~source ~entry ~backend ~args ~config =
@@ -259,7 +265,8 @@ let handle_compile sessions ~ctx ~id ~source ~entry ~backend ~args ~config =
         (* echo the config digest so sweep clients can correlate cache
            provenance with their design points *)
         match config with
-        | Some c -> [ ("config_digest", Metrics.String (Config.digest c)) ]
+        | Some c ->
+          [ ("config_digest", Metrics.String (Driver.config_digest s c)) ]
         | None -> []
       in
       match args with
@@ -374,15 +381,21 @@ module Pool = struct
     Mutex.unlock t.mlock;
     pairs
 
+  (* each op's request counter and latency histogram *)
+  let op_metrics = function
+    | Compile _ -> ("serve.requests.compile", "serve.latency.compile_ms")
+    | Compare _ -> ("serve.requests.compare", "serve.latency.compare_ms")
+    | Check _ -> ("serve.requests.check", "serve.latency.check_ms")
+    | Stats _ -> ("serve.requests.stats", "serve.latency.stats_ms")
+    | Shutdown _ -> ("serve.requests.shutdown", "serve.latency.shutdown_ms")
+
   let record t req ok dt_ms =
-    let op = op_name req in
+    let requests, latency = op_metrics req in
     Mutex.lock t.mlock;
     Metrics.incr t.pmetrics "serve.requests.total";
-    Metrics.incr t.pmetrics (Printf.sprintf "serve.requests.%s" op);
+    Metrics.incr t.pmetrics requests;
     if not ok then Metrics.incr t.pmetrics "serve.errors";
-    Metrics.observe_ms t.pmetrics
-      (Printf.sprintf "serve.latency.%s_ms" op)
-      dt_ms;
+    Metrics.observe_ms t.pmetrics latency dt_ms;
     Mutex.unlock t.mlock
 
   let stats t =
