@@ -286,6 +286,44 @@ let test_session_bookkeeping_pinned () =
         (Metrics.render_compact
            (zero_timers (Metrics.to_json (Driver.metrics s)))))
 
+(* A warm hit pays for its lookup and little more: after a warm-up, a
+   front-hit compile and a memo-hit oracle question each stay under a
+   bound of minor words per call, on gcd and on bsort.  The bounds, 250
+   and 100, are about twice what the calls take (123 and 54 words); a
+   hit that re-ran the dialect check, re-digested the config or rebuilt
+   the session's registry would exceed them. *)
+let hit_word_bounds = (250., 100.)
+
+let test_hits_allocate_little () =
+  let words f =
+    f ();
+    let n = 200 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let compile_bound, reference_bound = hit_word_bounds in
+  List.iter
+    (fun (w : Workloads.t) ->
+      let s = Driver.create ~entry:w.Workloads.entry w.Workloads.source in
+      let bachc = Registry.get "bachc" in
+      let args = List.hd w.Workloads.arg_sets in
+      let compile () = ignore (design_of (Driver.compile s bachc)) in
+      let reference () = ignore (design_of (Driver.reference s ~args)) in
+      let c = words compile and r = words reference in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: a front-hit compile takes %.0f words (bound %.0f)"
+           w.Workloads.name c compile_bound)
+        true (c <= compile_bound);
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "%s: a memo-hit oracle question takes %.0f words (bound %.0f)"
+           w.Workloads.name r reference_bound)
+        true (r <= reference_bound))
+    [ Workloads.gcd; Workloads.bsort ]
+
 let suite =
   ( "driver",
     [ Alcotest.test_case "frontend memoized" `Quick test_frontend_memoized;
@@ -302,4 +340,6 @@ let suite =
       Alcotest.test_case "compile_all verdict order is declared order"
         `Quick test_compile_all_declared_order;
       Alcotest.test_case "session bookkeeping pinned" `Quick
-        test_session_bookkeeping_pinned ] )
+        test_session_bookkeeping_pinned;
+      Alcotest.test_case "hits allocate little" `Quick
+        test_hits_allocate_little ] )
