@@ -107,6 +107,34 @@ type outcome = {
   store : Interp.store;
 }
 
+(* One thread's turn in a cycle: zero-cost items until one costs the
+   cycle or the thread blocks. *)
+let run_turn policy turn machine t =
+  turn.ops <- 0;
+  turn.written <- [];
+  turn.region_reads <- [];
+  turn.region_writes <- [];
+  let spent = ref 0 and items = ref 0 in
+  while !spent = 0 && Interp.runnable t && not (Interp.finished machine) do
+    incr items;
+    if !items > guard then raise Combinational_loop;
+    spent :=
+      if defers policy turn t then 1
+      else cost policy turn (Interp.exec_item machine t)
+  done
+
+(* One cycle over the threads it started with: a turn for each runnable
+   thread, in list order.  Whether any thread ran; a walk with no
+   closure, so a cycle allocates nothing of its own. *)
+let rec run_cycle policy turn machine progressed = function
+  | [] -> progressed
+  | t :: rest ->
+    if Interp.runnable t && not (Interp.finished machine) then begin
+      run_turn policy turn machine t;
+      run_cycle policy turn machine true rest
+    end
+    else run_cycle policy turn machine progressed rest
+
 (** Run the entry on the interpreter's thread machine, one global clock:
     each cycle, every runnable thread runs zero-cost items until one
     costs the cycle or the thread blocks. *)
@@ -117,28 +145,8 @@ let run ~policy (program : Interp.resolved) ~entry ~args : outcome =
   while not (Interp.finished machine) do
     if !cycles >= max_cycles then raise Timeout;
     incr cycles;
-    let progressed = ref false in
-    List.iter
-      (fun t ->
-        if Interp.runnable t && not (Interp.finished machine) then begin
-          progressed := true;
-          turn.ops <- 0;
-          turn.written <- [];
-          turn.region_reads <- [];
-          turn.region_writes <- [];
-          let spent = ref 0 and items = ref 0 in
-          while
-            !spent = 0 && Interp.runnable t && not (Interp.finished machine)
-          do
-            incr items;
-            if !items > guard then raise Combinational_loop;
-            spent :=
-              if defers policy turn t then 1
-              else cost policy turn (Interp.exec_item machine t)
-          done
-        end)
-      (Interp.threads machine);
-    if not !progressed then raise Deadlock
+    if not (run_cycle policy turn machine false (Interp.threads machine)) then
+      raise Deadlock
   done;
   let o = Interp.outcome machine in
   { return_value = o.Interp.return_value;

@@ -1113,6 +1113,18 @@ let permute ~seed ~round threads =
     done;
     Array.to_list arr
 
+(* One round over the threads it started with: one item of each
+   runnable thread, in list order.  Whether any thread ran; a walk with
+   no closure, so a round allocates nothing of its own. *)
+let rec run_round machine ran = function
+  | [] -> ran
+  | t :: rest ->
+    if runnable t && not (finished machine) then begin
+      ignore (exec_item machine t);
+      run_round machine true rest
+    end
+    else run_round machine ran rest
+
 (** Run [entry] of a resolved program.  [fuel] bounds the number of
     interpreter steps.  Each round runs one item of every runnable
     thread, in creation order or in the round's [sched_seed]
@@ -1123,17 +1135,12 @@ let run_resolved ?(fuel = step_budget) ?sched_seed resolved ~entry ~args :
   let round = ref 0 in
   while not (finished machine) do
     incr round;
-    let ran = ref false in
-    List.iter
-      (fun t ->
-        if runnable t && not (finished machine) then begin
-          ran := true;
-          ignore (exec_item machine t)
-        end)
-      (match sched_seed with
+    let threads =
+      match sched_seed with
       | None -> machine.threads
-      | Some seed -> permute ~seed ~round:!round machine.threads);
-    if not !ran then raise Deadlock
+      | Some seed -> permute ~seed ~round:!round machine.threads
+    in
+    if not (run_round machine false threads) then raise Deadlock
   done;
   outcome machine
 
