@@ -298,6 +298,71 @@ let prop_netlist_engines_agree =
         QCheck.Test.fail_reportf "timeout under only some netlist engines on:\n%s"
           src)
 
+(* The two operator tables: Intalu.binop (the compiled engines, unboxed
+   ints) and Neteval.apply_binop (the Bitvec simulators) must agree on
+   every binop, exhaustively at widths 1-8 and on seeded random pairs at
+   widths 9-62.  The random operands lean on the edges (0, 1, all ones,
+   the sign bit) and the shift amounts on [0, w+1], where the two tables'
+   conventions could part. *)
+let binops =
+  Netlist.
+    [ B_add; B_sub; B_mul; B_udiv; B_urem; B_sdiv; B_srem; B_and; B_or;
+      B_xor; B_shl; B_lshr; B_ashr; B_eq; B_ne; B_ult; B_ule; B_slt; B_sle ]
+
+let test_operator_tables_agree () =
+  let cases = ref 0 and disagree = ref [] in
+  let check op w a b =
+    incr cases;
+    let got = Intalu.binop (Intalu.binop_index op) w a b in
+    let want =
+      Bitvec.to_int_unsigned
+        (Neteval.apply_binop op (Bitvec.of_int ~width:w a)
+           (Bitvec.of_int ~width:w b))
+    in
+    if got <> want && List.length !disagree < 5 then
+      disagree :=
+        Printf.sprintf "op %d, width %d: %d, %d -> %d, Bitvec %d"
+          (Intalu.binop_index op) w a b got want
+        :: !disagree
+  in
+  for w = 1 to 8 do
+    List.iter
+      (fun op ->
+        for a = 0 to Intalu.masks.(w) do
+          for b = 0 to Intalu.masks.(w) do
+            check op w a b
+          done
+        done)
+      binops
+  done;
+  let rng = Random.State.make [| 2026 |] in
+  for w = 9 to Intalu.width_limit do
+    let mask = Intalu.masks.(w) in
+    let edges = [| 0; 1; mask; mask - 1; 1 lsl (w - 1); (1 lsl (w - 1)) - 1 |] in
+    let operand () =
+      if Random.State.int rng 4 = 0 then
+        edges.(Random.State.int rng (Array.length edges))
+      else Random.State.bits rng lor (Random.State.bits rng lsl 30) land mask
+    in
+    List.iter
+      (fun op ->
+        for _ = 1 to 400 do
+          let a = operand () in
+          let b =
+            match op with
+            | Netlist.B_shl | Netlist.B_lshr | Netlist.B_ashr
+              when Random.State.bool rng ->
+              Random.State.int rng (w + 2)
+            | _ -> operand ()
+          in
+          check op w a b
+        done)
+      binops
+  done;
+  Alcotest.(check int) "cases checked" (1_660_220 + (54 * 19 * 400)) !cases;
+  Alcotest.(check (list string)) "Intalu and Bitvec disagree on" []
+    (List.rev !disagree)
+
 let suite =
   ( "simcomp",
     [ Alcotest.test_case "pinned gcd equivalence" `Quick
@@ -311,5 +376,7 @@ let suite =
         test_netlist_engine_reset;
       Alcotest.test_case "systemc answers like bachc" `Quick
         test_systemc_answers_like_bachc;
+      Alcotest.test_case "operator tables agree" `Quick
+        test_operator_tables_agree;
       QCheck_alcotest.to_alcotest prop_fsmd_compiled_equals_interpreter;
       QCheck_alcotest.to_alcotest prop_netlist_engines_agree ] )
