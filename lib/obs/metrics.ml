@@ -428,24 +428,24 @@ let materialize = function
   | Json j -> j
   | Hist h -> Histogram.to_json h
 
-let rec entry name = function
+let rec lookup name = function
   | [] -> raise_notrace Not_found
-  | e :: rest -> if String.equal e.name name then e else entry name rest
+  | e :: rest -> if String.equal e.name name then e else lookup name rest
 
 let add t name cell = t.entries <- { name; cell } :: t.entries
 
 let set t name v =
-  match entry name t.entries with
+  match lookup name t.entries with
   | e -> e.cell <- Json v
   | exception Not_found -> add t name (Json v)
 
 let find t name =
-  match entry name t.entries with
+  match lookup name t.entries with
   | e -> Some (materialize e.cell)
   | exception Not_found -> None
 
 let observe_ms t name v =
-  match entry name t.entries with
+  match lookup name t.entries with
   | { cell = Hist h; _ } -> Histogram.observe h v
   | { cell = Json _; _ } ->
     invalid_arg
@@ -456,7 +456,7 @@ let observe_ms t name v =
     add t name (Hist h)
 
 let histogram t name =
-  match entry name t.entries with
+  match lookup name t.entries with
   | { cell = Hist h; _ } -> Some h
   | { cell = Json _; _ } | (exception Not_found) -> None
 let set_int t name n = set t name (Int n)
@@ -465,14 +465,14 @@ let set_string t name s = set t name (String s)
 let set_fixed t name ~decimals f = set t name (Fixed (decimals, f))
 
 let incr t ?(by = 1) name =
-  match entry name t.entries with
+  match lookup name t.entries with
   | { cell = Json (Int n); _ } as e -> e.cell <- Json (Int (n + by))
   | { cell = Json _ | Hist _; _ } ->
     invalid_arg (Printf.sprintf "Metrics.incr: %S is not an Int" name)
   | exception Not_found -> add t name (Json (Int by))
 
 let add_ms t name ms =
-  match entry name t.entries with
+  match lookup name t.entries with
   | { cell = Json (Fixed (d, prev)); _ } as e ->
     e.cell <- Json (Fixed (d, prev +. ms))
   | { cell = Json _ | Hist _; _ } ->

@@ -74,8 +74,10 @@ type t
 val create : unit -> t
 
 val set : t -> string -> json -> unit
-(** Set (or replace) a named value.  Dotted names ("sim.cycles") become
-    nested objects in {!to_json}. *)
+(** Set (or replace) a named value.  A name already present is updated
+    in place and keeps the place of its first write; the registry is
+    never rebuilt.  Dotted names ("sim.cycles") become nested objects in
+    {!to_json}. *)
 
 val set_int : t -> string -> int -> unit
 val set_bool : t -> string -> bool -> unit
