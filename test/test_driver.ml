@@ -292,9 +292,8 @@ let test_session_bookkeeping_pinned () =
    and 100, are about twice what the calls take (123 and 54 words); a
    hit that re-ran the dialect check, re-digested the config or rebuilt
    the session's registry would exceed them. *)
-let hit_word_bounds = (250., 100.)
-
 let test_hits_allocate_little () =
+  let compile_bound = 250. and reference_bound = 100. in
   let words f =
     f ();
     let n = 200 in
@@ -304,7 +303,6 @@ let test_hits_allocate_little () =
     done;
     (Gc.minor_words () -. w0) /. float_of_int n
   in
-  let compile_bound, reference_bound = hit_word_bounds in
   List.iter
     (fun (w : Workloads.t) ->
       let s = Driver.create ~entry:w.Workloads.entry w.Workloads.source in
