@@ -230,6 +230,104 @@ let test_systemc_answers_like_bachc () =
         [ Design.Compiled; Design.Event_driven ])
     w.Workloads.arg_sets
 
+(* --- designs the int engines cannot hold run on the oracle --- *)
+
+let compile_design source backend =
+  match
+    Driver.compile (Driver.create ~entry:"f" source) (Registry.get backend)
+  with
+  | Ok d -> d
+  | Error e -> Alcotest.fail (backend ^ ": " ^ Driver.render_error e)
+
+let sim_engine (r : Design.run_result) =
+  match Metrics.find r.Design.metrics "sim.engine" with
+  | Some (Metrics.String s) -> s
+  | _ -> "<none>"
+
+(* A 64-bit program: every signal of [f] is wider than the int engines'
+   62 bits, so every FSMD, netlist and stack-machine design of it runs on
+   its oracle, whichever engine is asked for, with the same answer, the
+   same counters and the same waveform. *)
+let wide_source =
+  "long g; long f(long a, long b) { long r = a * b + (a >> 3); g = r ^ b; \
+   return r; }"
+
+let test_wide_designs_run_on_the_oracle () =
+  let args =
+    [ Bitvec.make ~width:64 (Int64.shift_left 1L 40); Bitvec.make ~width:64 3L ]
+  in
+  let expected_cycles = function
+    | "transmogrifier" -> Some 1
+    | "c2verilog" -> Some 38
+    | "cones" -> None
+    | _ -> Some 2
+  in
+  List.iter
+    (fun backend ->
+      let d = compile_design wide_source backend in
+      let run sim =
+        let v = Vcd.create () in
+        let r =
+          match sim with
+          | None -> d.Design.run ~vcd:v args
+          | Some sim -> d.Design.run ~vcd:v ~sim args
+        in
+        (r, Vcd.contents v)
+      in
+      let default, default_vcd = run None in
+      List.iter
+        (fun sim ->
+          let what = backend ^ " on " ^ Design.engine_name sim in
+          let r, _ = run (Some sim) in
+          Alcotest.(check (option int64)) (what ^ ": result")
+            (Some 3435973836800L)
+            (Option.map Bitvec.to_int64_signed r.Design.result);
+          Alcotest.(check (option int64)) (what ^ ": global g")
+            (Some 3435973836803L)
+            (Option.map Bitvec.to_int64_signed
+               (List.assoc_opt "g" r.Design.globals));
+          Alcotest.(check string) (what ^ ": sim.engine") "event"
+            (sim_engine r);
+          Alcotest.(check (option int)) (what ^ ": cycles")
+            (expected_cycles backend) r.Design.cycles;
+          if backend = "cones" then begin
+            Alcotest.(check (option (float 0.))) (what ^ ": time units")
+              (Some 33.) r.Design.time_units;
+            Alcotest.(check bool) (what ^ ": 14 nodes evaluated, 13 events")
+              true
+              (Metrics.find r.Design.metrics "sim.nodes_evaluated"
+               = Some (Metrics.Int 14)
+              && Metrics.find r.Design.metrics "sim.events"
+                 = Some (Metrics.Int 13))
+          end)
+        [ Design.Compiled; Design.Event_driven ];
+      let _, event_vcd = run (Some Design.Event_driven) in
+      Alcotest.(check string) (backend ^ ": default VCD = event VCD")
+        event_vcd default_vcd;
+      Alcotest.(check string) (backend ^ ": default run's sim.engine") "event"
+        (sim_engine default))
+    [ "cones"; "transmogrifier"; "hardwarec"; "bachc"; "cyber"; "specc";
+      "systemc"; "c2verilog" ]
+
+(* C2Verilog's int engine holds a design whose arguments fit an OCaml
+   int; a run whose arguments do not fit goes to the oracle, run by
+   run. *)
+let test_c2verilog_argument_check () =
+  let d = compile_design "int f(int a) { return a + 1; }" "c2verilog" in
+  List.iter
+    (fun (arg, result, engine) ->
+      let r = d.Design.run [ Bitvec.make ~width:64 arg ] in
+      let what = Printf.sprintf "f(%Ld)" arg in
+      Alcotest.(check (option int)) (what ^ ": result") (Some result)
+        (Option.map Bitvec.to_int r.Design.result);
+      Alcotest.(check (option int)) (what ^ ": cycles") (Some 9)
+        r.Design.cycles;
+      Alcotest.(check string) (what ^ ": sim.engine") engine (sim_engine r))
+    [ (41L, 42, "compiled");
+      (Int64.min_int, 1, "event");
+      (0x4000_0000_0000_0000L, 1, "event");
+      (41L, 42, "compiled") ]
+
 (* --- random programs: property versions of the same checks --- *)
 
 let gen_inputs =
@@ -376,6 +474,10 @@ let suite =
         test_netlist_engine_reset;
       Alcotest.test_case "systemc answers like bachc" `Quick
         test_systemc_answers_like_bachc;
+      Alcotest.test_case "wide designs run on the oracle" `Quick
+        test_wide_designs_run_on_the_oracle;
+      Alcotest.test_case "c2verilog argument check" `Quick
+        test_c2verilog_argument_check;
       Alcotest.test_case "operator tables agree" `Quick
         test_operator_tables_agree;
       QCheck_alcotest.to_alcotest prop_fsmd_compiled_equals_interpreter;
