@@ -45,7 +45,6 @@ type row = {
   fsmd_cycles : int;
   net_cycles : int;
   c2v_cycles : int;
-  compiled : bool; (* every compiled engine, not the width fallbacks *)
   fsmd_comp_cps : float; (* Fsmdcomp, precompiled *)
   fsmd_interp_cps : float; (* Rtlsim *)
   net_comp_cps : float; (* Netcomp, precompiled *)
@@ -103,7 +102,9 @@ let same_c2v (a : C2v_machine.outcome) (b : C2v_machine.outcome) =
 
 (* The kernel's C2Verilog design: the compiled engine (built once, its
    memory restored between runs) and the oracle, with two runs of the
-   compiled engine checked against the oracle before any timing. *)
+   compiled engine checked against the oracle before any timing.  A
+   design or vector the int engine cannot hold is no benchmark: the
+   kernel fails. *)
 let c2v_columns (w : Workloads.t) args =
   let design =
     C2v_backend.compile (Workloads.parse w) ~entry:w.Workloads.entry
@@ -111,14 +112,18 @@ let c2v_columns (w : Workloads.t) args =
   match design.Design.artifact with
   | Design.Stack_machine { compiled; ret_width } ->
     let engine = C2vcomp.create compiled ~ret_width in
-    let run_c () = C2vcomp.execute engine ~args in
+    let words =
+      match C2vcomp.words args with
+      | Some words -> words
+      | None -> failwith "simcomp bench: arguments wider than an int"
+    in
+    let run_c () = C2vcomp.execute engine words in
     let run_i () = C2v_machine.run compiled ~ret_width ~args in
     let oi = run_i () in
     let oc = run_c () in
     let verified = same_c2v oc oi && same_c2v (run_c ()) oi in
     let cycles = oi.C2v_machine.cycles in
     ( cycles,
-      C2vcomp.compiled engine ~args,
       float_of_int cycles /. Float.max 1e-9 (time_runs run_c),
       float_of_int cycles /. Float.max 1e-9 (time_runs run_i),
       verified )
@@ -144,14 +149,15 @@ let run_kernel (w : Workloads.t) =
   let run_fi () = Rtlsim.run fsmd ~args in
   let run_nc () =
     Netcomp.reset neng;
-    Netcomp.drive neng ~inputs ~done_name:"done" ~max_cycles:2_000_000
+    Netcomp.drive neng ~inputs ~done_name:"done" ~max_cycles:Rtlsim.max_cycles
   in
   let run_ne () =
-    Neteval.run_until_done nl ~inputs ~done_name:"done" ~max_cycles:2_000_000
+    Neteval.run_until_done nl ~inputs ~done_name:"done"
+      ~max_cycles:Rtlsim.max_cycles
   in
   let run_ns () =
     let t = Neteval.create ~strategy:Neteval.Full_sweep nl in
-    Neteval.drive t ~inputs ~done_name:"done" ~max_cycles:2_000_000
+    Neteval.drive t ~inputs ~done_name:"done" ~max_cycles:Rtlsim.max_cycles
   in
   (* verify compiled = interpreting oracle at both levels before timing *)
   let oc = run_fc () and oi = run_fi () in
@@ -167,7 +173,7 @@ let run_kernel (w : Workloads.t) =
   in
   match (run_nc (), run_ne (), run_ns ()) with
   | Ok (nc_out, nc_cycles), Ok (ne_out, ne_cycles), Ok (ns_out, ns_cycles) ->
-    let c2v_cycles, c2v_compiled, c2v_comp_cps, c2v_interp_cps, c2v_ok =
+    let c2v_cycles, c2v_comp_cps, c2v_interp_cps, c2v_ok =
       c2v_columns w args
     in
     let net_ok =
@@ -182,8 +188,6 @@ let run_kernel (w : Workloads.t) =
       fsmd_cycles = oc.Rtlsim.cycles;
       net_cycles = nc_cycles;
       c2v_cycles;
-      compiled =
-        Fsmdcomp.compiled feng && Netcomp.compiled neng && c2v_compiled;
       fsmd_comp_cps = cps oc.Rtlsim.cycles (time_runs run_fc);
       fsmd_interp_cps = cps oc.Rtlsim.cycles (time_runs run_fi);
       net_comp_cps = cps nc_cycles (time_runs run_nc);
@@ -205,7 +209,9 @@ let json_of_row r =
       ("fsmd_cycles", Metrics.Int r.fsmd_cycles);
       ("netlist_cycles", Metrics.Int r.net_cycles);
       ("c2verilog_cycles", Metrics.Int r.c2v_cycles);
-      ("compiled_engines", Metrics.Bool r.compiled);
+      (* every compiled engine held the kernel: [create] raises on any
+         design it cannot hold *)
+      ("compiled_engines", Metrics.Bool true);
       ("fsmd_compiled_cycles_per_sec", Metrics.Fixed (0, r.fsmd_comp_cps));
       ("fsmd_interp_cycles_per_sec", Metrics.Fixed (0, r.fsmd_interp_cps));
       ("netlist_compiled_cycles_per_sec", Metrics.Fixed (0, r.net_comp_cps));

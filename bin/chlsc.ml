@@ -303,79 +303,91 @@ let verify_sim_flag =
               result, globals, memories, cycle count and VCD change stream \
               are bit-identical")
 
+(* The netlist view's inputs for an integer argument vector, each at its
+   input's width; exits 1 when the counts differ. *)
+let netlist_inputs ~flag nl args =
+  let ins = Netlist.inputs nl in
+  if List.length ins <> List.length args then begin
+    Printf.eprintf "%snetlist takes %d input(s), got %d argument(s)\n" flag
+      (List.length ins) (List.length args);
+    exit 1
+  end;
+  List.map2
+    (fun (name, s) v -> (name, Bitvec.of_int ~width:(Netlist.width nl s) v))
+    ins args
+
 (* Drive the design's netlist view through the evaluator under both settling
-   strategies and print the activity counters side by side. *)
+   strategies, and through the compiled engine when it holds the netlist,
+   and print the activity counters side by side. *)
 let print_sim_stats (design : Design.t) args =
   match design.Design.netlist () with
   | None ->
     print_endline "simulator stats: this backend has no netlist view"
   | Some nl ->
-    let ins = Netlist.inputs nl in
-    if List.length ins <> List.length args then begin
-      Printf.eprintf "--stats: netlist takes %d input(s), got %d argument(s)\n"
-        (List.length ins) (List.length args);
-      exit 1
+    let inputs = netlist_inputs ~flag:"--stats: " nl args in
+    let describe label (st : Neteval.stats) =
+      Printf.printf
+        "  %-13s %d cycles, %d node evals (%.1f/settle), %d events, %.2f ms\n"
+        label st.Neteval.cycles st.Neteval.nodes_evaluated
+        (float_of_int st.Neteval.nodes_evaluated
+        /. float_of_int (max 1 st.Neteval.settles))
+        st.Neteval.events
+        (st.Neteval.wall_time *. 1000.)
+    in
+    Printf.printf "netlist evaluator stats (%d nodes):\n" (Netlist.length nl);
+    if not (List.mem_assoc "done" (Netlist.outputs nl)) then begin
+      (* combinational netlist: one settle, identical under both
+         strategies *)
+      let _, st = Neteval.eval_combinational_stats nl ~inputs in
+      describe "combinational" st
     end
     else begin
-      let inputs =
-        List.map2
-          (fun (name, s) v ->
-            (name, Bitvec.of_int ~width:(Netlist.width nl s) v))
-          ins args
+      let compiled =
+        if Netcomp.compilable nl then
+          Some
+            (Netcomp.run_until_done_stats nl ~inputs ~done_name:"done"
+               ~max_cycles:Rtlsim.max_cycles)
+        else None
       in
-      let describe label (st : Neteval.stats) =
+      let run strategy =
+        Neteval.run_until_done_stats ~strategy nl ~inputs ~done_name:"done"
+          ~max_cycles:Rtlsim.max_cycles
+      in
+      let same (out, cycles, _) (out', cycles', _) =
+        cycles = cycles'
+        && List.for_all2
+             (fun (n1, v1) (n2, v2) -> n1 = n2 && Bitvec.equal v1 v2)
+             out out'
+      in
+      match (compiled, run Neteval.Event_driven, run Neteval.Full_sweep) with
+      | (None | Some (Ok _)), Ok ((_, _, ev) as e), Ok ((_, _, fs) as f) ->
+        let compiled =
+          match compiled with Some (Ok c) -> Some c | _ -> None
+        in
+        (match compiled with
+        | Some (_, _, cs) -> describe "compiled:" cs
+        | None ->
+          Printf.printf "  %-13s does not apply (signals over 62 bits)\n"
+            "compiled:");
+        describe "event-driven:" ev;
+        describe "full-sweep:" fs;
+        let agree =
+          same e f && Option.fold ~none:true ~some:(same e) compiled
+        in
         Printf.printf
-          "  %-13s %d cycles, %d node evals (%.1f/settle), %d events, %.2f ms\n"
-          label st.Neteval.cycles st.Neteval.nodes_evaluated
-          (float_of_int st.Neteval.nodes_evaluated
-          /. float_of_int (max 1 st.Neteval.settles))
-          st.Neteval.events
-          (st.Neteval.wall_time *. 1000.)
-      in
-      Printf.printf "netlist evaluator stats (%d nodes):\n" (Netlist.length nl);
-      if not (List.mem_assoc "done" (Netlist.outputs nl)) then begin
-        (* combinational netlist: one settle, identical under both
-           strategies *)
-        let _, st = Neteval.eval_combinational_stats nl ~inputs in
-        describe "combinational" st
-      end
-      else begin
-        let runc =
-          Netcomp.run_until_done_stats nl ~inputs ~done_name:"done"
-            ~max_cycles:2_000_000
-        in
-        let run strategy =
-          Neteval.run_until_done_stats ~strategy nl ~inputs ~done_name:"done"
-            ~max_cycles:2_000_000
-        in
-        match (runc, run Neteval.Event_driven, run Neteval.Full_sweep) with
-        | ( Ok (c_out, c_cycles, cs),
-            Ok (ev_out, ev_cycles, ev),
-            Ok (fs_out, fs_cycles, fs) ) ->
-          describe "compiled:" cs;
-          describe "event-driven:" ev;
-          describe "full-sweep:" fs;
-          let outs_eq a b =
-            List.for_all2
-              (fun (n1, v1) (n2, v2) -> n1 = n2 && Bitvec.equal v1 v2)
-              a b
-          in
-          let agree =
-            ev_cycles = fs_cycles && c_cycles = ev_cycles
-            && outs_eq ev_out fs_out && outs_eq c_out ev_out
-          in
-          Printf.printf
-            "  node-eval reduction: %.1fx; compiled speedup: %.1fx; \
-             bit-exact across engines: %s\n"
-            (float_of_int fs.Neteval.nodes_evaluated
-            /. float_of_int (max 1 ev.Neteval.nodes_evaluated))
-            (ev.Neteval.wall_time /. Float.max 1e-9 cs.Neteval.wall_time)
-            (if agree then "yes" else "NO — evaluator bug");
-          if not agree then exit 2
-        | Error `Timeout, _, _ | _, Error `Timeout, _ | _, _, Error `Timeout
-          ->
-          print_endline "  (timed out)"
-      end
+          "  node-eval reduction: %.1fx; %sbit-exact across engines: %s\n"
+          (float_of_int fs.Neteval.nodes_evaluated
+          /. float_of_int (max 1 ev.Neteval.nodes_evaluated))
+          (match compiled with
+          | Some (_, _, cs) ->
+            Printf.sprintf "compiled speedup: %.1fx; "
+              (ev.Neteval.wall_time /. Float.max 1e-9 cs.Neteval.wall_time)
+          | None -> "")
+          (if agree then "yes" else "NO — evaluator bug");
+        if not agree then exit 2
+      | Some (Error `Timeout), _, _ | _, Error `Timeout, _
+      | _, _, Error `Timeout ->
+        print_endline "  (timed out)"
     end
 
 (* Drive the design's netlist view through the event-driven evaluator with
@@ -390,18 +402,7 @@ let observe_netlist (design : Design.t) args ~vcd_path ~profile ~metrics =
       exit 1
     end
   | Some nl ->
-    let ins = Netlist.inputs nl in
-    if List.length ins <> List.length args then begin
-      Printf.eprintf "netlist takes %d input(s), got %d argument(s)\n"
-        (List.length ins) (List.length args);
-      exit 1
-    end;
-    let inputs =
-      List.map2
-        (fun (name, s) v ->
-          (name, Bitvec.of_int ~width:(Netlist.width nl s) v))
-        ins args
-    in
+    let inputs = netlist_inputs ~flag:"" nl args in
     let writer = Option.map (fun _ -> Vcd.create ()) vcd_path in
     let t = Neteval.create nl in
     Option.iter
@@ -409,7 +410,8 @@ let observe_netlist (design : Design.t) args ~vcd_path ~profile ~metrics =
       writer;
     (if List.mem_assoc "done" (Netlist.outputs nl) then begin
        match
-         Neteval.drive t ~inputs ~done_name:"done" ~max_cycles:2_000_000
+         Neteval.drive t ~inputs ~done_name:"done"
+           ~max_cycles:Rtlsim.max_cycles
        with
        | Ok _ -> ()
        | Error `Timeout -> print_endline "netlist run: timed out"

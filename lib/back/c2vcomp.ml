@@ -18,8 +18,9 @@
    the OCaml int whose sign extension is that pattern.  That is exact
    when every operator width is at most 62 bits (results are masked
    below bit 62), every constant and initial word fits, and every
-   argument fits — [compilable] checks the design, [compiled] the run's
-   arguments, and anything else runs on C2v_machine instead.  Faults
+   argument fits.  [create] takes only a design [compilable] checked,
+   and [execute] only arguments [words] converted, so nothing else
+   reaches this engine: Design runs it on C2v_machine instead.  Faults
    raise C2v_machine's exceptions with C2v_machine's messages, in the
    same order. *)
 
@@ -33,6 +34,13 @@ let word_of_pattern p =
 
 let arg_fits v =
   Option.is_some (word_of_pattern (Bitvec.to_int64_unsigned v))
+
+type words = int list
+
+let words args =
+  if List.for_all arg_fits args then
+    Some (List.map (fun v -> Int64.to_int (Bitvec.to_int64_unsigned v)) args)
+  else None
 
 (* --- decoding ---------------------------------------------------------- *)
 
@@ -97,7 +105,7 @@ let decode : C2verilog.instr -> (int * int * int) option = function
 
 (* --- the engine -------------------------------------------------------- *)
 
-type comp = {
+type t = {
   src : C2verilog.compiled;
   ret_width : int;
   ops : int array;
@@ -123,8 +131,6 @@ type comp = {
   mutable executed : int;
 }
 
-type t = Compiled of comp | Interp of C2verilog.compiled * int
-
 let compilable (compiled : C2verilog.compiled) =
   let c = compiled in
   c.C2verilog.stack_base <= c.C2verilog.heap_base
@@ -137,7 +143,9 @@ let compilable (compiled : C2verilog.compiled) =
          && arg_fits v)
        c.C2verilog.initial_memory
 
-let compile (src : C2verilog.compiled) ~ret_width =
+let create (src : C2verilog.compiled) ~ret_width =
+  if not (compilable src) then
+    invalid_arg "C2vcomp: the program is not compilable";
   let n = Array.length src.C2verilog.code in
   let ops = Array.make n 0 and xs = Array.make n 0 and ys = Array.make n 0 in
   Array.iteri
@@ -179,15 +187,6 @@ let compile (src : C2verilog.compiled) ~ret_width =
     pc = 0;
     cycles = 0;
     executed = 0 }
-
-let create compiled ~ret_width =
-  if compilable compiled then Compiled (compile compiled ~ret_width)
-  else Interp (compiled, ret_width)
-
-let compiled t ~args =
-  match t with
-  | Compiled _ -> List.for_all arg_fits args
-  | Interp _ -> false
 
 let fault fmt =
   Printf.ksprintf (fun m -> raise (C2v_machine.Runtime_error m)) fmt
@@ -370,10 +369,10 @@ let step c =
     push c (Intalu.binop (op - op_binop) x a b);
     c.pc <- next
 
-let execute_compiled c ~args : C2v_machine.outcome =
+let execute c words : C2v_machine.outcome =
   restore c;
   let src = c.src in
-  if List.length args <> src.C2verilog.entry_args then
+  if List.length words <> src.C2verilog.entry_args then
     fault "expected %d arguments" src.C2verilog.entry_args;
   c.pc <- src.C2verilog.entry_pc;
   c.sp <- c.stack_base;
@@ -383,9 +382,7 @@ let execute_compiled c ~args : C2v_machine.outcome =
   c.executed <- 0;
   (* boot protocol: args, then a return pc beyond the code *)
   let halt_pc = Array.length c.ops in
-  List.iter
-    (fun v -> push c (Int64.to_int (Bitvec.to_int64_unsigned v)))
-    args;
+  List.iter (push c) words;
   push c (halt_pc land mask32);
   while c.pc <> halt_pc do
     if c.cycles > C2v_machine.max_cycles then raise C2v_machine.Timeout;
@@ -405,9 +402,3 @@ let execute_compiled c ~args : C2v_machine.outcome =
     instructions_executed = c.executed;
     globals;
     memories }
-
-let execute t ~args =
-  match t with
-  | Compiled c when List.for_all arg_fits args -> execute_compiled c ~args
-  | Compiled { src; ret_width; _ } | Interp (src, ret_width) ->
-    C2v_machine.run src ~ret_width ~args

@@ -12,22 +12,31 @@
     same cycle counts, and the same [C2v_machine.Runtime_error] and
     [C2v_machine.Timeout] at the same point of a run.  {!C2v_machine}
     stays the differential oracle ([chlsc compile --sim event
-    --verify-sim]).  A design whose operators are wider than 62 bits, or
-    whose constants or initial memory words do not fit an unboxed int,
-    falls back to {!C2v_machine} as a whole; so does a run whose
-    arguments do not fit. *)
+    --verify-sim]).  The engine holds only a {!compilable} program, and
+    runs only argument vectors {!words} accepts; {!Design} runs anything
+    else on {!C2v_machine}. *)
+
+val compilable : C2verilog.compiled -> bool
+(** Can this program run on the int engine?  Requires every operator
+    width in [1;62], every constant and initial memory word to fit an
+    unboxed OCaml int, and the memory layout in order. *)
 
 type t
 (** One engine for one compiled program.  Mutable: one run at a time. *)
 
 val create : C2verilog.compiled -> ret_width:int -> t
-(** Decode the code (or, when not {!compilable}, wrap the oracle). *)
+(** Decode the code.
+    @raise Invalid_argument when the program is not {!compilable}. *)
 
-val compiled : t -> args:Bitvec.t list -> bool
-(** [true] when {!execute} runs these arguments on the int engine rather
-    than on {!C2v_machine}. *)
+type words
+(** An argument vector the int engine can hold. *)
 
-val execute : t -> args:Bitvec.t list -> C2v_machine.outcome
+val words : Bitvec.t list -> words option
+(** The vector as int words, or [None] when some argument's 64-bit
+    pattern does not fit an unboxed OCaml int.  Arguments differ from run
+    to run, so this is the one check a caller makes per run. *)
+
+val execute : t -> words -> C2v_machine.outcome
 (** Run the entry function, as {!C2v_machine.run} does under its default
     {!C2v_machine.max_cycles}.
     @raise C2v_machine.Runtime_error and C2v_machine.Timeout as

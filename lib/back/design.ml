@@ -14,8 +14,10 @@
    per-state closures, C2vcomp's decoded stack code); Event_driven — the
    change-propagating Neteval, the instruction-walking Rtlsim (SystemC's
    kernel for a process network), the Bitvec-word C2v_machine — survives
-   as the differential oracle.  CASH and the statement machine have one
-   engine each and ignore the selection. *)
+   as the differential oracle.  A compiled engine holds only what its
+   [compilable] accepts; the runs below alone choose, and run anything
+   else on the oracle.  CASH and the statement machine have one engine
+   each and ignore the selection. *)
 type engine = Compiled | Event_driven
 
 let engine_name = function Compiled -> "compiled" | Event_driven -> "event"
@@ -165,21 +167,24 @@ let engine_metric metrics ran_compiled =
   Metrics.set_string metrics "sim.engine"
     (if ran_compiled then "compiled" else "event")
 
-(* Every FSMD runs on the design's Fsmdcomp pool by default; [event] is
-   its event-driven engine: Rtlsim, or SystemC's kernel for a process
+(* A compiled run of an FSMD takes the design's Fsmdcomp pool when the
+   engine holds the FSMD, and Rtlsim when it does not; the scan that
+   decides runs on the first compiled run, once.  [event] is the
+   event-driven engine: Rtlsim, or SystemC's kernel for a process
    network. *)
 let fsmd_run
     ~(event :
        ?max_cycles:int -> ?trace:Rtlsim.trace -> Fsmd.t ->
        args:Bitvec.t list -> Rtlsim.outcome) fsmd =
-  let with_engine = pool (fun () -> Fsmdcomp.create fsmd) in
+  let compilable = once (fun () -> Fsmdcomp.compilable fsmd)
+  and with_engine = pool (fun () -> Fsmdcomp.create fsmd) in
   fun ?vcd ?(sim = Compiled) args ->
     let trace = Option.map (fun v -> Trace.rtlsim_trace v fsmd) vcd in
     let o, ran_compiled =
       match sim with
-      | Compiled ->
-        with_engine (fun e ->
-            (Fsmdcomp.execute ?trace e ~args, Fsmdcomp.compiled e))
+      | Compiled when compilable () ->
+        (with_engine (fun e -> Fsmdcomp.execute ?trace e ~args), true)
+      | Compiled -> (Rtlsim.run ?trace fsmd ~args, false)
       | Event_driven -> (event ?trace fsmd ~args, false)
     in
     let metrics = Metrics.create () in
@@ -192,13 +197,16 @@ let fsmd_run
     outcome o.Rtlsim.return_value ~globals:o.Rtlsim.globals
       ~memories:o.Rtlsim.memories ~cycles:o.Rtlsim.cycles ~metrics
 
-(* One settle per run: a pooled engine, reset first, for untraced runs;
-   a fresh one for a traced run, so no pooled engine keeps a probe.  A
-   reset engine keeps counting, so the run's counters are deltas.
-   Scalar globals leave the block as outputs [g_<name>]; the settle time
-   is the netlist's critical path. *)
+(* One settle per run.  A compiled run takes a pooled Netcomp engine,
+   reset first, when untraced, and a fresh one when traced, so no pooled
+   engine keeps a probe; a reset engine keeps counting, so the run's
+   counters are deltas.  A netlist Netcomp does not hold (the scan runs
+   on the first compiled run, once) settles on a pooled Neteval, as an
+   event-driven run does.  Scalar globals leave the block as outputs
+   [g_<name>]; the settle time is the netlist's critical path. *)
 let netlist_run nl ~critical_path =
-  let with_engine = pool (fun () -> Netcomp.create nl)
+  let compilable = once (fun () -> Netcomp.compilable nl)
+  and with_engine = pool (fun () -> Netcomp.create nl)
   and with_evaluator = pool (fun () -> Neteval.create nl) in
   let settle e ~inputs =
     let before = Netcomp.stats e in
@@ -210,25 +218,25 @@ let netlist_run nl ~critical_path =
         (fun (name, s) -> (name, Netcomp.value e s))
         (Netlist.outputs nl),
       after.Neteval.nodes_evaluated - nodes,
-      after.Neteval.events - events,
-      Netcomp.compiled e )
+      after.Neteval.events - events )
   in
   fun ?vcd ?(sim = Compiled) args ->
     let inputs =
       List.map2 (fun (name, _) v -> (name, v)) (Netlist.inputs nl) args
     in
     let probe = Option.map (fun v -> Trace.neteval_probe v nl) vcd in
-    let outputs, nodes, events, ran_compiled =
-      match (sim, probe) with
-      | Compiled, None ->
+    let compiled = sim = Compiled && compilable () in
+    let outputs, nodes, events =
+      match probe with
+      | None when compiled ->
         with_engine (fun e ->
             Netcomp.reset e;
             settle e ~inputs)
-      | Compiled, Some p ->
+      | Some p when compiled ->
         let e = Netcomp.create nl in
         Netcomp.set_probe e p;
         settle e ~inputs
-      | Event_driven, _ ->
+      | None | Some _ ->
         with_evaluator (fun t ->
             Neteval.reset t;
             Option.iter (Neteval.set_probe t) probe;
@@ -238,11 +246,10 @@ let netlist_run nl ~critical_path =
                 (fun (name, s) -> (name, Neteval.value t s))
                 (Netlist.outputs nl),
               st.Neteval.nodes_evaluated,
-              st.Neteval.events,
-              false ))
+              st.Neteval.events ))
     in
     let metrics = Metrics.create () in
-    engine_metric metrics ran_compiled;
+    engine_metric metrics compiled;
     Metrics.set_int metrics "sim.nodes_evaluated" nodes;
     Metrics.set_int metrics "sim.events" events;
     outcome
@@ -256,18 +263,26 @@ let netlist_run nl ~critical_path =
            outputs)
       ~time_units:critical_path ~metrics
 
+(* A compiled run of a stack machine takes the design's C2vcomp pool when
+   the engine holds the program (the scan runs on the first compiled run,
+   once) and this run's arguments (checked run by run); anything else
+   runs on C2v_machine. *)
 let stack_run compiled ~ret_width =
-  let with_engine = pool (fun () -> C2vcomp.create compiled ~ret_width) in
+  let compilable = once (fun () -> C2vcomp.compilable compiled)
+  and with_engine = pool (fun () -> C2vcomp.create compiled ~ret_width) in
   fun ?vcd:_ ?(sim = Compiled) args ->
-    let o, ran_compiled =
+    let words =
       match sim with
-      | Compiled ->
-        with_engine (fun e ->
-            (C2vcomp.execute e ~args, C2vcomp.compiled e ~args))
-      | Event_driven -> (C2v_machine.run compiled ~ret_width ~args, false)
+      | Compiled when compilable () -> C2vcomp.words args
+      | Compiled | Event_driven -> None
+    in
+    let o =
+      match words with
+      | Some words -> with_engine (fun e -> C2vcomp.execute e words)
+      | None -> C2v_machine.run compiled ~ret_width ~args
     in
     let metrics = Metrics.create () in
-    engine_metric metrics ran_compiled;
+    engine_metric metrics (Option.is_some words);
     Metrics.set_int metrics "sim.cycles" o.C2v_machine.cycles;
     outcome o.C2v_machine.return_value ~globals:o.C2v_machine.globals
       ~memories:o.C2v_machine.memories ~cycles:o.C2v_machine.cycles ~metrics
@@ -387,7 +402,8 @@ let area_of_artifact ~netlist = function
 (* A cached design is shared by every worker domain, so each view is
    built [once].  Compiled runs of an FSMD or process network
    (Fsmdcomp), a netlist (Netcomp) or a stack machine (C2vcomp) take
-   engines from the value's own pool. *)
+   engines from the value's own pool, when the engine holds the
+   artifact. *)
 let make ~name ~backend ?clock_period ?(stats = []) ?(pass_trace = [])
     artifact : t =
   let netlist = once (fun () -> netlist_of_artifact artifact) in

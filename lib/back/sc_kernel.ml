@@ -136,7 +136,7 @@ let run_until kernel ~stop ~max_cycles =
    per-cycle trace) reads off the same machine Rtlsim clocks.  A timeout
    carries the cycle count and current FSM state like the other
    simulators, so chlsc can exit 3 with a partial outcome. *)
-let run_fsmd ?(max_cycles = 2_000_000) ?trace (fsmd : Fsmd.t) ~args :
+let run_fsmd ?(max_cycles = Rtlsim.max_cycles) ?trace (fsmd : Fsmd.t) ~args :
     Rtlsim.outcome =
   let kernel = create () in
   let state =

@@ -51,6 +51,6 @@ val run_fsmd :
   Rtlsim.outcome
 (** Model an FSMD as a clocked process network and clock it until done:
     a drop-in for {!Rtlsim.run}, with the same outcome, trace stream and
-    budget (default 2,000,000 cycles).
+    budget (default {!Rtlsim.max_cycles}).
     @raise Rtlsim.Timeout past the bound, with the current FSM state.
     @raise Cir_interp.Runtime_error on an arity mismatch. *)

@@ -14,8 +14,9 @@
    because a design keeps its engines for as long as it lives.
 
    Fidelity: arithmetic is Intalu's, bit-identical to Bitvec at widths
-   <= 62.  Designs with wider signals fall back to the event-driven
-   interpreter transparently, so callers never see a capability error.
+   <= 62.  The engine holds only a [compilable] netlist, and [create]
+   refuses any other: a design with wider signals runs on the
+   event-driven interpreter, which Design picks for it.
 
    Observation: probes reproduce Neteval's committed-change stream — an
    id-order walk comparing each signal against a shadow array (seeded
@@ -84,7 +85,7 @@ type reg = { rs : int; next : int; enable : int (* -1 = always enabled *) }
 
 type wport = { wmem : int; we : int; waddr : int; wdata : int; wdepth : int }
 
-type comp = {
+type t = {
   netlist : Netlist.t;
   values : int array; (* masked unsigned bit patterns, one per signal *)
   code : int array; (* two packed ints per evaluated node, in id order *)
@@ -103,8 +104,6 @@ type comp = {
       (* shadow values for the observed-change walk; empty until a probe
          is attached *)
 }
-
-type t = Compiled of comp | Interp of Neteval.t
 
 (* The packed encoding.  Each evaluated node [s] is two ints, in id
    order:
@@ -127,7 +126,11 @@ let op_zext = 25
 let op_sext = 26
 let op_mem_read = 27
 
-let compile nl =
+let create nl =
+  if not (compilable nl) then
+    invalid_arg
+      (Printf.sprintf "Netcomp: netlist %S is not compilable"
+         (Netlist.name nl));
   let n = Netlist.length nl in
   let width = Netlist.width nl in
   let values = Array.make (max n 1) 0 in
@@ -223,37 +226,25 @@ let compile nl =
     probe = None;
     prev = [||] }
 
-let create nl =
-  if compilable nl then Compiled (compile nl)
-  else Interp (Neteval.create nl)
-
-let compiled = function Compiled _ -> true | Interp _ -> false
-
 (* Back to power-on state, keeping the compiled code: registers and
    memories reload their initial images, the cycle counter and the
    probe's shadow array rewind.  This is what makes the engine reusable —
-   compile once, run many.  The interpreter fallback rewinds with
-   [Neteval.reset]. *)
-let reset = function
-  | Compiled c ->
-    Array.iter (fun (s, b) -> c.values.(s) <- b) c.reg_init;
-    Array.iteri
-      (fun i init -> Array.blit init 0 c.mem_state.(i) 0 (Array.length init))
-      c.mem_init;
-    c.ccycle <- 0;
-    c.cstats.Neteval.cycles <- 0;
-    Array.fill c.prev 0 (Array.length c.prev) (Bitvec.zero 1)
-  | Interp ie -> Neteval.reset ie
+   compile once, run many. *)
+let reset c =
+  Array.iter (fun (s, b) -> c.values.(s) <- b) c.reg_init;
+  Array.iteri
+    (fun i init -> Array.blit init 0 c.mem_state.(i) 0 (Array.length init))
+    c.mem_init;
+  c.ccycle <- 0;
+  c.cstats.Neteval.cycles <- 0;
+  Array.fill c.prev 0 (Array.length c.prev) (Bitvec.zero 1)
 
-let set_probe t p =
-  match t with
-  | Compiled c ->
-    if Array.length c.prev = 0 then
-      c.prev <- Array.make (Netlist.length c.netlist) (Bitvec.zero 1);
-    c.probe <- Some p
-  | Interp ie -> Neteval.set_probe ie p
+let set_probe c p =
+  if Array.length c.prev = 0 then
+    c.prev <- Array.make (Netlist.length c.netlist) (Bitvec.zero 1);
+  c.probe <- Some p
 
-let bv_of c s =
+let value c s =
   Bitvec.make ~width:(Netlist.width c.netlist s) (Int64.of_int c.values.(s))
 
 (* The observed-change walk: id order over all signals, exactly the
@@ -262,7 +253,7 @@ let bv_of c s =
    signal whose settled value differs from a 1-bit zero). *)
 let notify_changes c (p : Neteval.probe) =
   for s = 0 to Array.length c.prev - 1 do
-    let v = bv_of c s in
+    let v = value c s in
     if not (Bitvec.equal v c.prev.(s)) then begin
       c.prev.(s) <- v;
       c.cstats.Neteval.events <- c.cstats.Neteval.events + 1;
@@ -270,7 +261,7 @@ let notify_changes c (p : Neteval.probe) =
     end
   done
 
-let set_inputs_c c inputs =
+let set_inputs c inputs =
   Array.iter
     (fun (s, name) ->
       let w = Netlist.width c.netlist s in
@@ -282,9 +273,9 @@ let set_inputs_c c inputs =
       c.values.(s) <- to_bits bv)
     c.input_nodes
 
-(* One pass over the packed code.  [compilable] range-checked every
-   operand id (each dep is a node id below its user's), so the loop
-   reads values unchecked. *)
+(* One pass over the packed code.  [create] took the netlist only once
+   [compilable] had range-checked every operand id (each dep is a node
+   id below its user's), so the loop reads values unchecked. *)
 let run_code v mem_state code evaluated =
   let get i = Array.unsafe_get v i in
   for k = 0 to evaluated - 1 do
@@ -318,14 +309,11 @@ let settle_resolved c =
   run_code c.values c.mem_state c.code c.evaluated;
   match c.probe with None -> () | Some p -> notify_changes c p
 
-let settle t ~inputs =
-  match t with
-  | Compiled c ->
-    set_inputs_c c inputs;
-    settle_resolved c
-  | Interp ie -> Neteval.settle ie ~inputs
+let settle c ~inputs =
+  set_inputs c inputs;
+  settle_resolved c
 
-let tick_c c =
+let tick c =
   let v = c.values in
   (* phase 1: latch next values (read-before-write across registers) *)
   let nregs = Array.length c.regs in
@@ -349,57 +337,40 @@ let tick_c c =
   c.ccycle <- c.ccycle + 1;
   c.cstats.Neteval.cycles <- c.ccycle
 
-let tick = function Compiled c -> tick_c c | Interp ie -> Neteval.tick ie
-
-let cycle = function Compiled c -> c.ccycle | Interp ie -> Neteval.cycle ie
-
-let value t s =
-  match t with Compiled c -> bv_of c s | Interp ie -> Neteval.value ie s
-
-let output_signal_c c name =
+let output_signal c name =
   match List.assoc_opt name (Netlist.outputs c.netlist) with
   | Some s -> s
   | None ->
     invalid_arg
       (Printf.sprintf
-         "Netcomp.output: netlist %S has no output %S (outputs: %s)"
+         "Netcomp.drive: netlist %S has no output %S (outputs: %s)"
          (Netlist.name c.netlist) name
          (match Netlist.outputs c.netlist with
          | [] -> "<none>"
          | outs -> String.concat ", " (List.map fst outs)))
 
-let output t name =
-  match t with
-  | Compiled c -> bv_of c (output_signal_c c name)
-  | Interp ie -> Neteval.output ie name
+let stats c = c.cstats
 
-let stats = function Compiled c -> c.cstats | Interp ie -> Neteval.stats ie
-
-let drive t ~inputs ~done_name ~max_cycles =
-  match t with
-  | Interp ie -> Neteval.drive ie ~inputs ~done_name ~max_cycles
-  | Compiled c ->
-    let done_sig = output_signal_c c done_name in
-    set_inputs_c c inputs;
-    let t0 = Sys.time () in
-    let rec go () =
-      settle_resolved c;
-      if c.values.(done_sig) <> 0 then
-        Ok
-          ( List.map
-              (fun (n, s) -> (n, bv_of c s))
-              (Netlist.outputs c.netlist),
-            c.ccycle )
-      else if c.ccycle >= max_cycles then Error `Timeout
-      else begin
-        tick_c c;
-        go ()
-      end
-    in
-    let r = go () in
-    c.cstats.Neteval.wall_time <-
-      c.cstats.Neteval.wall_time +. (Sys.time () -. t0);
-    r
+let drive c ~inputs ~done_name ~max_cycles =
+  let done_sig = output_signal c done_name in
+  set_inputs c inputs;
+  let t0 = Sys.time () in
+  let rec go () =
+    settle_resolved c;
+    if c.values.(done_sig) <> 0 then
+      Ok
+        ( List.map (fun (n, s) -> (n, value c s)) (Netlist.outputs c.netlist),
+          c.ccycle )
+    else if c.ccycle >= max_cycles then Error `Timeout
+    else begin
+      tick c;
+      go ()
+    end
+  in
+  let r = go () in
+  c.cstats.Neteval.wall_time <-
+    c.cstats.Neteval.wall_time +. (Sys.time () -. t0);
+  r
 
 let run_until_done_stats ?probe nl ~inputs ~done_name ~max_cycles =
   let t = create nl in

@@ -7,44 +7,36 @@
     operand ids; the node id is the destination), in id order, which is
     topological for combinational deps.  A settle runs that array over
     an unboxed [int] value array, registers are double-buffered across
-    [tick], and cycles batch with no per-cycle graph walk.  An engine
-    costs about three words per node, so a design can keep one alive
-    for as long as it lives.  Probe hooks (VCD tracing) only pay when
-    attached: an id-order change walk against a shadow array, allocated
-    on the first {!set_probe}, reproduces [Neteval]'s committed-change
-    stream exactly.
+    clock ticks, and cycles batch with no per-cycle graph walk.  An
+    engine costs about three words per node, so a design can keep one
+    alive for as long as it lives.  Probe hooks (VCD tracing) only pay
+    when attached: an id-order change walk against a shadow array,
+    allocated on the first {!set_probe}, reproduces [Neteval]'s
+    committed-change stream exactly.
 
-    The compiled engine requires every signal and memory word to fit an
-    unboxed OCaml int (width <= 62).  Wider designs transparently fall
-    back to the event-driven interpreter, which also remains available as
-    the differential oracle for the compiled engine (see
+    The engine holds only a {!compilable} netlist: every signal and
+    memory word must fit an unboxed OCaml int (width <= 62).  [Design]
+    runs any other on the event-driven interpreter, which also remains
+    the differential oracle for this engine (see
     [bench/simcomp_bench.ml] and [chlsc compile --verify-sim]). *)
 
 val compilable : Netlist.t -> bool
 (** Can this netlist run on the compiled int engine?  Requires all
     signal and memory-word widths in [1;62], width-matched binop
     operands and write ports, and every combinational dep to precede
-    its user in id order.  When [false], the functions below
-    delegate to {!Neteval} (event-driven). *)
+    its user in id order. *)
 
 type t
 
 val create : Netlist.t -> t
-(** Pack the netlist into its code array.  Falls back to an embedded
-    {!Neteval} instance when the netlist is not {!compilable}. *)
-
-val compiled : t -> bool
-(** [true] when running on the packed code, [false] on the interpreter
-    fallback. *)
+(** Pack the netlist into its code array.
+    @raise Invalid_argument when the netlist is not {!compilable}. *)
 
 val reset : t -> unit
 (** Rewind to power-on state — registers and memories reload their
     initial images, the cycle counter restarts — while keeping the
-    compiled code, so one [create] can serve many runs.  The compiled
-    engine's statistics other than [cycles] keep counting across
-    resets.  On the
-    interpreter fallback this rebuilds the {!Neteval} instance
-    (dropping any attached probe; re-attach after reset if needed). *)
+    compiled code, so one [create] can serve many runs.  Statistics
+    other than [cycles] keep counting across resets. *)
 
 val set_probe : t -> Neteval.probe -> unit
 (** Observe committed value changes (id order within each settle), with
@@ -52,10 +44,7 @@ val set_probe : t -> Neteval.probe -> unit
     enables the shadow-compare walk; unobserved runs skip it. *)
 
 val settle : t -> inputs:(string * Bitvec.t) list -> unit
-val tick : t -> unit
-val cycle : t -> int
 val value : t -> Netlist.signal -> Bitvec.t
-val output : t -> string -> Bitvec.t
 val stats : t -> Neteval.stats
 
 val drive :
@@ -71,3 +60,5 @@ val run_until_done_stats :
   ?probe:Neteval.probe -> Netlist.t -> inputs:(string * Bitvec.t) list ->
   done_name:string -> max_cycles:int ->
   ((string * Bitvec.t) list * int * Neteval.stats, [ `Timeout ]) result
+(** {!create}, then {!drive}.
+    @raise Invalid_argument when the netlist is not {!compilable}. *)

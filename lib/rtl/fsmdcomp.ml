@@ -20,10 +20,11 @@
    raise (or, for eq/ne, compare unequal) exactly as the interpreter
    would.
 
-   Designs with registers, immediates, memories or globals wider than 62
-   bits fall back to Rtlsim.run transparently; the interpreter also
-   remains the differential oracle for this engine (chlsc compile
-   --verify-sim, test/test_simcomp.ml). *)
+   The engine holds only a [compilable] FSMD, one whose registers,
+   immediates, memories and globals all fit 62 bits; [create] refuses
+   any other.  Design runs such an FSMD on the interpreter instead, and
+   the interpreter stays this engine's differential oracle (chlsc
+   compile --verify-sim, test/test_simcomp.ml). *)
 
 let[@inline] to_bits bv = Int64.to_int (Bitvec.to_int64_unsigned bv)
 
@@ -49,7 +50,7 @@ let compilable (fsmd : Fsmd.t) =
     | Cir.O_reg _ -> ()
   in
   (* leave zero-width cast/load destinations to the interpreter: those
-     crash in Bitvec and the fallback reproduces the crash exactly *)
+     crash in Bitvec, and the interpreter reproduces the crash exactly *)
   let chk_dst_w dst = if Cir.reg_width func dst < 1 then ok := false in
   Array.iter
     (fun (st : Fsmd.state) ->
@@ -72,7 +73,7 @@ let compilable (fsmd : Fsmd.t) =
     fsmd.Fsmd.states;
   !ok
 
-type comp = {
+type t = {
   fsmd : Fsmd.t;
   nregs : int;
   (* live register file: masked bit patterns + current dynamic widths *)
@@ -100,9 +101,11 @@ type comp = {
   result : Bitvec.t option ref;
 }
 
-type t = Compiled of comp | Interp of Fsmd.t
-
-let compile (fsmd : Fsmd.t) : comp =
+let create (fsmd : Fsmd.t) : t =
+  if not (compilable fsmd) then
+    invalid_arg
+      (Printf.sprintf "Fsmdcomp: FSMD %S is not compilable"
+         fsmd.Fsmd.fd_name);
   let func = fsmd.Fsmd.func in
   let nregs = func.Cir.fn_reg_count in
   let reg_bits = Array.make (max nregs 1) 0 in
@@ -307,11 +310,8 @@ let compile (fsmd : Fsmd.t) : comp =
     mem_w; mem_init_bits; mem_init_w; states; sb_region; sb_addr; sb_bits;
     sb_w; sb_n; traced; store_log; result }
 
-let create fsmd = if compilable fsmd then Compiled (compile fsmd) else Interp fsmd
-
-let compiled = function Compiled _ -> true | Interp _ -> false
-
-let execute_compiled ~max_cycles ~trace (c : comp) ~args : Rtlsim.outcome =
+let execute ?(max_cycles = Rtlsim.max_cycles) ?trace (c : t) ~args :
+    Rtlsim.outcome =
   let fsmd = c.fsmd in
   let func = fsmd.Fsmd.func in
   (* fresh run: restore the initial register/memory images *)
@@ -388,11 +388,3 @@ let execute_compiled ~max_cycles ~trace (c : comp) ~args : Rtlsim.outcome =
                      (Int64.of_int c.mem_bits.(i).(j))) ))
            func.Cir.fn_regions);
     states_visited = visited }
-
-let execute ?(max_cycles = 2_000_000) ?trace t ~args =
-  match t with
-  | Compiled c -> execute_compiled ~max_cycles ~trace c ~args
-  | Interp fsmd -> Rtlsim.run ~max_cycles ?trace fsmd ~args
-
-let run ?max_cycles ?trace (fsmd : Fsmd.t) ~args =
-  execute ?max_cycles ?trace (create fsmd) ~args

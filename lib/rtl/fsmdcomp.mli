@@ -13,27 +13,22 @@
     once per design, not once per run.
 
     Semantics are bit-identical to {!Rtlsim} (same exceptions, same
-    [outcome], same trace stream); the interpreter stays available as the
-    differential oracle (see [chlsc compile --verify-sim]).  Designs
-    whose registers, immediates, memories or globals exceed 62 bits fall
-    back to {!Rtlsim.run} transparently. *)
+    [outcome], same trace stream); the interpreter stays the
+    differential oracle (see [chlsc compile --verify-sim]).  The engine
+    holds only a {!compilable} FSMD; [Design] runs any other on
+    {!Rtlsim}. *)
 
 val compilable : Fsmd.t -> bool
 (** Can this FSMD run on the compiled int engine?  Requires every
     register width, immediate width, memory word width and global
-    initializer to fit an unboxed OCaml int ({!Intalu.width_limit}).
-    When [false], {!create} wraps the interpreter instead. *)
+    initializer to fit an unboxed OCaml int ({!Intalu.width_limit}). *)
 
 type t
 (** A compiled simulation engine for one FSMD. *)
 
 val create : Fsmd.t -> t
-(** Compile the FSMD to per-state closure arrays (or, when not
-    {!compilable}, an interpreter fallback wrapper). *)
-
-val compiled : t -> bool
-(** [true] when {!create} produced the closure engine rather than the
-    interpreter fallback. *)
+(** Compile the FSMD to per-state closure arrays.
+    @raise Invalid_argument when the FSMD is not {!compilable}. *)
 
 val execute :
   ?max_cycles:int -> ?trace:Rtlsim.trace -> t -> args:Bitvec.t list ->
@@ -42,11 +37,6 @@ val execute :
     its initial image first, so repeated calls are independent.
     Tracing materializes the register file as [Bitvec.t]s once per
     cycle — only paid when a trace is attached.
-    @raise Rtlsim.Timeout after [max_cycles] (default 2,000,000).
+    @raise Rtlsim.Timeout after [max_cycles] (default
+    {!Rtlsim.max_cycles}).
     @raise Cir_interp.Runtime_error on argument-count mismatch. *)
-
-val run :
-  ?max_cycles:int -> ?trace:Rtlsim.trace -> Fsmd.t -> args:Bitvec.t list ->
-  Rtlsim.outcome
-(** One-shot convenience: {!create} + {!execute}.  Drop-in replacement
-    for {!Rtlsim.run}. *)

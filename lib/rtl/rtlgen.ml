@@ -227,7 +227,7 @@ let elaborate (fsmd : Fsmd.t) : elaborated =
 
 (** Run the elaborated netlist to completion and return (result, globals,
     cycles) plus the evaluator's performance counters. *)
-let simulate_stats ?(max_cycles = 2_000_000) ?strategy ?probe
+let simulate_stats ?(max_cycles = Rtlsim.max_cycles) ?strategy ?probe
     (e : elaborated) ~args ~func =
   let inputs =
     List.map2

@@ -67,7 +67,9 @@ let step m (fsmd : Fsmd.t) state =
          else if_false)
     | Fsmd.N_halt v -> Halt (Option.map (Cir_interp.value m) v) )
 
-let run ?(max_cycles = 2_000_000) ?trace (fsmd : Fsmd.t) ~args : outcome =
+let max_cycles = 2_000_000
+
+let run ?(max_cycles = max_cycles) ?trace (fsmd : Fsmd.t) ~args : outcome =
   let m = Cir_interp.start fsmd.Fsmd.func ~args in
   let visited = Array.make (Fsmd.num_states fsmd) 0 in
   let rec clock cycles state =

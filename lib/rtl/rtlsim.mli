@@ -47,8 +47,14 @@ val step :
     (region, address, value) stores in program order with the
     transition. *)
 
+val max_cycles : int
+(** The default cycle budget of every FSMD engine: this clock, the
+    compiled {!Fsmdcomp}, SystemC's kernel, and the netlists an FSMD
+    elaborates to, so they time out at the same cycle. *)
+
 val run :
   ?max_cycles:int -> ?trace:trace -> Fsmd.t -> args:Bitvec.t list -> outcome
 (** Clock the FSMD from its entry state on a fresh {!Cir_interp.start}
     machine until it halts.
+    @raise Timeout past [max_cycles] (default {!max_cycles}).
     @raise Cir_interp.Runtime_error on an arity mismatch. *)

@@ -41,6 +41,10 @@ let outcome_eq (a : Rtlsim.outcome) (b : Rtlsim.outcome) =
   && named_eq memory_eq a.Rtlsim.memories b.Rtlsim.memories
   && a.Rtlsim.states_visited = b.Rtlsim.states_visited
 
+(* one run on a fresh compiled FSMD engine, as Rtlsim.run runs *)
+let fsmdcomp_run ?trace fsmd ~args =
+  Fsmdcomp.execute ?trace (Fsmdcomp.create fsmd) ~args
+
 (* the VCD stream an FSMD run produces under the shared trace hook *)
 let fsmd_vcd runner fsmd =
   let v = Vcd.create () in
@@ -87,7 +91,7 @@ let check_kernel (w : Workloads.t) () =
   List.iter
     (fun int_args ->
       let args = args_of int_args in
-      let oc = Fsmdcomp.run fsmd ~args in
+      let oc = fsmdcomp_run fsmd ~args in
       let oi = Rtlsim.run fsmd ~args in
       Alcotest.(check bool)
         (Printf.sprintf "%s: compiled outcome = interpreter outcome"
@@ -96,7 +100,7 @@ let check_kernel (w : Workloads.t) () =
       Alcotest.(check string)
         (Printf.sprintf "%s: compiled VCD = interpreter VCD" w.Workloads.name)
         (fsmd_vcd (fun ~trace f -> Rtlsim.run ~trace f ~args) fsmd)
-        (fsmd_vcd (fun ~trace f -> Fsmdcomp.run ~trace f ~args) fsmd);
+        (fsmd_vcd (fun ~trace f -> fsmdcomp_run ~trace f ~args) fsmd);
       let inputs = inputs_of func args in
       match
         ( netcomp_probed nl ~inputs,
@@ -132,8 +136,6 @@ let test_fsmd_engine_reuse () =
   let w = Workloads.gcd in
   let _, fsmd, _ = build w.Workloads.source ~entry:w.Workloads.entry in
   let eng = Fsmdcomp.create fsmd in
-  Alcotest.(check bool) "gcd runs on the closure engine" true
-    (Fsmdcomp.compiled eng);
   List.iter
     (fun int_args ->
       let args = args_of int_args in
@@ -155,8 +157,6 @@ let test_netlist_engine_reset () =
   let w = Workloads.crc in
   let func, _, nl = build w.Workloads.source ~entry:w.Workloads.entry in
   let eng = Netcomp.create nl in
-  Alcotest.(check bool) "crc runs on the closure engine" true
-    (Netcomp.compiled eng);
   List.iter
     (fun int_args ->
       let inputs = inputs_of func (args_of int_args) in
@@ -328,6 +328,40 @@ let test_c2verilog_argument_check () =
       (0x4000_0000_0000_0000L, 1, "event");
       (41L, 42, "compiled") ]
 
+(* Each compiled engine holds only what its [compilable] accepts: [create]
+   refuses the wide program's FSMD, netlist and stack machine, and an
+   argument vector with a 64-bit pattern no OCaml int carries has no
+   words, so no run can take it to C2Verilog's int engine. *)
+let test_engines_refuse () =
+  let refuses what compilable create =
+    Alcotest.(check bool) (what ^ ": compilable") false compilable;
+    match create () with
+    | () -> Alcotest.fail (what ^ ": create took a design it cannot hold")
+    | exception Invalid_argument _ -> ()
+  in
+  let _, fsmd, nl = build wide_source ~entry:"f" in
+  refuses "Fsmdcomp" (Fsmdcomp.compilable fsmd) (fun () ->
+      ignore (Fsmdcomp.create fsmd));
+  refuses "Netcomp" (Netcomp.compilable nl) (fun () ->
+      ignore (Netcomp.create nl));
+  (match (compile_design wide_source "c2verilog").Design.artifact with
+  | Design.Stack_machine { compiled; ret_width } ->
+    refuses "C2vcomp" (C2vcomp.compilable compiled) (fun () ->
+        ignore (C2vcomp.create compiled ~ret_width))
+  | _ -> Alcotest.fail "c2verilog built no stack machine");
+  List.iter
+    (fun (pattern, fits) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "C2vcomp.words [0x%Lx]" pattern)
+        fits
+        (Option.is_some (C2vcomp.words [ Bitvec.make ~width:64 pattern ])))
+    [ (41L, true);
+      (0x3FFF_FFFF_FFFF_FFFFL, true);
+      (0xC000_0000_0000_0000L, true);
+      (0x4000_0000_0000_0000L, false);
+      (0xBFFF_FFFF_FFFF_FFFFL, false);
+      (Int64.min_int, false) ]
+
 (* --- random programs: property versions of the same checks --- *)
 
 let gen_inputs =
@@ -341,14 +375,14 @@ let prop_fsmd_compiled_equals_interpreter =
     (fun (src, (a, b)) ->
       let _, fsmd, _ = build src ~entry:"f" in
       let args = args_of [ a; b ] in
-      let oc = Fsmdcomp.run fsmd ~args in
+      let oc = fsmdcomp_run fsmd ~args in
       let oi = Rtlsim.run fsmd ~args in
       if not (outcome_eq oc oi) then
         QCheck.Test.fail_reportf
           "compiled FSMD outcome diverged from Rtlsim on:\n%s\ninputs %d,%d"
           src a b
       else
-        let vc = fsmd_vcd (fun ~trace f -> Fsmdcomp.run ~trace f ~args) fsmd in
+        let vc = fsmd_vcd (fun ~trace f -> fsmdcomp_run ~trace f ~args) fsmd in
         let vi = fsmd_vcd (fun ~trace f -> Rtlsim.run ~trace f ~args) fsmd in
         if vc <> vi then
           QCheck.Test.fail_reportf
@@ -478,6 +512,8 @@ let suite =
         test_wide_designs_run_on_the_oracle;
       Alcotest.test_case "c2verilog argument check" `Quick
         test_c2verilog_argument_check;
+      Alcotest.test_case "engines refuse what they cannot hold" `Quick
+        test_engines_refuse;
       Alcotest.test_case "operator tables agree" `Quick
         test_operator_tables_agree;
       QCheck_alcotest.to_alcotest prop_fsmd_compiled_equals_interpreter;
