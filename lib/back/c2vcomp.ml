@@ -18,11 +18,11 @@
    the OCaml int whose sign extension is that pattern.  That is exact
    when every operator width is at most 62 bits (results are masked
    below bit 62), every constant and initial word fits, and every
-   argument fits.  [create] takes only a design [compilable] checked,
-   and [execute] only arguments [words] converted, so nothing else
-   reaches this engine: Design runs it on C2v_machine instead.  Faults
-   raise C2v_machine's exceptions with C2v_machine's messages, in the
-   same order. *)
+   argument fits.  [create] takes only a design [compilable] accepts,
+   and [execute] only argument words [words] converted, so nothing else
+   reaches this engine; Design runs anything else on C2v_machine.
+   Faults raise C2v_machine's exceptions with C2v_machine's messages, in
+   the same order. *)
 
 (* addresses and return pcs are 32-bit values on the machine *)
 let mask32 = 0xFFFF_FFFF
