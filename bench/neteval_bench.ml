@@ -37,7 +37,7 @@ let lowered (w : Workloads.t) =
 let timed_run ~strategy ~repeats e ~args ~func =
   let best = ref None in
   for _ = 1 to repeats do
-    match Rtlgen.simulate_stats ~strategy e ~args ~func with
+    match Rtlgen.simulate ~strategy e ~args ~func with
     | Ok (outputs, cycles, st) -> (
       match !best with
       | Some (_, _, prev) when prev.Neteval.wall_time <= st.Neteval.wall_time

@@ -172,7 +172,7 @@ let run_kernel (w : Workloads.t) =
     && oc.Rtlsim.states_visited = oi.Rtlsim.states_visited
   in
   match (run_nc (), run_ne (), run_ns ()) with
-  | Ok (nc_out, nc_cycles), Ok (ne_out, ne_cycles), Ok (ns_out, ns_cycles) ->
+  | Ok (nc_out, nc_cycles), Ok (ne_out, ne_cycles, _), Ok (ns_out, ns_cycles) ->
     let c2v_cycles, c2v_comp_cps, c2v_interp_cps, c2v_ok =
       c2v_columns w args
     in

@@ -55,9 +55,15 @@ let entry_arg =
   Arg.(value & opt string "main" & info [ "e"; "entry" ] ~docv:"NAME"
          ~doc:"Entry function (default: main)")
 
+(* Flags that several commands take are declared once; each command
+   gives its own default and doc. *)
+let args_info ~doc = Arg.info [ "a"; "args" ] ~docv:"N,N,..." ~doc
+let backends_info ~doc = Arg.info [ "backends" ] ~docv:"B,B,..." ~doc
+let domains_info ~doc = Arg.info [ "domains" ] ~docv:"N" ~doc
+
 let args_arg =
-  Arg.(value & opt (some string) None & info [ "a"; "args" ] ~docv:"N,N,..."
-         ~doc:"Comma-separated integer arguments")
+  Arg.(value & opt (some string) None
+       & args_info ~doc:"Comma-separated integer arguments")
 
 (* --- subcommands --- *)
 
@@ -301,7 +307,8 @@ let verify_sim_flag =
               same vector (compile: the --args vector; fuzz: every design \
               that agrees with the reference) and fail (exit 2) unless \
               result, globals, memories, cycle count and VCD change stream \
-              are bit-identical")
+              are bit-identical.  A design no compiled engine ran has \
+              nothing to cross-check: compile says it does not apply")
 
 (* The netlist view's inputs for an integer argument vector, each at its
    input's width; exits 1 when the counts differ. *)
@@ -338,19 +345,22 @@ let print_sim_stats (design : Design.t) args =
     if not (List.mem_assoc "done" (Netlist.outputs nl)) then begin
       (* combinational netlist: one settle, identical under both
          strategies *)
-      let _, st = Neteval.eval_combinational_stats nl ~inputs in
+      let _, st = Neteval.eval_combinational nl ~inputs in
       describe "combinational" st
     end
     else begin
       let compiled =
         if Netcomp.compilable nl then
+          let c = Netcomp.create nl in
           Some
-            (Netcomp.run_until_done_stats nl ~inputs ~done_name:"done"
-               ~max_cycles:Rtlsim.max_cycles)
+            (Result.map
+               (fun (out, cycles) -> (out, cycles, Netcomp.stats c))
+               (Netcomp.drive c ~inputs ~done_name:"done"
+                  ~max_cycles:Rtlsim.max_cycles))
         else None
       in
       let run strategy =
-        Neteval.run_until_done_stats ~strategy nl ~inputs ~done_name:"done"
+        Neteval.run_until_done ~strategy nl ~inputs ~done_name:"done"
           ~max_cycles:Rtlsim.max_cycles
       in
       let same (out, cycles, _) (out', cycles', _) =
@@ -632,20 +642,24 @@ let compile_cmd =
           exit 2
         | Some (Ok _) | None -> ());
         if verify_sim then begin
-          let mismatches = Driver.engine_mismatches design ~args in
-          Metrics.set_bool m "run.sim_verified" (mismatches = []);
-          if mismatches = [] then
+          match Driver.engine_mismatches design ~args with
+          | None ->
+            print_endline
+              "verify-sim: does not apply (no compiled engine ran this \
+               design)"
+          | Some [] ->
+            Metrics.set_bool m "run.sim_verified" true;
             print_endline
               "verify-sim: compiled == event-driven (result, globals, \
                memories, cycles, vcd)"
-          else begin
+          | Some mismatches ->
+            Metrics.set_bool m "run.sim_verified" false;
             write_metrics ();
             Printf.eprintf
               "verify-sim: DIVERGENCE between compiled and event-driven \
                engines (%s)\n"
               (String.concat ", " mismatches);
             exit 2
-          end
         end;
         if profile then print_state_profile r;
         if stats then begin
@@ -716,7 +730,7 @@ let compare_cmd =
   in
   let args_all =
     Arg.(value & opt_all string []
-         & info [ "a"; "args" ] ~docv:"N,N,..."
+         & args_info
              ~doc:
                "Shared argument vector (repeatable: every accepting \
                 backend runs each vector, checked against the software \
@@ -724,7 +738,7 @@ let compare_cmd =
   in
   let backends_arg =
     Arg.(value & opt (some string) None
-         & info [ "backends" ] ~docv:"B,B,..."
+         & backends_info
              ~doc:
                "Restrict the comparison to these comma-separated backends \
                 (default: all registered)")
@@ -881,7 +895,7 @@ let serve_cmd =
   in
   let domains_arg =
     Arg.(value & opt (some int) None
-         & info [ "domains" ] ~docv:"N"
+         & domains_info
              ~doc:
                "Worker domains (default: the runtime's recommended count)")
   in
@@ -1228,7 +1242,7 @@ let explore_cmd =
   in
   let backends_arg =
     Arg.(value & opt string "bachc,hardwarec,transmogrifier,c2v"
-         & info [ "backends" ] ~docv:"B,B,..."
+         & backends_info
              ~doc:
                "Comma-separated backends to sweep.  The default spans \
                 the trade-off space: two schedulers (one with \
@@ -1246,7 +1260,7 @@ let explore_cmd =
   in
   let domains_arg =
     Arg.(value & opt (some int) None
-         & info [ "domains" ] ~docv:"N"
+         & domains_info
              ~doc:
                "Worker domains evaluating grid points in parallel \
                 (default: up to 4, bounded by the machine and the point \

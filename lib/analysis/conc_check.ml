@@ -624,13 +624,8 @@ let check_program ~(dialect : Dialect.t) (program : Ast.program) : diag list =
 
 (* --- pass-manager integration ------------------------------------------ *)
 
-(* Warnings are reported through a swappable sink (stderr by default) so
-   compiles stay quiet in tests that expect them to be. *)
-let warning_sink : (diag -> unit) ref =
-  ref (fun d -> prerr_endline (render d))
-
 let pass (dialect : Dialect.t) : Passes.program_pass =
   Passes.program_pass ~preserves_semantics:false "conc-check" (fun p ->
       let ds = check_program ~dialect p in
-      List.iter !warning_sink (warnings ds);
+      List.iter (fun d -> prerr_endline (render d)) (warnings ds);
       match errors ds with [] -> p | es -> raise (Check_failed es))

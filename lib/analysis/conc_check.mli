@@ -69,13 +69,6 @@ val check_program : dialect:Dialect.t -> Ast.program -> diag list
 val errors : diag list -> diag list
 val warnings : diag list -> diag list
 
-val severity : Dialect.t -> kind -> certain:bool -> severity
-(** The dialect's verdict on one hazard shape; [certain] distinguishes a
-    rendezvous that provably has no partner anywhere in the program from
-    one that merely lacks a sibling partner. *)
-
-val describe_target : target -> string
-
 val severity_name : severity -> string
 
 val render : ?file:string -> diag -> string
@@ -86,11 +79,7 @@ val metric_counters : diag list -> (string * int) list
     chan.unmatched_send, chan.unmatched_recv, chan.fan,
     chan.self_deadlock) with their counts, all keys always present. *)
 
-val warning_sink : (diag -> unit) ref
-(** Where {!pass} reports warning-severity diagnostics (default:
-    stderr). *)
-
 val pass : Dialect.t -> Passes.program_pass
-(** The checker as a declared source-level pass: reports warnings
-    through {!warning_sink}, raises {!Check_failed} on hard errors, and
-    returns the program unchanged. *)
+(** The checker as a declared source-level pass: reports warnings on
+    stderr, raises {!Check_failed} on hard errors, and returns the
+    program unchanged. *)

@@ -30,8 +30,6 @@ let compile ?config (program : Ast.program) ~entry : Design.t =
 
 let descriptor =
   Backend.make ~name:"bachc" ~aliases:[ "bach" ] ~pipeline:(Some pipeline)
-    ~description:"untimed semantics: resource-constrained scheduling \
-                  decides the cycles"
     ~dialect:Dialect.bachc
     (fun ~config program ~entry -> compile ~config program ~entry)
 
@@ -46,7 +44,6 @@ let cyber_pipeline =
 let cyber_descriptor =
   Backend.make ~name:"cyber" ~aliases:[ "bdl" ]
     ~pipeline:(Some cyber_pipeline)
-    ~description:"restricted C (BDL) on the Bach C scheduler"
     ~dialect:Dialect.cyber
     (fun ~config program ~entry ->
       Fsmd_common.scheduled ~backend_name:"cyber" ~dialect:Dialect.cyber

@@ -6,12 +6,6 @@
     using Bach C's explicit concurrency (par/rendezvous) run on the
     statement machine with the scheduled packing policy. *)
 
-val dialect : Dialect.t
-
-val pipeline : Passes.pipeline
-(** [conc-check; lower; simplify] (sequential programs; the concurrent
-    subset runs on the Handel-C statement machine instead). *)
-
 val compile : ?config:Config.t -> Ast.program -> entry:string -> Design.t
 (** [config] carries the allocation, the pass options and the unroll
     factor. *)

@@ -11,7 +11,6 @@ let default_capabilities = { c_frontend = true; constraint_reports = false }
 type descriptor = {
   name : string;
   aliases : string list;
-  description : string;
   dialect : Dialect.t;
   pipeline : Passes.pipeline option;
   compile : config:Config.t -> Ast.program -> entry:string -> Design.t;
@@ -32,5 +31,5 @@ let reject_if_illegal ~backend dialect program =
   | violations -> raise (Dialect_rejected { backend; violations })
 
 let make ?(aliases = []) ?(capabilities = default_capabilities)
-    ?(pipeline = None) ~name ~description ~dialect compile =
-  { name; aliases; description; dialect; pipeline; compile; capabilities }
+    ?(pipeline = None) ~name ~dialect compile =
+  { name; aliases; dialect; pipeline; compile; capabilities }

@@ -29,7 +29,6 @@ val default_capabilities : capabilities
 type descriptor = {
   name : string;  (** canonical lowercase name ("bachc") *)
   aliases : string list;  (** alternate spellings ("bach") *)
-  description : string;  (** one-line scheme summary for catalogs *)
   dialect : Dialect.t;  (** the surveyed language it implements *)
   pipeline : Passes.pipeline option;
       (** declared pass pipeline; [None] when no compilation pipeline
@@ -61,8 +60,7 @@ val reject_if_illegal : backend:string -> Dialect.t -> Ast.program -> unit
 
 val make :
   ?aliases:string list -> ?capabilities:capabilities ->
-  ?pipeline:Passes.pipeline option -> name:string -> description:string ->
-  dialect:Dialect.t ->
+  ?pipeline:Passes.pipeline option -> name:string -> dialect:Dialect.t ->
   (config:Config.t -> Ast.program -> entry:string -> Design.t) ->
   descriptor
 (** Descriptor smart constructor; [pipeline] defaults to [None] wrapped

@@ -34,7 +34,5 @@ let compile ?(config = Config.default) (program : Ast.program) ~entry :
 let descriptor =
   Backend.make ~name:"c2verilog" ~aliases:[ "c2v" ]
     ~pipeline:(Some pipeline)
-    ~description:"full ANSI C on a synthesized stack machine with one \
-                  unified memory"
     ~dialect:Dialect.c2verilog
     (fun ~config program ~entry -> compile ~config program ~entry)

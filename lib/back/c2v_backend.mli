@@ -2,10 +2,6 @@
     return a {!Design.Stack_machine} design, run by {!C2v_machine}; its
     Verilog view is the generated processor ({!C2v_verilog}). *)
 
-val pipeline : Passes.pipeline
-(** Source-only and empty: the stack-machine compiler consumes the AST
-    (pointers and recursion need the unified memory, not CIR). *)
-
 val compile : ?config:Config.t -> Ast.program -> entry:string -> Design.t
 
 val descriptor : Backend.descriptor

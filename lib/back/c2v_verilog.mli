@@ -4,7 +4,4 @@
     simulator ({!C2v_machine}) remains the timing reference; this is the
     "translated into Verilog" artifact the original tool produced. *)
 
-val opcode : C2verilog.instr -> int
-val immediate_of : C2verilog.instr -> int64
-
 val to_string : C2verilog.compiled -> name:string -> string

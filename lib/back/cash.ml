@@ -34,6 +34,5 @@ let compile ?(config = Config.default) ?handshake
 
 let descriptor =
   Backend.make ~name:"cash" ~pipeline:(Some pipeline)
-    ~description:"asynchronous Pegasus-style dataflow circuit, no clock"
     ~dialect:Dialect.cash
     (fun ~config program ~entry -> compile ~config program ~entry)

@@ -2,12 +2,6 @@
     asynchronous dataflow circuit, executed by the timed token simulator.
     No clock; performance is the dynamic critical path. *)
 
-val dialect : Dialect.t
-
-val pipeline : Passes.pipeline
-(** [lower] only: the dataflow circuit is built from the SSA of the raw
-    lowering. *)
-
 val compile :
   ?config:Config.t -> ?handshake:float -> Ast.program -> entry:string ->
   Design.t

@@ -431,8 +431,5 @@ let compile ?(config = Config.default) (program : Ast.program) ~entry :
 
 let descriptor =
   Backend.make ~name:"cones" ~pipeline:(Some pipeline)
-    ~description:
-      "symbolic execution of the entry function into combinational \
-       two-level logic"
     ~dialect:Dialect.cones
     (fun ~config program ~entry -> compile ~config program ~entry)

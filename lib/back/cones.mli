@@ -6,14 +6,6 @@
 
 exception Unsupported of string
 
-val pipeline : Passes.pipeline
-(** Source-only and empty: Cones symbolically executes the AST directly,
-    unrolling loops itself. *)
-
-val synthesize : Ast.program -> entry:string -> Netlist.t
-(** The combinational netlist; scalar globals appear as [g_<name>]
-    outputs.  @raise Unsupported / Failure outside the Cones dialect. *)
-
 val compile : ?config:Config.t -> Ast.program -> entry:string -> Design.t
 
 val descriptor : Backend.descriptor

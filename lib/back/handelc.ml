@@ -105,7 +105,5 @@ let compile ?config (program : Ast.program) ~entry : Design.t =
 let descriptor =
   Backend.make ~name:"handelc" ~aliases:[ "handel-c" ]
     ~pipeline:(Some pipeline)
-    ~description:"one cycle per assignment, par/channels on the statement \
-                  machine"
     ~dialect:Dialect.handelc
     (fun ~config program ~entry -> compile ~config program ~entry)

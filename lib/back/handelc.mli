@@ -21,11 +21,6 @@ val compile_with_policy :
     lowered, the reason appears as a ["structural view"] diagnostic in
     the design's stats. *)
 
-val dialect : Dialect.t
-
-val pipeline : Passes.pipeline
-(** The structural view's pipeline: [lower; simplify]. *)
-
 val compile : ?config:Config.t -> Ast.program -> entry:string -> Design.t
 (** The Handel-C rule: one cycle per assignment. *)
 

@@ -149,7 +149,5 @@ let descriptor =
     ~capabilities:{ Backend.default_capabilities with
                     Backend.constraint_reports = true }
     ~pipeline:(Some pipeline)
-    ~description:"scheduled FSMD exploring allocations under [constrain] \
-                  timing bounds"
     ~dialect:Dialect.hardwarec
     (fun ~config program ~entry -> compile_reporting ~config program ~entry)

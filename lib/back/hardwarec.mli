@@ -6,12 +6,6 @@
 
 exception Unsatisfiable of string
 
-val dialect : Dialect.t
-
-val pipeline : Passes.pipeline
-(** [lower] only: timing constraints name raw block/instruction indices,
-    which CFG simplification would invalidate. *)
-
 type report = {
   statuses : Constrain.status list;  (** final constraint status *)
   exploration : (string * int * bool) list;
@@ -22,11 +16,5 @@ type report = {
 val compile :
   ?config:Config.t -> Ast.program -> entry:string -> Design.t * report
 (** @raise Unsatisfiable when no candidate allocation meets a constraint. *)
-
-val compile_reporting :
-  ?config:Config.t -> Ast.program -> entry:string -> Design.t
-(** {!compile} with the exploration {!report} folded into the design's
-    stats ([constraint-status], [constraint-exploration]) instead of
-    discarded — what the registry registers. *)
 
 val descriptor : Backend.descriptor

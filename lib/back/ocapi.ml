@@ -81,14 +81,7 @@ let read region addr = Read (region, addr)
 let ( +: ) a b = Bin (Netlist.B_add, a, b)
 let ( -: ) a b = Bin (Netlist.B_sub, a, b)
 let ( *: ) a b = Bin (Netlist.B_mul, a, b)
-let ( <: ) a b = Bin (Netlist.B_ult, a, b)
 let ( ==: ) a b = Bin (Netlist.B_eq, a, b)
-let ( &: ) a b = Bin (Netlist.B_and, a, b)
-let ( |: ) a b = Bin (Netlist.B_or, a, b)
-let ( ^: ) a b = Bin (Netlist.B_xor, a, b)
-let ( >>: ) a b = Bin (Netlist.B_lshr, a, b)
-let ( <<: ) a b = Bin (Netlist.B_shl, a, b)
-let mux sel a b = Mux (sel, a, b)
 
 (** Define a state executing [actions] this cycle, then [transition].
     Action right-hand sides all read the state's *entry* values (parallel
@@ -228,7 +221,5 @@ let descriptor =
   Backend.make ~name:"ocapi"
     ~capabilities:{ Backend.default_capabilities with
                     Backend.c_frontend = false }
-    ~description:"structural EDSL: the OCaml program builds the FSMD \
-                  directly (no C frontend)"
     ~dialect:Dialect.ocapi
     (fun ~config:_ _program ~entry:_ -> raise (Backend.No_c_frontend "ocapi"))

@@ -2,7 +2,7 @@
     to generate a data structure that represents hardware".  This is a
     combinator library whose evaluation builds an FSMD — expressions
     construct datapath operators, [add_state] defines one state (one
-    cycle each, Ocapi's timing rule), [build]/[to_design] produce the
+    cycle each, Ocapi's timing rule), [to_design] produces the
     same artifacts the scheduled backends emit.
 
     Semantics: action right-hand sides all read the state's *entry*
@@ -53,22 +53,12 @@ val ( +: ) : exp -> exp -> exp
 val ( -: ) : exp -> exp -> exp
 val ( *: ) : exp -> exp -> exp
 
-val ( <: ) : exp -> exp -> exp
-(** Unsigned less-than; [>>:] is a logical shift too. *)
-
 val ( ==: ) : exp -> exp -> exp
-val ( &: ) : exp -> exp -> exp
-val ( |: ) : exp -> exp -> exp
-val ( ^: ) : exp -> exp -> exp
-val ( >>: ) : exp -> exp -> exp
-val ( <<: ) : exp -> exp -> exp
-val mux : exp -> exp -> exp -> exp
 
 val add_state : builder -> action list -> transition -> int
 (** Define a state; returns its id (states are numbered from 0 in
     definition order, so transitions may reference forward ids). *)
 
-val build : builder -> Fsmd.t
 val to_design : builder -> Design.t
 
 val descriptor : Backend.descriptor

@@ -19,13 +19,7 @@ val create : ?max_deltas:int -> unit -> kernel
 
 val signal : kernel -> name:string -> width:int -> ?init:int -> unit -> signal
 
-val read : signal -> Bitvec.t
-(** The settled value (SystemC's [sig.read()]). *)
-
 val read_int : signal -> int
-
-val write : signal -> Bitvec.t -> unit
-(** Schedule a value for the next delta/clock update. *)
 
 val write_int : signal -> int -> unit
 
@@ -34,13 +28,6 @@ val sc_method : kernel -> name:string -> (unit -> unit) -> unit
 
 val sc_clocked : kernel -> name:string -> (unit -> unit) -> unit
 (** Register a clock-edge-triggered process. *)
-
-val settle : kernel -> unit
-(** Run combinational processes to convergence (delta cycles).
-    @raise Unstable beyond [max_deltas]. *)
-
-val clock_tick : kernel -> unit
-(** One rising edge: clocked processes on settled values, commit, settle. *)
 
 val run_until :
   kernel -> stop:signal -> max_cycles:int -> (int, [ `Timeout ]) result

@@ -104,6 +104,5 @@ let compile ?config (program : Ast.program) ~entry : Design.t =
 
 let descriptor =
   Backend.make ~name:"specc" ~pipeline:(Some pipeline)
-    ~description:"behavioural hierarchy with par, scheduled per behaviour"
     ~dialect:Dialect.specc
     (fun ~config program ~entry -> compile ~config program ~entry)

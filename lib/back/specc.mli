@@ -19,17 +19,10 @@ type check = {
 
 type report = { checks : check list; all_equivalent : bool }
 
-val dialect : Dialect.t
-
-val pipeline : Passes.pipeline
-(** The architecture-level refinement's pipeline: [lower; simplify]. *)
-
 val refine :
   ?config:Config.t -> Ast.program -> entry:string ->
   test_vectors:int list list -> Design.t * report
 (** Run the full flow; the returned design is the implementation level.
     [config] supplies the architecture level's resource allocation. *)
-
-val compile : ?config:Config.t -> Ast.program -> entry:string -> Design.t
 
 val descriptor : Backend.descriptor

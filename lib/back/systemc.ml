@@ -7,7 +7,6 @@ let pipeline = Passes.pipeline "systemc" ~func_passes:[ Passes.simplify_pass ]
 
 let descriptor =
   Backend.make ~name:"systemc" ~pipeline:(Some pipeline)
-    ~description:"clocked process network simulated at the RTL level"
     ~dialect:Dialect.systemc
     (fun ~config program ~entry ->
       Fsmd_common.scheduled ~backend_name:"systemc" ~dialect:Dialect.systemc

@@ -4,7 +4,4 @@
     clock-edge-triggered process network on {!Sc_kernel} under
     [--sim event].  Concurrent programs run on the statement machine. *)
 
-val pipeline : Passes.pipeline
-(** [lower; simplify]. *)
-
 val descriptor : Backend.descriptor

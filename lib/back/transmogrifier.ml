@@ -27,6 +27,5 @@ let compile ?config (program : Ast.program) ~entry : Design.t =
 let descriptor =
   Backend.make ~name:"transmogrifier" ~aliases:[ "tmcc" ]
     ~pipeline:(Some pipeline)
-    ~description:"one state per basic block, whole blocks chained per cycle"
     ~dialect:Dialect.transmogrifier
     (fun ~config program ~entry -> compile ~config program ~entry)

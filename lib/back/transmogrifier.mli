@@ -4,11 +4,4 @@
     everything chained, so the clock period grows with the longest block
     (the timing pathology of E3/E4). *)
 
-val dialect : Dialect.t
-
-val pipeline : Passes.pipeline
-(** [lower; simplify]. *)
-
-val compile : ?config:Config.t -> Ast.program -> entry:string -> Design.t
-
 val descriptor : Backend.descriptor

@@ -61,7 +61,6 @@ type store = Store : (module STORE with type t = 'a) * 'a -> store
 
 val store_find : store -> string -> string option
 val store_put : store -> string -> string -> unit
-val store_delete : store -> string -> unit
 val store_clear : store -> unit
 val store_keys : store -> string list
 val store_counters : store -> counters
@@ -78,17 +77,11 @@ end
 module Disk : sig
   type t
 
-  val default_version : unit -> string
-  (** Digest of the running executable.  [Marshal] is untyped: bytes
-      written by a build whose types differ would decode to garbage, so
-      binary identity is the compatibility fingerprint.  Computed
-      once. *)
-
   val open_dir :
     ?max_bytes:int -> ?version:string -> string -> (t, string) result
   (** Open (creating if needed) a cache directory and index its entries.
-      Entries written under a different [version] (default
-      {!default_version}) or failing validation are deleted and counted
+      Entries written under a different [version] (default: the running
+      executable's digest) or failing validation are deleted and counted
       ([version_skew] / [corrupt]).  Default [max_bytes]: 256 MiB.
       [Error message] only when the directory cannot be created or
       listed. *)

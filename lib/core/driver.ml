@@ -572,21 +572,28 @@ let engine_mismatches design ~args =
     (r, Vcd.contents w)
   in
   let rc, vcd_c = run Design.Compiled in
-  let re, vcd_e = run Design.Event_driven in
-  let named eq = List.equal (fun (n, a) (m, b) -> n = m && eq a b) in
-  let memory a b =
-    List.equal Bitvec.equal (Array.to_list a) (Array.to_list b)
-  in
-  let surfaces =
-    match (rc, re) with
-    | Ok c, Ok e ->
-      [ ("result", Option.equal Bitvec.equal c.Design.result e.Design.result);
-        ("globals", named Bitvec.equal c.Design.globals e.Design.globals);
-        ("memories", named memory c.Design.memories e.Design.memories);
-        ("cycles", c.Design.cycles = e.Design.cycles) ]
-    | Error c, Error e -> [ ("stop", c = e) ]
-    | Ok _, Error _ | Error _, Ok _ -> [ ("stop", false) ]
-  in
-  List.filter_map
-    (fun (what, same) -> if same then None else Some what)
-    (surfaces @ [ ("vcd", vcd_c = vcd_e) ])
+  match rc with
+  | Ok c
+    when Metrics.find c.Design.metrics "sim.engine"
+         <> Some (Metrics.String "compiled") ->
+    None
+  | _ ->
+    let re, vcd_e = run Design.Event_driven in
+    let named eq = List.equal (fun (n, a) (m, b) -> n = m && eq a b) in
+    let memory a b =
+      List.equal Bitvec.equal (Array.to_list a) (Array.to_list b)
+    in
+    let surfaces =
+      match (rc, re) with
+      | Ok c, Ok e ->
+        [ ("result", Option.equal Bitvec.equal c.Design.result e.Design.result);
+          ("globals", named Bitvec.equal c.Design.globals e.Design.globals);
+          ("memories", named memory c.Design.memories e.Design.memories);
+          ("cycles", c.Design.cycles = e.Design.cycles) ]
+      | Error c, Error e -> [ ("stop", c = e) ]
+      | Ok _, Error _ | Error _, Ok _ -> [ ("stop", false) ]
+    in
+    Some
+      (List.filter_map
+         (fun (what, same) -> if same then None else Some what)
+         (surfaces @ [ ("vcd", vcd_c = vcd_e) ]))

@@ -195,11 +195,16 @@ val compare :
     every accepted design judged on every vector under [config]'s
     engine. *)
 
-val engine_mismatches : Design.t -> args:int list -> string list
+val engine_mismatches : Design.t -> args:int list -> string list option
 (** The surfaces — ["result"], ["globals"], ["memories"], ["cycles"] (or
     ["stop"]) and the ["vcd"] change stream — on which the compiled
-    engine and the event-driven one differ for one vector; [[]] when
-    they are bit-identical. *)
+    engine and the event-driven one differ for one vector; [Some []]
+    when they are bit-identical.  [None] when the cross-check does not
+    apply: the compiled run's own ["sim.engine"] says no compiled engine
+    ran it (CASH, the statement machine, a design above 62 bits,
+    C2Verilog arguments that do not fit), so only the oracle ran.  A run
+    that stops records no engine; its stop is compared with the
+    event-driven run's. *)
 
 (** {2 Rendering}
 

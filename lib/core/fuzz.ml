@@ -84,8 +84,8 @@ let classify_backend ?(config = Config.default) session backend ~args
               expected }
     | { Driver.agrees = true; _ } when verify_sim -> (
       match Driver.engine_mismatches design ~args with
-      | [] -> Agree
-      | surfaces ->
+      | None | Some [] -> Agree
+      | Some surfaces ->
         Fail
           { cls = "sim-divergence";
             detail =

@@ -8,13 +8,6 @@
     [verification-error], engine divergence, generator artifact)
     into a minimal [.c] reproducer. *)
 
-val entry : string
-(** Entry point of every generated program: ["f"], taking
-    [(int a, int b)]. *)
-
-val default_arg_sets : int list list
-(** The fixed argument vectors a sweep evaluates unless overridden. *)
-
 type divergence = {
   div_dialect : string;  (** generating dialect's Table-1 name *)
   div_backend : string;  (** diverging backend, or ["reference"]/["checker"] *)
@@ -51,7 +44,8 @@ val run_dialect :
     IR after every pass on the same vectors
     ({!Passes.options.verify}); [verify_sim] runs
     {!Driver.engine_mismatches} (compiled vs event-driven engine, full
-    observable surface) on agreeing designs.  A run that stops is a
+    observable surface) on agreeing designs, where a design no compiled
+    engine ran agrees as it did.  A run that stops is a
     [stopped:<reason>] divergence.  Deterministic for a fixed
     [(dialect, seed, n)]. *)
 

@@ -63,7 +63,6 @@ let descriptor (h : t) =
             (catalog ())))
 let name (h : t) = h.id
 let aliases h = (descriptor h).Backend.aliases
-let description h = (descriptor h).Backend.description
 let dialect h = (descriptor h).Backend.dialect
 let pipeline h = (descriptor h).Backend.pipeline
 let capabilities h = (descriptor h).Backend.capabilities

@@ -20,10 +20,6 @@ exception Unknown_backend of string
 (** Raised by {!get} with a message listing every registered name and
     alias. *)
 
-val register : Backend.descriptor -> unit
-(** Add a descriptor.  @raise Invalid_argument if its name or an alias
-    (case-insensitively) collides with an existing registration. *)
-
 val find : string -> t option
 (** Case-insensitive lookup by canonical name or alias. *)
 
@@ -55,10 +51,8 @@ val catalog : unit -> string
 
 (** {1 Descriptor accessors} *)
 
-val descriptor : t -> Backend.descriptor
 val name : t -> string
 val aliases : t -> string list
-val description : t -> string
 val dialect : t -> Dialect.t
 val pipeline : t -> Passes.pipeline option
 val capabilities : t -> Backend.capabilities

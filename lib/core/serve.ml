@@ -400,14 +400,13 @@ module Pool = struct
 
   let stats t =
     Mutex.lock t.lock;
-    let queued = Queue.length t.queue
+    let queue_depth = Queue.length t.queue
     and active = t.active
     and total = t.total_jobs in
     Mutex.unlock t.lock;
     [ ("domains", t.n_domains);
       ("queue_capacity", t.capacity);
-      ("queued", queued);
-      ("queue_depth", queued);
+      ("queue_depth", queue_depth);
       ("active", active);
       ("total_jobs", total) ]
 

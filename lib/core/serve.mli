@@ -12,7 +12,7 @@
 
     Every frame is a 4-byte big-endian payload length followed by that
     many bytes of JSON (one request or one response per frame; frames
-    over {!Frame.max_frame} are rejected).  Requests carry an ["op"] and
+    over 16 MiB are rejected).  Requests carry an ["op"] and
     an optional ["id"] that is echoed verbatim in the response;
     responses to pipelined requests may arrive out of order, so the
     ["id"] is the correlator.  Ops:
@@ -60,10 +60,6 @@ end
 (** {1 Framing} *)
 
 module Frame : sig
-  val max_frame : int
-  (** Upper bound on a frame payload (16 MiB) — oversized lengths are a
-      protocol error, not an allocation. *)
-
   exception Protocol_error of string
   (** A malformed frame from the peer (oversized or truncated length /
       payload). *)
@@ -104,14 +100,9 @@ type request =
   | Stats of { id : Metrics.json }
   | Shutdown of { id : Metrics.json }
 
-val request_id : request -> Metrics.json
-
 val parse_request : Metrics.json -> (request, string * Metrics.json) result
 (** Typed decode of one request object; [Error (message, id)] echoes the
     request's ["id"] (or [Null]) so the error response still correlates. *)
-
-val error_response :
-  ?id:Metrics.json -> kind:string -> string -> Metrics.json
 
 (** {1 The Domain pool} *)
 
@@ -134,8 +125,6 @@ module Pool : sig
       how the daemon's Chrome sink and the tests' in-memory sink
       attach. *)
 
-  val domains : t -> int
-
   val submit : t -> request -> respond:(Metrics.json -> unit) -> unit
   (** Enqueue one job (blocking while the queue is full).  [respond] is
       called from a worker domain exactly once — callers serialize their
@@ -149,17 +138,12 @@ module Pool : sig
   (** {!drain}, then stop and join the worker domains.  Idempotent. *)
 
   val stats : t -> (string * int) list
-  (** [domains], [queue_capacity], [queued] (also exported as the
-      [queue_depth] gauge), [active], and the total-jobs counter — for
-      the [stats] op. *)
+  (** [domains], [queue_capacity], the [queue_depth] gauge, [active],
+      and the total-jobs counter — for the [stats] op. *)
 
   val metrics : t -> Metrics.t
   (** The pool's shared registry: [serve.requests.<op>] counters and
-      [serve.latency.<op>_ms] histograms.  Guarded internally; read it
-      through {!snapshot_metrics}. *)
-
-  val snapshot_metrics : t -> (string * Metrics.json) list
-  (** A consistent point-in-time copy of {!metrics} pairs. *)
+      [serve.latency.<op>_ms] histograms.  Guarded internally. *)
 
   val handle :
     t -> (string, Driver.session) Hashtbl.t option -> request -> Metrics.json

@@ -26,7 +26,6 @@ val dotprod : t
 val matmul : t
 val bsort : t
 val crc : t
-val popcount : t
 val checksum : t
 val histogram : t
 val isqrt_newton : t
@@ -34,7 +33,6 @@ val transpose : t
 val producer_consumer : t
 val pointer_sum : t
 val recursion : t
-val dynamic_list : t
 
 val sequential : t list
 (** Accepted by every sequential backend. *)

@@ -36,8 +36,6 @@ type stats = {
 
 val stats : t -> stats
 
-val handshake_area_per_node : float
-
 val area : t -> float
 (** Operator area plus a per-node handshake adder — asynchronous
     circuits pay control logic at every node. *)

@@ -6,9 +6,6 @@
 
 type ikind = Bool | Char | Short | Int | Long
 
-val width_of_ikind : ikind -> int
-val rank_of_ikind : ikind -> int
-
 type t =
   | Void
   | Integer of { kind : ikind; signed : bool }

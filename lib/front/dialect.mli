@@ -53,9 +53,6 @@ val table1 : t list
 val find : string -> t option
 (** Case-insensitive lookup by language name. *)
 
-val string_of_concurrency : concurrency -> string
-val string_of_timing : timing -> string
-
 val render_table1 : unit -> string
 (** The paper's Table 1, regenerated from {!table1}; column widths are
     computed from the data, so no cell is truncated. *)
@@ -65,9 +62,6 @@ type violation = { rule : string; where : string; vloc : Ast.loc }
     enclosing function (or global), and [vloc] the first offending
     statement or expression ([Ast.no_loc] for program-level rules such
     as recursion). *)
-
-val recursive_functions : Ast.program -> string list
-(** Functions involved in direct or mutual recursion. *)
 
 val check : t -> Ast.program -> violation list
 (** Check a type-checked program against a dialect's restrictions; an

@@ -39,11 +39,6 @@ type store = {
   mutable heap_next : int;  (** malloc bump pointer *)
 }
 
-val heap_base : int
-(** The stack lives in [0, heap_base); malloc carves from [heap_base, _).
-    Disjointness means returning from a function never invalidates heap
-    storage. *)
-
 val scalar_binop :
   Ast.binop -> signed:bool -> Ast.loc -> Bitvec.t -> Bitvec.t -> Bitvec.t
 (** Scalar binary-operator semantics on already-lowered operands, chosen
@@ -84,7 +79,7 @@ val resolve : Ast.program -> resolved
     closes a block frees its words whatever the other branches do.  The
     stack pointer follows the entry thread's declarations and block
     ends: a pointer to a closed block's local faults.  One thread's
-    stack holds at most {!heap_base} words. *)
+    stack holds at most 65,536 words. *)
 
 type thread
 type machine

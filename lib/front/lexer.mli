@@ -22,8 +22,6 @@ type tok = { t : token; tline : int; tcol : int }
 
 exception Error of string * Ast.loc
 
-val keywords : string list
-
 val tokenize : string -> tok list
 (** Tokenize a complete source string; the trailing token is [EOF].
     @raise Error on malformed input (bad characters, unterminated

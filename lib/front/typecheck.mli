@@ -9,14 +9,5 @@
 
 exception Error of string * Ast.loc
 
-val builtin_signature : string -> (Ctypes.t * Ctypes.t list) option
-(** Builtins available without declaration (currently [malloc]). *)
-
-val check_program : Ast.program -> Ast.program
-(** Check and elaborate a whole program.
-    @raise Error on any type violation. *)
-
-val check_func : Ast.program -> Ast.func -> Ast.func
-
 val parse_and_check : string -> Ast.program
 (** Convenience: parse then check. *)

@@ -14,19 +14,11 @@ val flog2 : int -> float
 
 type cost = { area : float; delay : float }
 
-val wiring : cost
-(** Zero-cost: extracts, concatenations, constants. *)
-
 val unop_cost : Netlist.unop -> int -> cost
 (** Cost of a unary operator at a given operand width. *)
 
 val binop_cost : Netlist.binop -> int -> cost
 (** Cost of a binary operator at a given operand width. *)
-
-val register_area_per_bit : float
-val memory_area_per_bit : float
-
-val node_cost : Netlist.t -> Netlist.signal -> cost
 
 type report = {
   combinational_area : float;

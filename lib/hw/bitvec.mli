@@ -15,9 +15,6 @@ type t
 exception Width_mismatch of string
 (** Raised by binary operations on operands of different widths. *)
 
-val max_width : int
-(** 64: the widest representable vector. *)
-
 (** {1 Construction} *)
 
 val make : width:int -> int64 -> t

@@ -371,10 +371,3 @@ let drive c ~inputs ~done_name ~max_cycles =
   c.cstats.Neteval.wall_time <-
     c.cstats.Neteval.wall_time +. (Sys.time () -. t0);
   r
-
-let run_until_done_stats ?probe nl ~inputs ~done_name ~max_cycles =
-  let t = create nl in
-  Option.iter (set_probe t) probe;
-  match drive t ~inputs ~done_name ~max_cycles with
-  | Ok (outputs, cycles) -> Ok (outputs, cycles, stats t)
-  | Error `Timeout -> Error `Timeout

@@ -53,12 +53,3 @@ val drive :
   ((string * Bitvec.t) list * int, [ `Timeout ]) result
 (** Clock until the 1-bit output [done_name] is set; mirrors
     {!Neteval.drive}. *)
-
-(** {1 One-shot wrapper (mirrors the {!Neteval} API)} *)
-
-val run_until_done_stats :
-  ?probe:Neteval.probe -> Netlist.t -> inputs:(string * Bitvec.t) list ->
-  done_name:string -> max_cycles:int ->
-  ((string * Bitvec.t) list * int * Neteval.stats, [ `Timeout ]) result
-(** {!create}, then {!drive}.
-    @raise Invalid_argument when the netlist is not {!compilable}. *)

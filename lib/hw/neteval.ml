@@ -317,9 +317,7 @@ let output_signal t name =
          | outs -> String.concat ", " (List.map fst outs)))
 
 let output t name = value t (output_signal t name)
-let cycle t = t.cycle
 let stats t = t.stats
-let netlist t = t.netlist
 let eval_counts t = Array.copy t.eval_counts
 
 (** Advance state: clock edge after a [settle].  Register and memory
@@ -371,15 +369,11 @@ let tick t =
 
 (** Evaluate a purely combinational netlist once; also returns the
     evaluator counters for that settle. *)
-let eval_combinational_stats ?strategy ?probe netlist ~inputs =
-  let t = create ?strategy netlist in
-  Option.iter (set_probe t) probe;
+let eval_combinational netlist ~inputs =
+  let t = create netlist in
   settle t ~inputs;
   ( List.map (fun (name, s) -> (name, t.values.(s))) (Netlist.outputs netlist),
     t.stats )
-
-let eval_combinational netlist ~inputs =
-  fst (eval_combinational_stats netlist ~inputs)
 
 (** Clock an existing evaluator until the 1-bit output [done_name] is set
     or [max_cycles] elapse; returns outputs and the cycle count.  The
@@ -412,15 +406,8 @@ let drive t ~inputs ~done_name ~max_cycles =
 (** Run a sequential netlist until the 1-bit output [done_name] is set or
     [max_cycles] elapse; returns outputs, the cycle count and the
     counters. *)
-let run_until_done_stats ?strategy ?probe netlist ~inputs ~done_name
-    ~max_cycles =
+let run_until_done ?strategy netlist ~inputs ~done_name ~max_cycles =
   let t = create ?strategy netlist in
-  Option.iter (set_probe t) probe;
   match drive t ~inputs ~done_name ~max_cycles with
   | Ok (outputs, cycles) -> Ok (outputs, cycles, t.stats)
-  | Error `Timeout -> Error `Timeout
-
-let run_until_done ?strategy netlist ~inputs ~done_name ~max_cycles =
-  match run_until_done_stats ?strategy netlist ~inputs ~done_name ~max_cycles with
-  | Ok (outputs, cycles, _) -> Ok (outputs, cycles)
   | Error `Timeout -> Error `Timeout

@@ -42,8 +42,6 @@ val reset : t -> unit
 val set_probe : t -> probe -> unit
 (** Install an observation hook on this evaluator instance. *)
 
-val netlist : t -> Netlist.t
-
 val eval_counts : t -> int array
 (** Per-signal evaluation counts (a copy): the hot-node histogram behind
     [chlsc compile --profile]. *)
@@ -59,16 +57,8 @@ val settle : t -> inputs:(string * Bitvec.t) list -> unit
 
 val value : t -> Netlist.signal -> Bitvec.t
 
-val output_signal : t -> string -> Netlist.signal
-(** Resolve an output name to its signal id (so polling loops can look the
-    name up once, not per observation).
-    @raise Invalid_argument on unknown output names, listing the outputs
-    the netlist does have. *)
-
 val output : t -> string -> Bitvec.t
 (** @raise Invalid_argument on unknown output names. *)
-
-val cycle : t -> int
 
 val stats : t -> stats
 (** Live performance counters for this evaluator instance. *)
@@ -77,15 +67,10 @@ val tick : t -> unit
 (** Clock edge: commit register and memory updates. *)
 
 val eval_combinational :
-  Netlist.t -> inputs:(string * Bitvec.t) list -> (string * Bitvec.t) list
-(** Evaluate a purely combinational netlist once; returns the outputs. *)
-
-val eval_combinational_stats :
-  ?strategy:strategy -> ?probe:probe ->
   Netlist.t -> inputs:(string * Bitvec.t) list ->
   (string * Bitvec.t) list * stats
-(** Like [eval_combinational] but also returns the evaluator counters
-    and accepts a settle strategy (default [Event_driven]). *)
+(** Evaluate a purely combinational netlist once; returns the outputs and
+    the evaluator counters. *)
 
 val drive :
   t -> inputs:(string * Bitvec.t) list -> done_name:string ->
@@ -98,15 +83,8 @@ val run_until_done :
   ?strategy:strategy ->
   Netlist.t -> inputs:(string * Bitvec.t) list -> done_name:string ->
   max_cycles:int ->
-  ((string * Bitvec.t) list * int, [ `Timeout ]) result
-(** Clock a sequential netlist until the 1-bit output [done_name] is set;
-    returns the outputs and the cycle count.  The done output and the
-    primary inputs are resolved to signal ids once, before the loop. *)
-
-val run_until_done_stats :
-  ?strategy:strategy -> ?probe:probe ->
-  Netlist.t -> inputs:(string * Bitvec.t) list -> done_name:string ->
-  max_cycles:int ->
   ((string * Bitvec.t) list * int * stats, [ `Timeout ]) result
-(** Like [run_until_done] but also returns the evaluator counters and
-    accepts an observation probe. *)
+(** Clock a sequential netlist until the 1-bit output [done_name] is set;
+    returns the outputs, the cycle count and the evaluator counters.  The
+    done output and the primary inputs are resolved to signal ids once,
+    before the loop. *)

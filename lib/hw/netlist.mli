@@ -54,7 +54,6 @@ val name : t -> string
 
 (** {1 Building} *)
 
-val add : t -> width:int -> node -> signal
 val const : t -> Bitvec.t -> signal
 val const_int : t -> width:int -> int -> signal
 val input : t -> string -> width:int -> signal
@@ -66,9 +65,7 @@ val binop : t -> binop -> signal -> signal -> signal
 (** Result width: 1 for comparisons, else the left operand's. *)
 
 val mux : t -> sel:signal -> if_true:signal -> if_false:signal -> signal
-val extract : t -> hi:int -> lo:int -> signal -> signal
 val zext : t -> width:int -> signal -> signal
-val sext : t -> width:int -> signal -> signal
 
 val resize : t -> signed:bool -> width:int -> signal -> signal
 (** C conversion rules: truncate narrowing, extend per [signed]. *)

@@ -8,7 +8,5 @@ val sanitize : string -> string
 val bv_literal : Bitvec.t -> string
 (** Sized hex literal, e.g. [8'hff]. *)
 
-val signal_name : Netlist.signal -> string
-
 val to_string : Netlist.t -> string
 (** Render the complete module. *)

@@ -65,9 +65,6 @@ val uses_of_terminator : terminator -> reg list
 val memory_access : instr -> (int * [ `Read | `Write ]) option
 val successors : block -> int list
 
-val string_of_operand : operand -> string
-val string_of_instr : instr -> string
-val string_of_terminator : terminator -> string
 val to_string : func -> string
 
 val num_instrs : func -> int

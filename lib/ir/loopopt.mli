@@ -6,25 +6,11 @@
 
 exception Not_unrollable of string
 
-val subst_stmt : string -> Ast.expr -> Ast.stmt -> Ast.stmt
-(** Substitute an expression for a variable (shadowing-aware). *)
-
-val fully_unroll_for :
-  init:Ast.stmt option -> cond:Ast.expr option -> step:Ast.expr option ->
-  body:Ast.block -> Ast.block
-(** Each iteration becomes a copy of the body with the induction variable
-    replaced by its constant value.
-    @raise Not_unrollable for non-static bounds, induction-variable
-    assignment, or break/continue. *)
-
 val partially_unroll_for :
   factor:int -> init:Ast.stmt option -> cond:Ast.expr option ->
   step:Ast.expr option -> body:Ast.block -> Ast.stmt
 (** Replicate the body [factor] times with induction offsets; the trip
     count must divide by [factor].  @raise Not_unrollable otherwise. *)
-
-val unroll_all_stmt : Ast.stmt -> Ast.stmt
-val unroll_all_func : Ast.func -> Ast.func
 
 val unroll_all_program : Ast.program -> Ast.program
 (** Fully unroll every bounded for loop, innermost first; loops that
@@ -37,8 +23,6 @@ val unroll_factor_program : factor:int -> Ast.program -> Ast.program
     place, so the transform never fails; [factor < 2] is the identity.
     This is the unroll knob {!Passes.unroll_factor_pass} and the explore
     grid expose. *)
-
-val fuse_block : Ast.block -> Ast.block
 
 val fuse_program : Ast.program -> Ast.program
 (** Fuse single-use pure temporaries into their immediately following

@@ -16,8 +16,6 @@ exception Error of string * Ast.loc
     when the failure has no single source point, e.g. a missing entry
     function), so drivers can print [file:line:col] diagnostics. *)
 
-val max_inline_depth : int
-
 val expr_pure : Ast.expr -> bool
 (** No assignments, calls, or channel operations anywhere inside. *)
 

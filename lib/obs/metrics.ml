@@ -356,9 +356,6 @@ module Histogram = struct
     if v < t.min_v then t.min_v <- v;
     if v > t.max_v then t.max_v <- v
 
-  let count t = t.n
-  let sum t = t.total
-
   (* The q-th percentile reads as the upper bound of the smallest bucket
      whose cumulative count reaches rank ceil(q/100 * n), clamped to the
      largest observation — bucket arithmetic over integer counts, so the

@@ -54,17 +54,10 @@ val member : string -> json -> json option
 module Histogram : sig
   type h
 
-  val create : unit -> h
-  val observe : h -> float -> unit
-  val count : h -> int
-  val sum : h -> float
-
   val percentile : h -> float -> float
   (** [percentile h q] for [q] in [0..100]: the upper bound of the
       smallest bucket reaching rank [ceil (q/100 * count)], clamped to
       the largest observation; [0.] when empty. *)
-
-  val to_json : h -> json
 end
 
 (** {1 The registry} *)

@@ -77,11 +77,6 @@ module Flight_impl = struct
   let dropped () =
     with_lock (fun () -> max 0 (!total - Array.length !ring))
 
-  let clear () =
-    with_lock (fun () ->
-        Array.fill !ring 0 (Array.length !ring) None;
-        total := 0)
-
   let record snap =
     with_lock (fun () ->
         let cap = Array.length !ring in
@@ -250,7 +245,6 @@ module Flight = struct
   let occupancy = Flight_impl.occupancy
   let recorded = Flight_impl.recorded
   let dropped = Flight_impl.dropped
-  let clear = Flight_impl.clear
   let dump = Flight_impl.dump
 end
 

@@ -135,8 +135,6 @@ module Flight : sig
   val dropped : unit -> int
   (** Spans overwritten by newer ones ([recorded - occupancy]). *)
 
-  val clear : unit -> unit
-
   val dump : unit -> Metrics.json
   (** [{"capacity", "recorded", "dropped", "spans": [oldest … newest]}]
       where each span carries its [trace_id], [kind], [start_ms],

@@ -227,8 +227,7 @@ let elaborate (fsmd : Fsmd.t) : elaborated =
 
 (** Run the elaborated netlist to completion and return (result, globals,
     cycles) plus the evaluator's performance counters. *)
-let simulate_stats ?(max_cycles = Rtlsim.max_cycles) ?strategy ?probe
-    (e : elaborated) ~args ~func =
+let simulate ?strategy (e : elaborated) ~args ~func =
   let inputs =
     List.map2
       (fun (name, r) v ->
@@ -236,12 +235,5 @@ let simulate_stats ?(max_cycles = Rtlsim.max_cycles) ?strategy ?probe
           Bitvec.resize ~signed:true ~width:(Cir.reg_width func r) v ))
       func.Cir.fn_params args
   in
-  Neteval.run_until_done_stats ?strategy ?probe e.netlist ~inputs
-    ~done_name:"done" ~max_cycles
-
-(** Run the elaborated netlist to completion and return (result, globals,
-    cycles). *)
-let simulate ?max_cycles ?strategy (e : elaborated) ~args ~func =
-  match simulate_stats ?max_cycles ?strategy e ~args ~func with
-  | Ok (outputs, cycles, _) -> Ok (outputs, cycles)
-  | Error `Timeout -> Error `Timeout
+  Neteval.run_until_done ?strategy e.netlist ~inputs ~done_name:"done"
+    ~max_cycles:Rtlsim.max_cycles

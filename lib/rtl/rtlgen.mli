@@ -21,17 +21,10 @@ type elaborated = {
 val elaborate : Fsmd.t -> elaborated
 
 val simulate :
-  ?max_cycles:int -> ?strategy:Neteval.strategy -> elaborated ->
-  args:Bitvec.t list -> func:Cir.func ->
-  ((string * Bitvec.t) list * int, [ `Timeout ]) result
-(** Run the elaborated netlist to completion: (outputs, cycles).  The
-    settling [strategy] defaults to [Neteval.Event_driven]; pass
-    [Neteval.Full_sweep] to run the differential-testing oracle. *)
-
-val simulate_stats :
-  ?max_cycles:int -> ?strategy:Neteval.strategy -> ?probe:Neteval.probe ->
-  elaborated ->
+  ?strategy:Neteval.strategy -> elaborated ->
   args:Bitvec.t list -> func:Cir.func ->
   ((string * Bitvec.t) list * int * Neteval.stats, [ `Timeout ]) result
-(** Like [simulate] but also returns the evaluator's counters and accepts
-    an observation probe (see {!Neteval.probe}). *)
+(** Run the elaborated netlist to completion, within
+    {!Rtlsim.max_cycles}: (outputs, cycles, the evaluator's counters).
+    The settling [strategy] defaults to [Neteval.Event_driven]; pass
+    [Neteval.Full_sweep] to run the differential-testing oracle. *)

@@ -22,9 +22,6 @@ type status = {
   slack : int;  (** max_cycles - actual; negative = violated *)
 }
 
-val span : Schedule.schedule -> first:int -> last:int -> int
-(** Control steps a schedule assigns to an instruction range. *)
-
 val check : t list -> block:int -> Schedule.schedule -> status list
 (** The constraints applying to [block], evaluated on its schedule. *)
 

@@ -8,10 +8,6 @@
 
 type latency_model = { of_instr : Cir.instr -> int }
 
-val default_latency : latency_model
-(** Whole-cycle latencies: add/logic 1, multiply 3, divide 12, load 2,
-    store 1, moves/casts 0 (wires). *)
-
 type dep_edge = {
   from_i : int;
   to_i : int;
@@ -23,22 +19,6 @@ type loop_body = { instrs : Cir.instr array; edges : dep_edge list }
 
 exception Irregular of string
 (** The loop has internal control flow, returns, or does not exist. *)
-
-val extract_loop : Cir.func -> latency_model -> loop_body
-(** One iteration of the innermost loop as a straight-line sequence with
-    intra- and inter-iteration dependence edges.  Anti/output dependences
-    are dropped (modulo variable expansion renames them away).
-    @raise Irregular when the body branches internally. *)
-
-val feasible : loop_body -> ii:int -> bool
-(** Does a schedule satisfying all dependence cycles exist at this
-    initiation interval? *)
-
-val rec_mii : loop_body -> int
-(** Recurrence-constrained minimum II. *)
-
-val res_mii : Schedule.resources -> loop_body -> int
-(** Resource-constrained minimum II. *)
 
 type result = {
   ii : int;  (** achieved initiation interval *)
@@ -64,8 +44,9 @@ val fallback_count : unit -> int
 
 val modulo_schedule : Cir.func -> result
 (** Iterative modulo scheduling of the innermost loop under
-    {!Schedule.default_allocation} and {!default_latency}, raising II
-    from max(RecMII, ResMII) until a legal schedule exists.  When no
+    {!Schedule.default_allocation} and whole-cycle latencies (add and
+    logic 1, multiply 3, divide 12, load 2, store 1, moves and casts 0),
+    raising II from max(RecMII, ResMII) until a legal schedule exists.  When no
     legal II <= {!ii_search_limit} exists the loop is left unpipelined
     ([fallback = true]) rather than aborting the caller.
-    @raise Irregular as {!extract_loop}. *)
+    @raise Irregular when the loop body branches internally. *)

@@ -34,9 +34,6 @@ val capacity : resources -> resource_class -> int
 (** Units of a class available per step (at least 1; [max_int] when
     unconstrained). *)
 
-val instr_delay : Cir.func -> Cir.instr -> float
-(** Combinational delay of one instruction under the Area model. *)
-
 type schedule = {
   steps : int array;  (** control step of each instruction *)
   num_steps : int;
@@ -47,18 +44,11 @@ val list_schedule : Cir.func -> resources -> Cir.instr list -> schedule
 (** Priority list scheduling (longest path to a sink) of one basic block
     under [resources]. *)
 
-val asap : Cir.func -> Cir.instr list -> schedule
-(** List scheduling with no resource limits. *)
-
 val forwarding_asap : Cir.func -> Cir.instr list -> schedule
-(** {!asap} over register-file memories: a load may share a step with a
-    store it depends on, because the memory forwards the stored word
-    within the step.  Only an FSMD built with [mem_forwarding] may run
+(** ASAP scheduling (no resource limits) over register-file memories: a
+    load may share a step with a store it depends on, because the memory
+    forwards the stored word within the step.  Only an FSMD built with [mem_forwarding] may run
     such a schedule (Transmogrifier C's). *)
-
-val alap : Cir.func -> Cir.instr list -> schedule
-(** Latest legal steps within the ASAP makespan, same dependence model as
-    the unconstrained ASAP. *)
 
 val slack : Cir.func -> Cir.instr list -> int array
 (** ALAP - ASAP step per instruction; zero-slack operations are on the

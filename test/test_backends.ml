@@ -166,7 +166,7 @@ let test_elaboration_equivalence () =
           match
             Rtlgen.simulate elaborated ~args:(Design.int_args args) ~func
           with
-          | Ok (outputs, _cycles) ->
+          | Ok (outputs, _cycles, _) ->
             Alcotest.(check int)
               (Printf.sprintf "netlist %s(%s)" w.Workloads.name
                  (String.concat "," (List.map string_of_int args)))

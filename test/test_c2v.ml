@@ -207,7 +207,8 @@ let test_engines_agree () =
             Printf.sprintf "%s(%s)" name
               (String.concat "," (List.map string_of_int v))
           in
-          Alcotest.(check (list string)) label []
+          Alcotest.(check (option (list string))) label
+            (if engine = "compiled" then Some [] else None)
             (Driver.engine_mismatches d ~args:v);
           incr checked;
           match d.Design.run (Design.int_args v) with

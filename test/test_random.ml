@@ -219,7 +219,7 @@ let layers (src : string) (a, b) : (string * int option) list =
     match
       Rtlgen.simulate e ~args:(args_of (a, b)) ~func:simplified
     with
-    | Ok (outputs, _) ->
+    | Ok (outputs, _, _) ->
       ("netlist", Some (Bitvec.to_int (List.assoc "result" outputs)))
     | Error `Timeout -> ("netlist", None)
   in
@@ -301,7 +301,7 @@ let prop_event_driven_equals_full_sweep =
         Rtlgen.simulate ~strategy e ~args:(args_of (a, b)) ~func:simplified
       in
       match (run Neteval.Event_driven, run Neteval.Full_sweep) with
-      | Ok (ev_out, ev_cycles), Ok (fs_out, fs_cycles) ->
+      | Ok (ev_out, ev_cycles, _), Ok (fs_out, fs_cycles, _) ->
         if ev_cycles <> fs_cycles then
           QCheck.Test.fail_reportf
             "cycle count diverged: event-driven %d vs full-sweep %d on:\n%s"

@@ -74,7 +74,7 @@ let test_elaboration_init_done_protocol () =
   let args = [ Bitvec.of_int ~width:64 1071; Bitvec.of_int ~width:64 462 ] in
   let rtl = Rtlsim.run fsmd ~args in
   match Rtlgen.simulate e ~args ~func:gcd_func with
-  | Ok (outputs, cycles) ->
+  | Ok (outputs, cycles, _) ->
     Alcotest.(check int) "one INIT cycle overhead" (rtl.Rtlsim.cycles + 1)
       cycles;
     Alcotest.(check int) "same result" 21
@@ -106,7 +106,7 @@ let test_elaboration_memory_write_mux () =
   Alcotest.(check bool) "write port connected" true
     ((Netlist.mems nl).(0).Netlist.write_port <> None);
   match Rtlgen.simulate e ~args:[ Bitvec.of_int ~width:64 5 ] ~func with
-  | Ok (outputs, _) ->
+  | Ok (outputs, _, _) ->
     Alcotest.(check int) "muxed stores work" 30
       (Bitvec.to_int (List.assoc "result" outputs))
   | Error `Timeout -> Alcotest.fail "timeout"
@@ -148,7 +148,7 @@ let test_netlist_eval_combinational () =
   let out = Netlist.mux nl ~sel ~if_true:sum ~if_false:prod in
   Netlist.set_output nl "out" out;
   let eval a_v b_v =
-    let outputs =
+    let outputs, _ =
       Neteval.eval_combinational nl
         ~inputs:
           [ ("a", Bitvec.of_int ~width:16 a_v);
@@ -191,7 +191,7 @@ let test_netlist_event_driven_matches_sweep () =
   let e = Rtlgen.elaborate fsmd in
   let args = [ Bitvec.of_int ~width:64 1071; Bitvec.of_int ~width:64 462 ] in
   let run strategy =
-    match Rtlgen.simulate_stats ~strategy e ~args ~func:gcd_func with
+    match Rtlgen.simulate ~strategy e ~args ~func:gcd_func with
     | Ok r -> r
     | Error `Timeout -> Alcotest.fail "timeout"
   in
