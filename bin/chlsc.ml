@@ -1004,8 +1004,8 @@ let cache_cmd =
   let doc = "Inspect or clear the persistent design cache" in
   let dir_arg = Arg.(required & opt (some string) None & cache_dir_info) in
   let open_store dir =
-    match Cache.Disk.open_dir dir with
-    | Ok d -> d
+    match Cache.open_store dir with
+    | Ok s -> s
     | Error msg ->
       Printf.eprintf "cannot open cache %s: %s\n" dir msg;
       exit 1
@@ -1016,9 +1016,9 @@ let cache_cmd =
        corrupt / version-skewed entries dropped on open)"
     in
     let run dir =
-      let d = open_store dir in
-      let c = Cache.store_counters (Cache.Disk.store d) in
-      Printf.printf "cache %s\n" (Cache.Disk.dir d);
+      let s = open_store dir in
+      let c = Cache.store_counters s in
+      Printf.printf "cache %s\n" (Cache.store_dir s);
       List.iter
         (fun (k, v) -> Printf.printf "  %-16s %d\n" k v)
         [ ("entries", c.Cache.entries);
@@ -1031,13 +1031,12 @@ let cache_cmd =
   let clear_cmd =
     let doc = "Delete every entry in the store" in
     let run dir =
-      let d = open_store dir in
-      let s = Cache.Disk.store d in
+      let s = open_store dir in
       let n = (Cache.store_counters s).Cache.entries in
       Cache.store_clear s;
       Printf.printf "cleared %d entr%s from %s\n" n
         (if n = 1 then "y" else "ies")
-        (Cache.Disk.dir d)
+        (Cache.store_dir s)
     in
     Cmd.v (Cmd.info "clear" ~doc) Term.(const run $ dir_arg)
   in

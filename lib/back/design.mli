@@ -147,8 +147,8 @@ val make :
 
 val data : t -> data
 val of_data : data -> t
-(** [of_data (data d)] rebuilds [d] with fresh views — the design
-    cache's codec, and how a backend relabels a design. *)
+(** [of_data (data d)] rebuilds [d] with fresh views — how the design
+    cache revives a design, and how a backend relabels one. *)
 
 val int_args : int list -> Bitvec.t list
 (** 64-bit argument vectors from plain integers. *)

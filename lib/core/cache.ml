@@ -1,6 +1,6 @@
-(* The artifact-cache subsystem.  See cache.mli.
+(* The design cache.  See cache.mli.
 
-   Entry file format (Disk):
+   Entry file format:
 
      chlsc-cache/1 <version> <payload-md5> <payload-len> <key-len>\n
      <key bytes><payload bytes>
@@ -24,32 +24,11 @@ type counters = {
   bytes : int;
 }
 
-module type STORE = sig
-  type t
-
-  val name : t -> string
-  val find : t -> string -> string option
-  val put : t -> string -> string -> unit
-  val delete : t -> string -> unit
-  val clear : t -> unit
-  val keys : t -> string list
-  val counters : t -> counters
-end
-
-type store = Store : (module STORE with type t = 'a) * 'a -> store
-
-let store_find (Store ((module S), s)) key = S.find s key
-let store_put (Store ((module S), s)) key v = S.put s key v
-let store_delete (Store ((module S), s)) key = S.delete s key
-let store_clear (Store ((module S), s)) = S.clear s
-let store_keys (Store ((module S), s)) = S.keys s
-let store_counters (Store ((module S), s)) = S.counters s
-
-(* --- shared LRU accounting ---
+(* --- LRU accounting ---
 
    Key recency as a list (most recent first) plus per-key payload sizes.
-   Entry counts are small (designs, not blocks), so O(n) touch is fine
-   and keeps the order directly testable. *)
+   Entry counts are small (designs, not blocks), so an O(n) re-add on
+   every hit is fine and keeps the order directly testable. *)
 
 module Lru = struct
   type t = {
@@ -75,9 +54,6 @@ module Lru = struct
     t.total <- t.total + size;
     t.order <- key :: t.order
 
-  let touch t key =
-    if mem t key then t.order <- key :: List.filter (fun k -> k <> key) t.order
-
   let lru t = match List.rev t.order with [] -> None | k :: _ -> Some k
   let keys_lru_first t = List.rev t.order
 
@@ -87,347 +63,229 @@ module Lru = struct
     t.total <- 0
 end
 
-(* Mutable counter cell shared by both stores. *)
-type counts = {
-  mutable c_hits : int;
-  mutable c_misses : int;
-  mutable c_puts : int;
-  mutable c_evictions : int;
-  mutable c_corrupt : int;
-  mutable c_skew : int;
+(* --- the directory store --- *)
+
+let magic = "chlsc-cache/1"
+let default_max_bytes = 256 * 1024 * 1024
+
+(* The encoding: a design's data part (plain data, no closures) through
+   Marshal, revived by Design.of_data, which rebuilds the simulation
+   engines and structural views.  Marshal is untyped: bytes written by a
+   build whose types differ would decode to garbage, so the executable
+   digest is the store version: any rebuild invalidates (degrades to a
+   miss), never crashes. *)
+let encode d = Marshal.to_string (Design.data d : Design.data) []
+let decode payload = Design.of_data (Marshal.from_string payload 0 : Design.data)
+
+let default_version =
+  lazy (try Digest.to_hex (Digest.file Sys.executable_name) with _ -> "unversioned")
+
+type store = {
+  dir : string;
+  version : string;
+  max_bytes : int;
+  lru : Lru.t;
+  mutable hits : int;
+  mutable misses : int;
+  mutable puts : int;
+  mutable evictions : int;
+  mutable corrupt : int;
+  mutable skew : int;
+  lock : Mutex.t;
 }
 
-let fresh_counts () =
-  { c_hits = 0; c_misses = 0; c_puts = 0; c_evictions = 0; c_corrupt = 0;
-    c_skew = 0 }
+let store_dir s = s.dir
 
-let snapshot c ~entries ~bytes =
-  { hits = c.c_hits;
-    misses = c.c_misses;
-    puts = c.c_puts;
-    evictions = c.c_evictions;
-    corrupt = c.c_corrupt;
-    version_skew = c.c_skew;
-    entries;
-    bytes }
+let entry_file s key = Filename.concat s.dir (Digest.to_hex (Digest.string key) ^ ".entry")
 
-(* --- the in-memory byte store --- *)
+let header ~version ~payload ~key =
+  Printf.sprintf "%s %s %s %d %d\n" magic version
+    (Digest.to_hex (Digest.string payload))
+    (String.length payload) (String.length key)
 
-module Memory = struct
-  type t = {
-    table : (string, string) Hashtbl.t;
-    lru : Lru.t;
-    max_bytes : int option;
-    counts : counts;
-    lock : Mutex.t;
-  }
+(* Read and fully validate one entry file.  [`Missing] is a file another
+   handle removed (a clear or an eviction); [`Corrupt] covers every
+   malformed or unreadable shape; [`Skew] is a well-formed entry from
+   another store version. *)
+let read_entry ~version path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception _ when not (Sys.file_exists path) -> `Missing
+  | exception _ -> `Corrupt
+  | contents -> (
+    match String.index_opt contents '\n' with
+    | None -> `Corrupt
+    | Some nl -> (
+      let head = String.sub contents 0 nl in
+      match String.split_on_char ' ' head with
+      | [ m; v; md5; plen; klen ] -> (
+        match (int_of_string_opt plen, int_of_string_opt klen) with
+        | Some plen, Some klen ->
+          if m <> magic then `Corrupt
+          else if v <> version then `Skew
+          else if String.length contents <> nl + 1 + klen + plen then
+            `Corrupt
+          else
+            let key = String.sub contents (nl + 1) klen in
+            let payload = String.sub contents (nl + 1 + klen) plen in
+            if Digest.to_hex (Digest.string payload) <> md5 then `Corrupt
+            else `Entry (key, payload)
+        | _ -> `Corrupt)
+      | _ -> `Corrupt))
 
-  let create ?max_bytes () =
-    { table = Hashtbl.create 64;
-      lru = Lru.create ();
-      max_bytes;
-      counts = fresh_counts ();
-      lock = Mutex.create () }
+let try_remove path = try Sys.remove path with _ -> ()
 
-  let locked t f =
-    Mutex.lock t.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-  let name _ = "memory"
-
-  let find t key =
-    locked t (fun () ->
-        match Hashtbl.find_opt t.table key with
-        | Some v ->
-          t.counts.c_hits <- t.counts.c_hits + 1;
-          Lru.touch t.lru key;
-          Some v
-        | None ->
-          t.counts.c_misses <- t.counts.c_misses + 1;
-          None)
-
-  let evict_to_fit t =
-    match t.max_bytes with
-    | None -> ()
-    | Some budget ->
-      let rec go () =
-        if t.lru.Lru.total > budget then
-          match Lru.lru t.lru with
-          | None -> ()
-          | Some victim ->
-            Hashtbl.remove t.table victim;
-            Lru.remove t.lru victim;
-            t.counts.c_evictions <- t.counts.c_evictions + 1;
-            go ()
-      in
-      go ()
-
-  let put t key v =
-    locked t (fun () ->
-        Hashtbl.replace t.table key v;
-        Lru.add t.lru key (String.length v);
-        t.counts.c_puts <- t.counts.c_puts + 1;
-        evict_to_fit t)
-
-  let delete t key =
-    locked t (fun () ->
-        Hashtbl.remove t.table key;
-        Lru.remove t.lru key)
-
-  let clear t =
-    locked t (fun () ->
-        Hashtbl.reset t.table;
-        Lru.clear t.lru)
-
-  let keys t = locked t (fun () -> Lru.keys_lru_first t.lru)
-
-  let counters t =
-    locked t (fun () ->
-        snapshot t.counts ~entries:(Hashtbl.length t.table)
-          ~bytes:t.lru.Lru.total)
-
-  let store t = Store ((module struct
-    type nonrec t = t
-
-    let name = name
-    let find = find
-    let put = put
-    let delete = delete
-    let clear = clear
-    let keys = keys
-    let counters = counters
-  end), t)
-end
-
-(* --- the persistent on-disk byte store --- *)
-
-module Disk = struct
-  let magic = "chlsc-cache/1"
-  let default_max_bytes = 256 * 1024 * 1024
-
-  (* Marshal is untyped: bytes written by a build whose types differ
-     would decode to garbage, so the executable digest is the store
-     version: any rebuild invalidates (degrades to a miss), never
-     crashes. *)
-  let default_version =
-    let v = lazy (
-      match Digest.to_hex (Digest.file Sys.executable_name) with
-      | d -> d
-      | exception _ -> "unversioned")
+let open_store ?(max_bytes = default_max_bytes) ?version dir =
+  let version =
+    match version with Some v -> v | None -> Lazy.force default_version
+  in
+  let rec mkdirs d =
+    if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
+      mkdirs (Filename.dirname d);
+      try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+    end
+  in
+  match
+    mkdirs dir;
+    Sys.readdir dir
+  with
+  | exception e ->
+    Error
+      (Printf.sprintf "cache dir %s: %s" dir (Printexc.to_string e))
+  | files ->
+    let s =
+      { dir; version; max_bytes; lru = Lru.create (); hits = 0; misses = 0;
+        puts = 0; evictions = 0; corrupt = 0; skew = 0;
+        lock = Mutex.create () }
     in
-    fun () -> Lazy.force v
-
-  type t = {
-    dir : string;
-    version : string;
-    max_bytes : int;
-    lru : Lru.t;
-    counts : counts;
-    lock : Mutex.t;
-  }
-
-  let dir t = t.dir
-  let name _ = "disk"
-
-  let entry_file t key = Filename.concat t.dir (Digest.to_hex (Digest.string key) ^ ".entry")
-
-  let header ~version ~payload ~key =
-    Printf.sprintf "%s %s %s %d %d\n" magic version
-      (Digest.to_hex (Digest.string payload))
-      (String.length payload) (String.length key)
-
-  (* Read and fully validate one entry file.  [`Corrupt] covers every
-     malformed shape; [`Skew] is a well-formed entry from another store
-     version. *)
-  let read_entry ~version path =
-    match In_channel.with_open_bin path In_channel.input_all with
-    | exception _ -> `Corrupt
-    | contents -> (
-      match String.index_opt contents '\n' with
-      | None -> `Corrupt
-      | Some nl -> (
-        let head = String.sub contents 0 nl in
-        match String.split_on_char ' ' head with
-        | [ m; v; md5; plen; klen ] -> (
-          match (int_of_string_opt plen, int_of_string_opt klen) with
-          | Some plen, Some klen ->
-            if m <> magic then `Corrupt
-            else if v <> version then `Skew
-            else if String.length contents <> nl + 1 + klen + plen then
-              `Corrupt
-            else
-              let key = String.sub contents (nl + 1) klen in
-              let payload = String.sub contents (nl + 1 + klen) plen in
-              if Digest.to_hex (Digest.string payload) <> md5 then `Corrupt
-              else `Entry (key, payload)
-          | _ -> `Corrupt)
-        | _ -> `Corrupt))
-
-  let try_remove path = try Sys.remove path with _ -> ()
-
-  let open_dir ?(max_bytes = default_max_bytes) ?version dir =
-    let version =
-      match version with Some v -> v | None -> default_version ()
+    (* index resident entries, oldest mtime first so the initial
+       recency order survives restarts; skewed or invalid entries are
+       dead weight — delete and count them *)
+    let entries =
+      Array.to_list files
+      |> List.filter (fun f -> Filename.check_suffix f ".entry")
+      |> List.filter_map (fun f ->
+             let path = Filename.concat dir f in
+             match Unix.stat path with
+             | { Unix.st_mtime; _ } -> Some (path, st_mtime)
+             | exception _ -> None)
+      |> List.sort (fun (_, a) (_, b) -> compare (a : float) b)
     in
-    let rec mkdirs d =
-      if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
-        mkdirs (Filename.dirname d);
-        try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-      end
-    in
-    match
-      mkdirs dir;
-      Sys.readdir dir
-    with
-    | exception e ->
-      Error
-        (Printf.sprintf "cache dir %s: %s" dir (Printexc.to_string e))
-    | files ->
-      let t =
-        { dir; version; max_bytes; lru = Lru.create ();
-          counts = fresh_counts (); lock = Mutex.create () }
+    List.iter
+      (fun (path, _) ->
+        match read_entry ~version path with
+        | `Entry (key, payload) -> Lru.add s.lru key (String.length payload)
+        | `Missing -> ()
+        | `Skew ->
+          s.skew <- s.skew + 1;
+          try_remove path
+        | `Corrupt ->
+          s.corrupt <- s.corrupt + 1;
+          try_remove path)
+      entries;
+    Ok s
+
+let locked lock f =
+  Mutex.lock lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+
+let touch_mtime path =
+  (* best-effort: cross-process restarts rebuild recency from mtimes *)
+  try Unix.utimes path 0. 0. with _ -> ()
+
+let evict_to_fit s =
+  let rec go () =
+    if s.lru.Lru.total > s.max_bytes then
+      match Lru.lru s.lru with
+      | None -> ()
+      | Some victim ->
+        try_remove (entry_file s victim);
+        Lru.remove s.lru victim;
+        s.evictions <- s.evictions + 1;
+        go ()
+  in
+  go ()
+
+let store_find s key =
+  locked s.lock (fun () ->
+      let path = entry_file s key in
+      let miss () =
+        s.misses <- s.misses + 1;
+        Lru.remove s.lru key;
+        None
       in
-      (* index resident entries, oldest mtime first so the initial
-         recency order survives restarts; skewed or invalid entries are
-         dead weight — delete and count them *)
-      let entries =
-        Array.to_list files
-        |> List.filter (fun f -> Filename.check_suffix f ".entry")
-        |> List.filter_map (fun f ->
-               let path = Filename.concat dir f in
-               match Unix.stat path with
-               | { Unix.st_mtime; _ } -> Some (path, st_mtime)
-               | exception _ -> None)
-        |> List.sort (fun (_, a) (_, b) -> compare (a : float) b)
+      (* probe the file even on an index miss: another worker sharing
+         the directory may have written the entry after we opened *)
+      if (not (Lru.mem s.lru key)) && not (Sys.file_exists path) then miss ()
+      else
+        match read_entry ~version:s.version path with
+        | `Entry (k, payload) when k = key ->
+          s.hits <- s.hits + 1;
+          Lru.add s.lru key (String.length payload);
+          touch_mtime path;
+          Some payload
+        | `Missing -> miss ()
+        | `Entry _ (* digest collision with a different key *) | `Corrupt ->
+          s.corrupt <- s.corrupt + 1;
+          try_remove path;
+          miss ()
+        | `Skew ->
+          s.skew <- s.skew + 1;
+          try_remove path;
+          miss ())
+
+let store_put s key payload =
+  locked s.lock (fun () ->
+      let path = entry_file s key in
+      let tmp =
+        Printf.sprintf "%s.tmp.%d" path (Unix.getpid ())
       in
+      let ok =
+        try
+          Out_channel.with_open_bin tmp (fun oc ->
+              output_string oc (header ~version:s.version ~payload ~key);
+              output_string oc key;
+              output_string oc payload);
+          Sys.rename tmp path;
+          true
+        with _ ->
+          try_remove tmp;
+          false
+      in
+      if ok then begin
+        Lru.add s.lru key (String.length payload);
+        s.puts <- s.puts + 1;
+        evict_to_fit s
+      end)
+
+let store_delete s key =
+  locked s.lock (fun () ->
+      try_remove (entry_file s key);
+      Lru.remove s.lru key)
+
+let store_clear s =
+  locked s.lock (fun () ->
       List.iter
-        (fun (path, _) ->
-          match read_entry ~version path with
-          | `Entry (key, payload) -> Lru.add t.lru key (String.length payload)
-          | `Skew ->
-            t.counts.c_skew <- t.counts.c_skew + 1;
-            try_remove path
-          | `Corrupt ->
-            t.counts.c_corrupt <- t.counts.c_corrupt + 1;
-            try_remove path)
-        entries;
-      Ok t
+        (fun key -> try_remove (entry_file s key))
+        (Lru.keys_lru_first s.lru);
+      Lru.clear s.lru)
 
-  let locked t f =
-    Mutex.lock t.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let store_keys s = locked s.lock (fun () -> Lru.keys_lru_first s.lru)
 
-  let touch_mtime path =
-    (* best-effort: cross-process restarts rebuild recency from mtimes *)
-    try Unix.utimes path 0. 0. with _ -> ()
+let store_counters s =
+  locked s.lock (fun () ->
+      { hits = s.hits;
+        misses = s.misses;
+        puts = s.puts;
+        evictions = s.evictions;
+        corrupt = s.corrupt;
+        version_skew = s.skew;
+        entries = List.length s.lru.Lru.order;
+        bytes = s.lru.Lru.total })
 
-  let evict_to_fit t =
-    let rec go () =
-      if t.lru.Lru.total > t.max_bytes then
-        match Lru.lru t.lru with
-        | None -> ()
-        | Some victim ->
-          try_remove (entry_file t victim);
-          Lru.remove t.lru victim;
-          t.counts.c_evictions <- t.counts.c_evictions + 1;
-          go ()
-    in
-    go ()
+(* --- the design table --- *)
 
-  let find t key =
-    locked t (fun () ->
-        let path = entry_file t key in
-        (* probe the file even on an index miss: another worker sharing
-           the directory may have written the entry after we opened *)
-        if (not (Lru.mem t.lru key)) && not (Sys.file_exists path) then begin
-          t.counts.c_misses <- t.counts.c_misses + 1;
-          None
-        end
-        else
-          match read_entry ~version:t.version path with
-          | `Entry (k, payload) when k = key ->
-            t.counts.c_hits <- t.counts.c_hits + 1;
-            Lru.add t.lru key (String.length payload);
-            Lru.touch t.lru key;
-            touch_mtime path;
-            Some payload
-          | `Entry _ (* digest collision with a different key *) | `Corrupt ->
-            t.counts.c_corrupt <- t.counts.c_corrupt + 1;
-            t.counts.c_misses <- t.counts.c_misses + 1;
-            try_remove path;
-            Lru.remove t.lru key;
-            None
-          | `Skew ->
-            t.counts.c_skew <- t.counts.c_skew + 1;
-            t.counts.c_misses <- t.counts.c_misses + 1;
-            try_remove path;
-            Lru.remove t.lru key;
-            None)
-
-  let put t key payload =
-    locked t (fun () ->
-        let path = entry_file t key in
-        let tmp =
-          Printf.sprintf "%s.tmp.%d" path (Unix.getpid ())
-        in
-        let ok =
-          try
-            Out_channel.with_open_bin tmp (fun oc ->
-                output_string oc (header ~version:t.version ~payload ~key);
-                output_string oc key;
-                output_string oc payload);
-            Sys.rename tmp path;
-            true
-          with _ ->
-            try_remove tmp;
-            false
-        in
-        if ok then begin
-          Lru.add t.lru key (String.length payload);
-          t.counts.c_puts <- t.counts.c_puts + 1;
-          evict_to_fit t
-        end)
-
-  let delete t key =
-    locked t (fun () ->
-        try_remove (entry_file t key);
-        Lru.remove t.lru key)
-
-  let clear t =
-    locked t (fun () ->
-        List.iter
-          (fun key -> try_remove (entry_file t key))
-          (Lru.keys_lru_first t.lru);
-        Lru.clear t.lru)
-
-  let keys t = locked t (fun () -> Lru.keys_lru_first t.lru)
-
-  let counters t =
-    locked t (fun () ->
-        snapshot t.counts
-          ~entries:(List.length t.lru.Lru.order)
-          ~bytes:t.lru.Lru.total)
-
-  let store t = Store ((module struct
-    type nonrec t = t
-
-    let name = name
-    let find = find
-    let put = put
-    let delete = delete
-    let clear = clear
-    let keys = keys
-    let counters = counters
-  end), t)
-end
-
-(* --- the decoded front cache --- *)
-
-type 'a t = {
-  f_name : string;
-  encode : 'a -> string option;
-  decode : string -> 'a option;
-  front : (string, 'a) Hashtbl.t;
+type t = {
+  front : (string, Design.t) Hashtbl.t;
   mutable backing : store option;
   mutable undecodable : int;
   mutable f_hits : int;
@@ -435,36 +293,29 @@ type 'a t = {
   lock : Mutex.t;
 }
 
-let create ~name ~encode ~decode ?store () =
-  { f_name = name;
-    encode;
-    decode;
-    front = Hashtbl.create 64;
-    backing = store;
+let create () =
+  { front = Hashtbl.create 64;
+    backing = None;
     undecodable = 0;
     f_hits = 0;
     f_misses = 0;
     lock = Mutex.create () }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let set_store t s = locked t.lock (fun () -> t.backing <- s)
+let store t = locked t.lock (fun () -> t.backing)
+let size t = locked t.lock (fun () -> Hashtbl.length t.front)
+let decode_failures t = locked t.lock (fun () -> t.undecodable)
+let clear t = locked t.lock (fun () -> Hashtbl.reset t.front)
 
-let set_store t s = locked t (fun () -> t.backing <- s)
-let store t = locked t (fun () -> t.backing)
-let size t = locked t (fun () -> Hashtbl.length t.front)
-let decode_failures t = locked t (fun () -> t.undecodable)
-let clear t = locked t (fun () -> Hashtbl.reset t.front)
-
-let front_hits t = locked t (fun () -> t.f_hits)
-let front_misses t = locked t (fun () -> t.f_misses)
+let front_hits t = locked t.lock (fun () -> t.f_hits)
+let front_misses t = locked t.lock (fun () -> t.f_misses)
 
 let find t key =
-  locked t (fun () ->
+  locked t.lock (fun () ->
       match Hashtbl.find_opt t.front key with
-      | Some v ->
+      | Some d ->
         t.f_hits <- t.f_hits + 1;
-        Some (v, `Front)
+        Some (d, `Front)
       | None -> (
         t.f_misses <- t.f_misses + 1;
         match t.backing with
@@ -473,23 +324,23 @@ let find t key =
           match store_find s key with
           | None -> None
           | Some payload -> (
-            match t.decode payload with
-            | Some v ->
-              Hashtbl.replace t.front key v;
-              Some (v, `Store)
-            | None ->
-              (* validated bytes the codec cannot revive: drop the entry
-                 so it never costs another decode attempt *)
+            match decode payload with
+            | d ->
+              Hashtbl.replace t.front key d;
+              Some (d, `Store)
+            | exception _ ->
+              (* validated bytes that are no design: drop the entry so
+                 it never costs another decode attempt *)
               t.undecodable <- t.undecodable + 1;
               store_delete s key;
               None))))
 
-let add t key v =
-  locked t (fun () ->
-      Hashtbl.replace t.front key v;
+let add t key d =
+  locked t.lock (fun () ->
+      Hashtbl.replace t.front key d;
       match t.backing with
       | None -> ()
       | Some s -> (
-        match t.encode v with
-        | Some payload -> store_put s key payload
-        | None -> ()))
+        match encode d with
+        | payload -> store_put s key payload
+        | exception _ -> ()))

@@ -1,28 +1,27 @@
-(** Cache: the artifact-cache subsystem behind the compile driver.
+(** Cache: the design cache behind the compile driver.
 
-    PR 5's driver memoized designs in an ad-hoc [Hashtbl] that died with
-    the process.  This module makes the cache an explicit subsystem with
-    a pluggable byte-store interface:
+    Compiled designs live in a front table of live {!Design.t} values
+    ({!t}), over an optional cache directory ({!store}) that makes them
+    survive restarts and lets co-operating workers share them.
 
-    - {!Memory}: the in-process store — a byte table with optional LRU
-      eviction by byte budget (also the reference implementation of
-      {!STORE} for tests);
-    - {!Disk}: the persistent store — one digest-named file per entry
-      under a cache directory, every entry versioned and checksummed so
-      corruption, truncation or version skew (a different binary wrote
-      it) degrades to a miss instead of an error, with LRU eviction by
-      byte budget and atomic (write-temp-then-rename) puts so concurrent
-      workers can share one directory;
-    - {!t}: the decoded front cache the driver actually talks to — a
-      table of live values backed by an optional byte store through an
-      [encode]/[decode] codec (for designs: [Marshal] of plain data;
-      [Marshal] is untyped, which is why the entry version pins the
-      binary identity).
+    - {!store}: one digest-named file per entry under the cache
+      directory, every entry versioned and checksummed so corruption,
+      truncation or version skew (a different binary wrote it) degrades
+      to a miss instead of an error, with LRU eviction by byte budget
+      and atomic (write-temp-then-rename) puts so concurrent workers can
+      share one directory;
+    - {!t}: the table the driver talks to.  A front miss revives the
+      design from the attached store; an added design is written through
+      to it.
+
+    A stored design is its {!Design.data} (plain data, no closures)
+    encoded with [Marshal], and {!Design.of_data} revives it.  [Marshal]
+    is untyped, which is why the entry version pins the binary identity.
 
     Every operation is mutex-guarded, so one cache can back a whole
     Domain pool ([chlsc serve]). *)
 
-(** {1 Byte stores} *)
+(** {1 The cache directory} *)
 
 type counters = {
   hits : int;
@@ -34,104 +33,70 @@ type counters = {
           degraded to a miss (the entry is deleted) *)
   version_skew : int;
       (** entries written under a different store version (for the
-          default disk version: by a different binary), dropped at open *)
+          default version: by a different binary), dropped at open *)
   entries : int;
   bytes : int;  (** payload bytes currently resident *)
 }
 
-module type STORE = sig
-  type t
+type store
 
-  val name : t -> string
-  val find : t -> string -> string option
-  (** [None] on miss — including every degraded failure mode. *)
+val open_store :
+  ?max_bytes:int -> ?version:string -> string -> (store, string) result
+(** Open (creating if needed) a cache directory and index its entries.
+    Entries written under a different [version] (default: the running
+    executable's digest) or failing validation are deleted and counted
+    ([version_skew] / [corrupt]).  Default [max_bytes]: 256 MiB.
+    [Error message] only when the directory cannot be created or
+    listed. *)
 
-  val put : t -> string -> string -> unit
-  val delete : t -> string -> unit
-  val clear : t -> unit
-
-  val keys : t -> string list
-  (** Resident keys in LRU order, least recently used first. *)
-
-  val counters : t -> counters
-end
-
-type store = Store : (module STORE with type t = 'a) * 'a -> store
-(** A packed store: what {!t} and the driver plug in. *)
+val store_dir : store -> string
 
 val store_find : store -> string -> string option
+(** [None] on miss — including every degraded failure mode, and an
+    entry whose file another handle removed (a plain miss that drops the
+    key from this handle's index). *)
+
 val store_put : store -> string -> string -> unit
 val store_clear : store -> unit
+
 val store_keys : store -> string list
+(** Resident keys in LRU order, least recently used first. *)
+
 val store_counters : store -> counters
 
-module Memory : sig
-  type t
+(** {1 The design table} *)
 
-  val create : ?max_bytes:int -> unit -> t
-  (** No [max_bytes]: unbounded (the pre-PR-7 behaviour). *)
+type t
 
-  val store : t -> store
-end
+val create : unit -> t
+(** An empty table with no store attached. *)
 
-module Disk : sig
-  type t
+val set_store : t -> store option -> unit
+val store : t -> store option
 
-  val open_dir :
-    ?max_bytes:int -> ?version:string -> string -> (t, string) result
-  (** Open (creating if needed) a cache directory and index its entries.
-      Entries written under a different [version] (default: the running
-      executable's digest) or failing validation are deleted and counted
-      ([version_skew] / [corrupt]).  Default [max_bytes]: 256 MiB.
-      [Error message] only when the directory cannot be created or
-      listed. *)
+val find : t -> string -> (Design.t * [ `Front | `Store ]) option
+(** Where the hit came from: [`Front] is the in-process table, [`Store]
+    was revived from the cache directory (and is now front-resident). *)
 
-  val store : t -> store
-  val dir : t -> string
-end
+val add : t -> string -> Design.t -> unit
+(** Insert into the front table and, when a store is attached, write
+    the encoded design through. *)
 
-(** {1 The decoded front cache} *)
+val size : t -> int
+(** Designs currently front-resident. *)
 
-type 'a t
-
-val create :
-  name:string ->
-  encode:('a -> string option) ->
-  decode:(string -> 'a option) ->
-  ?store:store ->
-  unit ->
-  'a t
-(** A front cache of decoded values over an optional byte store.  The
-    codec is total-by-construction: [encode] returning [None] keeps the
-    value front-only; [decode] returning [None] deletes the undecodable
-    entry and degrades to a miss. *)
-
-val set_store : 'a t -> store option -> unit
-val store : 'a t -> store option
-
-val find : 'a t -> string -> ('a * [ `Front | `Store ]) option
-(** Where the hit came from: [`Front] is the in-process decoded table,
-    [`Store] was revived from the byte store (and is now front-resident). *)
-
-val add : 'a t -> string -> 'a -> unit
-(** Insert into the front table and (when the codec and a store allow)
-    write through. *)
-
-val size : 'a t -> int
-(** Decoded values currently front-resident. *)
-
-val decode_failures : 'a t -> int
-(** Store payloads that validated at the byte level but failed [decode]
+val decode_failures : t -> int
+(** Store payloads that validated at the byte level but were no design
     (each deleted and degraded to a miss). *)
 
-val front_hits : 'a t -> int
-(** Lookups answered from the decoded front table. *)
+val front_hits : t -> int
+(** Lookups answered from the front table. *)
 
-val front_misses : 'a t -> int
-(** Lookups that fell past the front table — whether or not the byte
-    store then revived them.  [front_hits + front_misses] is the total
-    lookup count, which is how derived hit rates are computed. *)
+val front_misses : t -> int
+(** Lookups that fell past the front table — whether or not the store
+    then revived them.  [front_hits + front_misses] is the total lookup
+    count, which is how derived hit rates are computed. *)
 
-val clear : 'a t -> unit
-(** Drop the decoded front table only — the byte store keeps its
-    entries (benchmarks use this to simulate a restart). *)
+val clear : t -> unit
+(** Drop the front table only — the store keeps its entries
+    (benchmarks use this to simulate a restart). *)

@@ -118,23 +118,10 @@ let rec render_error ?file = function
 (* --- cache bookkeeping --- *)
 
 (* content hash -> design; process-wide so sessions over the same source
-   (and repeated sessions in one run) share artifacts.  The decoded
-   front tier is always on; attaching a byte store (usually Cache.Disk)
-   makes warm-cache state survive restarts and lets workers share.  The
-   codec marshals only the design's data part (no closures) and revives
-   it through Design.of_data, which rebuilds the simulation engine and
-   structural views.  Marshal is still untyped — bytes written by a
-   build whose artifact types differ would decode to garbage — so the
-   disk store keeps versioning entries by executable digest. *)
-let design_cache : Design.t Cache.t =
-  Cache.create ~name:"designs"
-    ~encode:(fun d ->
-      try Some (Marshal.to_string (Design.data d : Design.data) [])
-      with _ -> None)
-    ~decode:(fun s ->
-      try Some (Design.of_data (Marshal.from_string s 0 : Design.data))
-      with _ -> None)
-    ()
+   (and repeated sessions in one run) share artifacts.  The front table
+   is always on; attaching a cache directory makes warm-cache state
+   survive restarts and lets workers share. *)
+let design_cache = Cache.create ()
 
 let cache_size () = Cache.size design_cache
 let clear_cache () = Cache.clear design_cache
@@ -143,9 +130,8 @@ let set_cache_store s = Cache.set_store design_cache s
 let cache_store () = Cache.store design_cache
 
 let attach_disk_cache ?max_bytes ~dir () =
-  match Cache.Disk.open_dir ?max_bytes dir with
-  | Ok d ->
-    let s = Cache.Disk.store d in
+  match Cache.open_store ?max_bytes dir with
+  | Ok s ->
     set_cache_store (Some s);
     Ok s
   | Error _ as e -> e

@@ -234,30 +234,30 @@ val mismatch :
 
 (** {1 The process-wide artifact cache}
 
-    The driver's memo is a {!Cache.t}: a decoded in-process front tier
-    (always on) over an optional pluggable byte store.  Attaching a
-    {!Cache.Disk} store makes warm-cache state survive restarts —
-    designs are encoded with [Marshal] (their data part only, no
-    closures), entries are versioned by executable digest and
-    checksummed, and every failure mode degrades to a miss plus a
+    The driver's memo is a {!Cache.t}: an in-process front tier (always
+    on) over an optional cache directory ({!Cache.store}).  Attaching
+    one makes warm-cache state survive restarts — {!Cache} encodes each
+    design's data part, versions entries by executable digest and
+    checksums them, and every failure mode degrades to a miss plus a
     recompile. *)
 
 val cache_size : unit -> int
-(** Designs currently memoized in the decoded front tier. *)
+(** Designs currently memoized in the front tier. *)
 
 val clear_cache : unit -> unit
 (** Drop every front-tier design (benchmarks use this to measure cold
     compiles and to simulate restarts; sessions keep their frontend
-    memo).  An attached byte store keeps its entries. *)
+    memo).  An attached cache directory keeps its entries. *)
 
 val attach_disk_cache :
   ?max_bytes:int -> dir:string -> unit -> (Cache.store, string) result
-(** Open (creating if needed) a persistent design store under [dir] and
-    plug it behind the front tier.  [Error message] if the directory is
+(** Open (creating if needed) a cache directory under [dir] and attach
+    it behind the front tier.  [Error message] if the directory is
     unusable — the caller decides whether that is fatal. *)
 
 val set_cache_store : Cache.store option -> unit
-(** Plug in (or detach, with [None]) an arbitrary byte store. *)
+(** Attach an open cache directory behind the front tier, or detach it
+    with [None]. *)
 
 val cache_store : unit -> Cache.store option
 
@@ -269,6 +269,6 @@ val cache_metrics : unit -> (string * int) list
 
 val cache_hit_rates : unit -> (string * float) list
 (** Derived hit-rate percentages — [driver.cache.front_hit_rate_pct]
-    over the decoded front tier, [driver.store.hit_rate_pct] over the
-    byte store — each present only once that tier has seen at least one
+    over the front tier, [driver.store.hit_rate_pct] over the cache
+    directory — each present only once that tier has seen at least one
     lookup, so a fresh process reports nothing rather than 0%. *)

@@ -1,8 +1,8 @@
-(* The cache subsystem: LRU accounting in the Memory store, and the Disk
-   store's whole failure-mode contract — round trips, persistence across
+(* The design cache: the directory store's whole failure-mode contract —
+   LRU order and byte-budget eviction, round trips, persistence across
    handles (a simulated restart), corruption and truncation degrading to
-   a miss, version skew dropped at open, byte-budget eviction — plus the
-   driver plumbed over a persistent store. *)
+   a miss, version skew dropped at open, entries another handle removed —
+   then the design table over a store, and the driver plumbed over it. *)
 
 let fresh_dir =
   let n = ref 0 in
@@ -14,32 +14,36 @@ let fresh_dir =
         (Printf.sprintf "chlsc-cache-test-%d-%s-%d" (Unix.getpid ()) label !n)
     in
     (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    Array.iter
-      (fun f -> Sys.remove (Filename.concat dir f))
-      (Sys.readdir dir);
+    let empty () =
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
+    in
+    empty ();
+    (* the run leaves no store behind; a test may have removed it first *)
+    at_exit (fun () ->
+        try empty (); Unix.rmdir dir
+        with Sys_error _ | Unix.Unix_error _ -> ());
     dir
 
 let disk ?max_bytes ?version label =
-  match Cache.Disk.open_dir ?max_bytes ?version (fresh_dir label) with
-  | Ok d -> d
+  match Cache.open_store ?max_bytes ?version (fresh_dir label) with
+  | Ok s -> s
   | Error msg -> Alcotest.fail msg
 
-let reopen ?max_bytes ?version d =
-  match Cache.Disk.open_dir ?max_bytes ?version (Cache.Disk.dir d) with
-  | Ok d -> d
+let reopen ?max_bytes ?version s =
+  match Cache.open_store ?max_bytes ?version (Cache.store_dir s) with
+  | Ok s -> s
   | Error msg -> Alcotest.fail msg
 
 (* the one entry file a key lives in (the store's naming scheme: entries
    are digest-named so keys can hold any byte) *)
-let entry_path d key =
-  Filename.concat (Cache.Disk.dir d)
+let entry_path s key =
+  Filename.concat (Cache.store_dir s)
     (Digest.to_hex (Digest.string key) ^ ".entry")
 
-(* --- Memory --- *)
+(* --- the store: LRU, round trips and restart survival --- *)
 
-let test_memory_lru_eviction_order () =
-  let m = Cache.Memory.create ~max_bytes:10 () in
-  let s = Cache.Memory.store m in
+let test_lru_eviction_order () =
+  let s = disk "lru" ~max_bytes:10 in
   Cache.store_put s "a" "1234";
   Cache.store_put s "b" "5678";
   (* touch "a": it becomes most recently used *)
@@ -56,9 +60,8 @@ let test_memory_lru_eviction_order () =
   Alcotest.(check int) "one eviction" 1 c.Cache.evictions;
   Alcotest.(check int) "bytes tracked" 8 c.Cache.bytes
 
-let test_memory_oversized_value_not_resident () =
-  let m = Cache.Memory.create ~max_bytes:4 () in
-  let s = Cache.Memory.store m in
+let test_oversized_value_not_resident () =
+  let s = disk "oversized" ~max_bytes:4 in
   Cache.store_put s "k" "way too large for the budget";
   Alcotest.(check (option string)) "never resident" None
     (Cache.store_find s "k");
@@ -66,18 +69,14 @@ let test_memory_oversized_value_not_resident () =
   Alcotest.(check (option string)) "fitting value resident" (Some "1234")
     (Cache.store_find s "ok")
 
-(* --- Disk: round trips and restart survival --- *)
-
 let test_disk_round_trip_and_restart () =
-  let d = disk "roundtrip" in
-  let s = Cache.Disk.store d in
+  let s = disk "roundtrip" in
   Cache.store_put s "key|1" "payload one";
   Cache.store_put s "key|2" "payload two";
   Alcotest.(check (option string)) "immediate hit" (Some "payload one")
     (Cache.store_find s "key|1");
   (* a second handle over the same directory: the restart case *)
-  let d2 = reopen d in
-  let s2 = Cache.Disk.store d2 in
+  let s2 = reopen s in
   Alcotest.(check (option string)) "hit after reopen" (Some "payload two")
     (Cache.store_find s2 "key|2");
   let c = Cache.store_counters s2 in
@@ -88,22 +87,42 @@ let test_disk_cross_handle_sharing () =
   (* two live handles over one directory (two co-operating workers): a
      put through one is visible to the other via the file probe, without
      reopening *)
-  let d = disk "sharing" in
-  let d2 = reopen d in
-  Cache.store_put (Cache.Disk.store d) "shared" "from the first worker";
+  let s = disk "sharing" in
+  let s2 = reopen s in
+  Cache.store_put s "shared" "from the first worker";
   Alcotest.(check (option string)) "second worker sees it"
     (Some "from the first worker")
-    (Cache.store_find (Cache.Disk.store d2) "shared")
+    (Cache.store_find s2 "shared")
+
+(* An entry another handle removed, as [chlsc cache clear] does beside a
+   live daemon or as another worker's put evicts it, is a plain miss: the
+   file is gone, not damaged. *)
+let test_vanished_entry_is_a_miss () =
+  let check_vanished what s key =
+    Alcotest.(check (option string)) (what ^ ": a miss") None
+      (Cache.store_find s key);
+    let c = Cache.store_counters s in
+    Alcotest.(check int) (what ^ ": one miss") 1 c.Cache.misses;
+    Alcotest.(check int) (what ^ ": not corruption") 0 c.Cache.corrupt;
+    Alcotest.(check int) (what ^ ": dropped from the index") 0 c.Cache.entries
+  in
+  let s = disk "vanished-clear" in
+  Cache.store_put s "k" "payload";
+  Cache.store_clear (reopen s);
+  check_vanished "cleared" s "k";
+  let s = disk "vanished-evict" ~max_bytes:10 in
+  Cache.store_put s "old" "12345678";
+  Cache.store_put (reopen s ~max_bytes:10) "new" "87654321";
+  check_vanished "evicted" s "old"
 
 let test_disk_corrupt_entry_degrades_to_miss () =
-  let d = disk "corrupt" in
-  let s = Cache.Disk.store d in
+  let s = disk "corrupt" in
   Cache.store_put s "good" "intact payload";
   Cache.store_put s "bad" "doomed payload";
   (* flip the last payload byte behind the store's back — the payload
      sits at the end of the entry file, so the header stays well-formed
      and the checksum is what catches it *)
-  let path = entry_path d "bad" in
+  let path = entry_path s "bad" in
   let content = In_channel.with_open_bin path In_channel.input_all in
   let n = String.length content in
   let corrupted =
@@ -121,10 +140,9 @@ let test_disk_corrupt_entry_degrades_to_miss () =
     ((Cache.store_counters s).Cache.corrupt >= 1)
 
 let test_disk_truncated_entry_degrades_to_miss () =
-  let d = disk "truncated" in
-  let s = Cache.Disk.store d in
+  let s = disk "truncated" in
   Cache.store_put s "short" "a payload that will lose its tail";
-  let path = entry_path d "short" in
+  let path = entry_path s "short" in
   let content = In_channel.with_open_bin path In_channel.input_all in
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc
@@ -134,11 +152,10 @@ let test_disk_truncated_entry_degrades_to_miss () =
   Alcotest.(check bool) "truncated file deleted" false (Sys.file_exists path)
 
 let test_disk_version_skew_invalidated_at_open () =
-  let d = disk "skew" ~version:"binary-A" in
-  Cache.store_put (Cache.Disk.store d) "k" "written by binary A";
+  let s = disk "skew" ~version:"binary-A" in
+  Cache.store_put s "k" "written by binary A";
   (* the next binary opens the same directory under its own version *)
-  let d2 = reopen d ~version:"binary-B" in
-  let s2 = Cache.Disk.store d2 in
+  let s2 = reopen s ~version:"binary-B" in
   Alcotest.(check int) "skewed entry dropped at open" 1
     (Cache.store_counters s2).Cache.version_skew;
   Alcotest.(check int) "nothing indexed" 0
@@ -146,11 +163,10 @@ let test_disk_version_skew_invalidated_at_open () =
   Alcotest.(check (option string)) "miss under the new version" None
     (Cache.store_find s2 "k");
   Alcotest.(check bool) "skewed file deleted" false
-    (Sys.file_exists (entry_path d2 "k"))
+    (Sys.file_exists (entry_path s2 "k"))
 
 let test_disk_lru_eviction_by_byte_budget () =
-  let d = disk "evict" ~max_bytes:30 in
-  let s = Cache.Disk.store d in
+  let s = disk "evict" ~max_bytes:30 in
   Cache.store_put s "one" (String.make 12 'x');
   Cache.store_put s "two" (String.make 12 'y');
   (* touching "one" protects it: "two" becomes the LRU *)
@@ -169,17 +185,18 @@ let test_disk_lru_eviction_by_byte_budget () =
   Alcotest.(check bool) "budget respected" true
     ((Cache.store_counters s).Cache.bytes <= 30)
 
-(* --- the decoded front cache over a store --- *)
+(* --- the design table over a store --- *)
 
 let test_front_revives_from_store () =
-  let mem = Cache.Memory.store (Cache.Memory.create ()) in
-  let cache =
-    Cache.create ~name:"test"
-      ~encode:(fun v -> Some v)
-      ~decode:(fun s -> Some s)
-      ~store:mem ()
+  let cache = Cache.create () in
+  Cache.set_store cache (Some (disk "front"));
+  let w = Workloads.gcd in
+  let design =
+    Registry.compile (Registry.get "bachc") (Workloads.parse w)
+      ~entry:w.Workloads.entry
   in
-  Cache.add cache "k" "decoded value";
+  let args = [ 1071; 462 ] in
+  Cache.add cache "k" design;
   (match Cache.find cache "k" with
   | Some (_, `Front) -> ()
   | _ -> Alcotest.fail "expected a front hit");
@@ -187,34 +204,36 @@ let test_front_revives_from_store () =
   Cache.clear cache;
   Alcotest.(check int) "front emptied" 0 (Cache.size cache);
   (match Cache.find cache "k" with
-  | Some (v, `Store) ->
-    Alcotest.(check string) "revived payload" "decoded value" v
+  | Some (revived, `Store) ->
+    Alcotest.(check bool) "a value rebuilt from the store" true
+      (revived != design);
+    Alcotest.(check (option int)) "the revived design returns the same result"
+      (Some (Workloads.reference w args))
+      (Design.run_int revived args)
   | _ -> Alcotest.fail "expected a store revival");
-  (* the revival re-seats the value front-side *)
+  (* the revival re-seats the design front-side *)
   match Cache.find cache "k" with
   | Some (_, `Front) -> ()
   | _ -> Alcotest.fail "expected a front hit after revival"
 
 let test_front_undecodable_store_entry_is_a_miss () =
-  let mem = Cache.Memory.store (Cache.Memory.create ()) in
-  let cache =
-    Cache.create ~name:"test"
-      ~encode:(fun v -> Some v)
-      ~decode:(fun _ -> None)
-      ~store:mem ()
-  in
-  Cache.store_put mem "k" "bytes the codec rejects";
+  let s = disk "undecodable" in
+  let cache = Cache.create () in
+  Cache.set_store cache (Some s);
+  Cache.store_put s "k" "bytes that are no design";
   Alcotest.(check bool) "undecodable entry is a miss" true
-    (Cache.find cache "k" = None);
+    (Option.is_none (Cache.find cache "k"));
   Alcotest.(check int) "failure counted" 1 (Cache.decode_failures cache);
   Alcotest.(check (option string)) "poisoned entry deleted" None
-    (Cache.store_find mem "k")
+    (Cache.store_find s "k");
+  Alcotest.(check bool) "its file deleted" false
+    (Sys.file_exists (entry_path s "k"))
 
 (* --- the driver over a persistent store --- *)
 
 (* The whole suite as a restart sees it: every sequential kernel on
    every compiling backend compiles into a fresh store, the front tier
-   dies, a new Cache.Disk handle reattaches the directory, and every
+   dies, a new store handle reattaches the directory, and every
    accepted design must come back from the store, run identically and
    agree with the oracle. *)
 let test_driver_designs_survive_restart () =
@@ -299,14 +318,15 @@ let test_driver_designs_survive_restart () =
 
 let suite =
   ( "cache",
-    [ Alcotest.test_case "memory LRU eviction order" `Quick
-        test_memory_lru_eviction_order;
-      Alcotest.test_case "memory oversized value" `Quick
-        test_memory_oversized_value_not_resident;
+    [ Alcotest.test_case "LRU eviction order" `Quick test_lru_eviction_order;
+      Alcotest.test_case "oversized value" `Quick
+        test_oversized_value_not_resident;
       Alcotest.test_case "disk round trip and restart" `Quick
         test_disk_round_trip_and_restart;
       Alcotest.test_case "disk cross-handle sharing" `Quick
         test_disk_cross_handle_sharing;
+      Alcotest.test_case "vanished entry is a miss" `Quick
+        test_vanished_entry_is_a_miss;
       Alcotest.test_case "corrupt entry degrades to miss" `Quick
         test_disk_corrupt_entry_degrades_to_miss;
       Alcotest.test_case "truncated entry degrades to miss" `Quick

@@ -1,21 +1,24 @@
 (* Exported-surface lint: every [val] of lib/*/*.mli must be referenced
    by the code of some other file under lib, bin, bench, test, examples
-   or perfbench.
+   or perfbench, and lib declares no module type.
 
    Interfaces are parsed with the compiler's own parser, so [val]s in
-   nested [sig]s are checked under their module path ([Serve.Pool.stats])
-   and module types are skipped.  Callers are read with the compiler's
-   lexer, so comments and strings never count.  A reference is a
+   nested [sig]s are checked under their module path ([Serve.Pool.stats]).
+   A module type's [val]s are called through its implementations, so no
+   caller can show that one is needed: each module type is reported under
+   its dotted path instead.  Callers are read with the compiler's lexer,
+   so comments and strings never count.  A reference is a
    qualified [M.name] (or [A.M.name] through an alias such as [Obs]), or
    a bare [name] in a file that opens [M] by [open M], [let open M in]
    or [M.( ... )].
 
    Run from the repository root: [dune exec tools/surface.exe].  It
-   prints every unreferenced export that [allowed] does not name, and
-   every [allowed] entry that is no longer exported or now has a caller,
-   and exits 1 if there is any. *)
+   prints every unreferenced export and module type that [allowed] does
+   not name, and every [allowed] entry that is no longer exported or now
+   has a caller, and exits 1 if there is any. *)
 
-(* Exports kept with no caller outside their module, each with its reason. *)
+(* Exports kept with no caller outside their module, and module types
+   kept, each with its reason. *)
 let allowed : (string * string) list = []
 
 let roots = [ "lib"; "bin"; "bench"; "test"; "examples"; "perfbench" ]
@@ -31,12 +34,14 @@ let lexbuf_of path =
   Location.init lb path;
   lb
 
-(* [(module path, name)] of every [val], outside module types. *)
-let exports mli =
+(* [`Val (module path, name)] of every [val] outside module types, and
+   [`Module_type path] of every module type. *)
+let declarations mli =
   let rec items path =
     List.concat_map (fun (item : Parsetree.signature_item) ->
         match item.psig_desc with
-        | Psig_value v -> [ (path, v.pval_name.txt) ]
+        | Psig_value v -> [ `Val (path, v.pval_name.txt) ]
+        | Psig_modtype mt -> [ `Module_type (path @ [ mt.pmtd_name.txt ]) ]
         | Psig_module md -> module_decl path md
         | Psig_recmodule mds -> List.concat_map (module_decl path) mds
         | _ -> [])
@@ -97,27 +102,41 @@ let () =
   let callers =
     List.filter_map (fun f -> if Filename.check_suffix f ".ml" then Some (f, uses f) else None) all
   in
-  (* every export's dotted name, and whether another file refers to it *)
-  let exported =
+  let decls =
     all
     |> List.filter (fun f -> String.starts_with ~prefix:"lib/" f && Filename.check_suffix f ".mli")
-    |> List.concat_map (fun mli ->
-           let own = Filename.remove_extension mli ^ ".ml" in
-           List.map
-             (fun ((path, name) as e) ->
-               ( String.concat "." (path @ [ name ]),
-                 List.exists (fun (f, u) -> f <> own && referenced e u) callers ))
-             (exports mli))
+    |> List.concat_map (fun mli -> List.map (fun d -> (mli, d)) (declarations mli))
+  in
+  (* every export's dotted name and whether another file refers to it,
+     and every module type's dotted path *)
+  let exported, module_types =
+    List.partition_map
+      (function
+        | mli, `Val ((path, name) as e) ->
+          let own = Filename.remove_extension mli ^ ".ml" in
+          Either.Left
+            ( String.concat "." (path @ [ name ]),
+              List.exists (fun (f, u) -> f <> own && referenced e u) callers )
+        | _, `Module_type p -> Either.Right (String.concat "." p))
+      decls
   in
   let unreferenced = List.filter_map (fun (n, used) -> if used then None else Some n) exported in
-  let flagged = List.filter (fun n -> not (List.mem_assoc n allowed)) unreferenced in
-  let stale = List.filter (fun (n, _) -> not (List.mem n unreferenced)) allowed in
-  List.iter (Printf.printf "unreferenced export: %s\n") flagged;
+  let findings = unreferenced @ module_types in
+  let flagged = List.filter (fun n -> not (List.mem_assoc n allowed)) findings in
+  let stale = List.filter (fun (n, _) -> not (List.mem n findings)) allowed in
+  List.iter
+    (fun n ->
+      Printf.printf "%s: %s\n"
+        (if List.mem n module_types then "module type" else "unreferenced export")
+        n)
+    flagged;
   List.iter
     (fun (n, _) ->
       Printf.printf "stale allowlist entry: %s (%s)\n" n
         (if List.mem_assoc n exported then "it has a caller now" else "not exported"))
     stale;
-  Printf.printf "%d of %d exported vals have no caller outside their module (%d allowlisted)\n"
-    (List.length unreferenced) (List.length exported) (List.length allowed);
+  Printf.printf
+    "%d of %d exported vals have no caller outside their module, %d module types (%d allowlisted)\n"
+    (List.length unreferenced) (List.length exported) (List.length module_types)
+    (List.length allowed);
   if flagged <> [] || stale <> [] then exit 1
