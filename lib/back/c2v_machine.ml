@@ -99,11 +99,11 @@ let step st =
   | C2verilog.Bin (op, w) ->
     let b = at_width w (pop st) in
     let a = at_width w (pop st) in
-    push st (Neteval.apply_binop op a b);
+    push st (Netlist.apply_binop op a b);
     st.pc <- next
   | C2verilog.Un (op, w) ->
     let a = at_width w (pop st) in
-    push st (Neteval.apply_unop op a);
+    push st (Netlist.apply_unop op a);
     st.pc <- next
   | C2verilog.Cast { signed; from_width; to_width } ->
     let v = Bitvec.resize ~signed:false ~width:from_width (pop st) in

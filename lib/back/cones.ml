@@ -59,6 +59,19 @@ let bool_signal st s =
   if Netlist.width st.nl s = 1 then s
   else Netlist.unop st.nl Netlist.U_reduce_or s
 
+(* [Some k] when [idx] is the constant [k], one of [n] elements, so that
+   the mux chain matching [idx] against each element's own index would
+   select element [k] alone.  A narrower index truncates the chain's
+   comparison constants (the chain then picks the last element whose
+   index agrees modulo 2^width), so it keeps the chain. *)
+let constant_index st idx n =
+  match Netlist.node st.nl idx with
+  | Netlist.Const c when Bitvec.width c >= 62 || n <= 1 lsl Bitvec.width c ->
+    let k = Bitvec.to_int64_unsigned c in
+    if Int64.unsigned_compare k (Int64.of_int n) < 0 then Some (Int64.to_int k)
+    else None
+  | _ -> None
+
 let rec eval st (e : Ast.expr) : Netlist.signal =
   match e.Ast.e with
   | Ast.Const (v, ty) ->
@@ -128,9 +141,12 @@ let rec eval st (e : Ast.expr) : Netlist.signal =
   | Ast.Index (base, idx) -> (
     let cell = array_of st base in
     let idx_sig = eval st idx in
-    match Array.to_list cell with
-    | [] -> unsupported "empty array"
-    | first :: rest ->
+    match
+      (Array.to_list cell, constant_index st idx_sig (Array.length cell))
+    with
+    | [], _ -> unsupported "empty array"
+    | _, Some k -> cell.(k)
+    | first :: rest, None ->
       (* dynamic index -> mux tree over all elements *)
       snd
         (List.fold_left
@@ -178,15 +194,23 @@ and assign st (lhs : Ast.expr) value =
     in
     let idx_sig = eval st idx in
     let updated =
-      Array.mapi
-        (fun k old ->
-          let eq =
-            Netlist.binop st.nl Netlist.B_eq idx_sig
-              (const_int st ~width:(Netlist.width st.nl idx_sig) k)
-          in
-          let new_ = Netlist.mux st.nl ~sel:eq ~if_true:value ~if_false:old in
-          guarded st ~old ~new_)
-        arr
+      match constant_index st idx_sig (Array.length arr) with
+      | Some k ->
+        Array.mapi
+          (fun j old -> if j = k then guarded st ~old ~new_:value else old)
+          arr
+      | None ->
+        Array.mapi
+          (fun k old ->
+            let eq =
+              Netlist.binop st.nl Netlist.B_eq idx_sig
+                (const_int st ~width:(Netlist.width st.nl idx_sig) k)
+            in
+            let new_ =
+              Netlist.mux st.nl ~sel:eq ~if_true:value ~if_false:old
+            in
+            guarded st ~old ~new_)
+          arr
     in
     cell := V_array updated
   | _ -> unsupported "assignment to unsupported lvalue"
@@ -322,9 +346,7 @@ and exec_if st sel then_b else_b =
   pop_scope st;
   (* merge: current state is the else outcome *)
   let then_scopes, then_returned, then_result = after_then in
-  let mux_sig t f =
-    if t = f then t else Netlist.mux st.nl ~sel ~if_true:t ~if_false:f
-  in
+  let mux_sig t f = Netlist.mux st.nl ~sel ~if_true:t ~if_false:f in
   List.iter2
     (fun then_scope else_scope ->
       Hashtbl.iter
@@ -407,6 +429,7 @@ let synthesize (program : Ast.program) ~entry : Netlist.t =
       | V_scalar s -> Netlist.set_output nl ("g_" ^ g.Ast.g_name) s
       | V_array _ -> ())
     program.Ast.globals;
+  Netlist.finish nl;
   nl
 
 (* Cones never lowers to CIR: it symbolically executes the AST, unrolling

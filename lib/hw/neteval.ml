@@ -187,41 +187,12 @@ let notify t s v =
   | None -> ()
   | Some p -> p.on_value ~cycle:t.cycle s v
 
-let apply_unop op a =
-  match (op : Netlist.unop) with
-  | U_not -> Bitvec.lognot a
-  | U_neg -> Bitvec.neg a
-  | U_reduce_or -> Bitvec.of_bool (not (Bitvec.is_zero a))
-
-let apply_binop op a b =
-  let open Bitvec in
-  match (op : Netlist.binop) with
-  | B_add -> add a b
-  | B_sub -> sub a b
-  | B_mul -> mul a b
-  | B_udiv -> udiv a b
-  | B_urem -> urem a b
-  | B_sdiv -> sdiv a b
-  | B_srem -> srem a b
-  | B_and -> logand a b
-  | B_or -> logor a b
-  | B_xor -> logxor a b
-  | B_shl -> shl a b
-  | B_lshr -> lshr a b
-  | B_ashr -> ashr a b
-  | B_eq -> of_bool (equal a b)
-  | B_ne -> of_bool (not (equal a b))
-  | B_ult -> of_bool (ult a b)
-  | B_ule -> of_bool (ule a b)
-  | B_slt -> of_bool (slt a b)
-  | B_sle -> of_bool (sle a b)
-
 let eval_node t s =
   match Netlist.node t.netlist s with
   | Const bv -> bv
   | Input _ -> t.input_vals.(s)
-  | Unop (op, a) -> apply_unop op t.values.(a)
-  | Binop (op, a, b) -> apply_binop op t.values.(a) t.values.(b)
+  | Unop (op, a) -> Netlist.apply_unop op t.values.(a)
+  | Binop (op, a, b) -> Netlist.apply_binop op t.values.(a) t.values.(b)
   | Mux { sel; if_true; if_false } ->
     if Bitvec.to_bool t.values.(sel) then t.values.(if_true)
     else t.values.(if_false)

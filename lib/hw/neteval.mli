@@ -46,11 +46,6 @@ val eval_counts : t -> int array
 (** Per-signal evaluation counts (a copy): the hot-node histogram behind
     [chlsc compile --profile]. *)
 
-val apply_unop : Netlist.unop -> Bitvec.t -> Bitvec.t
-val apply_binop : Netlist.binop -> Bitvec.t -> Bitvec.t -> Bitvec.t
-(** The shared operator semantics (also used by the CIR/SSA/FSMD
-    simulators, so every layer computes identically). *)
-
 val settle : t -> inputs:(string * Bitvec.t) list -> unit
 (** Settle all combinational values for the current cycle; missing inputs
     read as zero. *)

@@ -39,6 +39,44 @@ type mem = {
   init : Bitvec.t array option;
 }
 
+(* The sharing table's key: a combinational node, compared field by field
+   and hashed by mixing its ints (one multiply-xorshift step each), never
+   walked structurally as the polymorphic [Hashtbl] would. *)
+module Shared = Hashtbl.Make (struct
+  type t = node
+
+  let equal a b =
+    match (a, b) with
+    | Const x, Const y -> Bitvec.equal x y
+    | Unop (o, x), Unop (p, y) -> o = p && x = y
+    | Binop (o, x, y), Binop (p, x', y') -> o = p && x = x' && y = y'
+    | Mux m, Mux m' ->
+      m.sel = m'.sel && m.if_true = m'.if_true && m.if_false = m'.if_false
+    | Concat c, Concat c' -> c.hi = c'.hi && c.lo = c'.lo
+    | Extract e, Extract e' -> e.hi = e'.hi && e.lo = e'.lo && e.arg = e'.arg
+    | Zext e, Zext e' -> e.width = e'.width && e.arg = e'.arg
+    | Sext e, Sext e' -> e.width = e'.width && e.arg = e'.arg
+    | ( ( Const _ | Input _ | Unop _ | Binop _ | Mux _ | Concat _
+        | Extract _ | Zext _ | Sext _ | Reg _ | Mem_read _ ),
+        _ ) -> false
+
+  let mix h x =
+    let h = (h lxor x) * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 29)
+
+  let hash = function
+    | Const bv ->
+      mix (mix 1 (Bitvec.width bv)) (Int64.to_int (Bitvec.to_int64_unsigned bv))
+    | Unop (op, a) -> mix (mix 2 (Hashtbl.hash op)) a
+    | Binop (op, a, b) -> mix (mix (mix 3 (Hashtbl.hash op)) a) b
+    | Mux { sel; if_true; if_false } -> mix (mix (mix 4 sel) if_true) if_false
+    | Concat { hi; lo } -> mix (mix 5 hi) lo
+    | Extract { hi; lo; arg } -> mix (mix (mix 6 hi) lo) arg
+    | Zext { width; arg } -> mix (mix 7 width) arg
+    | Sext { width; arg } -> mix (mix 8 width) arg
+    | Input _ | Reg _ | Mem_read _ -> 0
+end)
+
 type t = {
   mutable nodes : node array;
   mutable widths : int array;
@@ -49,6 +87,9 @@ type t = {
   mutable fanout_cache : signal array array option;
       (* signal id -> combinational users; rebuilt when the node count has
          changed since it was computed (see [fanouts]) *)
+  mutable shared : signal Shared.t option;
+      (* build-time only: each combinational node -> its one signal.
+         [finish] drops it; the next builder call re-indexes the nodes *)
 }
 
 let create ?(name = "top") () =
@@ -58,7 +99,8 @@ let create ?(name = "top") () =
     mems = [];
     outputs = [];
     name;
-    fanout_cache = None }
+    fanout_cache = None;
+    shared = None }
 
 let length t = t.count
 let node t s = t.nodes.(s)
@@ -67,8 +109,9 @@ let name t = t.name
 
 let ensure_capacity t =
   if t.count = Array.length t.nodes then begin
-    let nodes = Array.make (2 * t.count) (Const (Bitvec.zero 1)) in
-    let widths = Array.make (2 * t.count) 0 in
+    let capacity = max 64 (2 * t.count) in
+    let nodes = Array.make capacity (Const (Bitvec.zero 1)) in
+    let widths = Array.make capacity 0 in
     Array.blit t.nodes 0 nodes 0 t.count;
     Array.blit t.widths 0 widths 0 t.count;
     t.nodes <- nodes;
@@ -83,29 +126,123 @@ let add t ~width node =
   t.count <- t.count + 1;
   s
 
-let const t bv = add t ~width:(Bitvec.width bv) (Const bv)
+let shareable = function
+  | Const _ | Unop _ | Binop _ | Mux _ | Concat _ | Extract _ | Zext _
+  | Sext _ -> true
+  | Input _ | Reg _ | Mem_read _ -> false
+
+let shared_table t =
+  match t.shared with
+  | Some table -> table
+  | None ->
+    let table = Shared.create (max 64 t.count) in
+    for s = 0 to t.count - 1 do
+      if shareable t.nodes.(s) then Shared.replace table t.nodes.(s) s
+    done;
+    t.shared <- Some table;
+    table
+
+(* Every combinational node is made here: an equal node already built is
+   returned instead of a new one. *)
+let share t ~width node =
+  let table = shared_table t in
+  match Shared.find table node with
+  | s -> s
+  | exception Not_found ->
+    let s = add t ~width node in
+    Shared.add table node s;
+    s
+
+let finish t =
+  t.shared <- None;
+  t.nodes <- Array.sub t.nodes 0 t.count;
+  t.widths <- Array.sub t.widths 0 t.count
+
+let apply_unop op a =
+  match op with
+  | U_not -> Bitvec.lognot a
+  | U_neg -> Bitvec.neg a
+  | U_reduce_or -> Bitvec.of_bool (not (Bitvec.is_zero a))
+
+let apply_binop op a b =
+  let open Bitvec in
+  match op with
+  | B_add -> add a b
+  | B_sub -> sub a b
+  | B_mul -> mul a b
+  | B_udiv -> udiv a b
+  | B_urem -> urem a b
+  | B_sdiv -> sdiv a b
+  | B_srem -> srem a b
+  | B_and -> logand a b
+  | B_or -> logor a b
+  | B_xor -> logxor a b
+  | B_shl -> shl a b
+  | B_lshr -> lshr a b
+  | B_ashr -> ashr a b
+  | B_eq -> of_bool (equal a b)
+  | B_ne -> of_bool (not (equal a b))
+  | B_ult -> of_bool (ult a b)
+  | B_ule -> of_bool (ule a b)
+  | B_slt -> of_bool (slt a b)
+  | B_sle -> of_bool (sle a b)
+
+let const t bv = share t ~width:(Bitvec.width bv) (Const bv)
 let const_int t ~width n = const t (Bitvec.of_int ~width n)
 let input t name ~width = add t ~width (Input name)
 
+let constant t s =
+  match t.nodes.(s) with
+  | Const v -> Some v
+  | Input _ | Unop _ | Binop _ | Mux _ | Concat _ | Extract _ | Zext _
+  | Sext _ | Reg _ | Mem_read _ -> None
+
 let unop t op a =
-  let w = match op with U_reduce_or -> 1 | U_not | U_neg -> width t a in
-  add t ~width:w (Unop (op, a))
+  match constant t a with
+  | Some v -> const t (apply_unop op v)
+  | None ->
+    let w = match op with U_reduce_or -> 1 | U_not | U_neg -> width t a in
+    share t ~width:w (Unop (op, a))
 
 let is_comparison = function
   | B_eq | B_ne | B_ult | B_ule | B_slt | B_sle -> true
   | B_add | B_sub | B_mul | B_udiv | B_urem | B_sdiv | B_srem | B_and | B_or
   | B_xor | B_shl | B_lshr | B_ashr -> false
 
+(* Constants of unequal widths stay a node, as they do in Netcomp: Bitvec
+   raises Width_mismatch on them (eq/ne compare them unequal).  A shift's
+   amount may have any width. *)
 let binop t op a b =
-  let w = if is_comparison op then 1 else width t a in
-  add t ~width:w (Binop (op, a, b))
+  match (constant t a, constant t b) with
+  | Some x, Some y
+    when Bitvec.width x = Bitvec.width y
+         || (match op with B_shl | B_lshr | B_ashr -> true | _ -> false) ->
+    const t (apply_binop op x y)
+  | _ ->
+    let w = if is_comparison op then 1 else width t a in
+    share t ~width:w (Binop (op, a, b))
 
 let mux t ~sel ~if_true ~if_false =
-  add t ~width:(width t if_true) (Mux { sel; if_true; if_false })
+  if if_true = if_false then if_true
+  else
+    match constant t sel with
+    | Some c -> if Bitvec.to_bool c then if_true else if_false
+    | None -> share t ~width:(width t if_true) (Mux { sel; if_true; if_false })
 
-let extract t ~hi ~lo arg = add t ~width:(hi - lo + 1) (Extract { hi; lo; arg })
-let zext t ~width:w arg = add t ~width:w (Zext { width = w; arg })
-let sext t ~width:w arg = add t ~width:w (Sext { width = w; arg })
+let extract t ~hi ~lo arg =
+  match constant t arg with
+  | Some v -> const t (Bitvec.extract ~hi ~lo v)
+  | None -> share t ~width:(hi - lo + 1) (Extract { hi; lo; arg })
+
+let zext t ~width:w arg =
+  match constant t arg with
+  | Some v -> const t (Bitvec.zero_extend ~width:w v)
+  | None -> share t ~width:w (Zext { width = w; arg })
+
+let sext t ~width:w arg =
+  match constant t arg with
+  | Some v -> const t (Bitvec.sign_extend ~width:w v)
+  | None -> share t ~width:w (Sext { width = w; arg })
 
 (** Resize a signal to [width] following C conversion rules. *)
 let resize t ~signed ~width:w s =

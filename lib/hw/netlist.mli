@@ -10,7 +10,19 @@
     created signals, so signal id order is a topological order for
     combinational dependencies (the evaluator relies on it).  Only
     register next-state inputs and memory write ports may point forward,
-    via the two-step [reg_forward]/[reg_connect] and [mem_write]. *)
+    via the two-step [reg_forward]/[reg_connect] and [mem_write].
+
+    The builder shares and folds.  A combinational node equal to one
+    already built (same kind, same operands) is not made again: the
+    builder returns the existing signal, so equal constants are one
+    signal too.  An operator over constants is a constant, computed by
+    the one operator table below, unless its operands' widths differ
+    where Bitvec needs them equal (it raises [Width_mismatch]; a shift
+    amount may have any width): that stays a node.  An extension or
+    extraction of a constant is a constant; a mux with a constant
+    select, or with both arms the same signal, is that arm.
+    Inputs, registers and memory reads are never shared.  The sharing
+    table is build-time state: {!finish} drops it. *)
 
 type signal = int
 
@@ -75,6 +87,12 @@ val reg_forward : t -> init:Bitvec.t -> signal
 
 val reg_connect : t -> signal -> next:signal -> ?enable:signal -> unit -> unit
 
+val finish : t -> unit
+(** Drop the sharing table and any spare capacity, so a finished netlist
+    (a cached or stored design's) holds its nodes and nothing else.
+    Building may go on: the next builder call re-indexes the nodes, so
+    finishing never changes the signal a builder returns. *)
+
 val add_mem :
   t -> name:string -> word_width:int -> depth:int ->
   ?init:Bitvec.t array -> unit -> int
@@ -90,6 +108,14 @@ val mems : t -> mem array
 val set_output : t -> string -> signal -> unit
 val outputs : t -> (string * signal) list
 val inputs : t -> (string * signal) list
+
+(** {1 Operator semantics} *)
+
+val apply_unop : unop -> Bitvec.t -> Bitvec.t
+val apply_binop : binop -> Bitvec.t -> Bitvec.t -> Bitvec.t
+(** The one operator table: constant folding above, the netlist
+    evaluator, the CIR machine, Fsmdcomp's width-mismatch path and the
+    C2Verilog stack ALU all compute through it. *)
 
 (** {1 Traversal} *)
 

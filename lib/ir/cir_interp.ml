@@ -61,8 +61,8 @@ let step m instr =
   let regs = m.regs in
   match instr with
   | Cir.I_bin { op; dst; a; b } ->
-    regs.(dst) <- Neteval.apply_binop op (value m a) (value m b)
-  | Cir.I_un { op; dst; a } -> regs.(dst) <- Neteval.apply_unop op (value m a)
+    regs.(dst) <- Netlist.apply_binop op (value m a) (value m b)
+  | Cir.I_un { op; dst; a } -> regs.(dst) <- Netlist.apply_unop op (value m a)
   | Cir.I_mov { dst; src } -> regs.(dst) <- value m src
   | Cir.I_cast { dst; signed; src } ->
     regs.(dst) <-

@@ -16,7 +16,7 @@
    instead of one Bitvec array.  Memory cells get the same treatment
    (stores deposit the stored value's width).  All arithmetic is
    Intalu's, bit-identical to Bitvec at widths <= 62.  Operand-width
-   mismatches take a slow path through Neteval.apply_binop so they
+   mismatches take a slow path through Netlist.apply_binop so they
    raise (or, for eq/ne, compare unequal) exactly as the interpreter
    would.
 
@@ -175,7 +175,7 @@ let create (fsmd : Fsmd.t) : t =
          operator table, so they raise Width_mismatch (or compare
          unequal, for eq/ne) exactly as Rtlsim would *)
       let slow () =
-        let r = Neteval.apply_binop op (bv_of a) (bv_of b) in
+        let r = Netlist.apply_binop op (bv_of a) (bv_of b) in
         reg_bits.(dst) <- to_bits r;
         reg_w.(dst) <- Bitvec.width r
       in

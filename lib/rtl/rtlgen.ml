@@ -223,6 +223,7 @@ let elaborate (fsmd : Fsmd.t) : elaborated =
   List.iter
     (fun (name, r, _) -> Netlist.set_output nl ("g_" ^ name) reg_nodes.(r))
     func.Cir.fn_globals;
+  Netlist.finish nl;
   { netlist = nl; done_state; init_state }
 
 (** Run the elaborated netlist to completion and return (result, globals,

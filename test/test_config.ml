@@ -200,6 +200,9 @@ let test_sim_shares_one_design () =
         "both engines agree" compiled (run Design.Event_driven))
     gcd_w.Workloads.arg_sets
 
+let empty dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
+
 let fresh_dir =
   let n = ref 0 in
   fun () ->
@@ -210,7 +213,7 @@ let fresh_dir =
         (Printf.sprintf "chlsc-config-test-%d-%d" (Unix.getpid ()) !n)
     in
     (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    empty dir;
     dir
 
 let test_two_configs_two_disk_entries () =
@@ -219,7 +222,9 @@ let test_two_configs_two_disk_entries () =
   Fun.protect
     ~finally:(fun () ->
       Driver.set_cache_store previous;
-      Driver.clear_cache ())
+      Driver.clear_cache ();
+      empty dir;
+      Unix.rmdir dir)
     (fun () ->
       (match Driver.attach_disk_cache ~dir () with
       | Ok _ -> ()

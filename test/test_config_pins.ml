@@ -33,17 +33,17 @@ let rows =
       Refused "dialect-reject",
       Refused "dialect-reject");
     ("cones", "fir",
-      Ran (-68, Time 165., None),
-      Ran (-68, Time 165., None),
-      Ran (-68, Time 165., None));
+      Ran (-68, Time 101., None),
+      Ran (-68, Time 101., None),
+      Ran (-68, Time 101., None));
     ("cones", "dotprod",
-      Ran (-1224, Time 266., None),
-      Ran (-1224, Time 266., None),
-      Ran (-1224, Time 266., None));
+      Ran (-1224, Time 138., None),
+      Ran (-1224, Time 138., None),
+      Ran (-1224, Time 138., None));
     ("cones", "matmul",
-      Ran (-3312, Time 415., None),
-      Ran (-3312, Time 415., None),
-      Ran (-3312, Time 415., None));
+      Ran (-3312, Time 185., None),
+      Ran (-3312, Time 185., None),
+      Ran (-3312, Time 185., None));
     ("cones", "producer_consumer",
       Refused "dialect-reject",
       Refused "dialect-reject",

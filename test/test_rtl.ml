@@ -253,6 +253,220 @@ let test_netlist_fanout_index () =
   Alcotest.(check int) "edge counts match" !edges_from_deps
     !edges_from_fanouts
 
+(* Folding agrees with evaluation.  Each operator the builder folds (the 3
+   unops, the 19 binops, a mux, zext and the extracts and extensions
+   behind resize) is built once over inputs, settled by Neteval and (up
+   to 62 bits) Netcomp, and once over constants, where the builder must
+   fold it to a [Const]: the three values must be equal.  Exhaustive at
+   widths 1-8; at 9-64 on seeded operands that lean on the edges, and on
+   small second operands (shift amounts, divisors) a quarter of the
+   time. *)
+let unops = Netlist.[ U_not; U_neg; U_reduce_or ]
+let shift op = List.mem op Netlist.[ B_shl; B_lshr; B_ashr ]
+
+let operators nl w ~a ~b ~sel =
+  let wide = if w <= Intalu.width_limit then Intalu.width_limit else 64 in
+  let targets =
+    List.sort_uniq compare
+      (List.filter
+         (fun t -> t >= 1 && t <= wide && t <> w)
+         [ 1; w - 1; w + 1; wide ])
+  in
+  List.map (fun op -> (Netlist.string_of_unop op, Netlist.unop nl op a)) unops
+  @ List.map
+      (fun op -> (Netlist.string_of_binop op, Netlist.binop nl op a b))
+      Test_simcomp.binops
+  @ [ ("mux", Netlist.mux nl ~sel ~if_true:a ~if_false:b) ]
+  @ List.concat_map
+      (fun t ->
+        (if t > w then
+           [ (Printf.sprintf "zext %d" t, Netlist.zext nl ~width:t a) ]
+         else [])
+        @ List.map
+            (fun signed ->
+              ( Printf.sprintf "resize %b %d" signed t,
+                Netlist.resize nl ~signed ~width:t a ))
+            [ false; true ])
+      targets
+
+let test_folding_agrees_with_evaluation () =
+  let cases = ref 0 and compiled = ref 0 and disagree = ref [] in
+  let rng = Random.State.make [| 2026 |] in
+  for w = 1 to 64 do
+    let nl = Netlist.create () in
+    let a = Netlist.input nl "a" ~width:w
+    and b = Netlist.input nl "b" ~width:w
+    and sel = Netlist.input nl "s" ~width:1 in
+    let evaluated = operators nl w ~a ~b ~sel in
+    let neteval = Neteval.create nl in
+    let netcomp =
+      if Netcomp.compilable nl then Some (Netcomp.create nl) else None
+    in
+    if Option.is_some netcomp then incr compiled;
+    let folds = Netlist.create () in
+    let check av bv sv =
+      let av = Bitvec.of_int64 ~width:w av
+      and bv = Bitvec.of_int64 ~width:w bv
+      and sv = Bitvec.of_int ~width:1 sv in
+      let inputs = [ ("a", av); ("b", bv); ("s", sv) ] in
+      Neteval.settle neteval ~inputs;
+      Option.iter (fun c -> Netcomp.settle c ~inputs) netcomp;
+      let folded =
+        operators folds w ~a:(Netlist.const folds av)
+          ~b:(Netlist.const folds bv) ~sel:(Netlist.const folds sv)
+      in
+      List.iter2
+        (fun (what, s) (_, f) ->
+          incr cases;
+          let folded =
+            match Netlist.node folds f with
+            | Netlist.Const v -> Some v
+            | _ -> None
+          and neteval = Neteval.value neteval s
+          and netcomp = Option.map (fun c -> Netcomp.value c s) netcomp in
+          let agree =
+            match folded with
+            | Some v ->
+              Bitvec.equal v neteval
+              && Option.fold ~none:true ~some:(Bitvec.equal v) netcomp
+            | None -> false
+          in
+          let show = Option.fold ~none:"-" ~some:Bitvec.to_string in
+          if (not agree) && List.length !disagree < 5 then
+            disagree :=
+              Printf.sprintf
+                "%s at width %d on %s, %s, %s: folded %s, Neteval %s, \
+                 Netcomp %s"
+                what w (Bitvec.to_string av) (Bitvec.to_string bv)
+                (Bitvec.to_string sv) (show folded) (Bitvec.to_string neteval)
+                (show netcomp)
+              :: !disagree)
+        evaluated folded
+    in
+    if w <= 8 then
+      for av = 0 to (1 lsl w) - 1 do
+        for bv = 0 to (1 lsl w) - 1 do
+          for sv = 0 to 1 do
+            check (Int64.of_int av) (Int64.of_int bv) sv
+          done
+        done
+      done
+    else begin
+      let mask = if w = 64 then -1L else Int64.(sub (shift_left 1L w) 1L) in
+      let sign = Int64.shift_left 1L (w - 1) in
+      let edges = [| 0L; 1L; mask; Int64.pred mask; sign; Int64.pred sign |] in
+      let operand () =
+        if Random.State.int rng 4 = 0 then
+          edges.(Random.State.int rng (Array.length edges))
+        else Int64.logand (Random.State.bits64 rng) mask
+      in
+      for _ = 1 to 400 do
+        let av = operand () in
+        let bv =
+          if Random.State.int rng 4 = 0 then
+            Int64.of_int (Random.State.int rng (w + 2))
+          else operand ()
+        in
+        check av bv (Random.State.int rng 2)
+      done
+    end
+  done;
+  Alcotest.(check (list string)) "folded and evaluated values differ on" []
+    (List.rev !disagree);
+  Alcotest.(check int) "cases checked" 6_498_984 !cases;
+  Alcotest.(check int) "widths Netcomp settled" Intalu.width_limit !compiled;
+  (* operands of unequal widths stay a node wherever Bitvec needs equal
+     widths (it raises Width_mismatch, or compares them unequal); a shift
+     amount may have any width *)
+  let nl = Netlist.create () in
+  let x = Bitvec.of_int ~width:8 5 and y = Bitvec.of_int ~width:9 3 in
+  List.iter
+    (fun op ->
+      let s = Netlist.binop nl op (Netlist.const nl x) (Netlist.const nl y) in
+      let what = Netlist.string_of_binop op ^ " of 8- and 9-bit constants" in
+      match Netlist.node nl s with
+      | Netlist.Const v when shift op ->
+        Alcotest.(check string) what
+          (Bitvec.to_string (Netlist.apply_binop op x y))
+          (Bitvec.to_string v)
+      | Netlist.Binop _ when not (shift op) -> ()
+      | _ -> Alcotest.fail (what ^ ": a shift folds, any other op stays"))
+    Test_simcomp.binops
+
+(* What the builder guarantees of every netlist Cones and Rtlgen.elaborate
+   build for the workload suite: no two combinational nodes are equal (same
+   kind, same operands), no operator has only constant operands (bar
+   operands of unequal widths where Bitvec requires equal ones), and no
+   mux has a constant select or equal arms.  Each kernel's Cones node
+   count is pinned. *)
+let cones_nodes =
+  [ ("fir", 48); ("dotprod", 84); ("matmul", 196); ("crc", 165);
+    ("checksum", 56); ("histogram", 993); ("adpcm", 800); ("aes_sbox", 1527);
+    ("iir", 228); ("odd_even_sort", 210); ("crc32", 326); ("adler32", 138) ]
+
+let builder_violations nl =
+  let seen = Hashtbl.create 256 and bad = ref [] in
+  let const s =
+    match Netlist.node nl s with Netlist.Const _ -> true | _ -> false
+  in
+  for s = 0 to Netlist.length nl - 1 do
+    let node = Netlist.node nl s in
+    let complain what = bad := Printf.sprintf "node %d %s" s what :: !bad in
+    (match node with
+    | Netlist.Input _ | Netlist.Reg _ | Netlist.Mem_read _ -> ()
+    | _ -> (
+      match Hashtbl.find_opt seen node with
+      | Some first -> complain (Printf.sprintf "repeats node %d" first)
+      | None -> Hashtbl.add seen node s));
+    match node with
+    | Netlist.Mux { sel; if_true; if_false } ->
+      if const sel then complain "is a mux with a constant select";
+      if if_true = if_false then complain "is a mux with equal arms"
+    | Netlist.Binop (op, a, b)
+      when const a && const b
+           && (Netlist.width nl a = Netlist.width nl b || shift op) ->
+      complain "is an operator over constants"
+    | Netlist.Unop (_, a)
+    | Netlist.Extract { arg = a; _ }
+    | Netlist.Zext { arg = a; _ }
+    | Netlist.Sext { arg = a; _ }
+      when const a -> complain "is an operator over a constant"
+    | Netlist.Concat { hi; lo } when const hi && const lo ->
+      complain "is a concat of constants"
+    | _ -> ()
+  done;
+  List.rev !bad
+
+let test_builder_invariants () =
+  let cones = ref [] and bad = ref [] in
+  List.iter
+    (fun (w : Workloads.t) ->
+      let session = Driver.create ~entry:w.Workloads.entry w.Workloads.source in
+      List.iter
+        (fun backend ->
+          match Driver.compile session backend with
+          | Error _ -> ()
+          | Ok d -> (
+            match d.Design.netlist () with
+            | None -> ()
+            | Some nl ->
+              let name = Registry.name backend in
+              if name = "cones" then
+                cones := (w.Workloads.name, Netlist.length nl) :: !cones;
+              List.iter
+                (fun v ->
+                  bad := Printf.sprintf "%s on %s: %s" w.Workloads.name name v
+                         :: !bad)
+                (builder_violations nl)))
+        (Registry.compiling ()))
+    Workloads.all;
+  Alcotest.(check (list string)) "builder violations" []
+    (List.filteri (fun i _ -> i < 10) (List.rev !bad));
+  Alcotest.(check (list (pair string int))) "Cones nodes per kernel"
+    cones_nodes (List.rev !cones);
+  Alcotest.(check bool) "the Cones suite stays within 5,000 nodes" true
+    (List.fold_left (fun n (_, k) -> n + k) 0 !cones <= 5_000)
+
 let test_area_model_monotone () =
   (* wider operators must never be cheaper or faster *)
   List.iter
@@ -309,5 +523,9 @@ let suite =
         test_netlist_unknown_output_error;
       Alcotest.test_case "netlist fanout index" `Quick
         test_netlist_fanout_index;
+      Alcotest.test_case "folding agrees with evaluation" `Quick
+        test_folding_agrees_with_evaluation;
+      Alcotest.test_case "builder invariants over the workloads" `Quick
+        test_builder_invariants;
       Alcotest.test_case "area model monotone" `Quick test_area_model_monotone;
       Alcotest.test_case "area report" `Quick test_area_report_of_design ] )

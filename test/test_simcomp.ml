@@ -293,13 +293,13 @@ let test_wide_designs_run_on_the_oracle () =
             (expected_cycles backend) r.Design.cycles;
           if backend = "cones" then begin
             Alcotest.(check (option (float 0.))) (what ^ ": time units")
-              (Some 33.) r.Design.time_units;
-            Alcotest.(check bool) (what ^ ": 14 nodes evaluated, 13 events")
+              (Some 31.) r.Design.time_units;
+            Alcotest.(check bool) (what ^ ": 10 nodes evaluated, 9 events")
               true
               (Metrics.find r.Design.metrics "sim.nodes_evaluated"
-               = Some (Metrics.Int 14)
+               = Some (Metrics.Int 10)
               && Metrics.find r.Design.metrics "sim.events"
-                 = Some (Metrics.Int 13))
+                 = Some (Metrics.Int 9))
           end)
         [ Design.Compiled; Design.Event_driven ];
       let _, event_vcd = run (Some Design.Event_driven) in
@@ -436,7 +436,7 @@ let prop_netlist_engines_agree =
           src)
 
 (* The two operator tables: Intalu.binop (the compiled engines, unboxed
-   ints) and Neteval.apply_binop (the Bitvec simulators) must agree on
+   ints) and Netlist.apply_binop (the Bitvec simulators) must agree on
    every binop, exhaustively at widths 1-8 and on seeded random pairs at
    widths 9-62.  The random operands lean on the edges (0, 1, all ones,
    the sign bit) and the shift amounts on [0, w+1], where the two tables'
@@ -453,7 +453,7 @@ let test_operator_tables_agree () =
     let got = Intalu.binop (Intalu.binop_index op) w a b in
     let want =
       Bitvec.to_int_unsigned
-        (Neteval.apply_binop op (Bitvec.of_int ~width:w a)
+        (Netlist.apply_binop op (Bitvec.of_int ~width:w a)
            (Bitvec.of_int ~width:w b))
     in
     if got <> want && List.length !disagree < 5 then
